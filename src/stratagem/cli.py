@@ -1,8 +1,9 @@
 """Command-line pipeline: ingestion -> insights -> organization -> SVG.
 
 Every stage writes its JSON artifact so each step can be inspected and
-replayed independently; ``pipeline`` is byte-identical to chaining the
-three subcommands on the emitted intermediates.
+replayed independently. ``pipeline`` runs the same three stages, passing
+the insights and the analysis in memory, and writes files byte-identical
+to chaining the three subcommands on the emitted intermediates.
 
 Exit codes: 0 success, 2 input/validation error, 3 LLM/network error,
 4 layout overflow.
@@ -60,35 +61,38 @@ def _llm_insights(config, subject: str, dataset) -> list:
     return llm.parse_insight_list(response, model_label=config.model)
 
 
-def cmd_insights(args) -> int:
-    if not args.table and not args.timeseries and not args.llm_config:
-        print("error: need --table, --timeseries, or --llm", file=sys.stderr)
-        return EXIT_INPUT
-    dataset = None
-    series = None
+class _Failed(Exception):
+    """A stage failed: ``main`` prints the message to stderr and returns ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _parse_file(path: str, parser):
+    """Read a delimited input file, choosing the dialect from its suffix."""
     try:
-        if args.table:
-            text = Path(args.table).read_text(encoding="utf-8")
-            dialect = "comma" if args.table.endswith(".csv") else "tab"
-            dataset = ingest.parse_table(text, dialect=dialect)
-        if args.timeseries:
-            text = Path(args.timeseries).read_text(encoding="utf-8")
-            dialect = "comma" if args.timeseries.endswith(".csv") else "tab"
-            series = ingest.parse_timeseries(text, dialect=dialect)
+        text = Path(path).read_text(encoding="utf-8")
+        return parser(text, dialect="comma" if path.endswith(".csv") else "tab")
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failed(EXIT_INPUT, f"error: {exc}") from None
     except ingest.IngestError as exc:
-        name = args.table if isinstance(exc, (ingest.RaggedRows,)) or args.table else args.timeseries
-        print(f"error in {name}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failed(EXIT_INPUT, f"error in {path}: {exc}") from None
+
+
+def _insights(args, output: str) -> tuple[str, list]:
+    """Stage one: rule and LLM insights from the inputs, written to ``output``."""
+    if not args.table and not args.timeseries and not args.llm_config:
+        raise _Failed(EXIT_INPUT, "error: need --table, --timeseries, or --llm")
+    dataset = _parse_file(args.table, ingest.parse_table) if args.table else None
+    series = (
+        _parse_file(args.timeseries, ingest.parse_timeseries) if args.timeseries else None
+    )
     subject = args.subject or (dataset.subject if dataset else "")
     if dataset is not None and subject not in dataset.entities:
-        print(f"error: subject {subject!r} not found in table", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failed(EXIT_INPUT, f"error: subject {subject!r} not found in table")
     if dataset is None and series is None and not subject:
-        print("error: --subject required for training-data mode", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Failed(EXIT_INPUT, "error: --subject required for training-data mode")
     found = []
     if dataset is not None or series is not None:
         found = insights_mod.run_all_rules(dataset, series, subject or None)
@@ -96,8 +100,7 @@ def cmd_insights(args) -> int:
         try:
             llm_found = _llm_insights(args.llm_config, subject, dataset)
         except llm.LlmError as exc:
-            print(f"LLM error: {exc}", file=sys.stderr)
-            return EXIT_LLM
+            raise _Failed(EXIT_LLM, f"LLM error: {exc}") from None
         # conservative merge: drop exact statement duplicates only
         known = {ins.statement for ins in found}
         found = found + [ins for ins in llm_found if ins.statement not in known]
@@ -105,9 +108,9 @@ def cmd_insights(args) -> int:
         "subject": subject,
         "insights": [insights_mod.insight_to_dict(i) for i in found],
     }
-    _write_json(args.output, out)
-    print(f"wrote {len(found)} insights to {args.output}")
-    return EXIT_OK
+    _write_json(output, out)
+    print(f"wrote {len(found)} insights to {output}")
+    return subject, found
 
 
 def _load_insights_file(path: str) -> tuple[str, list]:
@@ -126,27 +129,16 @@ def _load_insights_file(path: str) -> tuple[str, list]:
     return raw.get("subject", ""), parsed
 
 
-def cmd_organize(args) -> int:
-    if args.max_per_slot < 1:
-        print("error: --max-per-slot must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    kind = _FRAMEWORK_NAMES[args.framework]
-    try:
-        subject, parsed = _load_insights_file(args.insights)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: invalid insights file {args.insights}:\n{exc}", file=sys.stderr)
-        return EXIT_INPUT
-    schema = frameworks.schema_for(kind, max_per_slot=args.max_per_slot)
-    analysis = frameworks.organize(parsed, schema, subject=subject)
+def _organize(args, subject: str, found: list, output: str) -> frameworks.OrganizedAnalysis:
+    """Stage two: the insights organized into ``args.framework``, written to ``output``."""
+    schema = frameworks.schema_for(_FRAMEWORK_NAMES[args.framework], args.max_per_slot)
+    analysis = frameworks.organize(found, schema, subject=subject)
     violations = frameworks.validate_analysis(analysis)
     if violations:
-        for v in violations:
-            print(f"violation [{v.code}] {v.slot_id}: {v.message}", file=sys.stderr)
-        return EXIT_INPUT
-    _write_json(args.output, frameworks.analysis_to_dict(analysis))
+        raise _Failed(EXIT_INPUT, "\n".join(
+            f"violation [{v.code}] {v.slot_id}: {v.message}" for v in violations
+        ))
+    _write_json(output, frameworks.analysis_to_dict(analysis))
     print(f"{'slot':<24} {'factors':>7}  attribute")
     for slot in schema.slots:
         attr = analysis.slot_attributes[slot.id]
@@ -157,7 +149,41 @@ def cmd_organize(args) -> int:
         else:
             label = f"risk {attr}"
         print(f"{slot.title:<24} {len(analysis.assignments[slot.id]):>7}  {label}")
-    print(f"wrote analysis to {args.output}")
+    print(f"wrote analysis to {output}")
+    return analysis
+
+
+def _render(args, analysis: frameworks.OrganizedAnalysis, output: str) -> None:
+    """Stage three: the analysis drawn with ``args.style`` as SVG at ``output``."""
+    try:
+        style = diagram.load_style(args.style)
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+        raise _Failed(EXIT_INPUT, f"error: invalid style file {args.style}: {exc}") from None
+    try:
+        svg = diagram.render_analysis(analysis, style)
+    except diagram.LayoutOverflow as exc:
+        raise _Failed(EXIT_LAYOUT, f"layout overflow: {exc.factor!r}") from None
+    Path(output).write_text(svg, encoding="utf-8")
+    width = svg.split('width="', 1)[1].split('"', 1)[0]
+    height = svg.split('height="', 1)[1].split('"', 1)[0]
+    print(f"wrote {output} ({width} x {height} px)")
+
+
+def cmd_insights(args) -> int:
+    _insights(args, args.output)
+    return EXIT_OK
+
+
+def cmd_organize(args) -> int:
+    try:
+        subject, found = _load_insights_file(args.insights)
+    except FileNotFoundError as exc:
+        raise _Failed(EXIT_INPUT, f"error: {exc}") from None
+    except ValueError as exc:
+        raise _Failed(
+            EXIT_INPUT, f"error: invalid insights file {args.insights}:\n{exc}"
+        ) from None
+    _organize(args, subject, found, args.output)
     return EXIT_OK
 
 
@@ -166,46 +192,24 @@ def cmd_render(args) -> int:
         raw = json.loads(Path(args.analysis).read_text(encoding="utf-8"))
         analysis = frameworks.analysis_from_dict(raw)
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: invalid analysis file {args.analysis}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    style = diagram.load_style(args.style)
-    try:
-        svg = diagram.render_analysis(analysis, style)
-    except diagram.LayoutOverflow as exc:
-        print(f"layout overflow: {exc.factor!r}", file=sys.stderr)
-        return EXIT_LAYOUT
-    Path(args.output).write_text(svg, encoding="utf-8")
-    width = svg.split('width="', 1)[1].split('"', 1)[0]
-    height = svg.split('height="', 1)[1].split('"', 1)[0]
-    print(f"wrote {args.output} ({width} x {height} px)")
+        raise _Failed(EXIT_INPUT, f"error: {exc}") from None
+    except (KeyError, ValueError) as exc:
+        raise _Failed(
+            EXIT_INPUT, f"error: invalid analysis file {args.analysis}: {exc}"
+        ) from None
+    _render(args, analysis, args.output)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
+    """The three stages in memory; writes the same three files as the
+    subcommands chained on their outputs."""
     out = Path(args.output)
-    insights_path = str(out.with_suffix("")) + ".insights.json"
-    analysis_path = str(out.with_suffix("")) + ".analysis.json"
-    args_i = argparse.Namespace(
-        table=args.table, timeseries=args.timeseries, subject=args.subject,
-        llm_config=args.llm_config, output=insights_path,
-    )
-    code = cmd_insights(args_i)
-    if code != EXIT_OK:
-        return code
-    args_o = argparse.Namespace(
-        insights=insights_path, framework=args.framework,
-        max_per_slot=args.max_per_slot, output=analysis_path,
-    )
-    code = cmd_organize(args_o)
-    if code != EXIT_OK:
-        return code
-    args_r = argparse.Namespace(
-        analysis=analysis_path, style=args.style, output=str(out),
-    )
-    return cmd_render(args_r)
+    stem = str(out.with_suffix(""))
+    subject, found = _insights(args, stem + ".insights.json")
+    analysis = _organize(args, subject, found, stem + ".analysis.json")
+    _render(args, analysis, str(out))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,19 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "llm"):
-        try:
-            args.llm_config = _parse_llm_flag(args.llm)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
     handler = {
         "insights": cmd_insights,
         "organize": cmd_organize,
         "render": cmd_render,
         "pipeline": cmd_pipeline,
     }[args.command]
-    return handler(args)
+    try:
+        if hasattr(args, "llm"):
+            try:
+                args.llm_config = _parse_llm_flag(args.llm)
+            except ValueError as exc:
+                raise _Failed(EXIT_INPUT, f"error: {exc}") from None
+        if getattr(args, "max_per_slot", 1) < 1:
+            raise _Failed(EXIT_INPUT, "error: --max-per-slot must be at least 1")
+        return handler(args)
+    except _Failed as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

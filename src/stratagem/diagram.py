@@ -2,9 +2,11 @@
 
 Each layout turns an OrganizedAnalysis into a DiagramSpec: resolved boxes,
 arrows, radar geometry, and text blocks whose fit is guaranteed by the
-embedded font metrics. When a factor cannot fit at minimum font size the
-layout doubles the canvas (up to 8 times) and retries; ``emit_svg`` then
-re-validates every invariant and produces byte-deterministic SVG 1.1.
+embedded font metrics. The four layouts share one driver, ``_drive``: it
+validates the analysis, then builds the framework's geometry at canvas
+scale 1, 2, 4, ... (up to 8 doublings) until every text block fits at or
+above the minimum font size. ``emit_svg`` then re-validates every
+invariant and produces byte-deterministic SVG 1.1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .fonts import FONT_FAMILY
 from .frameworks import (
     AxisScore,
     OrganizedAnalysis,
-    RISK_LEVELS,
     validate_analysis,
 )
 from .textfit import DoesNotFitAtMinFont, MAX_FONT, MIN_FONT, TextBlock, fit_text
@@ -44,13 +45,6 @@ class InvariantViolation(Exception):
     pass
 
 
-def risk_color(level: str) -> str:
-    """Fixed risk-to-fill mapping, identical across every diagram in a run."""
-    if level not in RISK_PALETTE:
-        raise KeyError(level)
-    return RISK_PALETTE[level]
-
-
 @dataclass(frozen=True)
 class Style:
     canvas_w: float = 900.0
@@ -67,6 +61,7 @@ class Style:
     palette: tuple[tuple[str, str], ...] = tuple(sorted(RISK_PALETTE.items()))
 
     def risk_fill(self, level: str) -> str:
+        """Fixed risk-to-fill mapping, identical across every diagram in a run."""
         return dict(self.palette)[level]
 
 
@@ -146,7 +141,6 @@ class DiagramSpec:
     title: TextBlock | None = None
     font_family: str = FONT_FAMILY
     background: str = "#FFFFFF"
-    edge_sharing: bool = False  # grid layouts may share cell edges
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +249,6 @@ def _diagram_title(analysis: OrganizedAnalysis, label: str, width: float, style:
     ).at(style.gap, 8)
 
 
-def _require_valid(analysis: OrganizedAnalysis, kind: str) -> None:
-    if analysis.schema.kind != kind:
-        raise ValueError(f"expected a {kind} analysis, got {analysis.schema.kind}")
-    violations = validate_analysis(analysis)
-    if violations:
-        raise InvariantViolation("; ".join(v.message for v in violations))
-
-
 def _statements(analysis: OrganizedAnalysis, slot_id: str) -> list[str]:
     return [ins.statement for ins, _ in analysis.assignments.get(slot_id, [])]
 
@@ -271,14 +257,27 @@ _TITLE_STRIP = 48.0
 _MAX_DOUBLINGS = 8
 
 
-def _with_scaling(build, style: Style, failing: list[str]):
+def _drive(analysis: OrganizedAnalysis, style: Style, kind: str, build) -> DiagramSpec:
+    """Validate ``analysis``, then return ``build(analysis, style, scale)``
+    for the first canvas scale 1, 2, 4, ... at which every text fits.
+
+    Raises LayoutOverflow naming the longest statement when even the
+    largest scale does not fit.
+    """
+    if analysis.schema.kind != kind:
+        raise ValueError(f"expected a {kind} analysis, got {analysis.schema.kind}")
+    violations = validate_analysis(analysis)
+    if violations:
+        raise InvariantViolation("; ".join(v.message for v in violations))
     for attempt in range(_MAX_DOUBLINGS + 1):
-        scale = 2 ** attempt
         try:
-            return build(scale)
+            return build(analysis, style, 2 ** attempt)
         except DoesNotFitAtMinFont:
             continue
-    raise LayoutOverflow(failing[0] if failing else "<unknown factor>")
+    raise LayoutOverflow(max(
+        (ins.statement for items in analysis.assignments.values() for ins, _ in items),
+        key=len, default="",
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -286,164 +285,133 @@ def _with_scaling(build, style: Style, failing: list[str]):
 
 def layout_grid(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     """SWOT 2x2 grid: S top-left, W top-right, O bottom-left, T bottom-right."""
-    _require_valid(analysis, "swot")
-    slots = analysis.schema.slots
-    longest = max(
-        (ins.statement for items in analysis.assignments.values() for ins, _ in items),
-        key=len, default="",
-    )
+    return _drive(analysis, style, "swot", _grid_at)
 
-    def build(scale: float) -> DiagramSpec:
-        W = style.canvas_w * scale
-        H = style.canvas_h * scale
-        title = _diagram_title(analysis, "SWOT Analysis", W, style)
-        top = _TITLE_STRIP
-        cw = W / 2
-        ch = (H - top) / 2
-        cell_fills = ("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8")
-        positions = ((0, 0), (cw, 0), (0, ch), (cw, ch))
-        boxes = []
-        for slot, (cx, cy), fill in zip(slots, positions, cell_fills):
-            boxes.append(
-                _fill_box(
-                    slot.id, cx, top + cy, cw, ch,
-                    slot.title, _statements(analysis, slot.id),
-                    fill, style.box_border, style,
-                )
+
+def _grid_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
+    W = style.canvas_w * scale
+    H = style.canvas_h * scale
+    title = _diagram_title(analysis, "SWOT Analysis", W, style)
+    top = _TITLE_STRIP
+    cw = W / 2
+    ch = (H - top) / 2
+    cell_fills = ("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8")
+    positions = ((0, 0), (cw, 0), (0, ch), (cw, ch))
+    boxes = []
+    for slot, (cx, cy), fill in zip(analysis.schema.slots, positions, cell_fills):
+        boxes.append(
+            _fill_box(
+                slot.id, cx, top + cy, cw, ch,
+                slot.title, _statements(analysis, slot.id),
+                fill, style.box_border, style,
             )
-        return DiagramSpec(
-            width=W, height=H, boxes=tuple(boxes), title=title,
-            font_family=style.font_family, background=style.background,
-            edge_sharing=True,
         )
-
-    return _with_scaling(build, style, [longest])
+    return DiagramSpec(
+        width=W, height=H, boxes=tuple(boxes), title=title,
+        font_family=style.font_family, background=style.background,
+    )
 
 
 def layout_hub_spoke(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     """Porter five forces: rivalry centered, four categories at N/E/S/W,
     arrows pointing into the central box, fills from the risk palette."""
-    _require_valid(analysis, "porter5")
+    return _drive(analysis, style, "porter5", _hub_spoke_at)
+
+
+def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
     schema = analysis.schema
     central_id = schema.central_slot or schema.slots[0].id
     satellites = [s for s in schema.slots if s.id != central_id]
     central = next(s for s in schema.slots if s.id == central_id)
-    longest = max(
-        (ins.statement for items in analysis.assignments.values() for ins, _ in items),
-        key=len, default="",
-    )
-
-    def slot_title(slot) -> str:
+    W = style.canvas_w * scale
+    H = style.canvas_h * scale
+    g = style.gap
+    title = _diagram_title(analysis, "Porter's Five Forces", W, style)
+    top = _TITLE_STRIP
+    bw = (W - 4 * g) / 3
+    bh = (H - top - 4 * g) / 3
+    cols = (g, 2 * g + bw, 3 * g + 2 * bw)
+    rows = (top + g, top + 2 * g + bh, top + 3 * g + 2 * bh)
+    grid_pos = {
+        "C": (cols[1], rows[1]),
+        "N": (cols[1], rows[0]),
+        "E": (cols[2], rows[1]),
+        "S": (cols[1], rows[2]),
+        "W": (cols[0], rows[1]),
+    }
+    boxes = []
+    for slot, compass in ((central, "C"), *zip(satellites, ("N", "E", "S", "W"))):
         level = analysis.slot_attributes[slot.id]
-        return f"{slot.title} (risk: {level})"
-
-    def build(scale: float) -> DiagramSpec:
-        W = style.canvas_w * scale
-        H = style.canvas_h * scale
-        g = style.gap
-        title = _diagram_title(analysis, "Porter's Five Forces", W, style)
-        top = _TITLE_STRIP
-        bw = (W - 4 * g) / 3
-        bh = (H - top - 4 * g) / 3
-        cols = (g, 2 * g + bw, 3 * g + 2 * bw)
-        rows = (top + g, top + 2 * g + bh, top + 3 * g + 2 * bh)
-        grid_pos = {
-            "C": (cols[1], rows[1]),
-            "N": (cols[1], rows[0]),
-            "E": (cols[2], rows[1]),
-            "S": (cols[1], rows[2]),
-            "W": (cols[0], rows[1]),
-        }
-        boxes = []
-        cx, cy = grid_pos["C"]
         boxes.append(
             _fill_box(
-                central.id, cx, cy, bw, bh, slot_title(central),
-                _statements(analysis, central.id),
-                style.risk_fill(analysis.slot_attributes[central.id]),
-                style.box_border, style,
+                slot.id, *grid_pos[compass], bw, bh, f"{slot.title} (risk: {level})",
+                _statements(analysis, slot.id),
+                style.risk_fill(level), style.box_border, style,
             )
         )
-        for slot, compass in zip(satellites, ("N", "E", "S", "W")):
-            sx, sy = grid_pos[compass]
-            boxes.append(
-                _fill_box(
-                    slot.id, sx, sy, bw, bh, slot_title(slot),
-                    _statements(analysis, slot.id),
-                    style.risk_fill(analysis.slot_attributes[slot.id]),
-                    style.box_border, style,
-                )
-            )
-        crect = (cx, cy, bw, bh)
-        arrow_ends = {
-            "N": (((cx + bw / 2), rows[0] + bh), ((cx + bw / 2), cy)),
-            "E": ((cols[2], cy + bh / 2), ((cx + bw), cy + bh / 2)),
-            "S": (((cx + bw / 2), rows[2]), ((cx + bw / 2), cy + bh)),
-            "W": ((cols[0] + bw, cy + bh / 2), (cx, cy + bh / 2)),
-        }
-        arrows = tuple(
-            ArrowEdge(from_id=slot.id, to_id=central.id, points=arrow_ends[compass])
-            for slot, compass in zip(satellites, ("N", "E", "S", "W"))
-        )
-        return DiagramSpec(
-            width=W, height=H, boxes=tuple(boxes), arrows=arrows, title=title,
-            font_family=style.font_family, background=style.background,
-        )
-
-    return _with_scaling(build, style, [longest])
+    cx, cy = grid_pos["C"]
+    arrow_ends = {
+        "N": (((cx + bw / 2), rows[0] + bh), ((cx + bw / 2), cy)),
+        "E": ((cols[2], cy + bh / 2), ((cx + bw), cy + bh / 2)),
+        "S": (((cx + bw / 2), rows[2]), ((cx + bw / 2), cy + bh)),
+        "W": ((cols[0] + bw, cy + bh / 2), (cx, cy + bh / 2)),
+    }
+    arrows = tuple(
+        ArrowEdge(from_id=slot.id, to_id=central.id, points=arrow_ends[compass])
+        for slot, compass in zip(satellites, ("N", "E", "S", "W"))
+    )
+    return DiagramSpec(
+        width=W, height=H, boxes=tuple(boxes), arrows=arrows, title=title,
+        font_family=style.font_family, background=style.background,
+    )
 
 
 def layout_cycle(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     """Virtuous circle: N stage boxes on a circle, one directed arrow per stage."""
-    _require_valid(analysis, "virtuous_cycle")
+    return _drive(analysis, style, "virtuous_cycle", _cycle_at)
+
+
+def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
     slots = analysis.schema.slots
     n = len(slots)
-    longest = max(
-        (ins.statement for items in analysis.assignments.values() for ins, _ in items),
-        key=len, default="",
-    )
-
-    def build(scale: float) -> DiagramSpec:
-        bw = style.canvas_w * 0.30 * scale
-        bh = style.canvas_h * 0.26 * scale
-        angles = [2 * math.pi * k / n - math.pi / 2 for k in range(n)]
-        # grow the circle until no boxes overlap
-        r = max(bw, bh) * 0.75
-        while True:
-            centers = [(r * math.cos(a), r * math.sin(a)) for a in angles]
-            rects = [(cx - bw / 2, cy - bh / 2, bw, bh) for cx, cy in centers]
-            if not any(
-                _rects_overlap(rects[i], rects[j], tol=-8)
-                for i in range(n) for j in range(i + 1, n)
-            ):
-                break
-            r += 10
-        margin = style.gap
-        W = 2 * (r + bw / 2 + margin)
-        H = _TITLE_STRIP + 2 * (r + bh / 2 + margin)
-        ox = W / 2
-        oy = _TITLE_STRIP + (H - _TITLE_STRIP) / 2
-        title = _diagram_title(analysis, "Virtuous Circle", W, style)
-        boxes = []
-        for slot, (cx, cy) in zip(slots, centers):
-            boxes.append(
-                _fill_box(
-                    slot.id, ox + cx - bw / 2, oy + cy - bh / 2, bw, bh,
-                    slot.title, _statements(analysis, slot.id),
-                    style.box_fill, style.box_border, style,
-                )
+    bw = style.canvas_w * 0.30 * scale
+    bh = style.canvas_h * 0.26 * scale
+    angles = [2 * math.pi * k / n - math.pi / 2 for k in range(n)]
+    # grow the circle until no boxes overlap
+    r = max(bw, bh) * 0.75
+    while True:
+        centers = [(r * math.cos(a), r * math.sin(a)) for a in angles]
+        rects = [(cx - bw / 2, cy - bh / 2, bw, bh) for cx, cy in centers]
+        if not any(
+            _rects_overlap(rects[i], rects[j], tol=-8)
+            for i in range(n) for j in range(i + 1, n)
+        ):
+            break
+        r += 10
+    margin = style.gap
+    W = 2 * (r + bw / 2 + margin)
+    H = _TITLE_STRIP + 2 * (r + bh / 2 + margin)
+    ox = W / 2
+    oy = _TITLE_STRIP + (H - _TITLE_STRIP) / 2
+    title = _diagram_title(analysis, "Virtuous Circle", W, style)
+    boxes = []
+    for slot, (cx, cy) in zip(slots, centers):
+        boxes.append(
+            _fill_box(
+                slot.id, ox + cx - bw / 2, oy + cy - bh / 2, bw, bh,
+                slot.title, _statements(analysis, slot.id),
+                style.box_fill, style.box_border, style,
             )
-        arrows = tuple(
-            _cycle_arrow(boxes[k], boxes[(k + 1) % n], (ox, oy), r,
-                         angles[k], angles[(k + 1) % n])
-            for k in range(n)
         )
-        return DiagramSpec(
-            width=W, height=H, boxes=tuple(boxes), arrows=arrows, title=title,
-            font_family=style.font_family, background=style.background,
-        )
-
-    return _with_scaling(build, style, [longest])
+    arrows = tuple(
+        _cycle_arrow(boxes[k], boxes[(k + 1) % n], (ox, oy), r,
+                     angles[k], angles[(k + 1) % n])
+        for k in range(n)
+    )
+    return DiagramSpec(
+        width=W, height=H, boxes=tuple(boxes), arrows=arrows, title=title,
+        font_family=style.font_family, background=style.background,
+    )
 
 
 def _cycle_arrow(box_a: BoxNode, box_b: BoxNode, center, r, theta_a, theta_b) -> ArrowEdge:
@@ -491,77 +459,71 @@ def layout_radar(analysis: OrganizedAnalysis, style: Style = Style()) -> Diagram
     """Value Discipline radar: three spokes at 120 degrees, grid rings at
     2/4/6/8/10, polygon vertices proportional to axis scores, plus a
     legend of top factor statements beside the plot."""
-    _require_valid(analysis, "value_discipline")
+    return _drive(analysis, style, "value_discipline", _radar_at)
+
+
+def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
     slots = analysis.schema.slots
-    longest = max(
-        (ins.statement for items in analysis.assignments.values() for ins, _ in items),
-        key=len, default="",
-    )
-
-    def build(scale: float) -> DiagramSpec:
-        W = style.canvas_w * scale
-        H = style.canvas_h * scale
-        title = _diagram_title(analysis, "Value Discipline", W, style)
-        top = _TITLE_STRIP
-        plot_w = W * 0.52
-        cx = plot_w / 2
-        cy = top + (H - top) / 2
-        radius = 0.62 * min(plot_w / 2, (H - top) / 2)
-        axes = []
-        vertices = []
-        for slot, angle in zip(slots, _RADAR_ANGLES):
-            attr = analysis.slot_attributes[slot.id]
-            assert isinstance(attr, AxisScore)
-            rad = math.radians(angle)
-            dx, dy = math.cos(rad), math.sin(rad)
-            vertices.append(
-                (cx + radius * attr.value / 10.0 * dx, cy + radius * attr.value / 10.0 * dy)
-            )
-            label_text = f"{slot.title} ({attr.value:.1f})"
-            block = fit_text(
-                label_text, 170 * scale, 40,
-                min_font=style.min_font, max_font=min(14, style.max_font),
-            )
-            lx_anchor = cx + (radius + 12) * dx
-            ly_anchor = cy + (radius + 12) * dy
-            lx = lx_anchor - block.width / 2 if abs(dx) < 0.2 else (
-                lx_anchor - block.width if dx < 0 else lx_anchor
-            )
-            ly = ly_anchor - block.height if dy < -0.2 else (
-                ly_anchor if dy > 0.2 else ly_anchor - block.height / 2
-            )
-            # push the label out until it clears the outer ring
-            while _rect_circle_overlap((lx, ly, block.width, block.height), (cx, cy), radius):
-                lx += dx * 4
-                ly += dy * 4
-                lx_anchor += dx * 4
-            axes.append(RadarAxis(slot_id=slot.id, angle_deg=angle,
-                                  score=attr.value, label=block.at(lx, ly)))
-        radar = RadarShape(center=(cx, cy), radius=radius,
-                           axes=tuple(axes), vertices=tuple(vertices))
-        # legend column on the right: top factors per axis
-        legend_x = plot_w + style.gap
-        legend_w = W - legend_x - style.gap
-        legend_h = (H - top - 4 * style.gap) / 3
-        boxes = []
-        for i, slot in enumerate(slots):
-            attr = analysis.slot_attributes[slot.id]
-            factors = _statements(analysis, slot.id)[:2]
-            boxes.append(
-                _fill_box(
-                    f"legend_{slot.id}", legend_x,
-                    top + style.gap + i * (legend_h + style.gap),
-                    legend_w, legend_h,
-                    f"{slot.title}: {attr.value:.1f} / 10",
-                    factors, style.box_fill, style.box_border, style,
-                )
-            )
-        return DiagramSpec(
-            width=W, height=H, boxes=tuple(boxes), radar=radar, title=title,
-            font_family=style.font_family, background=style.background,
+    W = style.canvas_w * scale
+    H = style.canvas_h * scale
+    title = _diagram_title(analysis, "Value Discipline", W, style)
+    top = _TITLE_STRIP
+    plot_w = W * 0.52
+    cx = plot_w / 2
+    cy = top + (H - top) / 2
+    radius = 0.62 * min(plot_w / 2, (H - top) / 2)
+    axes = []
+    vertices = []
+    for slot, angle in zip(slots, _RADAR_ANGLES):
+        attr = analysis.slot_attributes[slot.id]
+        assert isinstance(attr, AxisScore)
+        rad = math.radians(angle)
+        dx, dy = math.cos(rad), math.sin(rad)
+        vertices.append(
+            (cx + radius * attr.value / 10.0 * dx, cy + radius * attr.value / 10.0 * dy)
         )
-
-    return _with_scaling(build, style, [longest])
+        label_text = f"{slot.title} ({attr.value:.1f})"
+        block = fit_text(
+            label_text, 170 * scale, 40,
+            min_font=style.min_font, max_font=min(14, style.max_font),
+        )
+        lx_anchor = cx + (radius + 12) * dx
+        ly_anchor = cy + (radius + 12) * dy
+        lx = lx_anchor - block.width / 2 if abs(dx) < 0.2 else (
+            lx_anchor - block.width if dx < 0 else lx_anchor
+        )
+        ly = ly_anchor - block.height if dy < -0.2 else (
+            ly_anchor if dy > 0.2 else ly_anchor - block.height / 2
+        )
+        # push the label out until it clears the outer ring
+        while _rect_circle_overlap((lx, ly, block.width, block.height), (cx, cy), radius):
+            lx += dx * 4
+            ly += dy * 4
+        axes.append(RadarAxis(slot_id=slot.id, angle_deg=angle,
+                              score=attr.value, label=block.at(lx, ly)))
+    radar = RadarShape(center=(cx, cy), radius=radius,
+                       axes=tuple(axes), vertices=tuple(vertices))
+    # legend column on the right: top factors per axis
+    legend_x = plot_w + style.gap
+    legend_w = W - legend_x - style.gap
+    legend_h = (H - top - 4 * style.gap) / 3
+    boxes = []
+    for i, slot in enumerate(slots):
+        attr = analysis.slot_attributes[slot.id]
+        factors = _statements(analysis, slot.id)[:2]
+        boxes.append(
+            _fill_box(
+                f"legend_{slot.id}", legend_x,
+                top + style.gap + i * (legend_h + style.gap),
+                legend_w, legend_h,
+                f"{slot.title}: {attr.value:.1f} / 10",
+                factors, style.box_fill, style.box_border, style,
+            )
+        )
+    return DiagramSpec(
+        width=W, height=H, boxes=tuple(boxes), radar=radar, title=title,
+        font_family=style.font_family, background=style.background,
+    )
 
 
 def _rect_circle_overlap(rect, center, radius) -> bool:
@@ -651,6 +613,11 @@ def _esc(text: str) -> str:
     )
 
 
+def _attr(value) -> str:
+    """Escape a style or spec value for a double-quoted XML attribute."""
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+
+
 def _emit_block(block: TextBlock, family: str, out: list[str],
                 bold: bool = False, color: str = "#1A1A1A") -> None:
     x, y = block.origin
@@ -681,17 +648,18 @@ def emit_svg(spec: DiagramSpec) -> str:
     if problems:
         raise InvariantViolation("; ".join(problems))
     W, H = spec.width, spec.height
+    family = _attr(spec.font_family)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(W)}" height="{_fmt(H)}" viewBox="0 0 {_fmt(W)} {_fmt(H)}">',
         f'<rect x="0.00" y="0.00" width="{_fmt(W)}" height="{_fmt(H)}" '
-        f'fill="{spec.background}"/>',
+        f'fill="{_attr(spec.background)}"/>',
     ]
     for box in spec.boxes:
         out.append(
             f'<rect x="{_fmt(box.x)}" y="{_fmt(box.y)}" width="{_fmt(box.w)}" '
-            f'height="{_fmt(box.h)}" fill="{box.fill}" stroke="{box.border}" '
+            f'height="{_fmt(box.h)}" fill="{_attr(box.fill)}" stroke="{_attr(box.border)}" '
             f'stroke-width="1.50"/>'
         )
     if spec.radar:
@@ -728,15 +696,15 @@ def emit_svg(spec: DiagramSpec) -> str:
         )
         out.append(_arrowhead(arrow.points[-2], arrow.points[-1]))
     if spec.title:
-        _emit_block(spec.title, spec.font_family, out, bold=True)
+        _emit_block(spec.title, family, out, bold=True)
     for box in spec.boxes:
         if box.title:
-            _emit_block(box.title, spec.font_family, out, bold=True)
+            _emit_block(box.title, family, out, bold=True)
         for block in box.body:
-            _emit_block(block, spec.font_family, out)
+            _emit_block(block, family, out)
     if spec.radar:
         for axis in spec.radar.axes:
-            _emit_block(axis.label, spec.font_family, out, bold=True, color="#2C5F94")
+            _emit_block(axis.label, family, out, bold=True, color="#2C5F94")
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

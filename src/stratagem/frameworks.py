@@ -13,16 +13,20 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .insights import DIRECTIONS, Insight, THEME_TAGS, insight_from_dict, insight_to_dict
+from .insights import (
+    DIRECTIONS,
+    MAX_WORDS,
+    MIN_WORDS,
+    Insight,
+    THEME_TAGS,
+    insight_from_dict,
+    insight_to_dict,
+)
 
 FRAMEWORK_KINDS = ("swot", "porter5", "virtuous_cycle", "value_discipline")
 
 FIT_FLOOR = 0.3
 DEFAULT_MAX_PER_SLOT = 4
-# Factor word bounds. Display summaries target 5-10 words but deterministic
-# statements legitimately run longer, so validation allows 5-40.
-MIN_WORDS = 5
-MAX_WORDS = 40
 
 RISK_LEVELS = ("low", "moderate", "high", "intense")
 # Weighted-mean risk score bands, closed on the left.
@@ -68,8 +72,6 @@ class FrameworkSchema:
     kind: str
     slots: tuple[SlotDescriptor, ...]
     max_per_slot: int = DEFAULT_MAX_PER_SLOT
-    min_words: int = MIN_WORDS
-    max_words: int = MAX_WORDS
     central_slot: str | None = None
 
     def __post_init__(self):
@@ -353,7 +355,7 @@ def organize(
     schema: FrameworkSchema,
     subject: str = "",
 ) -> OrganizedAnalysis:
-    """Argmax-assign, rank by fit x magnitude, truncate, derive attributes.
+    """Argmax-assign each insight to a slot, then ``finalize``.
 
     Every input insight ends up displayed, in overflow, or unplaced.
     """
@@ -369,6 +371,18 @@ def organize(
             assignments[best_slot.id].append((ins, best_fit))
         else:
             unplaced.append(ins)
+    return finalize(assignments, schema, subject, unplaced)
+
+
+def finalize(
+    assignments: dict[str, list[tuple[Insight, float]]],
+    schema: FrameworkSchema,
+    subject: str = "",
+    unplaced: list[Insight] | None = None,
+) -> OrganizedAnalysis:
+    """Rank each slot by fit x magnitude, truncate to ``max_per_slot`` into
+    overflow, and derive the slot attributes. ``assignments`` holds a list
+    for every schema slot and is sorted and truncated in place."""
     overflow: dict[str, list[tuple[Insight, float]]] = {}
     for slot_id, items in assignments.items():
         items.sort(key=lambda p: (-(p[1] * p[0].magnitude), p[0].id))
@@ -389,7 +403,7 @@ def organize(
         assignments=assignments,
         slot_attributes=attributes,
         overflow=overflow,
-        unplaced=unplaced,
+        unplaced=unplaced or [],
     )
 
 
@@ -415,13 +429,13 @@ def validate_analysis(analysis: OrganizedAnalysis) -> list[Violation]:
             if not 0.0 <= fit <= 1.0:
                 out.append(Violation("BadFit", slot_id, f"fit {fit} outside [0, 1]"))
             words = len(ins.statement.split())
-            if not schema.min_words <= words <= schema.max_words:
+            if not MIN_WORDS <= words <= MAX_WORDS:
                 out.append(
                     Violation(
                         "WordCount",
                         slot_id,
                         f"factor {ins.id!r} has {words} words, "
-                        f"need {schema.min_words}-{schema.max_words}",
+                        f"need {MIN_WORDS}-{MAX_WORDS}",
                     )
                 )
             if ins.id in seen_ids:

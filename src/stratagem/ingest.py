@@ -34,6 +34,13 @@ class NoNumericData(IngestError):
     pass
 
 
+class BadCell(IngestError):
+    def __init__(self, line: int, column: str, text: str):
+        self.line = line
+        self.column = column
+        super().__init__(f"line {line}: cannot parse {column} {text!r}")
+
+
 class UnparseableDate(IngestError):
     def __init__(self, line: int, text: str):
         self.line = line
@@ -302,10 +309,8 @@ def parse_timeseries(text: str, dialect: str = "tab") -> TimeSeries:
         if len(cells) < 3:
             raise RaggedRows(i, 3, len(cells))
         date = _parse_date(cells[0], i)
-        close = _parse_number(cells[1])
-        volume = _parse_number(cells[2])
-        if close is None or volume is None:
-            raise RaggedRows(i, 3, len(cells))
+        close = _parse_cell(cells[1], i, "close")
+        volume = _parse_cell(cells[2], i, "volume")
         if close <= 0:
             raise NonPositivePrice(i, close)
         obs.append(Observation(date=date, close=close, volume=volume))
@@ -316,7 +321,14 @@ def parse_timeseries(text: str, dialect: str = "tab") -> TimeSeries:
         if o.date in seen:
             raise DuplicateDate(o.date)
         seen.add(o.date)
-    return normalize_order_raw(obs)
+    return TimeSeries(observations=tuple(sorted(obs, key=lambda o: o.date)))
+
+
+def _parse_cell(cell: str, line: int, column: str) -> float:
+    value = _parse_number(cell)
+    if value is None:
+        raise BadCell(line, column, cell)
+    return value
 
 
 def _looks_like_data_row(row: list[str]) -> bool:
@@ -327,13 +339,9 @@ def _looks_like_data_row(row: list[str]) -> bool:
         return False
 
 
-def normalize_order_raw(obs: list[Observation]) -> TimeSeries:
-    return TimeSeries(observations=tuple(sorted(obs, key=lambda o: o.date)))
-
-
 def normalize_order(series: TimeSeries) -> TimeSeries:
     """Idempotent: re-sort observations ascending by date."""
-    return normalize_order_raw(list(series.observations))
+    return TimeSeries(observations=tuple(sorted(series.observations, key=lambda o: o.date)))
 
 
 def _format_value(v: float | None) -> str:

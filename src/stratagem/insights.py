@@ -29,6 +29,11 @@ THEME_TAGS = (
 
 DIRECTIONS = ("positive", "negative", "neutral")
 
+# Statement word bounds. Display summaries target 5-10 words but deterministic
+# statements legitimately run longer, so validation allows 5-40.
+MIN_WORDS = 5
+MAX_WORDS = 40
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -98,8 +103,8 @@ class Insight:
         if not 0.0 <= self.magnitude <= 1.0:
             raise ValueError(f"magnitude {self.magnitude} outside [0, 1]")
         words = len(self.statement.split())
-        if not 5 <= words <= 40:
-            raise ValueError(f"statement has {words} words, need 5-40")
+        if not MIN_WORDS <= words <= MAX_WORDS:
+            raise ValueError(f"statement has {words} words, need {MIN_WORDS}-{MAX_WORDS}")
         bad = self.themes - set(THEME_TAGS)
         if bad:
             raise ValueError(f"unknown themes {sorted(bad)}")
@@ -480,7 +485,11 @@ def benchmark_surprise_insight(
     label: str = "earnings",
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> tuple[Insight | None, Diagnostic | None]:
-    """Actual-vs-expected surprise, judged against prior surprise history."""
+    """Actual-vs-expected surprise, judged against prior surprise history.
+
+    Library-only: neither ``run_all_rules`` nor the CLI calls this rule,
+    because no input format carries expected values.
+    """
     surprise = actual - expected
     if surprise == 0:
         return None, None

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from .frameworks import (
     FrameworkSchema,
     OrganizedAnalysis,
+    finalize,
     validate_analysis,
 )
-from .insights import Insight
+from .insights import MAX_WORDS, MIN_WORDS, Insight
 
 DEFAULT_API_KEY_ENV = "STRATAGEM_LLM_API_KEY"
 LLM_FIT = 0.7  # fixed fit for LLM-proposed slot assignments
@@ -34,18 +35,11 @@ PROMPT_TEMPLATES = {
         "Based on your training data knowledge, describe the recent trend "
         "in the income statement from {company}."
     ),
-    "trend_timeseries": "Describe the trend in this timeseries data.\n{data_block}",
     "insights_tabular": (
         "Given the data below, what insights can you derive about {company}?\n"
         "{data_block}"
     ),
     "framework_analysis": "Do a {framework} analysis of {company}",
-    "one_shot_diagram": (
-        "Do a {framework} for on the company {company} and create the standard "
-        "2x2 grid as HTML DIV or HTML SVG, include no more than {max_per_slot} "
-        "factors per cell and at least 5-10 words per each factor in each cell. "
-        "Your factors can include metrics available to you as of your last update."
-    ),
 }
 
 
@@ -274,15 +268,29 @@ def _themes_of(text: str) -> frozenset[str]:
     return frozenset(found)
 
 
-def _clip_words(text: str, low: int, high: int, context: str = "") -> str:
-    words = text.split()
-    if len(words) > high:
-        words = words[:high]
-    if len(words) < low and context:
-        words = (context + " " + " ".join(words)).split()[:high]
-    if len(words) < low:
-        words = (words + ["(from", "the", "model", "response", "text)"])[:high]
+def _clip_words(text: str, context: str = "") -> str:
+    """Fit ``text`` into the statement word bounds, padding a short text
+    with its label ``context`` and then with a fixed filler."""
+    words = text.split()[:MAX_WORDS]
+    if len(words) < MIN_WORDS and context:
+        words = (context + " " + " ".join(words)).split()[:MAX_WORDS]
+    if len(words) < MIN_WORDS:
+        words = (words + ["(from", "the", "model", "response", "text)"])[:MAX_WORDS]
     return " ".join(words)
+
+
+def _llm_insight(index: int, text: str, label: str, full: str, model_label: str) -> Insight:
+    """An insight parsed from model output: the statement is ``text`` clipped
+    to the word bounds; direction and themes are read from ``full``."""
+    return Insight(
+        id=f"llm:{index:02d}",
+        statement=_clip_words(text, context=label),
+        direction=_direction_of(full),
+        magnitude=LLM_MAGNITUDE,
+        themes=_themes_of(full),
+        evidence=(),
+        provenance=f"llm:{model_label}",
+    )
 
 
 def _extract_items(response: str) -> list[tuple[str, str]]:
@@ -322,22 +330,11 @@ def parse_insight_list(response: str, model_label: str = "llm") -> list[Insight]
     items = _extract_items(response)
     if not items:
         raise NoItemsFound("response has no recognizable list structure")
-    insights = []
-    for i, (label, text) in enumerate(items):
-        full = f"{label}: {text}" if label else text
-        statement = _clip_words(text or label, 5, 40, context=label)
-        insights.append(
-            Insight(
-                id=f"llm:{i:02d}",
-                statement=statement,
-                direction=_direction_of(full),
-                magnitude=LLM_MAGNITUDE,
-                themes=_themes_of(full),
-                evidence=(),
-                provenance=f"llm:{model_label}",
-            )
-        )
-    return insights
+    return [
+        _llm_insight(i, text or label, label, f"{label}: {text}" if label else text,
+                     model_label)
+        for i, (label, text) in enumerate(items)
+    ]
 
 
 _SLOT_SYNONYMS = {
@@ -419,7 +416,7 @@ def parse_framework_assignment(
         )
         raise NoSlotHeadings(message, refusal=refusal)
     counter = 0
-    placed: list[tuple[str, Insight]] = []
+    assignments: dict[str, list[tuple[Insight, float]]] = {}
     for slot in schema.slots:
         texts = sections[slot.id]
         if not texts:
@@ -431,29 +428,17 @@ def parse_framework_assignment(
                     f"{slot.id}: {len(texts)} items, keeping {schema.max_per_slot}",
                 )
             )
+        assignments[slot.id] = []
         for text in texts:
             label = ""
             m = _BOLD_LABEL_RE.match(text)
             if m:
                 label = m.group("label").strip().rstrip(":")
                 text = m.group("rest").strip() or label
-            statement = _clip_words(text, 5, 40, context=label)
-            placed.append(
-                (
-                    slot.id,
-                    Insight(
-                        id=f"llm:{counter:02d}",
-                        statement=statement,
-                        direction=_direction_of((label + " " + text).strip()),
-                        magnitude=LLM_MAGNITUDE,
-                        themes=_themes_of((label + " " + text).strip()),
-                        evidence=(),
-                        provenance=f"llm:{model_label}",
-                    ),
-                )
-            )
+            ins = _llm_insight(counter, text, label, (label + " " + text).strip(), model_label)
+            assignments[slot.id].append((ins, LLM_FIT))
             counter += 1
-    analysis = _assemble(placed, schema)
+    analysis = finalize(assignments, schema)
     violations = validate_analysis(analysis)
     if violations:
         # validation firewall: model output can never inject an
@@ -463,35 +448,3 @@ def parse_framework_assignment(
             + "; ".join(v.message for v in violations)
         )
     return analysis, diagnostics
-
-
-def _assemble(placed: list[tuple[str, Insight]], schema: FrameworkSchema) -> OrganizedAnalysis:
-    """Build an analysis that honors truncation and attribute invariants by
-    reusing the frameworks machinery with forced slot assignment."""
-    from .frameworks import assign_risk, score_axis
-
-    assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
-    overflow: dict[str, list[tuple[Insight, float]]] = {}
-    for slot_id, ins in placed:
-        assignments[slot_id].append((ins, LLM_FIT))
-    for slot_id, items in assignments.items():
-        items.sort(key=lambda p: (-(p[1] * p[0].magnitude), p[0].id))
-        if len(items) > schema.max_per_slot:
-            overflow[slot_id] = items[schema.max_per_slot:]
-            assignments[slot_id] = items[: schema.max_per_slot]
-    attributes: dict[str, object] = {}
-    for slot in schema.slots:
-        if schema.kind == "porter5":
-            attributes[slot.id] = assign_risk(assignments[slot.id])
-        elif schema.kind == "value_discipline":
-            attributes[slot.id] = score_axis(assignments[slot.id])
-        else:
-            attributes[slot.id] = None
-    return OrganizedAnalysis(
-        schema=schema,
-        subject="",
-        assignments=assignments,
-        slot_attributes=attributes,
-        overflow=overflow,
-        unplaced=[],
-    )

@@ -1,10 +1,10 @@
-"""Greedy word-wrap plus font-size search: the first stage of text fitting.
+"""Greedy word-wrap plus font-size search: the first of two text-fitting stages.
 
 ``fit_text`` finds the largest integer font size in [MIN_FONT, MAX_FONT]
 whose wrapped lines fit a box interior in both width and height. When even
 MIN_FONT overflows it raises ``DoesNotFitAtMinFont`` carrying the height
-the caller would need, so layouts can grow the box or scale the canvas
-(stages two and three of the optimization).
+the text would need; the second stage, in ``diagram``, reacts by doubling
+the canvas and laying the whole diagram out again.
 """
 
 from __future__ import annotations
@@ -99,16 +99,6 @@ def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
     if current:
         lines.append(current)
     return tuple(lines)
-
-
-def fits(text: str, width: float, height: float, size: float) -> bool:
-    try:
-        lines = wrap(text, width, size)
-    except UnbreakableToken:
-        return False
-    if any(measure_text(ln, size) > width for ln in lines):
-        return False
-    return len(lines) * LINE_HEIGHT * size <= height
 
 
 def fit_text(

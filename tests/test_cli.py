@@ -53,6 +53,15 @@ class TestInsightsCommand:
         assert run("insights", "--table", str(bad)) == 2
         assert "row 1" in capsys.readouterr().err
 
+    def test_bad_timeseries_cell_names_the_timeseries_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("date\tclose\tvolume\n2024-04-01\t100\tlots\n", encoding="utf-8")
+        code = run("insights", "--table", str(FOOBAR), "--timeseries", str(bad),
+                   "-o", str(tmp_path / "i.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error in {bad}: line 2: cannot parse volume 'lots'\n"
+
     def test_unknown_subject_is_input_error(self, capsys):
         assert run("insights", "--table", str(FOOBAR), "--subject", "Nobody Inc") == 2
 
@@ -160,6 +169,19 @@ class TestRenderCommand:
         run("organize", str(insights_file), "--framework", "swot", "-o", str(analysis))
         assert run("render", str(analysis), "--style", str(style), "-o", str(svg)) == 0
         assert 'fill="#F7F7F7"' in svg.read_text()
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"canvas": [900]}'])
+    def test_bad_style_file_is_input_error(self, insights_file, tmp_path, capsys, content):
+        analysis = tmp_path / "a.json"
+        style = tmp_path / "style.json"
+        if content is not None:
+            style.write_text(content, encoding="utf-8")
+        run("organize", str(insights_file), "--framework", "swot", "-o", str(analysis))
+        capsys.readouterr()
+        code = run("render", str(analysis), "--style", str(style), "-o", str(tmp_path / "d.svg"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid style file {style}: ")
+        assert not (tmp_path / "d.svg").exists()
 
 
 class TestPipeline:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import xml.etree.ElementTree as ET
+import xml.parsers.expat
 
 import pytest
 
@@ -22,11 +24,16 @@ from stratagem.diagram import (
     layout_radar,
     load_style,
     render_analysis,
-    risk_color,
     validate_spec,
 )
-from stratagem.frameworks import RISK_LEVELS, load_schema, organize, schema_for
-from stratagem.insights import Evidence, Insight
+from stratagem.frameworks import (
+    FRAMEWORK_KINDS,
+    RISK_LEVELS,
+    load_schema,
+    organize,
+    schema_for,
+)
+from stratagem.insights import Evidence, Insight, run_all_rules
 from stratagem.textfit import MAX_FONT, MIN_FONT
 
 
@@ -99,14 +106,14 @@ def _luminance(hex_color: str) -> float:
 
 class TestRiskColor:
     def test_pinned_palette(self):
-        assert risk_color("low") == "#D9EAD3"
-        assert risk_color("moderate") == "#FFF2CC"
-        assert risk_color("high") == "#F9CB9C"
-        assert risk_color("intense") == "#EA9999"
+        assert Style().risk_fill("low") == "#D9EAD3"
+        assert Style().risk_fill("moderate") == "#FFF2CC"
+        assert Style().risk_fill("high") == "#F9CB9C"
+        assert Style().risk_fill("intense") == "#EA9999"
 
     def test_unknown_level(self):
         with pytest.raises(KeyError):
-            risk_color("catastrophic")
+            Style().risk_fill("catastrophic")
 
     def test_injective(self):
         assert len(set(RISK_PALETTE.values())) == len(RISK_PALETTE)
@@ -335,6 +342,56 @@ class TestEmitSvg:
 
     def test_render_analysis_dispatch(self):
         assert render_analysis(swot_analysis()).startswith("<?xml")
+
+    # every attribute name emit_svg writes, per element
+    _ATTRIBUTES = {
+        "svg": {"xmlns", "version", "width", "height", "viewBox"},
+        "rect": {"x", "y", "width", "height", "fill", "stroke", "stroke-width"},
+        "text": {"x", "y", "font-family", "font-size", "fill", "font-weight"},
+        "circle": {"cx", "cy", "r", "fill", "stroke", "stroke-width"},
+        "line": {"x1", "y1", "x2", "y2", "stroke", "stroke-width"},
+        "polygon": {"points", "fill", "fill-opacity", "stroke", "stroke-width"},
+        "polyline": {"points", "fill", "stroke", "stroke-width"},
+    }
+
+    @pytest.mark.parametrize("field", ["font_family", "background"])
+    @pytest.mark.parametrize("layout,builder", [
+        (layout_grid, swot_analysis),
+        (layout_hub_spoke, porter_analysis),
+        (layout_cycle, cycle_analysis),
+        (layout_radar, radar_analysis),
+    ])
+    def test_style_values_cannot_inject_attributes(self, field, layout, builder):
+        injected = 'a" onload="alert(1)'
+        svg = emit_svg(layout(builder(), Style(**{field: injected})))
+        seen = []
+
+        def start(tag, attrs):
+            assert set(attrs) <= self._ATTRIBUTES[tag], (tag, sorted(attrs))
+            seen.append(attrs.get("font-family" if field == "font_family" else "fill"))
+
+        parser = xml.parsers.expat.ParserCreate()
+        parser.StartElementHandler = start
+        parser.Parse(svg, True)
+        assert injected in seen
+
+
+# SHA-256 of the bundled Foobar table and price series rendered in each
+# framework with the default style; the same digests as the benchmark's
+# PINNED_SVG_SHA256. A refactor must keep these bytes.
+FOOBAR_SVG_SHA256 = {
+    "swot": "cbcdc2bc5850ae403d8afecaf15fdfeda5c50dd68c1d3c9149aba41cfb3c997e",
+    "porter5": "6fa5774bac43c8510885b5254c8f63caa969f4db98f5a6e7c4affcc39240f123",
+    "virtuous_cycle": "7b2434c22913c5f2ab1bc3bfd3e8870b5d55463277acafa94833007e10832ad2",
+    "value_discipline": "09a12e3ee4b3a7b84a3e38bc9da75655a064dfb5a11c4291adbb0c4f9627b7e0",
+}
+
+
+@pytest.mark.parametrize("kind", FRAMEWORK_KINDS)
+def test_foobar_svg_bytes_are_pinned(kind, foobar_dataset, prices_series):
+    found = run_all_rules(foobar_dataset, prices_series)
+    svg = render_analysis(organize(found, schema_for(kind), subject=foobar_dataset.subject))
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == FOOBAR_SVG_SHA256[kind]
 
 
 # ---------------------------------------------------------------------------

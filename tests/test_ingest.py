@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from stratagem import ingest
 from stratagem.ingest import (
+    BadCell,
     Dataset,
     DuplicateDate,
     EmptyInput,
@@ -153,6 +154,16 @@ class TestParseTimeseries:
         with pytest.raises(UnparseableDate) as exc:
             parse_timeseries("date\tclose\tvolume\n2024-04-01\t100\t10\nnope\t101\t10\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("row,column,text", [
+        ("2024-04-02\tn/a\t10", "close", "n/a"),
+        ("2024-04-02\t101\t12x", "volume", "12x"),
+    ])
+    def test_bad_number_names_line_column_and_cell(self, row, column, text):
+        with pytest.raises(BadCell) as exc:
+            parse_timeseries(f"date\tclose\tvolume\n2024-04-01\t100\t10\n{row}\n")
+        assert (exc.value.line, exc.value.column) == (3, column)
+        assert str(exc.value) == f"line 3: cannot parse {column} {text!r}"
 
     def test_non_positive_price(self):
         with pytest.raises(NonPositivePrice):
