@@ -32,7 +32,10 @@ _FRAMEWORK_NAMES = {
 
 
 def _write_json(path: str, obj: dict) -> None:
-    text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise _Failed(EXIT_INPUT, f"error: cannot write {path}: {exc}") from None
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -133,11 +136,7 @@ def _organize(args, subject: str, found: list, output: str) -> frameworks.Organi
     """Stage two: the insights organized into ``args.framework``, written to ``output``."""
     schema = frameworks.schema_for(_FRAMEWORK_NAMES[args.framework], args.max_per_slot)
     analysis = frameworks.organize(found, schema, subject=subject)
-    violations = frameworks.validate_analysis(analysis)
-    if violations:
-        raise _Failed(EXIT_INPUT, "\n".join(
-            f"violation [{v.code}] {v.slot_id}: {v.message}" for v in violations
-        ))
+    _require_valid(analysis)
     _write_json(output, frameworks.analysis_to_dict(analysis))
     print(f"{'slot':<24} {'factors':>7}  attribute")
     for slot in schema.slots:
@@ -153,6 +152,14 @@ def _organize(args, subject: str, found: list, output: str) -> frameworks.Organi
     return analysis
 
 
+def _require_valid(analysis: frameworks.OrganizedAnalysis) -> None:
+    violations = frameworks.validate_analysis(analysis)
+    if violations:
+        raise _Failed(EXIT_INPUT, "\n".join(
+            f"violation [{v.code}] {v.slot_id}: {v.message}" for v in violations
+        ))
+
+
 def _render(args, analysis: frameworks.OrganizedAnalysis, output: str) -> None:
     """Stage three: the analysis drawn with ``args.style`` as SVG at ``output``."""
     try:
@@ -162,7 +169,7 @@ def _render(args, analysis: frameworks.OrganizedAnalysis, output: str) -> None:
     try:
         svg = diagram.render_analysis(analysis, style)
     except diagram.LayoutOverflow as exc:
-        raise _Failed(EXIT_LAYOUT, f"layout overflow: {exc.factor!r}") from None
+        raise _Failed(EXIT_LAYOUT, f"layout overflow: {exc.text!r}") from None
     Path(output).write_text(svg, encoding="utf-8")
     width = svg.split('width="', 1)[1].split('"', 1)[0]
     height = svg.split('height="', 1)[1].split('"', 1)[0]
@@ -193,10 +200,11 @@ def cmd_render(args) -> int:
         analysis = frameworks.analysis_from_dict(raw)
     except FileNotFoundError as exc:
         raise _Failed(EXIT_INPUT, f"error: {exc}") from None
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, frameworks.UnknownKind) as exc:
         raise _Failed(
             EXIT_INPUT, f"error: invalid analysis file {args.analysis}: {exc}"
         ) from None
+    _require_valid(analysis)
     _render(args, analysis, args.output)
     return EXIT_OK
 

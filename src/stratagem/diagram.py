@@ -33,12 +33,14 @@ RISK_PALETTE = {
 }
 
 MIN_PADDING = 6.0
+_BOX_FILL = "#EDF2F8"
+_RADAR_RINGS = (2.0, 4.0, 6.0, 8.0, 10.0)
 
 
 class LayoutOverflow(Exception):
-    def __init__(self, factor: str):
-        self.factor = factor
-        super().__init__(f"cannot fit factor even at maximum canvas scale: {factor!r}")
+    def __init__(self, text: str):
+        self.text = text
+        super().__init__(f"cannot fit text even at maximum canvas scale: {text!r}")
 
 
 class InvariantViolation(Exception):
@@ -53,11 +55,8 @@ class Style:
     gap: float = 18.0
     min_font: int = MIN_FONT
     max_font: int = MAX_FONT
-    title_font_cap: int = 18
     font_family: str = FONT_FAMILY
     background: str = "#FFFFFF"
-    box_fill: str = "#EDF2F8"
-    box_border: str = "#3D5A80"
     palette: tuple[tuple[str, str], ...] = tuple(sorted(RISK_PALETTE.items()))
 
     def risk_fill(self, level: str) -> str:
@@ -65,12 +64,19 @@ class Style:
         return dict(self.palette)[level]
 
 
+# Style lengths stop here so the layouts' whole-pixel geometry loops stay short.
+_MAX_LENGTH = 20000.0
+
+
 def load_style(path: str | None) -> Style:
-    """Style JSON: canvas size, palette overrides, font bounds; absent -> defaults."""
+    """Style JSON: canvas size, palette overrides, font bounds; absent -> defaults.
+    Raises ValueError for a value the layouts cannot honour."""
     if path is None:
         return Style()
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("top level must be an object")
     kwargs = {}
     if "canvas" in raw:
         kwargs["canvas_w"], kwargs["canvas_h"] = float(raw["canvas"][0]), float(raw["canvas"][1])
@@ -81,7 +87,22 @@ def load_style(path: str | None) -> Style:
         merged = dict(RISK_PALETTE)
         merged.update(raw["palette"])
         kwargs["palette"] = tuple(sorted(merged.items()))
-    return Style(**kwargs)
+    style = Style(**kwargs)
+    for name, value, low in (
+        ("canvas width", style.canvas_w, 1),
+        ("canvas height", style.canvas_h, 1),
+        ("padding", style.padding, MIN_PADDING),
+        ("gap", style.gap, 0),
+    ):
+        if type(value) not in (int, float) or not low <= value <= _MAX_LENGTH:
+            raise ValueError(f"{name} must be a number in [{low:g}, {_MAX_LENGTH:g}]")
+    for name, value, high in (
+        ("max_font", style.max_font, MAX_FONT),
+        ("min_font", style.min_font, style.max_font),
+    ):
+        if type(value) is not int or not MIN_FONT <= value <= high:
+            raise ValueError(f"{name} must be an integer in [{MIN_FONT}, {high}]")
+    return style
 
 
 @dataclass(frozen=True)
@@ -94,16 +115,16 @@ class BoxNode:
     title: TextBlock | None
     body: tuple[TextBlock, ...]
     fill: str
-    border: str
 
     @property
     def rect(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
 
-    def contains_point(self, px: float, py: float, slack: float = 0.0) -> bool:
+    def contains_point(self, px: float, py: float) -> bool:
+        """Strictly inside, by more than 1e-9 px on every side."""
         return (
-            self.x + slack < px < self.x + self.w - slack
-            and self.y + slack < py < self.y + self.h - slack
+            self.x + 1e-9 < px < self.x + self.w - 1e-9
+            and self.y + 1e-9 < py < self.y + self.h - 1e-9
         )
 
 
@@ -128,7 +149,6 @@ class RadarShape:
     radius: float
     axes: tuple[RadarAxis, ...]
     vertices: tuple[tuple[float, float], ...]
-    rings: tuple[float, ...] = (2.0, 4.0, 6.0, 8.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -201,25 +221,23 @@ def _fill_box(
     title_text: str,
     factor_texts: list[str],
     fill: str,
-    border: str,
     style: Style,
 ) -> BoxNode:
     """Fit a title line plus one text block per factor inside the box.
 
-    Raises DoesNotFitAtMinFont when the interior is too small; callers
+    Raises DoesNotFitAtMinFont naming the text that does not fit; callers
     react by growing the canvas.
     """
     pad = style.padding
     iw = w - 2 * pad
     ih = h - 2 * pad
     if iw <= 0 or ih <= 0:
-        raise DoesNotFitAtMinFont(required_height=2 * pad + style.min_font)
+        raise DoesNotFitAtMinFont(title_text)
     cursor = y + pad
     title_block = None
     if title_text:
         title_block = fit_text(
-            title_text, iw, ih, min_font=style.min_font,
-            max_font=min(style.title_font_cap, style.max_font),
+            title_text, iw, ih, min_font=style.min_font, max_font=min(18, style.max_font),
         ).at(x + pad, cursor)
         cursor += title_block.height + 4
     body: list[TextBlock] = []
@@ -227,7 +245,7 @@ def _fill_box(
         remaining = (y + h - pad) - cursor
         band = remaining / len(factor_texts)
         if band <= 0:
-            raise DoesNotFitAtMinFont(required_height=h + style.min_font * 1.3)
+            raise DoesNotFitAtMinFont(factor_texts[0])
         for i, text in enumerate(factor_texts):
             block = fit_text(
                 text, iw, band, min_font=style.min_font, max_font=style.max_font
@@ -235,17 +253,17 @@ def _fill_box(
             body.append(block)
     return BoxNode(
         id=box_id, x=x, y=y, w=w, h=h,
-        title=title_block, body=tuple(body), fill=fill, border=border,
+        title=title_block, body=tuple(body), fill=fill,
     )
 
 
 def _diagram_title(analysis: OrganizedAnalysis, label: str, width: float, style: Style) -> TextBlock:
     text = f"{label}: {analysis.subject}" if analysis.subject else label
     if width - 2 * style.gap <= 0:
-        raise DoesNotFitAtMinFont(required_height=36 + style.min_font)
+        raise DoesNotFitAtMinFont(text)
     return fit_text(
         text, width - 2 * style.gap, 36,
-        min_font=style.min_font, max_font=min(22, style.max_font + 0),
+        min_font=style.min_font, max_font=min(22, style.max_font),
     ).at(style.gap, 8)
 
 
@@ -261,8 +279,7 @@ def _drive(analysis: OrganizedAnalysis, style: Style, kind: str, build) -> Diagr
     """Validate ``analysis``, then return ``build(analysis, style, scale)``
     for the first canvas scale 1, 2, 4, ... at which every text fits.
 
-    Raises LayoutOverflow naming the longest statement when even the
-    largest scale does not fit.
+    Raises LayoutOverflow naming the text that failed at the largest scale.
     """
     if analysis.schema.kind != kind:
         raise ValueError(f"expected a {kind} analysis, got {analysis.schema.kind}")
@@ -272,12 +289,9 @@ def _drive(analysis: OrganizedAnalysis, style: Style, kind: str, build) -> Diagr
     for attempt in range(_MAX_DOUBLINGS + 1):
         try:
             return build(analysis, style, 2 ** attempt)
-        except DoesNotFitAtMinFont:
-            continue
-    raise LayoutOverflow(max(
-        (ins.statement for items in analysis.assignments.values() for ins, _ in items),
-        key=len, default="",
-    ))
+        except DoesNotFitAtMinFont as exc:
+            failed = exc.text
+    raise LayoutOverflow(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +316,7 @@ def _grid_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSp
         boxes.append(
             _fill_box(
                 slot.id, cx, top + cy, cw, ch,
-                slot.title, _statements(analysis, slot.id),
-                fill, style.box_border, style,
+                slot.title, _statements(analysis, slot.id), fill, style,
             )
         )
     return DiagramSpec(
@@ -345,8 +358,7 @@ def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> Diag
         boxes.append(
             _fill_box(
                 slot.id, *grid_pos[compass], bw, bh, f"{slot.title} (risk: {level})",
-                _statements(analysis, slot.id),
-                style.risk_fill(level), style.box_border, style,
+                _statements(analysis, slot.id), style.risk_fill(level), style,
             )
         )
     cx, cy = grid_pos["C"]
@@ -399,8 +411,7 @@ def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramS
         boxes.append(
             _fill_box(
                 slot.id, ox + cx - bw / 2, oy + cy - bh / 2, bw, bh,
-                slot.title, _statements(analysis, slot.id),
-                style.box_fill, style.box_border, style,
+                slot.title, _statements(analysis, slot.id), _BOX_FILL, style,
             )
         )
     arrows = tuple(
@@ -517,7 +528,7 @@ def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramS
                 top + style.gap + i * (legend_h + style.gap),
                 legend_w, legend_h,
                 f"{slot.title}: {attr.value:.1f} / 10",
-                factors, style.box_fill, style.box_border, style,
+                factors, _BOX_FILL, style,
             )
         )
     return DiagramSpec(
@@ -577,7 +588,7 @@ def validate_spec(spec: DiagramSpec) -> list[str]:
                     math.dist(p, arrow.points[0]) <= 2.0
                     or math.dist(p, arrow.points[-1]) <= 2.0
                 )
-                if not near_end and box.contains_point(*p, slack=1e-9):
+                if not near_end and box.contains_point(*p):
                     problems.append(
                         f"arrow {arrow.from_id}->{arrow.to_id} enters box {box.id}"
                     )
@@ -659,13 +670,13 @@ def emit_svg(spec: DiagramSpec) -> str:
     for box in spec.boxes:
         out.append(
             f'<rect x="{_fmt(box.x)}" y="{_fmt(box.y)}" width="{_fmt(box.w)}" '
-            f'height="{_fmt(box.h)}" fill="{_attr(box.fill)}" stroke="{_attr(box.border)}" '
+            f'height="{_fmt(box.h)}" fill="{_attr(box.fill)}" stroke="#3D5A80" '
             f'stroke-width="1.50"/>'
         )
     if spec.radar:
         radar = spec.radar
         cx, cy = radar.center
-        for ring in radar.rings:
+        for ring in _RADAR_RINGS:
             out.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                 f'r="{_fmt(radar.radius * ring / 10.0)}" fill="none" '

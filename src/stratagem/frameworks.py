@@ -37,14 +37,11 @@ class UnknownKind(Exception):
     pass
 
 
-# Affinity key: (theme, direction); direction "*" matches any.
-Affinity = dict[tuple[str, str], float]
-
-
 @dataclass(frozen=True)
 class SlotDescriptor:
     id: str
     title: str
+    # Affinity key: (theme, direction); direction "*" matches any.
     affinity: tuple[tuple[tuple[str, str], float], ...]
 
     def __post_init__(self):
@@ -262,11 +259,11 @@ _BUILDERS = {
 
 def schema_for(kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> FrameworkSchema:
     if kind not in _BUILDERS:
-        raise UnknownKind(kind)
+        raise UnknownKind(f"unknown framework kind {kind!r}")
     return _BUILDERS[kind](max_per_slot)
 
 
-def load_schema(path_or_dict, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> FrameworkSchema:
+def load_schema(path_or_dict) -> FrameworkSchema:
     """Load a custom schema from a JSON file or dict (the BCG-style extension point)."""
     if isinstance(path_or_dict, dict):
         raw = path_or_dict
@@ -287,7 +284,7 @@ def load_schema(path_or_dict, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> Frame
     return FrameworkSchema(
         kind=raw["kind"],
         slots=slots,
-        max_per_slot=raw.get("max_per_slot", max_per_slot),
+        max_per_slot=raw.get("max_per_slot", DEFAULT_MAX_PER_SLOT),
         central_slot=raw.get("central_slot"),
     )
 

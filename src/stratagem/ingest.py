@@ -1,7 +1,8 @@
 """Parsing and normalization of tabular entity-metric data and timeseries data.
 
-Input is UTF-8 delimited text with a header row. Missing or unparseable
-cells become absent values (``None``), never zeros. Timeseries are always
+Input is UTF-8 delimited text with a header row. Missing, unparseable or
+non-finite (``1e999``) table cells become absent values (``None``), never
+zeros; in a timeseries they raise ``BadCell``. Timeseries are always
 re-sorted ascending by date so downstream rules see one canonical order.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -184,7 +186,7 @@ class Dataset:
         return self.values[i][j]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Observation:
     date: dt.date
     close: float
@@ -221,7 +223,8 @@ def _parse_number(cell: str) -> float | None:
     if not s:
         return None
     if _NUM_RE.match(s):
-        return float(s)
+        value = float(s)
+        return value if math.isfinite(value) else None  # "1e999" overflows
     return None
 
 
@@ -337,11 +340,6 @@ def _looks_like_data_row(row: list[str]) -> bool:
         return True
     except UnparseableDate:
         return False
-
-
-def normalize_order(series: TimeSeries) -> TimeSeries:
-    """Idempotent: re-sort observations ascending by date."""
-    return TimeSeries(observations=tuple(sorted(series.observations, key=lambda o: o.date)))
 
 
 def _format_value(v: float | None) -> str:

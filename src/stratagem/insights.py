@@ -1,16 +1,17 @@
 """Deterministic rule engine turning datasets and timeseries into ranked insights.
 
-Every firing threshold lives in the ``Thresholds`` table below so the
-qualitative rules ("very low", "significant difference") are explicit and
-test-pinned. Statements come from fixed templates per rule; magnitudes are
-clamped into [0, 1] so downstream ranking has a uniform scale.
+Every firing threshold lives in the one fixed ``THRESHOLDS`` table below so
+the qualitative rules ("very low", "significant difference") are explicit
+and test-pinned. Statements come from fixed templates per rule; magnitudes
+are clamped into [0, 1] so downstream ranking has a uniform scale.
 """
 
 from __future__ import annotations
 
 import re
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import count
 
 from .ingest import Dataset, MetricDescriptor, TimeSeries
 
@@ -71,7 +72,7 @@ class Thresholds:
     surprise_relative: float = 0.05
 
 
-DEFAULT_THRESHOLDS = Thresholds()
+THRESHOLDS = Thresholds()
 
 EVIDENCE_KINDS = ("metric-value", "computed-ratio", "trend-slope", "rank", "cycle-stat")
 
@@ -167,7 +168,6 @@ def trend_insight(
     values: list[float],
     metric: MetricDescriptor,
     labels: list[str] | None = None,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> Insight | None:
     """Least-squares trend over an ordered window of values."""
     if len(values) < 3:
@@ -181,12 +181,12 @@ def trend_insight(
     slope = sxy / sxx
     base = abs(values[0]) if values[0] != 0 else (abs(ybar) or 1.0)
     rel_slope_change = slope * (n - 1) / base
-    if abs(rel_slope_change) < thresholds.trend_window_change:
+    if abs(rel_slope_change) < THRESHOLDS.trend_window_change:
         return None
     rel_change = (values[-1] - values[0]) / base * (1 if values[0] >= 0 else -1)
     deltas = [b - a for a, b in zip(values, values[1:])]
     agree = sum(1 for d in deltas if d * slope > 0)
-    steady = agree / len(deltas) >= thresholds.steady_delta_share
+    steady = agree / len(deltas) >= THRESHOLDS.steady_delta_share
     raw_dir = "positive" if slope > 0 else "negative"
     direction = _flip(raw_dir, metric.polarity)
     word = "growth" if slope > 0 else "decline"
@@ -216,7 +216,6 @@ def peer_comparison_insight(
     dataset: Dataset,
     subject: str,
     metric: MetricDescriptor,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> Insight | None:
     """Fires when the subject ranks strictly first or last among peers."""
     sval = dataset.value(subject, metric.name)
@@ -277,7 +276,6 @@ def ratio_insight(
     subject: str,
     numerator: str,
     denominator: str,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> tuple[Insight | None, Diagnostic | None]:
     """Channel-mix rule for the (online revenue, in-store revenue) pair."""
     num = dataset.value(subject, numerator)
@@ -290,13 +288,13 @@ def ratio_insight(
             rule="ratio", message=f"{numerator} and {denominator} are both zero"
         )
     share = num / total
-    if share < thresholds.online_share_low:
+    if share < THRESHOLDS.online_share_low:
         direction = "negative"
         statement = (
             f"Online revenue is only {share * 100:.1f} percent of total revenue "
             f"for {subject}, leaving the online channel underdeveloped."
         )
-    elif share > thresholds.online_share_high:
+    elif share > THRESHOLDS.online_share_high:
         direction = "positive"
         statement = (
             f"Online revenue reaches {share * 100:.1f} percent of total revenue "
@@ -304,7 +302,7 @@ def ratio_insight(
         )
     else:
         return None, None
-    magnitude = _clamp01(abs(share - thresholds.online_share_low) / 0.85)
+    magnitude = _clamp01(abs(share - THRESHOLDS.online_share_low) / 0.85)
     evidence = (
         Evidence(kind="computed-ratio", refs=(numerator, denominator, subject), value=share),
         Evidence(kind="metric-value", refs=(numerator, subject), value=num),
@@ -344,11 +342,7 @@ def _sentiment_channels(dataset: Dataset) -> dict[str, dict[str, str]]:
     return {k: v for k, v in channels.items() if "positive" in v and "negative" in v}
 
 
-def sentiment_balance_insight(
-    dataset: Dataset,
-    subject: str,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> list[Insight]:
+def sentiment_balance_insight(dataset: Dataset, subject: str) -> list[Insight]:
     """Per-channel positive-share insights plus a cross-channel contrast."""
     channels = _sentiment_channels(dataset)
     shares: dict[str, float] = {}
@@ -367,7 +361,7 @@ def sentiment_balance_insight(
             Evidence(kind="metric-value", refs=(pair["positive"], subject), value=pos),
             Evidence(kind="metric-value", refs=(pair["negative"], subject), value=neg),
         )
-        if share >= thresholds.sentiment_strong:
+        if share >= THRESHOLDS.sentiment_strong:
             out.append(
                 Insight(
                     id=f"sentiment:{_slug(label)}",
@@ -382,7 +376,7 @@ def sentiment_balance_insight(
                     provenance="rule:sentiment",
                 )
             )
-        elif share <= thresholds.sentiment_weak:
+        elif share <= THRESHOLDS.sentiment_weak:
             out.append(
                 Insight(
                     id=f"sentiment:{_slug(label)}",
@@ -402,7 +396,7 @@ def sentiment_balance_insight(
         lo_label, lo_share = ordered[0]
         hi_label, hi_share = ordered[-1]
         gap = hi_share - lo_share
-        if gap >= thresholds.sentiment_gap:
+        if gap >= THRESHOLDS.sentiment_gap:
             evidence = (
                 Evidence(
                     kind="computed-ratio",
@@ -436,10 +430,7 @@ def sentiment_balance_insight(
 _WEEKDAYS = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
-def weekly_cycle_insight(
-    series: TimeSeries,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> Insight | None:
+def weekly_cycle_insight(series: TimeSeries) -> Insight | None:
     """Weekday effect: fires when the weekday-mean spread is large vs volatility."""
     obs = series.observations
     if len(obs) < 20:
@@ -457,7 +448,7 @@ def weekly_cycle_insight(
     low_day = min(means, key=lambda d: (means[d], d))
     high_day = max(means, key=lambda d: (means[d], -d))
     spread = means[high_day] - means[low_day]
-    if spread < thresholds.cycle_spread_sigma * sd:
+    if spread < THRESHOLDS.cycle_spread_sigma * sd:
         return None
     statement = (
         f"Closing prices show a weekly cycle, with {_WEEKDAYS[low_day]} averaging "
@@ -471,7 +462,7 @@ def weekly_cycle_insight(
         id="cycle:close-weekday",
         statement=statement,
         direction="neutral",
-        magnitude=_clamp01(spread / (2 * thresholds.cycle_spread_sigma * sd)),
+        magnitude=_clamp01(spread / (2 * THRESHOLDS.cycle_spread_sigma * sd)),
         themes=frozenset(["growth"]),
         evidence=evidence,
         provenance="rule:cycle",
@@ -483,7 +474,6 @@ def benchmark_surprise_insight(
     expected: float,
     prior_abs_surprises: list[float],
     label: str = "earnings",
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> tuple[Insight | None, Diagnostic | None]:
     """Actual-vs-expected surprise, judged against prior surprise history.
 
@@ -494,7 +484,7 @@ def benchmark_surprise_insight(
     if surprise == 0:
         return None, None
     if prior_abs_surprises:
-        bar = thresholds.surprise_history_ratio * statistics.median(
+        bar = THRESHOLDS.surprise_history_ratio * statistics.median(
             abs(s) for s in prior_abs_surprises
         )
         if abs(surprise) <= bar:
@@ -507,7 +497,7 @@ def benchmark_surprise_insight(
                 message="expected value is zero and no surprise history given",
             )
         rel = abs(surprise / expected)
-        if rel <= thresholds.surprise_relative:
+        if rel <= THRESHOLDS.surprise_relative:
             return None, None
         magnitude = _clamp01(rel)
     direction = "positive" if surprise > 0 else "negative"
@@ -554,9 +544,8 @@ def run_all_rules(
     dataset: Dataset | None,
     series: TimeSeries | None,
     subject: str | None = None,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
 ) -> list[Insight]:
-    """Apply every applicable rule; deduplicate; return a total-ordered list."""
+    """Apply every applicable rule; return a total-ordered list with distinct ids."""
     if dataset is None and series is None:
         raise ValueError("need a dataset or a timeseries")
     found: list[Insight] = []
@@ -565,36 +554,45 @@ def run_all_rules(
         if subj not in dataset.entities:
             raise ValueError(f"unknown subject {subj!r}")
         for m in dataset.metrics:
-            ins = peer_comparison_insight(dataset, subj, m, thresholds)
+            ins = peer_comparison_insight(dataset, subj, m)
             if ins:
                 found.append(ins)
         pair = _find_revenue_pair(dataset)
         if pair:
-            ins, _ = ratio_insight(dataset, subj, pair[0], pair[1], thresholds)
+            ins, _ = ratio_insight(dataset, subj, pair[0], pair[1])
             if ins:
                 found.append(ins)
-        found.extend(sentiment_balance_insight(dataset, subj, thresholds))
+        found.extend(sentiment_balance_insight(dataset, subj))
     if series is not None:
         close_metric = MetricDescriptor(
             name="Closing price", unit="raw", polarity="higher-is-better"
         )
         labels = [o.date.isoformat() for o in series.observations]
-        ins = trend_insight(list(series.closes), close_metric, labels, thresholds)
+        ins = trend_insight(list(series.closes), close_metric, labels)
         if ins:
             found.append(ins)
-        ins = weekly_cycle_insight(series, thresholds)
+        ins = weekly_cycle_insight(series)
         if ins:
             found.append(ins)
-    seen: set = set()
-    unique: list[Insight] = []
-    for ins in found:
-        key = (ins.provenance, tuple((e.kind, e.refs) for e in ins.evidence))
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(ins)
-    unique.sort(key=lambda i: (-i.magnitude, i.id))
-    return unique
+    found = _distinct_ids(found)
+    found.sort(key=lambda i: (-i.magnitude, i.id))
+    return found
+
+
+def _distinct_ids(found: list[Insight]) -> list[Insight]:
+    """Distinct metric names can slug alike ("Net margin", "Net-margin"): in
+    statement order, the later insights sharing an id get its first free
+    suffix ``-2``, ``-3``, ..."""
+    ordered = sorted(found, key=lambda i: (i.id, i.statement))
+    taken = {ins.id for ins in ordered}
+    out = ordered[:1]
+    for prev, ins in zip(ordered, ordered[1:]):
+        if ins.id == prev.id:
+            new_id = next(f"{ins.id}-{n}" for n in count(2) if f"{ins.id}-{n}" not in taken)
+            taken.add(new_id)
+            ins = replace(ins, id=new_id)
+        out.append(ins)
+    return out
 
 
 def insight_to_dict(ins: Insight) -> dict:

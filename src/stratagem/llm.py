@@ -62,7 +62,7 @@ class Timeout(LlmError):
 
 
 class HttpStatus(LlmError):
-    def __init__(self, code: int, body: str = ""):
+    def __init__(self, code: int):
         self.code = code
         super().__init__(f"HTTP status {code}")
 
@@ -108,11 +108,6 @@ def request_hash(template_id: str, bindings: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def prompt_hash(prompt: str) -> str:
-    canon = " ".join(prompt.split())
-    return hashlib.sha256(("prompt:" + canon).encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class ProviderConfig:
     model: str
@@ -121,7 +116,6 @@ class ProviderConfig:
     timeout: float = 60.0
     mode: str = "live"  # live | record | replay
     transcript_path: str | None = None
-    adapter: str = "openai-compatible"
 
     def __post_init__(self):
         if self.mode not in ("live", "record", "replay"):
@@ -185,27 +179,23 @@ def _http_complete(config: ProviderConfig, prompt: str) -> str:
     except requests.Timeout as exc:
         raise Timeout(str(exc)) from exc
     if resp.status_code != 200:
-        raise HttpStatus(resp.status_code, resp.text)
+        raise HttpStatus(resp.status_code)
     data = resp.json()
     return data["choices"][0]["message"]["content"]
 
 
-def complete(
-    config: ProviderConfig,
-    prompt: str,
-    request_key: str | None = None,
-) -> str:
-    """One chat-completion round trip, transcript append, or replay lookup."""
-    key = request_key or prompt_hash(prompt)
+def complete(config: ProviderConfig, prompt: str, request_key: str) -> str:
+    """One chat-completion round trip, transcript append, or replay lookup,
+    with ``request_key`` naming the request in the transcript."""
     if config.mode == "replay":
         transcript = LlmTranscript.load(config.transcript_path)
-        response = transcript.lookup(key)
+        response = transcript.lookup(request_key)
         if response is None:
-            raise ReplayMiss(key)
+            raise ReplayMiss(request_key)
         return response
     response = _http_complete(config, prompt)
     if config.mode == "record":
-        LlmTranscript.append_record(config.transcript_path, key, prompt, response)
+        LlmTranscript.append_record(config.transcript_path, request_key, prompt, response)
     return response
 
 

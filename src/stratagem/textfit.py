@@ -1,9 +1,9 @@
 """Greedy word-wrap plus font-size search: the first of two text-fitting stages.
 
 ``fit_text`` finds the largest integer font size in [MIN_FONT, MAX_FONT]
-whose wrapped lines fit a box interior in both width and height. When even
-MIN_FONT overflows it raises ``DoesNotFitAtMinFont`` carrying the height
-the text would need; the second stage, in ``diagram``, reacts by doubling
+whose wrapped lines fit a box interior in both width and height. When no
+size fits, even with hyphen-split words, it raises ``DoesNotFitAtMinFont``
+carrying the text; the second stage, in ``diagram``, reacts by doubling
 the canvas and laying the whole diagram out again.
 """
 
@@ -19,11 +19,9 @@ LINE_HEIGHT = 1.3  # multiple of font size
 
 
 class DoesNotFitAtMinFont(Exception):
-    def __init__(self, required_height: float):
-        self.required_height = required_height
-        super().__init__(
-            f"text needs {required_height:.1f}px of height at minimum font size"
-        )
+    def __init__(self, text: str):
+        self.text = text
+        super().__init__(f"text does not fit at minimum font size: {text!r}")
 
 
 class UnbreakableToken(Exception):
@@ -108,7 +106,8 @@ def fit_text(
     min_font: int = MIN_FONT,
     max_font: int = MAX_FONT,
 ) -> TextBlock:
-    """Largest integer font size whose wrapped text fits width x height."""
+    """Largest integer font size whose wrapped text fits width x height;
+    DoesNotFitAtMinFont(text) when none in [min_font, max_font] does."""
     if width <= 0 or height <= 0:
         raise ValueError("box interior must have positive dimensions")
     if not text.split():
@@ -120,8 +119,4 @@ def fit_text(
             continue
         if len(lines) * LINE_HEIGHT * size <= height:
             return TextBlock(lines=lines, font_size=float(size))
-    try:
-        lines = wrap(text, width, min_font)
-    except UnbreakableToken as exc:
-        raise UnbreakableToken(exc.token) from None
-    raise DoesNotFitAtMinFont(required_height=len(lines) * LINE_HEIGHT * min_font)
+    raise DoesNotFitAtMinFont(text)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratagem import cli, diagram
 
@@ -61,6 +63,31 @@ class TestInsightsCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error in {bad}: line 2: cannot parse volume 'lots'\n"
+
+    def test_non_finite_cell_is_absent(self, tmp_path):
+        table = tmp_path / "t.tsv"
+        table.write_text(FOOBAR.read_text().replace("\t85\t", "\t1e999\t"), encoding="utf-8")
+        out = tmp_path / "i.json"
+        assert run("insights", "--table", str(table), "-o", str(out)) == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not valid JSON")
+
+        data = json.loads(out.read_text(), parse_constant=reject)
+        media = [i for i in data["insights"] if i["id"] == "peer:media-spend-m"]
+        assert [e["refs"][1] for e in media[0]["evidence"]] == ["Foobar Corp", "Roy G Biv"]
+
+    def test_overflowing_arithmetic_is_input_error(self, tmp_path, capsys):
+        series = tmp_path / "s.tsv"
+        series.write_text(
+            "date\tclose\tvolume\n2024-04-01\t1e308\t1\n"
+            "2024-04-02\t1.5e308\t1\n2024-04-03\t1.7e308\t1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "i.json"
+        assert run("insights", "--timeseries", str(series), "-o", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert not out.exists()
 
     def test_unknown_subject_is_input_error(self, capsys):
         assert run("insights", "--table", str(FOOBAR), "--subject", "Nobody Inc") == 2
@@ -150,6 +177,27 @@ class TestRenderCommand:
         bad.write_text("{}", encoding="utf-8")
         assert run("render", str(bad), "-o", str(tmp_path / "d.svg")) == 2
 
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda d: d.update(schema_kind="bcg_matrix"),
+         "error: invalid analysis file {path}: unknown framework kind 'bcg_matrix'\n"),
+        (lambda d: d.update(slots=5), "error: invalid analysis file {path}: "),
+        (lambda d: d["slots"][0].update(factors=d["slots"][0]["factors"][:1] * 12),
+         "violation [SlotOverflow] strengths: 12 factors in strengths, max 4\n"
+         "violation [DuplicateAssignment] strengths: "),
+    ], ids=["unknown-kind", "slots-not-a-list", "repeated-factors"])
+    def test_malformed_analysis_file_is_input_error(
+        self, insights_file, tmp_path, capsys, edit, expected
+    ):
+        analysis = tmp_path / "a.json"
+        run("organize", str(insights_file), "--framework", "swot", "-o", str(analysis))
+        data = json.loads(analysis.read_text())
+        edit(data)
+        analysis.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
+        assert capsys.readouterr().err.startswith(expected.format(path=analysis))
+        assert not (tmp_path / "d.svg").exists()
+
     def test_layout_overflow_exit_code(self, insights_file, tmp_path, monkeypatch, capsys):
         analysis = tmp_path / "a.json"
         run("organize", str(insights_file), "--framework", "swot", "-o", str(analysis))
@@ -170,7 +218,11 @@ class TestRenderCommand:
         assert run("render", str(analysis), "--style", str(style), "-o", str(svg)) == 0
         assert 'fill="#F7F7F7"' in svg.read_text()
 
-    @pytest.mark.parametrize("content", [None, "{not json", '{"canvas": [900]}'])
+    @pytest.mark.parametrize("content", [
+        None, "{not json", '{"canvas": [900]}', '{"padding": 0}',
+        '{"max_font": 40, "canvas": [3000, 2000]}', '{"min_font": 20, "max_font": 12}',
+        '{"canvas": [-900, 640]}',
+    ])
     def test_bad_style_file_is_input_error(self, insights_file, tmp_path, capsys, content):
         analysis = tmp_path / "a.json"
         style = tmp_path / "style.json"
@@ -182,6 +234,61 @@ class TestRenderCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: invalid style file {style}: ")
         assert not (tmp_path / "d.svg").exists()
+
+
+    def test_unbreakable_word_grows_the_canvas(self, insights_file, tmp_path, capsys):
+        analysis = tmp_path / "a.json"
+        style = tmp_path / "style.json"
+        style.write_text('{"canvas": [900, 2000], "padding": 221}', encoding="utf-8")
+        run("organize", str(insights_file), "--framework", "swot", "-o", str(analysis))
+        capsys.readouterr()
+        assert run("render", str(analysis), "--style", str(style),
+                   "-o", str(tmp_path / "d.svg")) == 0
+        assert "(1800.00 x 4000.00 px)" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def analysis_files(tmp_path_factory) -> list[Path]:
+    d = tmp_path_factory.mktemp("analyses")
+    insights = d / "insights.json"
+    assert run("insights", "--table", str(FOOBAR), "--timeseries", str(PRICES),
+               "-o", str(insights)) == 0
+    paths = []
+    for framework in ("swot", "porter5", "cycle", "value-discipline"):
+        paths.append(d / f"{framework}.json")
+        assert run("organize", str(insights), "--framework", framework,
+                   "-o", str(paths[-1])) == 0
+    return paths
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([0, -1, -900, 1e308, float("inf"), float("-inf"), float("nan")]),
+    st.integers(-100, 30000),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_STYLE_VALUES = st.one_of(
+    _NUMBERS,
+    st.lists(_NUMBERS, max_size=3),
+    st.text(max_size=4),
+    st.sampled_from([None, True, [], {}]),
+    st.dictionaries(st.sampled_from(["low", "high", "x"]), st.one_of(st.text(max_size=4), _NUMBERS),
+                    max_size=2),
+)
+_STYLE_KEYS = ("canvas", "padding", "gap", "min_font", "max_font", "font_family", "background",
+               "palette")
+
+
+@given(style=st.dictionaries(st.sampled_from(_STYLE_KEYS), _STYLE_VALUES, max_size=4),
+       which=st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_any_style_file_exits_with_a_documented_code(analysis_files, style, which):
+    """Outside style values end in exit 0, 2 or 4, never in a traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "style.json"
+        path.write_text(json.dumps(style), encoding="utf-8")
+        code = run("render", str(analysis_files[which]), "--style", str(path),
+                   "-o", str(Path(d) / "d.svg"))
+    assert code in (0, 2, 4)
 
 
 class TestPipeline:
@@ -220,6 +327,30 @@ class TestPipeline:
                 )
             )
         assert outs[0] == outs[1]
+
+    def test_slug_alike_metrics_get_distinct_ids(self, tmp_path):
+        # "Net margin" and "Net-margin" both slug to net-margin; "Net margin 2"
+        # already owns net-margin-2, so the second colliding id is -3.
+        header, *rows = [
+            "Metric\tA Corp\tB Corp\tC Corp",
+            "Net margin\t9\t3\t2",
+            "Net-margin\t8\t1\t2",
+            "Net margin 2\t7\t1\t2",
+            "Number of stores\t5\t4\t1",
+        ]
+        table, svg = tmp_path / "t.tsv", tmp_path / "out.svg"
+        ids = []
+        for order in (rows, rows[::-1], rows[2:] + rows[:2]):
+            table.write_text("\n".join([header, *order]) + "\n", encoding="utf-8")
+            assert run("pipeline", "--table", str(table), "--framework", "swot",
+                       "-o", str(svg)) == 0
+            found = json.loads((tmp_path / "out.insights.json").read_text())["insights"]
+            ids.append({i["statement"]: i["id"] for i in found})
+        assert ids[0] == ids[1] == ids[2]
+        assert sorted(ids[0].values()) == [
+            "peer:net-margin", "peer:net-margin-2", "peer:net-margin-3",
+            "peer:number-of-stores",
+        ]
 
     def test_propagates_input_errors(self, tmp_path):
         assert run(

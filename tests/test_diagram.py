@@ -423,3 +423,13 @@ def test_layout_overflow_is_typed():
     analysis = organize(insights, schema_for("swot"))
     with pytest.raises(diagram.LayoutOverflow):
         layout_grid(analysis, tiny)
+
+
+def test_layout_overflow_names_the_text_that_failed():
+    # the padding leaves no interior at any scale, so the first box's title
+    # is the text that fails at the largest one
+    wide_padding = Style(padding=1e6)
+    analysis = organize(random_insights(random.Random(0), 6), schema_for("swot"))
+    with pytest.raises(diagram.LayoutOverflow) as exc:
+        layout_grid(analysis, wide_padding)
+    assert exc.value.text == "Strengths"

@@ -22,7 +22,6 @@ from stratagem.ingest import (
     TimeSeries,
     UnparseableDate,
     infer_metric_semantics,
-    normalize_order,
     parse_table,
     parse_timeseries,
     serialize_dataset,
@@ -158,6 +157,7 @@ class TestParseTimeseries:
     @pytest.mark.parametrize("row,column,text", [
         ("2024-04-02\tn/a\t10", "close", "n/a"),
         ("2024-04-02\t101\t12x", "volume", "12x"),
+        ("2024-04-02\t1e999\t10", "close", "1e999"),
     ])
     def test_bad_number_names_line_column_and_cell(self, row, column, text):
         with pytest.raises(BadCell) as exc:
@@ -176,10 +176,6 @@ class TestParseTimeseries:
             parse_timeseries(
                 "date\tclose\tvolume\n2024-04-01\t100\t10\n2024-04-01\t101\t10\n"
             )
-
-    def test_normalize_order_idempotent(self, prices_series):
-        once = normalize_order(prices_series)
-        assert normalize_order(once) == once == prices_series
 
     def test_row_order_invariance(self, prices_text):
         baseline = parse_timeseries(prices_text)

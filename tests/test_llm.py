@@ -92,7 +92,7 @@ class TestTransport:
     def test_live_without_key_fails_before_network(self, no_network, monkeypatch):
         monkeypatch.delenv(llm.DEFAULT_API_KEY_ENV, raising=False)
         with pytest.raises(AuthMissing):
-            complete(ProviderConfig(model="m", mode="live"), "hello there friend")
+            complete(ProviderConfig(model="m", mode="live"), "hello there friend", "k")
 
     def test_record_then_replay_round_trip(self, tmp_path, monkeypatch):
         path = tmp_path / "t.jsonl"

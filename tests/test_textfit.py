@@ -140,14 +140,16 @@ class TestFitText:
     def test_generous_box_uses_max_font(self):
         assert fit_text("Hi", 500, 300).font_size == MAX_FONT
 
-    def test_raises_below_min_font_with_required_height(self):
+    def test_raises_below_min_font_with_text(self):
         text = " ".join(["word"] * 120)
         with pytest.raises(DoesNotFitAtMinFont) as exc:
             fit_text(text, 100, 40)
-        lines_at_min = wrap(text, 100, MIN_FONT)
-        assert exc.value.required_height == pytest.approx(
-            len(lines_at_min) * LINE_HEIGHT * MIN_FONT
-        )
+        assert exc.value.text == text
+
+    def test_unbreakable_token_does_not_fit(self):
+        with pytest.raises(DoesNotFitAtMinFont) as exc:
+            fit_text("m", 2, 100)  # wrap raises UnbreakableToken at every size
+        assert exc.value.text == "m"
 
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
