@@ -119,8 +119,11 @@ def _insights(args, output: str) -> tuple[str, list]:
 def _load_insights_file(path: str) -> tuple[str, list]:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     problems = []
-    if not isinstance(raw, dict) or "insights" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("insights"), list):
         raise ValueError('top level must be an object with an "insights" array')
+    subject = raw.get("subject", "")
+    if not isinstance(subject, str):
+        raise ValueError("subject must be a string")
     parsed = []
     for i, item in enumerate(raw["insights"]):
         try:
@@ -129,7 +132,7 @@ def _load_insights_file(path: str) -> tuple[str, list]:
             problems.append(f"insight #{i}: {exc}")
     if problems:
         raise ValueError("\n".join(problems))
-    return raw.get("subject", ""), parsed
+    return subject, parsed
 
 
 def _organize(args, subject: str, found: list, output: str) -> frameworks.OrganizedAnalysis:

@@ -21,6 +21,7 @@ from .insights import (
     THEME_TAGS,
     insight_from_dict,
     insight_to_dict,
+    typed,
 )
 
 FRAMEWORK_KINDS = ("swot", "porter5", "virtuous_cycle", "value_discipline")
@@ -508,14 +509,16 @@ def analysis_to_dict(analysis: OrganizedAnalysis) -> dict:
 
 
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
-    """Rebuild an analysis from its interchange JSON (built-in schemas only)."""
+    """Rebuild an analysis from its interchange JSON (built-in schemas only);
+    a wrongly typed field is a ``TypeError``."""
     schema = schema_for(d["schema_kind"], d.get("max_per_slot", DEFAULT_MAX_PER_SLOT))
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
     attributes: dict[str, str | AxisScore | None] = {}
     for slot_json in d["slots"]:
         slot_id = slot_json["id"]
         assignments[slot_id] = [
-            (insight_from_dict(f["insight"]), f["fit"]) for f in slot_json["factors"]
+            (insight_from_dict(f["insight"]), typed(f, "fit", (int, float)))
+            for f in typed(slot_json, "factors", list)
         ]
         attr = slot_json.get("attribute")
         if attr is None:
@@ -528,7 +531,7 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
             )
     return OrganizedAnalysis(
         schema=schema,
-        subject=d["subject"],
+        subject=typed(d, "subject", str),
         assignments=assignments,
         slot_attributes=attributes,
     )

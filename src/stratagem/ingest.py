@@ -14,6 +14,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class IngestError(Exception):
@@ -41,6 +42,16 @@ class BadCell(IngestError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}: cannot parse {column} {text!r}")
+
+
+class BadLabel(IngestError):
+    """An entity or metric label that is empty, or that repeats an earlier
+    one once its ``!lower``/``!higher`` annotation is stripped."""
+
+    def __init__(self, line: int, label: str, problem: str):
+        self.line = line
+        self.label = label
+        super().__init__(f"line {line}: {problem} {label!r}")
 
 
 class UnparseableDate(IngestError):
@@ -115,6 +126,17 @@ class MetricDescriptor:
             raise ValueError(f"unknown polarity {self.polarity!r}")
 
 
+def _split_annotation(label: str) -> tuple[str, str | None]:
+    """The stored metric name and the polarity forced by a trailing
+    ``!lower``/``!higher`` annotation, if any."""
+    name = label.strip()
+    m = re.search(r"\s*!(lower|higher)\s*$", name)
+    if not m:
+        return name, None
+    forced = "lower-is-better" if m.group(1) == "lower" else "higher-is-better"
+    return name[: m.start()].strip(), forced
+
+
 def infer_metric_semantics(name: str) -> MetricDescriptor:
     """Build a MetricDescriptor from a metric name.
 
@@ -122,14 +144,9 @@ def infer_metric_semantics(name: str) -> MetricDescriptor:
     name (they are stripped from the stored name). Falls back to
     raw/neutral when no keyword matches.
     """
-    if not name or not name.strip():
+    name, forced = _split_annotation(name)
+    if not name:
         raise ValueError("metric name must be non-empty")
-    name = name.strip()
-    forced = None
-    m = re.search(r"\s*!(lower|higher)\s*$", name)
-    if m:
-        forced = "lower-is-better" if m.group(1) == "lower" else "higher-is-better"
-        name = name[: m.start()].strip()
     low = name.lower()
     unit = "raw"
     for kw, u in _UNIT_KEYWORDS:
@@ -148,7 +165,14 @@ def infer_metric_semantics(name: str) -> MetricDescriptor:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Entity-by-metric value matrix; entities[0] is the analysis subject."""
+    """Entity-by-metric value matrix; entities[0] is the analysis subject.
+
+    ``value(entity, metric)`` and ``metric(name)`` are O(1): each instance
+    builds its entity-to-row and metric-to-column maps once, when it checks
+    that the names are unique. The maps are not fields, so equality, hash
+    and repr see only the three fields. ``column(name)`` returns one
+    metric's values in entity order. Unknown names raise ``KeyError``.
+    """
 
     entities: tuple[str, ...]
     metrics: tuple[MetricDescriptor, ...]
@@ -159,10 +183,9 @@ class Dataset:
             raise ValueError("dataset needs at least one entity")
         if any(not e for e in self.entities):
             raise ValueError("entity names must be non-empty")
-        if len(set(self.entities)) != len(self.entities):
+        if len(self._row_index) != len(self.entities):
             raise ValueError("entity names must be unique")
-        names = [m.name for m in self.metrics]
-        if len(set(names)) != len(names):
+        if len(self._column_index) != len(self.metrics):
             raise ValueError("metric names must be unique")
         if len(self.values) != len(self.entities):
             raise ValueError("value matrix row count != entity count")
@@ -174,16 +197,23 @@ class Dataset:
     def subject(self) -> str:
         return self.entities[0]
 
+    @cached_property
+    def _row_index(self) -> dict[str, int]:
+        return {e: i for i, e in enumerate(self.entities)}
+
+    @cached_property
+    def _column_index(self) -> dict[str, int]:
+        return {m.name: j for j, m in enumerate(self.metrics)}
+
     def metric(self, name: str) -> MetricDescriptor:
-        for m in self.metrics:
-            if m.name == name:
-                return m
-        raise KeyError(name)
+        return self.metrics[self._column_index[name]]
 
     def value(self, entity: str, metric_name: str) -> float | None:
-        i = self.entities.index(entity)
-        j = [m.name for m in self.metrics].index(metric_name)
-        return self.values[i][j]
+        return self.values[self._row_index[entity]][self._column_index[metric_name]]
+
+    def column(self, name: str) -> tuple[float | None, ...]:
+        j = self._column_index[name]
+        return tuple(row[j] for row in self.values)
 
 
 @dataclass(frozen=True)
@@ -267,24 +297,38 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     else:
         metrics_as_rows = len(body) >= width - 1
 
+    # line numbers count non-blank rows, the header being line 1
+    header_lines, body_lines = [1] * (width - 1), range(2, len(body) + 2)
     if metrics_as_rows:
-        entity_names = header[1:]
-        metric_labels = [row[0] for row in body]
+        entity_names, entity_lines = header[1:], header_lines
+        metric_labels, metric_lines = [row[0] for row in body], body_lines
         # cells[metric][entity] -> transpose to entity-major
         grid = [[_parse_number(c) for c in row[1:]] for row in body]
-        values = tuple(
-            tuple(grid[j][i] for j in range(len(metric_labels)))
-            for i in range(len(entity_names))
-        )
+        values = tuple(zip(*grid))
     else:
-        entity_names = [row[0] for row in body]
-        metric_labels = header[1:]
+        entity_names, entity_lines = [row[0] for row in body], body_lines
+        metric_labels, metric_lines = header[1:], header_lines
         values = tuple(tuple(_parse_number(c) for c in row[1:]) for row in body)
+    _check_labels(entity_names, entity_names, entity_lines, "entity")
+    _check_labels(metric_labels, [_split_annotation(n)[0] for n in metric_labels],
+                  metric_lines, "metric")
 
     if not any(v is not None for row in values for v in row):
         raise NoNumericData("no numeric cells in table body")
     metrics = tuple(infer_metric_semantics(n) for n in metric_labels)
     return Dataset(entities=tuple(entity_names), metrics=metrics, values=values)
+
+
+def _check_labels(labels, names, lines, kind: str) -> None:
+    """Raise ``BadLabel`` for the first label whose stored name is empty or
+    repeats an earlier one."""
+    seen: set[str] = set()
+    for label, name, line in zip(labels, names, lines):
+        if not name:
+            raise BadLabel(line, label, f"empty {kind} name")
+        if name in seen:
+            raise BadLabel(line, label, f"repeated {kind} name")
+        seen.add(name)
 
 
 _DATE_FORMATS = ("%Y-%m-%d", "%m/%d/%Y")
@@ -358,14 +402,14 @@ def serialize_dataset(dataset: Dataset) -> str:
     so parse(serialize(d)) == d.
     """
     lines = ["Metric\t" + "\t".join(dataset.entities)]
-    for j, m in enumerate(dataset.metrics):
+    for m in dataset.metrics:
         label = m.name
         if infer_metric_semantics(m.name).polarity != m.polarity:
             if m.polarity == "lower-is-better":
                 label += " !lower"
             elif m.polarity == "higher-is-better":
                 label += " !higher"
-        cells = [_format_value(dataset.values[i][j]) for i in range(len(dataset.entities))]
+        cells = [_format_value(v) for v in dataset.column(m.name)]
         lines.append(label + "\t" + "\t".join(cells))
     return "\n".join(lines) + "\n"
 

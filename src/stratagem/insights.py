@@ -222,9 +222,9 @@ def peer_comparison_insight(
     if sval is None:
         return None
     peers = [
-        (e, dataset.value(e, metric.name))
-        for e in dataset.entities
-        if e != subject and dataset.value(e, metric.name) is not None
+        (e, v)
+        for e, v in zip(dataset.entities, dataset.column(metric.name))
+        if e != subject and v is not None
     ]
     if not peers:
         return None
@@ -610,16 +610,37 @@ def insight_to_dict(ins: Insight) -> dict:
     }
 
 
+_JSON_TYPES = {str: "a string", list: "a list", (int, float): "a number"}
+
+
+def typed(d: dict, key: str, kind):
+    """``d[key]`` if it has the JSON type ``kind`` (a key of ``_JSON_TYPES``;
+    booleans are not numbers), else ``TypeError`` naming the key."""
+    value = d[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{key} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _strings(d: dict, key: str) -> tuple[str, ...]:
+    items = typed(d, key, list)
+    if not all(isinstance(item, str) for item in items):
+        raise TypeError(f"{key} must be a list of strings")
+    return tuple(items)
+
+
 def insight_from_dict(d: dict) -> Insight:
+    """Rebuild an insight from its JSON; a wrongly typed field is a ``TypeError``."""
     return Insight(
-        id=d["id"],
-        statement=d["statement"],
-        direction=d["direction"],
-        magnitude=d["magnitude"],
-        themes=frozenset(d["themes"]),
+        id=typed(d, "id", str),
+        statement=typed(d, "statement", str),
+        direction=typed(d, "direction", str),
+        magnitude=typed(d, "magnitude", (int, float)),
+        themes=frozenset(_strings(d, "themes")),
         evidence=tuple(
-            Evidence(kind=e["kind"], refs=tuple(e["refs"]), value=e["value"])
-            for e in d["evidence"]
+            Evidence(kind=typed(e, "kind", str), refs=_strings(e, "refs"),
+                     value=typed(e, "value", (int, float)))
+            for e in typed(d, "evidence", list)
         ),
-        provenance=d["provenance"],
+        provenance=typed(d, "provenance", str),
     )

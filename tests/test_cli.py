@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import tempfile
 import xml.etree.ElementTree as ET
+import xml.parsers.expat
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,24 @@ class TestInsightsCommand:
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("table,message", [
+        ("Metric\tA\tA\nRevenue\t1\t2\n", "line 1: repeated entity name 'A'"),
+        ("Metric\tA\tB\nRevenue\t1\t2\nRevenue\t3\t4\n",
+         "line 3: repeated metric name 'Revenue'"),
+        ("Metric\tA\tB\nStores\t1\t2\nStores !lower\t3\t4\n",
+         "line 3: repeated metric name 'Stores !lower'"),
+        ("Metric\tA\t\nRevenue\t1\t2\n", "line 1: empty entity name ''"),
+        ("Metric\tA\tB\nRevenue\t1\t2\n\t3\t4\n", "line 3: empty metric name ''"),
+        ("Company\tRevenue\tStores\nA\t1\t2\n\t3\t4\n", "line 3: empty entity name ''"),
+    ], ids=["repeated-entity", "repeated-metric", "annotation-alike", "empty-entity",
+            "empty-metric", "empty-entity-row"])
+    def test_bad_label_names_line_and_label(self, tmp_path, capsys, table, message):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(table, encoding="utf-8")
+        assert run("insights", "--table", str(bad), "-o", str(tmp_path / "i.json")) == 2
+        assert capsys.readouterr().err == f"error in {bad}: {message}\n"
+        assert not (tmp_path / "i.json").exists()
+
     def test_unknown_subject_is_input_error(self, capsys):
         assert run("insights", "--table", str(FOOBAR), "--subject", "Nobody Inc") == 2
 
@@ -157,6 +176,26 @@ class TestOrganizeCommand:
         assert run("organize", str(bad), "--framework", "swot") == 2
         assert "insight #0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["insights"][0].update(statement=12345),
+        lambda d: d["insights"][0].update(provenance=7),
+        lambda d: d["insights"][0].update(themes="growth"),
+        lambda d: d["insights"][0]["evidence"][0].update(value="13"),
+        lambda d: d.update(insights=5),
+        lambda d: d.update(subject=["Foobar Corp"]),
+    ], ids=["numeric-statement", "numeric-provenance", "string-themes", "string-evidence-value",
+            "insights-not-a-list", "subject-not-a-string"])
+    def test_wrongly_typed_field_is_input_error(self, insights_file, tmp_path, capsys, edit):
+        data = json.loads(insights_file.read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "a.json"
+        assert run("organize", str(bad), "--framework", "swot", "-o", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid insights file {bad}:\n")
+        assert not out.exists()
+
     def test_max_per_slot_guard(self, insights_file):
         assert run(
             "organize", str(insights_file), "--framework", "swot", "--max-per-slot", "0"
@@ -196,6 +235,31 @@ class TestRenderCommand:
         capsys.readouterr()
         assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
         assert capsys.readouterr().err.startswith(expected.format(path=analysis))
+        assert not (tmp_path / "d.svg").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["slots"][0]["factors"][0].update(fit="0.9"),
+         "fit must be a number, not str"),
+        (lambda d: d["slots"][0]["factors"][0]["insight"].update(statement=12345),
+         "statement must be a string, not int"),
+        (lambda d: d["slots"][0]["factors"][0]["insight"].update(magnitude=True),
+         "magnitude must be a number, not bool"),
+        (lambda d: d["slots"][0]["factors"][0]["insight"]["evidence"][0].update(refs=[1]),
+         "refs must be a list of strings"),
+        (lambda d: d.update(subject=None), "subject must be a string, not NoneType"),
+    ], ids=["string-fit", "numeric-statement", "bool-magnitude", "numeric-refs",
+            "null-subject"])
+    def test_wrongly_typed_field_is_input_error(self, insights_file, tmp_path, capsys,
+                                                edit, message):
+        analysis = tmp_path / "a.json"
+        run("organize", str(insights_file), "--framework", "swot", "-o", str(analysis))
+        data = json.loads(analysis.read_text())
+        edit(data)
+        analysis.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
+        expected = f"error: invalid analysis file {analysis}: {message}\n"
+        assert capsys.readouterr().err == expected
         assert not (tmp_path / "d.svg").exists()
 
     def test_layout_overflow_exit_code(self, insights_file, tmp_path, monkeypatch, capsys):
@@ -289,6 +353,23 @@ def test_any_style_file_exits_with_a_documented_code(analysis_files, style, whic
         code = run("render", str(analysis_files[which]), "--style", str(path),
                    "-o", str(Path(d) / "d.svg"))
     assert code in (0, 2, 4)
+
+
+@given(name=st.text(max_size=16), framework=st.sampled_from(["swot", "porter5"]))
+@settings(max_examples=60, deadline=None)
+def test_any_entity_name_gives_well_formed_svg_or_exit_2(name, framework):
+    """A subject name with any Unicode, XML-illegal characters included,
+    either renders an SVG that expat parses or is rejected with exit 2."""
+    with tempfile.TemporaryDirectory() as d:
+        table = Path(d) / "t.tsv"
+        table.write_text(f"Metric\t{name}\tPeer Co\nRevenue ($m)\t10\t20\nStores\t5\t1\n",
+                         encoding="utf-8")
+        svg = Path(d) / "d.svg"
+        code = run("pipeline", "--table", str(table), "--framework", framework,
+                   "-o", str(svg))
+        assert code in (0, 2)
+        if code == 0:
+            xml.parsers.expat.ParserCreate().Parse(svg.read_bytes(), True)
 
 
 class TestPipeline:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import random
 
@@ -93,6 +94,36 @@ class TestParseTable:
         d = parse_table("Metric\tA\nRevenue ($m)\t$1,234\nMargin (%)\t12.5%\n")
         assert d.value("A", "Revenue ($m)") == 1234
         assert d.value("A", "Margin (%)") == 12.5
+
+
+class TestDatasetLookups:
+    def test_maps_leave_equality_hash_and_repr_alone(self, foobar_text):
+        built, fresh = parse_table(foobar_text), parse_table(foobar_text)
+        assert built.value("Acme LLP", "Number of stores") == 450
+        assert built.metric("Number of stores").unit == "count"
+        maps = set(vars(fresh)) - {f.name for f in dataclasses.fields(fresh)}
+        assert maps
+        for name in maps:  # drop one side's maps: they must not be compared
+            del vars(fresh)[name]
+        assert built == fresh
+        assert hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
+        assert len({built, fresh}) == 1
+
+    def test_column_is_in_entity_order(self, foobar_dataset):
+        d = foobar_dataset
+        for m in d.metrics:
+            assert d.column(m.name) == tuple(d.value(e, m.name) for e in d.entities)
+
+    def test_unknown_names_raise_key_error(self, foobar_dataset):
+        for lookup in (
+            lambda: foobar_dataset.value("Nobody Inc", "Number of stores"),
+            lambda: foobar_dataset.value("Acme LLP", "No such metric"),
+            lambda: foobar_dataset.metric("No such metric"),
+            lambda: foobar_dataset.column("No such metric"),
+        ):
+            with pytest.raises(KeyError):
+                lookup()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratagem.ingest import Dataset, MetricDescriptor, Observation, TimeSeries
+from stratagem.ingest import (
+    Dataset,
+    MetricDescriptor,
+    Observation,
+    TimeSeries,
+    infer_metric_semantics,
+)
 from stratagem.insights import (
     Evidence,
     Insight,
@@ -417,6 +423,103 @@ class TestRunAllRules:
     def test_all_statements_within_word_bounds(self, foobar_dataset, prices_series):
         for ins in run_all_rules(foobar_dataset, prices_series):
             assert 5 <= len(ins.statement.split()) <= 40
+
+
+# ---------------------------------------------------------------------------
+# the indexed Dataset lookups against a linear-scan oracle
+
+
+class _LinearDataset(Dataset):
+    """Oracle: every lookup scans the entity and metric names, as the
+    unindexed Dataset did, and a column is one ``value`` call per entity."""
+
+    def metric(self, name):
+        for m in self.metrics:
+            if m.name == name:
+                return m
+        raise KeyError(name)
+
+    def value(self, entity, metric_name):
+        i = self.entities.index(entity)
+        j = [m.name for m in self.metrics].index(metric_name)
+        return self.values[i][j]
+
+    def column(self, name):
+        return tuple(self.value(e, name) for e in self.entities)
+
+
+# Names that reach every dataset rule: slug-alike pairs, one channel-mix
+# pair, two sentiment channels and both polarities.
+_RULE_METRICS = (
+    "Revenue ($m)", "Net margin", "Net-margin", "Number of stores",
+    "In-bound shipment delays", "Online revenue", "In-store revenue",
+    "Positive web sentiment", "Negative web sentiment",
+    "Positive store sentiment", "Negative store sentiment", "Media spend ($m)", "xyzzy",
+)
+# Small integers tie often, and their sums are exact in any order.
+_CELLS = st.one_of(st.none(), st.integers(-3, 3).map(float), st.integers(-999, 999).map(float))
+
+
+@st.composite
+def rule_datasets(draw):
+    names = draw(st.lists(st.sampled_from(_RULE_METRICS), min_size=1, max_size=12, unique=True))
+    n_entities = draw(st.integers(1, 12))
+    values = tuple(
+        tuple(draw(_CELLS) for _ in names) for _ in range(n_entities)
+    )
+    return Dataset(
+        entities=tuple(f"Company {i}" for i in range(n_entities)),
+        metrics=tuple(infer_metric_semantics(n) for n in names),
+        values=values,
+    )
+
+
+def _dicts(found) -> list[dict]:
+    return [insight_to_dict(ins) for ins in found]
+
+
+class TestIndexedDataset:
+    @given(dataset=rule_datasets())
+    @settings(max_examples=150)
+    def test_rules_match_linear_scan_oracle(self, dataset):
+        oracle = _LinearDataset(dataset.entities, dataset.metrics, dataset.values)
+        assert _dicts(run_all_rules(dataset, None)) == _dicts(run_all_rules(oracle, None))
+
+    @given(dataset=rule_datasets(), data=st.data())
+    @settings(max_examples=100)
+    def test_peer_and_metric_order_do_not_matter(self, dataset, data):
+        rows = [0, *data.draw(st.permutations(range(1, len(dataset.entities))))]
+        cols = data.draw(st.permutations(range(len(dataset.metrics))))
+        shuffled = Dataset(
+            entities=tuple(dataset.entities[i] for i in rows),
+            metrics=tuple(dataset.metrics[j] for j in cols),
+            values=tuple(tuple(dataset.values[i][j] for j in cols) for i in rows),
+        )
+        assert _dicts(run_all_rules(shuffled, None)) == _dicts(run_all_rules(dataset, None))
+
+    def test_value_calls_are_linear_in_metrics(self, monkeypatch):
+        """Counts, not times: on an E x M table the rules make O(M) ``value``
+        calls; reading every peer's cell through ``value`` makes about 2*E*M."""
+        rng = random.Random(5)
+        names = list(_RULE_METRICS) + [f"Segment {j} revenue" for j in range(150 - len(_RULE_METRICS))]
+        dataset = Dataset(
+            entities=tuple(f"Company {i}" for i in range(150)),
+            metrics=tuple(infer_metric_semantics(n) for n in names),
+            values=tuple(
+                tuple(float(rng.randint(1, 500)) for _ in names) for _ in range(150)
+            ),
+        )
+        calls = 0
+        original = Dataset.value
+
+        def counted(self, entity, metric_name):
+            nonlocal calls
+            calls += 1
+            return original(self, entity, metric_name)
+
+        monkeypatch.setattr(Dataset, "value", counted)
+        assert run_all_rules(dataset, None)
+        assert calls <= 2 * len(dataset.metrics) + 10
 
 
 # ---------------------------------------------------------------------------
