@@ -2,7 +2,8 @@
 """Render all four framework diagrams for the Foobar fixture dataset.
 
 Usage: python3 scripts/render_foobar.py [output-dir]
-Writes foobar_<framework>.svg plus the insights/analysis JSON artifacts.
+Writes foobar_<framework>.svg plus the insights/analysis JSON artifacts, in
+the shapes that ``stratagem organize`` and ``stratagem render`` read.
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ def main() -> None:
     dataset = ingest.parse_table((FIXTURES / "foobar.tsv").read_text(encoding="utf-8"))
     series = ingest.parse_timeseries((FIXTURES / "prices.tsv").read_text(encoding="utf-8"))
     found = insights.run_all_rules(dataset, series)
+    insights_json = {
+        "subject": dataset.subject,
+        "insights": [insights.insight_to_dict(i) for i in found],
+    }
     (out_dir / "foobar.insights.json").write_text(
-        json.dumps([insights.insight_to_dict(i) for i in found], indent=2) + "\n",
-        encoding="utf-8",
+        json.dumps(insights_json, indent=2) + "\n", encoding="utf-8",
     )
     print(f"{len(found)} insights from the Foobar fixture:")
     for ins in found:

@@ -79,7 +79,7 @@ def _parse_file(path: str, parser):
         return parser(text, dialect="comma" if path.endswith(".csv") else "tab")
     except FileNotFoundError as exc:
         raise _Failed(EXIT_INPUT, f"error: {exc}") from None
-    except ingest.IngestError as exc:
+    except (ingest.IngestError, UnicodeDecodeError) as exc:
         raise _Failed(EXIT_INPUT, f"error in {path}: {exc}") from None
 
 

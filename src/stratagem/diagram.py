@@ -2,11 +2,11 @@
 
 Each layout turns an OrganizedAnalysis into a DiagramSpec: resolved boxes,
 arrows, radar geometry, and text blocks whose fit is guaranteed by the
-embedded font metrics. The four layouts share one driver, ``_drive``: it
-validates the analysis, then builds the framework's geometry at canvas
-scale 1, 2, 4, ... (up to 8 doublings) until every text block fits at or
-above the minimum font size. ``emit_svg`` then re-validates every
-invariant and produces byte-deterministic SVG 1.1.
+embedded font metrics. ``layout`` is the one entry point: it validates
+the analysis, then builds its framework's geometry at canvas scale 1, 2,
+4, ... (up to 8 doublings) until every text block fits at or above the
+minimum font size. ``emit_svg`` then re-validates every invariant and
+produces byte-deterministic SVG 1.1.
 """
 
 from __future__ import annotations
@@ -276,34 +276,11 @@ _TITLE_STRIP = 48.0
 _MAX_DOUBLINGS = 8
 
 
-def _drive(analysis: OrganizedAnalysis, style: Style, kind: str, build) -> DiagramSpec:
-    """Validate ``analysis``, then return ``build(analysis, style, scale)``
-    for the first canvas scale 1, 2, 4, ... at which every text fits.
-
-    Raises LayoutOverflow naming the text that failed at the largest scale.
-    """
-    if analysis.schema.kind != kind:
-        raise ValueError(f"expected a {kind} analysis, got {analysis.schema.kind}")
-    violations = validate_analysis(analysis)
-    if violations:
-        raise InvariantViolation("; ".join(v.message for v in violations))
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        try:
-            return build(analysis, style, 2 ** attempt)
-        except DoesNotFitAtMinFont as exc:
-            failed = exc.text
-    raise LayoutOverflow(failed)
-
-
 # ---------------------------------------------------------------------------
 # layouts
 
-def layout_grid(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
-    """SWOT 2x2 grid: S top-left, W top-right, O bottom-left, T bottom-right."""
-    return _drive(analysis, style, "swot", _grid_at)
-
-
 def _grid_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
+    """SWOT 2x2 grid: S top-left, W top-right, O bottom-left, T bottom-right."""
     W = style.canvas_w * scale
     H = style.canvas_h * scale
     title = _diagram_title(analysis, "SWOT Analysis", W, style)
@@ -326,17 +303,10 @@ def _grid_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSp
     )
 
 
-def layout_hub_spoke(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
+def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
     """Porter five forces: rivalry centered, four categories at N/E/S/W,
     arrows pointing into the central box, fills from the risk palette."""
-    return _drive(analysis, style, "porter5", _hub_spoke_at)
-
-
-def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
-    schema = analysis.schema
-    central_id = schema.central_slot or schema.slots[0].id
-    satellites = [s for s in schema.slots if s.id != central_id]
-    central = next(s for s in schema.slots if s.id == central_id)
+    central, *satellites = analysis.schema.slots
     W = style.canvas_w * scale
     H = style.canvas_h * scale
     g = style.gap
@@ -379,12 +349,8 @@ def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> Diag
     )
 
 
-def layout_cycle(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
-    """Virtuous circle: N stage boxes on a circle, one directed arrow per stage."""
-    return _drive(analysis, style, "virtuous_cycle", _cycle_at)
-
-
 def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
+    """Virtuous circle: N stage boxes on a circle, one directed arrow per stage."""
     slots = analysis.schema.slots
     n = len(slots)
     bw = style.canvas_w * 0.30 * scale
@@ -467,14 +433,10 @@ def _cycle_arrow(box_a: BoxNode, box_b: BoxNode, center, r, theta_a, theta_b) ->
 _RADAR_ANGLES = (-90.0, 30.0, 150.0)
 
 
-def layout_radar(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
+def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
     """Value Discipline radar: three spokes at 120 degrees, grid rings at
     2/4/6/8/10, polygon vertices proportional to axis scores, plus a
     legend of top factor statements beside the plot."""
-    return _drive(analysis, style, "value_discipline", _radar_at)
-
-
-def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
     slots = analysis.schema.slots
     W = style.canvas_w * scale
     H = style.canvas_h * scale
@@ -544,6 +506,32 @@ def _rect_circle_overlap(rect, center, radius) -> bool:
     nx = min(max(cx, x), x + w)
     ny = min(max(cy, y), y + h)
     return (nx - cx) ** 2 + (ny - cy) ** 2 < radius ** 2
+
+
+_LAYOUTS = {
+    "swot": _grid_at,
+    "porter5": _hub_spoke_at,
+    "virtuous_cycle": _cycle_at,
+    "value_discipline": _radar_at,
+}
+
+
+def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
+    """Validate ``analysis``, then return its framework's diagram at the
+    first canvas scale 1, 2, 4, ... at which every text fits.
+
+    Raises LayoutOverflow naming the text that failed at the largest scale.
+    """
+    violations = validate_analysis(analysis)
+    if violations:
+        raise InvariantViolation("; ".join(v.message for v in violations))
+    build = _LAYOUTS[analysis.schema.kind]
+    for attempt in range(_MAX_DOUBLINGS + 1):
+        try:
+            return build(analysis, style, 2 ** attempt)
+        except DoesNotFitAtMinFont as exc:
+            failed = exc.text
+    raise LayoutOverflow(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -733,17 +721,6 @@ def emit_svg(spec: DiagramSpec) -> str:
     return "\n".join(out) + "\n"
 
 
-_LAYOUTS = {
-    "swot": layout_grid,
-    "porter5": layout_hub_spoke,
-    "virtuous_cycle": layout_cycle,
-    "value_discipline": layout_radar,
-}
-
-
 def render_analysis(analysis: OrganizedAnalysis, style: Style = Style()) -> str:
-    """Dispatch to the framework's traditional layout and emit SVG."""
-    layout = _LAYOUTS.get(analysis.schema.kind)
-    if layout is None:
-        raise InvariantViolation(f"no layout for schema kind {analysis.schema.kind!r}")
+    """The framework's traditional diagram for ``analysis`` as SVG."""
     return emit_svg(layout(analysis, style))

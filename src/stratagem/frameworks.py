@@ -9,7 +9,6 @@ axis score in (0, 10).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +31,15 @@ DEFAULT_MAX_PER_SLOT = 4
 RISK_LEVELS = ("low", "moderate", "high", "intense")
 # Weighted-mean risk score bands, closed on the left.
 _RISK_BANDS = (0.25, 0.5, 0.75)
+
+
+# Slot-count bounds of each framework kind.
+_SLOT_COUNTS = {
+    "swot": (4, 4),
+    "porter5": (5, 5),
+    "value_discipline": (3, 3),
+    "virtuous_cycle": (3, 8),
+}
 
 
 class UnknownKind(Exception):
@@ -70,23 +78,15 @@ class FrameworkSchema:
     kind: str
     slots: tuple[SlotDescriptor, ...]
     max_per_slot: int = DEFAULT_MAX_PER_SLOT
-    central_slot: str | None = None
 
     def __post_init__(self):
+        if self.kind not in _SLOT_COUNTS:
+            raise UnknownKind(f"unknown framework kind {self.kind!r}")
         if self.max_per_slot < 1:
             raise ValueError("max_per_slot must be positive")
-        counts = {
-            "swot": (4, 4),
-            "porter5": (5, 5),
-            "value_discipline": (3, 3),
-            "virtuous_cycle": (3, 8),
-        }
-        if self.kind in counts:
-            lo, hi = counts[self.kind]
-            if not lo <= len(self.slots) <= hi:
-                raise ValueError(
-                    f"{self.kind} needs {lo}-{hi} slots, got {len(self.slots)}"
-                )
+        lo, hi = _SLOT_COUNTS[self.kind]
+        if not lo <= len(self.slots) <= hi:
+            raise ValueError(f"{self.kind} needs {lo}-{hi} slots, got {len(self.slots)}")
 
 
 def _aff(entries: dict[tuple[str, str], float]) -> tuple:
@@ -145,7 +145,7 @@ def _swot_schema(max_per_slot: int) -> FrameworkSchema:
 def _porter5_schema(max_per_slot: int) -> FrameworkSchema:
     return FrameworkSchema(
         kind="porter5",
-        slots=(
+        slots=(  # the first slot is the diagram's hub
             SlotDescriptor(
                 "rivalry",
                 "Competitive Rivalry",
@@ -177,7 +177,6 @@ def _porter5_schema(max_per_slot: int) -> FrameworkSchema:
             ),
         ),
         max_per_slot=max_per_slot,
-        central_slot="rivalry",
     )
 
 
@@ -262,32 +261,6 @@ def schema_for(kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> Framework
     if kind not in _BUILDERS:
         raise UnknownKind(f"unknown framework kind {kind!r}")
     return _BUILDERS[kind](max_per_slot)
-
-
-def load_schema(path_or_dict) -> FrameworkSchema:
-    """Load a custom schema from a JSON file or dict (the BCG-style extension point)."""
-    if isinstance(path_or_dict, dict):
-        raw = path_or_dict
-    else:
-        with open(path_or_dict, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    slots = tuple(
-        SlotDescriptor(
-            id=s["id"],
-            title=s["title"],
-            affinity=_aff({
-                (a["theme"], a.get("direction", "*")): a["weight"]
-                for a in s["affinity"]
-            }),
-        )
-        for s in raw["slots"]
-    )
-    return FrameworkSchema(
-        kind=raw["kind"],
-        slots=slots,
-        max_per_slot=raw.get("max_per_slot", DEFAULT_MAX_PER_SLOT),
-        central_slot=raw.get("central_slot"),
-    )
 
 
 @dataclass(frozen=True)
@@ -509,8 +482,8 @@ def analysis_to_dict(analysis: OrganizedAnalysis) -> dict:
 
 
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
-    """Rebuild an analysis from its interchange JSON (built-in schemas only);
-    a wrongly typed field is a ``TypeError``."""
+    """Rebuild an analysis from its interchange JSON; a wrongly typed field
+    is a ``TypeError``."""
     schema = schema_for(d["schema_kind"], d.get("max_per_slot", DEFAULT_MAX_PER_SLOT))
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
     attributes: dict[str, str | AxisScore | None] = {}

@@ -26,10 +26,14 @@ class EmptyInput(IngestError):
 
 
 class RaggedRows(IngestError):
-    def __init__(self, row_index: int, expected: int, got: int):
+    """Data row ``row_index`` (1-based, blank rows and the header not
+    counted) on file line ``line`` has the wrong number of cells."""
+
+    def __init__(self, line: int, row_index: int, expected: int, got: int):
+        self.line = line
         self.row_index = row_index
         super().__init__(
-            f"row {row_index} has {got} cells, expected {expected}"
+            f"line {line}: row {row_index} has {got} cells, expected {expected}"
         )
 
 
@@ -258,16 +262,14 @@ def _parse_number(cell: str) -> float | None:
     return None
 
 
-def _read_rows(text: str, dialect: str) -> list[list[str]]:
+def _read_rows(text: str, dialect: str) -> list[tuple[int, list[str]]]:
+    """The non-blank rows, each with its line number in ``text`` (blank
+    lines counted; the last line of a row whose quoted cell spans lines)."""
     delim = {"tab": "\t", "comma": ","}.get(dialect)
     if delim is None:
         raise ValueError(f"unknown dialect {dialect!r}")
-    rows = [
-        row
-        for row in csv.reader(io.StringIO(text), delimiter=delim)
-        if any(c.strip() for c in row)
-    ]
-    return rows
+    reader = csv.reader(io.StringIO(text), delimiter=delim)
+    return [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
 
 
 def parse_table(text: str, dialect: str = "tab") -> Dataset:
@@ -280,12 +282,12 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     rows = _read_rows(text, dialect)
     if not rows:
         raise EmptyInput("no rows in input")
-    header = [c.strip() for c in rows[0]]
+    header_line, header = rows[0][0], [c.strip() for c in rows[0][1]]
     width = len(header)
-    for i, row in enumerate(rows[1:], start=1):
+    for i, (line, row) in enumerate(rows[1:], start=1):
         if len(row) != width:
-            raise RaggedRows(i, width, len(row))
-    body = [[c.strip() for c in row] for row in rows[1:]]
+            raise RaggedRows(line, i, width, len(row))
+    body = [[c.strip() for c in row] for _, row in rows[1:]]
     if not body or width < 2:
         raise NoNumericData("table has no data cells")
 
@@ -297,8 +299,7 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     else:
         metrics_as_rows = len(body) >= width - 1
 
-    # line numbers count non-blank rows, the header being line 1
-    header_lines, body_lines = [1] * (width - 1), range(2, len(body) + 2)
+    header_lines, body_lines = [header_line] * (width - 1), [line for line, _ in rows[1:]]
     if metrics_as_rows:
         entity_names, entity_lines = header[1:], header_lines
         metric_labels, metric_lines = [row[0] for row in body], body_lines
@@ -349,17 +350,17 @@ def parse_timeseries(text: str, dialect: str = "tab") -> TimeSeries:
     rows = _read_rows(text, dialect)
     if not rows:
         raise EmptyInput("no rows in input")
-    start = 1 if rows and not _looks_like_data_row(rows[0]) else 0
+    start = 0 if _looks_like_data_row(rows[0][1]) else 1
     obs = []
-    for i, row in enumerate(rows[start:], start=start + 1):
+    for i, (line, row) in enumerate(rows[start:], start=1):
         cells = [c.strip() for c in row]
         if len(cells) < 3:
-            raise RaggedRows(i, 3, len(cells))
-        date = _parse_date(cells[0], i)
-        close = _parse_cell(cells[1], i, "close")
-        volume = _parse_cell(cells[2], i, "volume")
+            raise RaggedRows(line, i, 3, len(cells))
+        date = _parse_date(cells[0], line)
+        close = _parse_cell(cells[1], line, "close")
+        volume = _parse_cell(cells[2], line, "volume")
         if close <= 0:
-            raise NonPositivePrice(i, close)
+            raise NonPositivePrice(line, close)
         obs.append(Observation(date=date, close=close, volume=volume))
     if not obs:
         raise NoNumericData("no observations in input")

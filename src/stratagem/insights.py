@@ -54,10 +54,6 @@ class Thresholds:
         standard deviation, at which the weekly-cycle rule fires. 1.5
         keeps the white-noise false-positive rate under 10% while still
         catching weekday effects of about two standard deviations.
-    surprise_history_ratio: |surprise| must exceed this multiple of the
-        median prior |surprise|.
-    surprise_relative: with no history, |surprise/expected| must exceed
-        this fraction.
     """
 
     trend_window_change: float = 0.02
@@ -68,8 +64,6 @@ class Thresholds:
     sentiment_weak: float = 0.50
     sentiment_gap: float = 0.10
     cycle_spread_sigma: float = 1.5
-    surprise_history_ratio: float = 1.5
-    surprise_relative: float = 0.05
 
 
 THRESHOLDS = Thresholds()
@@ -466,62 +460,6 @@ def weekly_cycle_insight(series: TimeSeries) -> Insight | None:
         themes=frozenset(["growth"]),
         evidence=evidence,
         provenance="rule:cycle",
-    )
-
-
-def benchmark_surprise_insight(
-    actual: float,
-    expected: float,
-    prior_abs_surprises: list[float],
-    label: str = "earnings",
-) -> tuple[Insight | None, Diagnostic | None]:
-    """Actual-vs-expected surprise, judged against prior surprise history.
-
-    Library-only: neither ``run_all_rules`` nor the CLI calls this rule,
-    because no input format carries expected values.
-    """
-    surprise = actual - expected
-    if surprise == 0:
-        return None, None
-    if prior_abs_surprises:
-        bar = THRESHOLDS.surprise_history_ratio * statistics.median(
-            abs(s) for s in prior_abs_surprises
-        )
-        if abs(surprise) <= bar:
-            return None, None
-        magnitude = _clamp01(abs(surprise) / (2 * bar)) if bar > 0 else 1.0
-    else:
-        if expected == 0:
-            return None, Diagnostic(
-                rule="surprise",
-                message="expected value is zero and no surprise history given",
-            )
-        rel = abs(surprise / expected)
-        if rel <= THRESHOLDS.surprise_relative:
-            return None, None
-        magnitude = _clamp01(rel)
-    direction = "positive" if surprise > 0 else "negative"
-    word = "above" if surprise > 0 else "below"
-    statement = (
-        f"Actual {label} of {actual:g} came in {word} the expected {expected:g}, "
-        f"a notable surprise against prior history."
-    )
-    evidence = (
-        Evidence(kind="metric-value", refs=(label, "actual"), value=actual),
-        Evidence(kind="metric-value", refs=(label, "expected"), value=expected),
-        Evidence(kind="computed-ratio", refs=(label, "surprise"), value=surprise),
-    )
-    return (
-        Insight(
-            id=f"surprise:{_slug(label)}",
-            statement=statement,
-            direction=direction,
-            magnitude=magnitude,
-            themes=frozenset(["profitability"]),
-            evidence=evidence,
-            provenance="rule:surprise",
-        ),
-        None,
     )
 
 

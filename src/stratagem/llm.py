@@ -75,6 +75,12 @@ class ReplayMiss(LlmError):
         )
 
 
+class BadTranscript(LlmError, ValueError):
+    """A transcript file that cannot be read, or a line in it that is not a
+    record with string ``request_hash`` and ``response``, or that repeats
+    an earlier hash."""
+
+
 class NoItemsFound(LlmError):
     pass
 
@@ -130,15 +136,38 @@ class LlmTranscript:
 
     @classmethod
     def load(cls, path: str) -> "LlmTranscript":
+        """Raises BadTranscript naming ``path`` and the offending line."""
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise BadTranscript(f"cannot read transcript {path}: {exc.strerror}") from None
         records = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        hashes = [r["request_hash"] for r in records]
-        if len(set(hashes)) != len(hashes):
-            raise ValueError(f"duplicate request hashes in transcript {path}")
+        seen: set[str] = set()
+        with fh:
+            for number, raw in enumerate(fh, start=1):
+                where = f"transcript {path}, line {number}"
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise BadTranscript(f"{where}: not UTF-8 text") from None
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise BadTranscript(f"{where}: not JSON ({exc.msg})") from None
+                if not (
+                    isinstance(record, dict)
+                    and isinstance(record.get("request_hash"), str)
+                    and isinstance(record.get("response"), str)
+                ):
+                    raise BadTranscript(
+                        f"{where}: not a record with string request_hash and response"
+                    )
+                if record["request_hash"] in seen:
+                    raise BadTranscript(f"{where}: duplicate request hash")
+                seen.add(record["request_hash"])
+                records.append(record)
         return cls(records=records)
 
     def lookup(self, request_hash_: str) -> str | None:

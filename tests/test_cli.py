@@ -108,6 +108,28 @@ class TestInsightsCommand:
         assert capsys.readouterr().err == f"error in {bad}: {message}\n"
         assert not (tmp_path / "i.json").exists()
 
+    @pytest.mark.parametrize("flag,text,message", [
+        ("--table", "Metric\tA\tB\n\n\nRevenue\t1\t2\nRevenue\t3\t4\n",
+         "line 5: repeated metric name 'Revenue'"),
+        ("--timeseries",
+         "date\tclose\tvolume\n\n2024-04-01\t100\t1\n\n\n2024-04-02\t100\tlots\n",
+         "line 6: cannot parse volume 'lots'"),
+    ], ids=["table", "timeseries"])
+    def test_error_line_counts_blank_lines(self, tmp_path, capsys, flag, text, message):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text, encoding="utf-8")
+        assert run("insights", flag, str(bad), "-o", str(tmp_path / "i.json")) == 2
+        assert capsys.readouterr().err == f"error in {bad}: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--table", "--timeseries"])
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"date\tclose\tvolume\n2024-04-01\t100\t1\xff\n")
+        assert run("insights", flag, str(bad), "-o", str(tmp_path / "i.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "i.json").exists()
+
     def test_unknown_subject_is_input_error(self, capsys):
         assert run("insights", "--table", str(FOOBAR), "--subject", "Nobody Inc") == 2
 
@@ -133,6 +155,29 @@ class TestInsightsCommand:
         )
         assert code == 3
         assert "LLM error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read transcript"),
+        (b'{"request_hash": "abc", "response": "\xff"}\n', "line 1: not UTF-8 text"),
+        (b'\n{"request_hash": "abc",\n', "line 2: not JSON"),
+        (b'{"request_hash": 7, "response": "x"}\n', "line 1: not a record"),
+        (b'{"request_hash": "abc", "response": "x"}\n' * 2,
+         "line 2: duplicate request hash"),
+    ], ids=["missing", "not-utf8", "not-json", "bad-record", "duplicate-hash"])
+    def test_bad_transcript_is_llm_error(self, tmp_path, no_network, capsys,
+                                         content, message):
+        transcript = tmp_path / "t.jsonl"
+        if content is not None:
+            transcript.write_bytes(content)
+        code = run(
+            "insights", "--subject", "Target",
+            "--llm", f"replay:{transcript}", "-o", str(tmp_path / "x.json"),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("LLM error: ") and str(transcript) in err
+        assert message in err
 
 
 class TestOrganizeCommand:

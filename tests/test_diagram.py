@@ -18,10 +18,7 @@ from stratagem.diagram import (
     InvariantViolation,
     Style,
     emit_svg,
-    layout_cycle,
-    layout_grid,
-    layout_hub_spoke,
-    layout_radar,
+    layout,
     load_style,
     render_analysis,
     validate_spec,
@@ -29,7 +26,8 @@ from stratagem.diagram import (
 from stratagem.frameworks import (
     FRAMEWORK_KINDS,
     RISK_LEVELS,
-    load_schema,
+    FrameworkSchema,
+    SlotDescriptor,
     organize,
     schema_for,
 )
@@ -90,6 +88,15 @@ def radar_analysis():
         make_insight(2, "positive", 0.6, ["public-sentiment"]),
     ]
     return organize(insights, schema_for("value_discipline"), subject="Foobar Corp")
+
+
+# One analysis per framework. The explicit ids keep these tests' names stable.
+_EACH_FRAMEWORK = pytest.mark.parametrize(
+    "builder",
+    [swot_analysis, porter_analysis, cycle_analysis, radar_analysis],
+    ids=["layout_grid-swot_analysis", "layout_hub_spoke-porter_analysis",
+         "layout_cycle-cycle_analysis", "layout_radar-radar_analysis"],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +160,7 @@ class TestStyle:
 
 class TestLayoutGrid:
     def test_quadrant_positions(self):
-        spec = layout_grid(swot_analysis())
+        spec = layout(swot_analysis())
         assert validate_spec(spec) == []
         by_id = {b.id: b for b in spec.boxes}
         s, w = by_id["strengths"], by_id["weaknesses"]
@@ -166,13 +173,9 @@ class TestLayoutGrid:
         assert s.y + s.h == o.y
 
     def test_empty_slots_render(self):
-        spec = layout_grid(organize([], schema_for("swot")))
+        spec = layout(organize([], schema_for("swot")))
         assert validate_spec(spec) == []
         assert len(spec.boxes) == 4
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            layout_grid(porter_analysis())
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +184,7 @@ class TestLayoutGrid:
 class TestLayoutHubSpoke:
     def test_structure(self):
         analysis = porter_analysis()
-        spec = layout_hub_spoke(analysis)
+        spec = layout(analysis)
         assert validate_spec(spec) == []
         assert len(spec.boxes) == 5
         assert len(spec.arrows) == 4
@@ -197,14 +200,14 @@ class TestLayoutHubSpoke:
 
     def test_fills_follow_risk_levels(self):
         analysis = porter_analysis()
-        spec = layout_hub_spoke(analysis)
+        spec = layout(analysis)
         for box in spec.boxes:
             level = analysis.slot_attributes[box.id]
             assert box.fill == RISK_PALETTE[level]
             assert f"(risk: {level})" in " ".join(box.title.lines)
 
     def test_risk_title_always_present(self):
-        spec = layout_hub_spoke(organize([], schema_for("porter5")))
+        spec = layout(organize([], schema_for("porter5")))
         assert validate_spec(spec) == []
         for box in spec.boxes:
             assert "risk: low" in " ".join(box.title.lines)
@@ -215,7 +218,7 @@ class TestLayoutHubSpoke:
 
 class TestLayoutCycle:
     def test_four_stage_ring(self):
-        spec = layout_cycle(cycle_analysis())
+        spec = layout(cycle_analysis())
         assert validate_spec(spec) == []
         assert len(spec.boxes) == 4
         assert len(spec.arrows) == 4
@@ -229,7 +232,7 @@ class TestLayoutCycle:
         assert node == spec.boxes[0].id and len(set(seen)) == 4
 
     def test_boxes_keep_separation_margin(self):
-        spec = layout_cycle(cycle_analysis())
+        spec = layout(cycle_analysis())
         for i, a in enumerate(spec.boxes):
             for b in spec.boxes[i + 1:]:
                 dx = max(0.0, max(a.x, b.x) - min(a.x + a.w, b.x + b.w))
@@ -237,15 +240,11 @@ class TestLayoutCycle:
                 assert max(dx, dy) >= 8.0 - 1e-6
 
     def test_eight_stage_custom_schema(self):
-        schema = load_schema({
-            "kind": "virtuous_cycle",
-            "slots": [
-                {"id": f"s{i}", "title": f"Stage {i}",
-                 "affinity": [{"theme": "growth", "weight": 0.9}]}
-                for i in range(8)
-            ],
-        })
-        spec = layout_cycle(organize([], schema))
+        schema = FrameworkSchema("virtuous_cycle", tuple(
+            SlotDescriptor(f"s{i}", f"Stage {i}", ((("growth", "*"), 0.9),))
+            for i in range(8)
+        ))
+        spec = layout(organize([], schema))
         assert validate_spec(spec) == []
         assert len(spec.boxes) == 8
         assert len(spec.arrows) == 8
@@ -257,7 +256,7 @@ class TestLayoutCycle:
 class TestLayoutRadar:
     def test_vertices_match_scores(self):
         analysis = radar_analysis()
-        spec = layout_radar(analysis)
+        spec = layout(analysis)
         assert validate_spec(spec) == []
         radar = spec.radar
         cx, cy = radar.center
@@ -269,7 +268,7 @@ class TestLayoutRadar:
             )
 
     def test_empty_analysis_is_equilateral_at_half_radius(self):
-        spec = layout_radar(organize([], schema_for("value_discipline")))
+        spec = layout(organize([], schema_for("value_discipline")))
         radar = spec.radar
         sides = [
             math.dist(radar.vertices[i], radar.vertices[(i + 1) % 3]) for i in range(3)
@@ -278,7 +277,7 @@ class TestLayoutRadar:
         assert math.dist(radar.vertices[0], radar.center) == pytest.approx(radar.radius / 2)
 
     def test_labels_clear_the_outer_ring(self):
-        spec = layout_radar(radar_analysis())
+        spec = layout(radar_analysis())
         for axis in spec.radar.axes:
             lx, ly = axis.label.origin
             assert not diagram._rect_circle_overlap(
@@ -287,7 +286,7 @@ class TestLayoutRadar:
             )
 
     def test_legend_box_per_axis(self):
-        spec = layout_radar(radar_analysis())
+        spec = layout(radar_analysis())
         assert {b.id for b in spec.boxes} == {
             "legend_operational_excellence", "legend_product_leadership",
             "legend_customer_intimacy",
@@ -299,20 +298,12 @@ class TestLayoutRadar:
 
 class TestEmitSvg:
     def test_byte_determinism(self):
-        a = emit_svg(layout_grid(swot_analysis()))
-        b = emit_svg(layout_grid(swot_analysis()))
+        a = emit_svg(layout(swot_analysis()))
+        b = emit_svg(layout(swot_analysis()))
         assert a == b
 
-    @pytest.mark.parametrize(
-        "layout,builder",
-        [
-            (layout_grid, swot_analysis),
-            (layout_hub_spoke, porter_analysis),
-            (layout_cycle, cycle_analysis),
-            (layout_radar, radar_analysis),
-        ],
-    )
-    def test_well_formed_xml(self, layout, builder):
+    @_EACH_FRAMEWORK
+    def test_well_formed_xml(self, builder):
         svg = emit_svg(layout(builder()))
         root = ET.fromstring(svg)
         assert root.tag == "{http://www.w3.org/2000/svg}svg"
@@ -325,14 +316,14 @@ class TestEmitSvg:
             0, "positive", 0.8, ["growth"],
             statement="Revenue & margins <grew> strongly this year.",
         )
-        svg = emit_svg(layout_grid(organize([ins], schema_for("swot"))))
+        svg = emit_svg(layout(organize([ins], schema_for("swot"))))
         texts = [
             t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
         ]
         assert any("&" in t and "<grew>" in " ".join(texts) for t in texts if t)
 
     def test_invalid_spec_rejected(self):
-        box = layout_grid(swot_analysis()).boxes[0]
+        box = layout(swot_analysis()).boxes[0]
         overlapping = DiagramSpec(
             width=900, height=640,
             boxes=(box, box),  # identical boxes overlap
@@ -355,13 +346,8 @@ class TestEmitSvg:
     }
 
     @pytest.mark.parametrize("field", ["font_family", "background"])
-    @pytest.mark.parametrize("layout,builder", [
-        (layout_grid, swot_analysis),
-        (layout_hub_spoke, porter_analysis),
-        (layout_cycle, cycle_analysis),
-        (layout_radar, radar_analysis),
-    ])
-    def test_style_values_cannot_inject_attributes(self, field, layout, builder):
+    @_EACH_FRAMEWORK
+    def test_style_values_cannot_inject_attributes(self, field, builder):
         injected = 'a" onload="alert(1)'
         svg = emit_svg(layout(builder(), Style(**{field: injected})))
         seen = []
@@ -400,14 +386,10 @@ def test_foobar_svg_bytes_are_pinned(kind, foobar_dataset, prices_series):
 
 @pytest.mark.parametrize("kind", ["swot", "porter5", "virtuous_cycle", "value_discipline"])
 def test_randomized_layouts_hold_invariants(kind):
-    layouts = {
-        "swot": layout_grid, "porter5": layout_hub_spoke,
-        "virtuous_cycle": layout_cycle, "value_discipline": layout_radar,
-    }
     rng = random.Random(hash(kind) % 2**32)
     for _ in range(25):
         analysis = random_analysis(rng, kind)
-        spec = layouts[kind](analysis)
+        spec = layout(analysis)
         assert validate_spec(spec) == []
         for box in spec.boxes:
             for block in ([box.title] if box.title else []) + list(box.body):
@@ -422,7 +404,7 @@ def test_layout_overflow_is_typed():
     insights = random_insights(random.Random(0), 6)
     analysis = organize(insights, schema_for("swot"))
     with pytest.raises(diagram.LayoutOverflow):
-        layout_grid(analysis, tiny)
+        layout(analysis, tiny)
 
 
 def test_layout_overflow_names_the_text_that_failed():
@@ -431,5 +413,5 @@ def test_layout_overflow_names_the_text_that_failed():
     wide_padding = Style(padding=1e6)
     analysis = organize(random_insights(random.Random(0), 6), schema_for("swot"))
     with pytest.raises(diagram.LayoutOverflow) as exc:
-        layout_grid(analysis, wide_padding)
+        layout(analysis, wide_padding)
     assert exc.value.text == "Strengths"

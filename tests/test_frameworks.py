@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 
@@ -14,12 +13,13 @@ from stratagem import frameworks
 from stratagem.frameworks import (
     FIT_FLOOR,
     RISK_LEVELS,
+    FrameworkSchema,
+    SlotDescriptor,
     UnknownKind,
     analysis_from_dict,
     analysis_to_dict,
     assign_risk,
     classify_insight,
-    load_schema,
     organize,
     schema_for,
     score_axis,
@@ -51,37 +51,20 @@ class TestSchemas:
         assert len(schema_for(kind).slots) == n_slots
 
     def test_porter_central_slot(self):
-        assert schema_for("porter5").central_slot == "rivalry"
+        assert schema_for("porter5").slots[0].id == "rivalry"
 
     def test_unknown_kind(self):
         with pytest.raises(UnknownKind):
             schema_for("bcg_matrix")
 
-    def test_load_custom_schema(self, tmp_path):
-        raw = {
-            "kind": "virtuous_cycle",
-            "slots": [
-                {"id": f"s{i}", "title": f"Stage {i}",
-                 "affinity": [{"theme": "growth", "weight": 0.9}]}
-                for i in range(6)
-            ],
-        }
-        path = tmp_path / "schema.json"
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        schema = load_schema(str(path))
-        assert len(schema.slots) == 6
-        assert schema.slots[0].affinity == ((("growth", "*"), 0.9),)
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(UnknownKind):
+            FrameworkSchema("bcg", (SlotDescriptor("a", "A", ((("growth", "*"), 1.0),)),))
 
     def test_slot_count_bounds_enforced(self):
-        raw = {
-            "kind": "swot",
-            "slots": [
-                {"id": "only", "title": "Only",
-                 "affinity": [{"theme": "growth", "weight": 1.0}]}
-            ],
-        }
+        only = SlotDescriptor("only", "Only", ((("growth", "*"), 1.0),))
         with pytest.raises(ValueError):
-            load_schema(raw)
+            FrameworkSchema("swot", (only,))
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +138,11 @@ class TestOrganize:
         assert analysis.unplaced == [ins]
 
     def test_tie_breaks_to_earlier_slot(self):
-        schema = load_schema({
-            "kind": "virtuous_cycle",
-            "slots": [
-                {"id": "a", "title": "A", "affinity": [{"theme": "growth", "weight": 0.8}]},
-                {"id": "b", "title": "B", "affinity": [{"theme": "growth", "weight": 0.8}]},
-                {"id": "c", "title": "C", "affinity": [{"theme": "cost", "weight": 0.8}]},
-            ],
-        })
+        schema = FrameworkSchema("virtuous_cycle", (
+            SlotDescriptor("a", "A", ((("growth", "*"), 0.8),)),
+            SlotDescriptor("b", "B", ((("growth", "*"), 0.8),)),
+            SlotDescriptor("c", "C", ((("cost", "*"), 0.8),)),
+        ))
         ins = make_insight(0, "positive", 0.5, ["growth"])
         analysis = organize([ins], schema)
         assert [i.id for i, _ in analysis.assignments["a"]] == ["t:00"]

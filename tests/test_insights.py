@@ -19,7 +19,6 @@ from stratagem.ingest import (
 from stratagem.insights import (
     Evidence,
     Insight,
-    benchmark_surprise_insight,
     insight_from_dict,
     insight_to_dict,
     peer_comparison_insight,
@@ -346,38 +345,6 @@ class TestWeeklyCycle:
             if weekly_cycle_insight(s) is not None:
                 hits += 1
         assert hits / trials > 0.80
-
-
-# ---------------------------------------------------------------------------
-# benchmark surprise
-
-class TestSurprise:
-    def test_exact_match_is_silent(self):
-        assert benchmark_surprise_insight(2.0, 2.0, [0.1, 0.2]) == (None, None)
-
-    def test_large_surprise_vs_history(self):
-        ins, diag = benchmark_surprise_insight(2.40, 2.10, [0.1, 0.1, 0.08])
-        assert diag is None
-        assert ins.direction == "positive"
-        assert ins.magnitude == pytest.approx(0.30 / 0.30)
-
-    def test_ordinary_surprise_vs_history_is_silent(self):
-        assert benchmark_surprise_insight(2.12, 2.00, [0.1, 0.1, 0.08]) == (None, None)
-
-    def test_no_history_uses_relative_threshold(self):
-        ins, _ = benchmark_surprise_insight(2.30, 2.00, [])
-        assert ins is not None and ins.direction == "positive"
-        assert benchmark_surprise_insight(2.04, 2.00, []) == (None, None)
-
-    def test_negative_surprise(self):
-        ins, _ = benchmark_surprise_insight(1.60, 2.00, [])
-        assert ins.direction == "negative"
-        assert "below" in ins.statement
-
-    def test_zero_expected_without_history_is_diagnosed(self):
-        ins, diag = benchmark_surprise_insight(0.5, 0.0, [])
-        assert ins is None
-        assert diag is not None and diag.rule == "surprise"
 
 
 # ---------------------------------------------------------------------------
