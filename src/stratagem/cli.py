@@ -31,12 +31,30 @@ _FRAMEWORK_NAMES = {
 }
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable file is an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _Failed(EXIT_INPUT, f"error: cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise _Failed(EXIT_INPUT, f"error in {path}: line {line}: not UTF-8 text") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Failed(EXIT_INPUT, f"error: cannot write {path}: {exc.strerror}") from None
+
+
 def _write_json(path: str, obj: dict) -> None:
     try:
         text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     except ValueError as exc:
         raise _Failed(EXIT_INPUT, f"error: cannot write {path}: {exc}") from None
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(path, text)
 
 
 def _parse_llm_flag(value: str) -> llm.ProviderConfig | None:
@@ -74,12 +92,10 @@ class _Failed(Exception):
 
 def _parse_file(path: str, parser):
     """Read a delimited input file, choosing the dialect from its suffix."""
+    text = _read_text(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
         return parser(text, dialect="comma" if path.endswith(".csv") else "tab")
-    except FileNotFoundError as exc:
-        raise _Failed(EXIT_INPUT, f"error: {exc}") from None
-    except (ingest.IngestError, UnicodeDecodeError) as exc:
+    except ingest.IngestError as exc:
         raise _Failed(EXIT_INPUT, f"error in {path}: {exc}") from None
 
 
@@ -117,7 +133,7 @@ def _insights(args, output: str) -> tuple[str, list]:
 
 
 def _load_insights_file(path: str) -> tuple[str, list]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = json.loads(_read_text(path))
     problems = []
     if not isinstance(raw, dict) or not isinstance(raw.get("insights"), list):
         raise ValueError('top level must be an object with an "insights" array')
@@ -173,7 +189,7 @@ def _render(args, analysis: frameworks.OrganizedAnalysis, output: str) -> None:
         svg = diagram.render_analysis(analysis, style)
     except diagram.LayoutOverflow as exc:
         raise _Failed(EXIT_LAYOUT, f"layout overflow: {exc.text!r}") from None
-    Path(output).write_text(svg, encoding="utf-8")
+    _write_text(output, svg)
     width = svg.split('width="', 1)[1].split('"', 1)[0]
     height = svg.split('height="', 1)[1].split('"', 1)[0]
     print(f"wrote {output} ({width} x {height} px)")
@@ -187,8 +203,6 @@ def cmd_insights(args) -> int:
 def cmd_organize(args) -> int:
     try:
         subject, found = _load_insights_file(args.insights)
-    except FileNotFoundError as exc:
-        raise _Failed(EXIT_INPUT, f"error: {exc}") from None
     except ValueError as exc:
         raise _Failed(
             EXIT_INPUT, f"error: invalid insights file {args.insights}:\n{exc}"
@@ -199,10 +213,7 @@ def cmd_organize(args) -> int:
 
 def cmd_render(args) -> int:
     try:
-        raw = json.loads(Path(args.analysis).read_text(encoding="utf-8"))
-        analysis = frameworks.analysis_from_dict(raw)
-    except FileNotFoundError as exc:
-        raise _Failed(EXIT_INPUT, f"error: {exc}") from None
+        analysis = frameworks.analysis_from_dict(json.loads(_read_text(args.analysis)))
     except (KeyError, ValueError, TypeError, frameworks.UnknownKind) as exc:
         raise _Failed(
             EXIT_INPUT, f"error: invalid analysis file {args.analysis}: {exc}"

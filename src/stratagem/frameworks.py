@@ -23,23 +23,12 @@ from .insights import (
     typed,
 )
 
-FRAMEWORK_KINDS = ("swot", "porter5", "virtuous_cycle", "value_discipline")
-
 FIT_FLOOR = 0.3
 DEFAULT_MAX_PER_SLOT = 4
 
 RISK_LEVELS = ("low", "moderate", "high", "intense")
 # Weighted-mean risk score bands, closed on the left.
 _RISK_BANDS = (0.25, 0.5, 0.75)
-
-
-# Slot-count bounds of each framework kind.
-_SLOT_COUNTS = {
-    "swot": (4, 4),
-    "porter5": (5, 5),
-    "value_discipline": (3, 3),
-    "virtuous_cycle": (3, 8),
-}
 
 
 class UnknownKind(Exception):
@@ -73,194 +62,122 @@ class SlotDescriptor:
         return best
 
 
+def _slot(id: str, title: str, affinity: dict[tuple[str, str], float]) -> SlotDescriptor:
+    return SlotDescriptor(id, title, tuple(sorted(affinity.items())))
+
+
+# The slots of each framework kind, built and checked once. The first
+# porter5 slot is the diagram's hub.
+_SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
+    "swot": (
+        _slot("strengths", "Strengths", {
+            ("market-presence", "positive"): 1.0,
+            ("brand-marketing", "positive"): 1.0,
+            ("supply-chain", "positive"): 0.9,
+            ("product-diversity", "positive"): 0.9,
+            ("profitability", "positive"): 0.9,
+            ("online-channel", "positive"): 0.9,
+            ("public-sentiment", "positive"): 0.8,
+            ("cost", "positive"): 0.8,
+            ("growth", "positive"): 0.7,
+        }),
+        _slot("weaknesses", "Weaknesses", {
+            ("online-channel", "negative"): 1.0,
+            ("supply-chain", "negative"): 0.9,
+            ("profitability", "negative"): 0.9,
+            ("brand-marketing", "negative"): 0.9,
+            ("market-presence", "negative"): 0.8,
+            ("product-diversity", "negative"): 0.8,
+            ("cost", "negative"): 0.8,
+            ("public-sentiment", "negative"): 0.6,
+            ("growth", "negative"): 0.6,
+        }),
+        _slot("opportunities", "Opportunities", {
+            ("growth", "positive"): 0.9,
+            ("growth", "neutral"): 0.4,
+            ("online-channel", "negative"): 0.5,
+            ("market-presence", "positive"): 0.6,
+            ("product-diversity", "positive"): 0.5,
+        }),
+        _slot("threats", "Threats", {
+            ("competition", "negative"): 1.0,
+            ("competition", "*"): 0.8,
+            ("public-sentiment", "negative"): 0.8,
+            ("cost", "negative"): 0.5,
+            ("growth", "negative"): 0.7,
+        }),
+    ),
+    "porter5": (
+        _slot("rivalry", "Competitive Rivalry", {
+            ("competition", "*"): 1.0,
+            ("market-presence", "*"): 0.6,
+            ("brand-marketing", "*"): 0.5,
+        }),
+        _slot("supplier_power", "Supplier Power",
+              {("supply-chain", "*"): 1.0, ("cost", "*"): 0.7}),
+        _slot("buyer_power", "Buyer Power",
+              {("public-sentiment", "*"): 0.9, ("online-channel", "*"): 0.6}),
+        _slot("new_entrants", "Threat of New Entrants",
+              {("growth", "*"): 0.8, ("online-channel", "*"): 0.5}),
+        _slot("substitutes", "Threat of Substitutes",
+              {("product-diversity", "*"): 0.9, ("profitability", "*"): 0.4}),
+    ),
+    "virtuous_cycle": (
+        _slot("invest", "Invest",
+              {("brand-marketing", "*"): 0.9, ("cost", "*"): 0.7}),
+        _slot("improve_offering", "Improve Offering", {
+            ("product-diversity", "*"): 0.9,
+            ("supply-chain", "*"): 0.8,
+            ("online-channel", "*"): 0.7,
+        }),
+        _slot("attract_customers", "Attract Customers",
+              {("public-sentiment", "*"): 0.9, ("market-presence", "*"): 0.8}),
+        _slot("grow_revenue", "Grow Revenue",
+              {("growth", "*"): 1.0, ("profitability", "*"): 0.95}),
+    ),
+    "value_discipline": (
+        _slot("operational_excellence", "Operational Excellence", {
+            ("supply-chain", "*"): 1.0,
+            ("cost", "*"): 0.9,
+            ("profitability", "*"): 0.8,
+        }),
+        _slot("product_leadership", "Product Leadership", {
+            ("product-diversity", "*"): 1.0,
+            ("brand-marketing", "*"): 0.8,
+            ("growth", "*"): 0.7,
+        }),
+        _slot("customer_intimacy", "Customer Intimacy", {
+            ("public-sentiment", "*"): 1.0,
+            ("online-channel", "*"): 0.7,
+            ("market-presence", "*"): 0.6,
+        }),
+    ),
+}
+
+FRAMEWORK_KINDS = tuple(_SLOTS)
+
+
 @dataclass(frozen=True)
 class FrameworkSchema:
+    """One of the four framework kinds, showing at most ``max_per_slot``
+    factors per slot."""
+
     kind: str
-    slots: tuple[SlotDescriptor, ...]
     max_per_slot: int = DEFAULT_MAX_PER_SLOT
 
     def __post_init__(self):
-        if self.kind not in _SLOT_COUNTS:
+        if self.kind not in _SLOTS:
             raise UnknownKind(f"unknown framework kind {self.kind!r}")
         if self.max_per_slot < 1:
             raise ValueError("max_per_slot must be positive")
-        lo, hi = _SLOT_COUNTS[self.kind]
-        if not lo <= len(self.slots) <= hi:
-            raise ValueError(f"{self.kind} needs {lo}-{hi} slots, got {len(self.slots)}")
 
-
-def _aff(entries: dict[tuple[str, str], float]) -> tuple:
-    return tuple(sorted(entries.items()))
-
-
-def _swot_schema(max_per_slot: int) -> FrameworkSchema:
-    internal_pos = {
-        ("market-presence", "positive"): 1.0,
-        ("brand-marketing", "positive"): 1.0,
-        ("supply-chain", "positive"): 0.9,
-        ("product-diversity", "positive"): 0.9,
-        ("profitability", "positive"): 0.9,
-        ("online-channel", "positive"): 0.9,
-        ("public-sentiment", "positive"): 0.8,
-        ("cost", "positive"): 0.8,
-        ("growth", "positive"): 0.7,
-    }
-    internal_neg = {
-        ("online-channel", "negative"): 1.0,
-        ("supply-chain", "negative"): 0.9,
-        ("profitability", "negative"): 0.9,
-        ("brand-marketing", "negative"): 0.9,
-        ("market-presence", "negative"): 0.8,
-        ("product-diversity", "negative"): 0.8,
-        ("cost", "negative"): 0.8,
-        ("public-sentiment", "negative"): 0.6,
-        ("growth", "negative"): 0.6,
-    }
-    opportunities = {
-        ("growth", "positive"): 0.9,
-        ("growth", "neutral"): 0.4,
-        ("online-channel", "negative"): 0.5,
-        ("market-presence", "positive"): 0.6,
-        ("product-diversity", "positive"): 0.5,
-    }
-    threats = {
-        ("competition", "negative"): 1.0,
-        ("competition", "*"): 0.8,
-        ("public-sentiment", "negative"): 0.8,
-        ("cost", "negative"): 0.5,
-        ("growth", "negative"): 0.7,
-    }
-    return FrameworkSchema(
-        kind="swot",
-        slots=(
-            SlotDescriptor("strengths", "Strengths", _aff(internal_pos)),
-            SlotDescriptor("weaknesses", "Weaknesses", _aff(internal_neg)),
-            SlotDescriptor("opportunities", "Opportunities", _aff(opportunities)),
-            SlotDescriptor("threats", "Threats", _aff(threats)),
-        ),
-        max_per_slot=max_per_slot,
-    )
-
-
-def _porter5_schema(max_per_slot: int) -> FrameworkSchema:
-    return FrameworkSchema(
-        kind="porter5",
-        slots=(  # the first slot is the diagram's hub
-            SlotDescriptor(
-                "rivalry",
-                "Competitive Rivalry",
-                _aff({
-                    ("competition", "*"): 1.0,
-                    ("market-presence", "*"): 0.6,
-                    ("brand-marketing", "*"): 0.5,
-                }),
-            ),
-            SlotDescriptor(
-                "supplier_power",
-                "Supplier Power",
-                _aff({("supply-chain", "*"): 1.0, ("cost", "*"): 0.7}),
-            ),
-            SlotDescriptor(
-                "buyer_power",
-                "Buyer Power",
-                _aff({("public-sentiment", "*"): 0.9, ("online-channel", "*"): 0.6}),
-            ),
-            SlotDescriptor(
-                "new_entrants",
-                "Threat of New Entrants",
-                _aff({("growth", "*"): 0.8, ("online-channel", "*"): 0.5}),
-            ),
-            SlotDescriptor(
-                "substitutes",
-                "Threat of Substitutes",
-                _aff({("product-diversity", "*"): 0.9, ("profitability", "*"): 0.4}),
-            ),
-        ),
-        max_per_slot=max_per_slot,
-    )
-
-
-def _value_discipline_schema(max_per_slot: int) -> FrameworkSchema:
-    return FrameworkSchema(
-        kind="value_discipline",
-        slots=(
-            SlotDescriptor(
-                "operational_excellence",
-                "Operational Excellence",
-                _aff({
-                    ("supply-chain", "*"): 1.0,
-                    ("cost", "*"): 0.9,
-                    ("profitability", "*"): 0.8,
-                }),
-            ),
-            SlotDescriptor(
-                "product_leadership",
-                "Product Leadership",
-                _aff({
-                    ("product-diversity", "*"): 1.0,
-                    ("brand-marketing", "*"): 0.8,
-                    ("growth", "*"): 0.7,
-                }),
-            ),
-            SlotDescriptor(
-                "customer_intimacy",
-                "Customer Intimacy",
-                _aff({
-                    ("public-sentiment", "*"): 1.0,
-                    ("online-channel", "*"): 0.7,
-                    ("market-presence", "*"): 0.6,
-                }),
-            ),
-        ),
-        max_per_slot=max_per_slot,
-    )
-
-
-def _virtuous_cycle_schema(max_per_slot: int) -> FrameworkSchema:
-    return FrameworkSchema(
-        kind="virtuous_cycle",
-        slots=(
-            SlotDescriptor(
-                "invest",
-                "Invest",
-                _aff({("brand-marketing", "*"): 0.9, ("cost", "*"): 0.7}),
-            ),
-            SlotDescriptor(
-                "improve_offering",
-                "Improve Offering",
-                _aff({
-                    ("product-diversity", "*"): 0.9,
-                    ("supply-chain", "*"): 0.8,
-                    ("online-channel", "*"): 0.7,
-                }),
-            ),
-            SlotDescriptor(
-                "attract_customers",
-                "Attract Customers",
-                _aff({("public-sentiment", "*"): 0.9, ("market-presence", "*"): 0.8}),
-            ),
-            SlotDescriptor(
-                "grow_revenue",
-                "Grow Revenue",
-                _aff({("growth", "*"): 1.0, ("profitability", "*"): 0.95}),
-            ),
-        ),
-        max_per_slot=max_per_slot,
-    )
-
-
-_BUILDERS = {
-    "swot": _swot_schema,
-    "porter5": _porter5_schema,
-    "value_discipline": _value_discipline_schema,
-    "virtuous_cycle": _virtuous_cycle_schema,
-}
+    @property
+    def slots(self) -> tuple[SlotDescriptor, ...]:
+        return _SLOTS[self.kind]
 
 
 def schema_for(kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> FrameworkSchema:
-    if kind not in _BUILDERS:
-        raise UnknownKind(f"unknown framework kind {kind!r}")
-    return _BUILDERS[kind](max_per_slot)
+    return FrameworkSchema(kind, max_per_slot)
 
 
 @dataclass(frozen=True)
@@ -336,7 +253,7 @@ def organize(
     unplaced: list[Insight] = []
     for ins in insights:
         fits = classify_insight(ins, schema)
-        best_slot = max(schema.slots, key=lambda s: (fits[s.id], -schema.slots.index(s)))
+        best_slot = max(schema.slots, key=lambda s: fits[s.id])  # earliest on ties
         best_fit = fits[best_slot.id]
         if best_fit >= FIT_FLOOR:
             assignments[best_slot.id].append((ins, best_fit))

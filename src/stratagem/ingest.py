@@ -76,29 +76,10 @@ class DuplicateDate(IngestError):
         super().__init__(f"duplicate date {date.isoformat()}")
 
 
-UNITS = ("count", "currency-millions", "percent", "days", "raw")
 POLARITIES = ("higher-is-better", "lower-is-better", "neutral")
 
-# Keyword tables for metric-semantics inference. Matching is on lowercased
-# substrings; first hit wins within each table.
-_UNIT_KEYWORDS = (
-    ("($m)", "currency-millions"),
-    ("(\\$m)", "currency-millions"),
-    ("$m", "currency-millions"),
-    ("revenue", "currency-millions"),
-    ("spend", "currency-millions"),
-    ("income", "currency-millions"),
-    ("margin", "percent"),
-    ("survey", "percent"),
-    ("%", "percent"),
-    ("growth", "percent"),
-    ("delay", "days"),
-    ("days", "days"),
-    ("number", "count"),
-    ("count", "count"),
-    ("sentiment", "count"),
-    ("stores", "count"),
-)
+# Keyword tables for metric-polarity inference, matched on lowercased
+# substrings.
 _LOWER_KEYWORDS = ("delay", "negative", "cost", "churn", "complaint", "defect")
 _HIGHER_KEYWORDS = (
     "revenue",
@@ -118,14 +99,11 @@ _HIGHER_KEYWORDS = (
 @dataclass(frozen=True)
 class MetricDescriptor:
     name: str
-    unit: str = "raw"
     polarity: str = "neutral"
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("metric name must be non-empty")
-        if self.unit not in UNITS:
-            raise ValueError(f"unknown unit {self.unit!r}")
         if self.polarity not in POLARITIES:
             raise ValueError(f"unknown polarity {self.polarity!r}")
 
@@ -145,18 +123,13 @@ def infer_metric_semantics(name: str) -> MetricDescriptor:
     """Build a MetricDescriptor from a metric name.
 
     Honors sidecar annotations ``!lower`` / ``!higher`` appended to the
-    name (they are stripped from the stored name). Falls back to
-    raw/neutral when no keyword matches.
+    name (they are stripped from the stored name). Falls back to neutral
+    when no keyword matches.
     """
     name, forced = _split_annotation(name)
     if not name:
         raise ValueError("metric name must be non-empty")
     low = name.lower()
-    unit = "raw"
-    for kw, u in _UNIT_KEYWORDS:
-        if kw in low:
-            unit = u
-            break
     polarity = "neutral"
     if any(kw in low for kw in _LOWER_KEYWORDS):
         polarity = "lower-is-better"
@@ -164,7 +137,7 @@ def infer_metric_semantics(name: str) -> MetricDescriptor:
         polarity = "higher-is-better"
     if forced:
         polarity = forced
-    return MetricDescriptor(name=name, unit=unit, polarity=polarity)
+    return MetricDescriptor(name=name, polarity=polarity)
 
 
 @dataclass(frozen=True)
@@ -412,13 +385,4 @@ def serialize_dataset(dataset: Dataset) -> str:
                 label += " !higher"
         cells = [_format_value(v) for v in dataset.column(m.name)]
         lines.append(label + "\t" + "\t".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def serialize_timeseries(series: TimeSeries) -> str:
-    lines = ["date\tclose\tvolume"]
-    for o in series.observations:
-        lines.append(
-            f"{o.date.isoformat()}\t{_format_value(o.close)}\t{_format_value(o.volume)}"
-        )
     return "\n".join(lines) + "\n"

@@ -502,9 +502,7 @@ def run_all_rules(
                 found.append(ins)
         found.extend(sentiment_balance_insight(dataset, subj))
     if series is not None:
-        close_metric = MetricDescriptor(
-            name="Closing price", unit="raw", polarity="higher-is-better"
-        )
+        close_metric = MetricDescriptor(name="Closing price", polarity="higher-is-better")
         labels = [o.date.isoformat() for o in series.observations]
         ins = trend_insight(list(series.closes), close_metric, labels)
         if ins:

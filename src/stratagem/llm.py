@@ -16,7 +16,7 @@ import json
 import os
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .frameworks import (
     FrameworkSchema,
@@ -130,62 +130,50 @@ class ProviderConfig:
             raise ValueError(f"{self.mode} mode requires a transcript path")
 
 
-@dataclass
-class LlmTranscript:
-    records: list[dict] = field(default_factory=list)
+def load_transcript(path: str) -> dict[str, str]:
+    """Each recorded request hash mapped to its response. Raises
+    BadTranscript naming ``path`` and the offending line."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise BadTranscript(f"cannot read transcript {path}: {exc.strerror}") from None
+    responses: dict[str, str] = {}
+    with fh:
+        for number, raw in enumerate(fh, start=1):
+            where = f"transcript {path}, line {number}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise BadTranscript(f"{where}: not UTF-8 text") from None
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise BadTranscript(f"{where}: not JSON ({exc.msg})") from None
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("request_hash"), str)
+                and isinstance(record.get("response"), str)
+            ):
+                raise BadTranscript(
+                    f"{where}: not a record with string request_hash and response"
+                )
+            if record["request_hash"] in responses:
+                raise BadTranscript(f"{where}: duplicate request hash")
+            responses[record["request_hash"]] = record["response"]
+    return responses
 
-    @classmethod
-    def load(cls, path: str) -> "LlmTranscript":
-        """Raises BadTranscript naming ``path`` and the offending line."""
-        try:
-            fh = open(path, "rb")
-        except OSError as exc:
-            raise BadTranscript(f"cannot read transcript {path}: {exc.strerror}") from None
-        records = []
-        seen: set[str] = set()
-        with fh:
-            for number, raw in enumerate(fh, start=1):
-                where = f"transcript {path}, line {number}"
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise BadTranscript(f"{where}: not UTF-8 text") from None
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise BadTranscript(f"{where}: not JSON ({exc.msg})") from None
-                if not (
-                    isinstance(record, dict)
-                    and isinstance(record.get("request_hash"), str)
-                    and isinstance(record.get("response"), str)
-                ):
-                    raise BadTranscript(
-                        f"{where}: not a record with string request_hash and response"
-                    )
-                if record["request_hash"] in seen:
-                    raise BadTranscript(f"{where}: duplicate request hash")
-                seen.add(record["request_hash"])
-                records.append(record)
-        return cls(records=records)
 
-    def lookup(self, request_hash_: str) -> str | None:
-        for r in self.records:
-            if r["request_hash"] == request_hash_:
-                return r["response"]
-        return None
-
-    @staticmethod
-    def append_record(path: str, request_hash_: str, request: str, response: str) -> None:
-        record = {
-            "request_hash": request_hash_,
-            "request": request,
-            "response": response,
-            "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
-        }
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+def _append_record(path: str, request_hash_: str, request: str, response: str) -> None:
+    record = {
+        "request_hash": request_hash_,
+        "request": request,
+        "response": response,
+        "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
+    }
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _http_complete(config: ProviderConfig, prompt: str) -> str:
@@ -217,14 +205,13 @@ def complete(config: ProviderConfig, prompt: str, request_key: str) -> str:
     """One chat-completion round trip, transcript append, or replay lookup,
     with ``request_key`` naming the request in the transcript."""
     if config.mode == "replay":
-        transcript = LlmTranscript.load(config.transcript_path)
-        response = transcript.lookup(request_key)
+        response = load_transcript(config.transcript_path).get(request_key)
         if response is None:
             raise ReplayMiss(request_key)
         return response
     response = _http_complete(config, prompt)
     if config.mode == "record":
-        LlmTranscript.append_record(config.transcript_path, request_key, prompt, response)
+        _append_record(config.transcript_path, request_key, prompt, response)
     return response
 
 

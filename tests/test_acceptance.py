@@ -26,10 +26,10 @@ from stratagem.frameworks import RISK_LEVELS, organize, schema_for, score_axis
 from stratagem.ingest import MetricDescriptor, parse_timeseries
 from stratagem.insights import run_all_rules, trend_insight
 from stratagem.llm import (
-    LlmTranscript,
     NoSlotHeadings,
     ProviderConfig,
     ask,
+    load_transcript,
     parse_framework_assignment,
     parse_insight_list,
     request_hash,
@@ -120,7 +120,7 @@ def test_criterion_3_row_order_invariance(prices_text):
 
 
 def test_criterion_4_trend_endpoints():
-    metric = MetricDescriptor("Quarterly revenue", "currency-millions", "higher-is-better")
+    metric = MetricDescriptor("Quarterly revenue", "higher-is-better")
     ins = trend_insight([20081, 20650, 21300, 21939], metric)
     assert ins is not None
     assert ins.direction == "positive"
@@ -243,19 +243,19 @@ def test_criterion_8_offline_llm_path(walmart_transcript, no_network):
     trend = ask(config, "trend_training_data", {"company": "Walmart"})
     insights = parse_insight_list(trend)
     assert len(insights) == 7
-    swot_text = LlmTranscript.load(str(walmart_transcript)).lookup(
+    swot_text = load_transcript(str(walmart_transcript))[
         request_hash("framework_analysis", {"company": "Walmart", "framework": "SWOT"})
-    )
+    ]
     analysis, _ = parse_framework_assignment(swot_text, schema_for("swot"))
     assert len(analysis.assignments) == 4
     assert all(analysis.assignments.values())
     assert "global presence" in analysis.assignments["strengths"][0][0].statement
-    refusal_text = LlmTranscript.load(str(walmart_transcript)).lookup(
+    refusal_text = load_transcript(str(walmart_transcript))[
         request_hash(
             "framework_analysis",
             {"company": "Foobar Corp", "framework": "Value Discipline"},
         )
-    )
+    ]
     with pytest.raises(NoSlotHeadings) as exc:
         parse_framework_assignment(refusal_text, schema_for("value_discipline"))
     assert exc.value.refusal is True

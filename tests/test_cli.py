@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import tempfile
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
@@ -126,8 +128,7 @@ class TestInsightsCommand:
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(b"date\tclose\tvolume\n2024-04-01\t100\t1\xff\n")
         assert run("insights", flag, str(bad), "-o", str(tmp_path / "i.json")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error in {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert capsys.readouterr().err == f"error in {bad}: line 2: not UTF-8 text\n"
         assert not (tmp_path / "i.json").exists()
 
     def test_unknown_subject_is_input_error(self, capsys):
@@ -415,6 +416,42 @@ def test_any_entity_name_gives_well_formed_svg_or_exit_2(name, framework):
         assert code in (0, 2)
         if code == 0:
             xml.parsers.expat.ParserCreate().Parse(svg.read_bytes(), True)
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ["insights", "--table"],
+        ["insights", "--timeseries"],
+        ["organize", "--framework", "swot"],
+        ["render"],
+    ], ids=["table", "timeseries", "insights", "analysis"])
+    def test_directory_input_is_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(*argv, str(tmp_path), "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,written", [
+        (["insights", "--table", str(FOOBAR)], "out.svg"),
+        (["organize", "{insights}", "--framework", "swot"], "out.svg"),
+        (["render", "{analysis}"], "out.svg"),
+        (["pipeline", "--table", str(FOOBAR), "--framework", "swot"], "out.insights.json"),
+    ], ids=["insights", "organize", "render", "pipeline"])
+    def test_unwritable_output_is_input_error(
+        self, insights_file, tmp_path, capsys, argv, written
+    ):
+        analysis = tmp_path / "a.json"
+        assert run("organize", str(insights_file), "--framework", "swot",
+                   "-o", str(analysis)) == 0
+        capsys.readouterr()
+        argv = [a.format(insights=insights_file, analysis=analysis) for a in argv]
+        missing = tmp_path / "missing"
+        assert run(*argv, "-o", str(missing / "out.svg")) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {missing / written}: {os.strerror(errno.ENOENT)}\n"
+        )
 
 
 class TestPipeline:

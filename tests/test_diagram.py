@@ -26,8 +26,6 @@ from stratagem.diagram import (
 from stratagem.frameworks import (
     FRAMEWORK_KINDS,
     RISK_LEVELS,
-    FrameworkSchema,
-    SlotDescriptor,
     organize,
     schema_for,
 )
@@ -238,16 +236,6 @@ class TestLayoutCycle:
                 dx = max(0.0, max(a.x, b.x) - min(a.x + a.w, b.x + b.w))
                 dy = max(0.0, max(a.y, b.y) - min(a.y + a.h, b.y + b.h))
                 assert max(dx, dy) >= 8.0 - 1e-6
-
-    def test_eight_stage_custom_schema(self):
-        schema = FrameworkSchema("virtuous_cycle", tuple(
-            SlotDescriptor(f"s{i}", f"Stage {i}", ((("growth", "*"), 0.9),))
-            for i in range(8)
-        ))
-        spec = layout(organize([], schema))
-        assert validate_spec(spec) == []
-        assert len(spec.boxes) == 8
-        assert len(spec.arrows) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The README's library snippet and the bundled scripts work as documented."""
+"""The README's library snippet and the bundled scripts work as documented,
+and every public name in the package has a caller."""
 
 from __future__ import annotations
 
+import ast
 import re
 import runpy
 import sys
@@ -33,3 +35,53 @@ def test_render_foobar_insights_file_feeds_organize(tmp_path, monkeypatch, capsy
     code = cli.main(["organize", str(insights), "--framework", "swot", "-o", str(out)])
     assert code == 0, capsys.readouterr().err
     assert out.exists()
+
+
+# The public names that have no caller: the package version, and the
+# framework-answer parser until a CLI path asks the model for a framework.
+UNCALLED = ["stratagem.__version__", "stratagem.llm.parse_framework_assignment"]
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _words(tree: ast.AST) -> set[str]:
+    """Identifiers a tree uses: names, attributes, imported names and string
+    constants (``getattr``-style references such as the tracer's)."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "bench", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    uncalled = []
+    for path in sorted((ROOT / "src" / "stratagem").glob("*.py")):
+        module = "stratagem" + ("" if path.stem == "__init__" else f".{path.stem}")
+        used = set().union(readme, *(_words(t) for p, t in trees.items() if p != path))
+        body = trees[path].body
+        for stmt in body:
+            for name in _defined_names(stmt):
+                if name.startswith("_") and not name.startswith("__"):
+                    continue
+                rest = ast.Module(body=[s for s in body if s is not stmt], type_ignores=[])
+                if name not in used and name not in _words(rest):
+                    uncalled.append(f"{module}.{name}")
+    assert sorted(uncalled) == sorted(UNCALLED)

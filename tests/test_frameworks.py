@@ -14,7 +14,6 @@ from stratagem.frameworks import (
     FIT_FLOOR,
     RISK_LEVELS,
     FrameworkSchema,
-    SlotDescriptor,
     UnknownKind,
     analysis_from_dict,
     analysis_to_dict,
@@ -59,12 +58,11 @@ class TestSchemas:
 
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(UnknownKind):
-            FrameworkSchema("bcg", (SlotDescriptor("a", "A", ((("growth", "*"), 1.0),)),))
+            FrameworkSchema("bcg")
 
-    def test_slot_count_bounds_enforced(self):
-        only = SlotDescriptor("only", "Only", ((("growth", "*"), 1.0),))
-        with pytest.raises(ValueError):
-            FrameworkSchema("swot", (only,))
+    @pytest.mark.parametrize("kind", frameworks.FRAMEWORK_KINDS)
+    def test_slots_are_built_once(self, kind):
+        assert schema_for(kind).slots is schema_for(kind, max_per_slot=2).slots
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +136,13 @@ class TestOrganize:
         assert analysis.unplaced == [ins]
 
     def test_tie_breaks_to_earlier_slot(self):
-        schema = FrameworkSchema("virtuous_cycle", (
-            SlotDescriptor("a", "A", ((("growth", "*"), 0.8),)),
-            SlotDescriptor("b", "B", ((("growth", "*"), 0.8),)),
-            SlotDescriptor("c", "C", ((("cost", "*"), 0.8),)),
-        ))
-        ins = make_insight(0, "positive", 0.5, ["growth"])
+        schema = schema_for("swot")
+        ins = make_insight(0, "positive", 0.5, ["product-diversity", "growth"])
+        fits = classify_insight(ins, schema)
+        assert fits["strengths"] == fits["opportunities"] == 0.9
         analysis = organize([ins], schema)
-        assert [i.id for i, _ in analysis.assignments["a"]] == ["t:00"]
-        assert analysis.assignments["b"] == []
+        assert [i.id for i, _ in analysis.assignments["strengths"]] == ["t:00"]
+        assert analysis.assignments["opportunities"] == []
 
     @given(data=st.data())
     @settings(max_examples=60)

@@ -30,7 +30,7 @@ from stratagem.insights import (
     weekly_cycle_insight,
 )
 
-HIGHER = MetricDescriptor("Revenue ($m)", "currency-millions", "higher-is-better")
+HIGHER = MetricDescriptor("Revenue ($m)", "higher-is-better")
 
 
 def small_dataset(**metric_values) -> Dataset:
@@ -39,7 +39,7 @@ def small_dataset(**metric_values) -> Dataset:
     n_entities = len(next(iter(metric_values.values())))
     entities = tuple(f"E{i}" for i in range(n_entities))
     metrics = tuple(
-        MetricDescriptor(n, "raw", "higher-is-better") for n in names
+        MetricDescriptor(n, "higher-is-better") for n in names
     )
     values = tuple(
         tuple(metric_values[n][i] for n in names) for i in range(n_entities)
@@ -99,7 +99,7 @@ class TestTrend:
         assert "steady" not in ins.statement
 
     def test_lower_is_better_flips_direction(self):
-        delays = MetricDescriptor("Shipment delays", "days", "lower-is-better")
+        delays = MetricDescriptor("Shipment delays", "lower-is-better")
         ins = trend_insight([5.0, 4.0, 3.0, 2.0], delays)
         assert ins is not None
         assert ins.direction == "positive"
@@ -242,8 +242,8 @@ class TestSentiment:
         d = Dataset(
             entities=("A",),
             metrics=(
-                MetricDescriptor("Positive forum sentiment", "count", "higher-is-better"),
-                MetricDescriptor("Negative forum sentiment", "count", "lower-is-better"),
+                MetricDescriptor("Positive forum sentiment", "higher-is-better"),
+                MetricDescriptor("Negative forum sentiment", "lower-is-better"),
             ),
             values=((200.0, 800.0),),
         )
@@ -255,8 +255,8 @@ class TestSentiment:
         d = Dataset(
             entities=("A",),
             metrics=(
-                MetricDescriptor("Positive forum sentiment", "count", "higher-is-better"),
-                MetricDescriptor("Negative forum sentiment", "count", "lower-is-better"),
+                MetricDescriptor("Positive forum sentiment", "higher-is-better"),
+                MetricDescriptor("Negative forum sentiment", "lower-is-better"),
             ),
             values=((0.0, 0.0),),
         )
@@ -266,10 +266,10 @@ class TestSentiment:
         d = Dataset(
             entities=("A",),
             metrics=(
-                MetricDescriptor("Positive x sentiment", "count", "higher-is-better"),
-                MetricDescriptor("Negative x sentiment", "count", "lower-is-better"),
-                MetricDescriptor("Positive y sentiment", "count", "higher-is-better"),
-                MetricDescriptor("Negative y sentiment", "count", "lower-is-better"),
+                MetricDescriptor("Positive x sentiment", "higher-is-better"),
+                MetricDescriptor("Negative x sentiment", "lower-is-better"),
+                MetricDescriptor("Positive y sentiment", "higher-is-better"),
+                MetricDescriptor("Negative y sentiment", "lower-is-better"),
             ),
             values=((70.0, 30.0, 72.0, 28.0),),
         )
@@ -281,8 +281,8 @@ class TestSentiment:
         d = Dataset(
             entities=("A",),
             metrics=(
-                MetricDescriptor("Positive forum sentiment", "count", "higher-is-better"),
-                MetricDescriptor("Negative forum sentiment", "count", "lower-is-better"),
+                MetricDescriptor("Positive forum sentiment", "higher-is-better"),
+                MetricDescriptor("Negative forum sentiment", "lower-is-better"),
             ),
             values=((9.0 * scale, 1.0 * scale),),
         )

@@ -12,7 +12,6 @@ from stratagem.frameworks import schema_for, validate_analysis
 from stratagem.llm import (
     AuthMissing,
     LlmError,
-    LlmTranscript,
     MissingBinding,
     NoItemsFound,
     NoSlotHeadings,
@@ -20,6 +19,7 @@ from stratagem.llm import (
     ReplayMiss,
     ask,
     complete,
+    load_transcript,
     parse_framework_assignment,
     parse_insight_list,
     render_prompt,
@@ -110,7 +110,7 @@ class TestTransport:
             json.dumps(record) + "\n" + json.dumps(record) + "\n", encoding="utf-8"
         )
         with pytest.raises(ValueError):
-            LlmTranscript.load(str(path))
+            load_transcript(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,11 @@ class TestParseInsightList:
 
 class TestParseFramework:
     def _swot_response(self, walmart_transcript):
-        transcript = LlmTranscript.load(str(walmart_transcript))
+        transcript = load_transcript(str(walmart_transcript))
         key = request_hash(
             "framework_analysis", {"company": "Walmart", "framework": "SWOT"}
         )
-        return transcript.lookup(key)
+        return transcript[key]
 
     def test_walmart_swot_fixture(self, walmart_transcript):
         analysis, diagnostics = parse_framework_assignment(
@@ -209,12 +209,12 @@ class TestParseFramework:
                    for _, fit in items)
 
     def test_refusal_is_typed(self, walmart_transcript):
-        transcript = LlmTranscript.load(str(walmart_transcript))
+        transcript = load_transcript(str(walmart_transcript))
         key = request_hash(
             "framework_analysis",
             {"company": "Foobar Corp", "framework": "Value Discipline"},
         )
-        refusal = transcript.lookup(key)
+        refusal = transcript[key]
         with pytest.raises(NoSlotHeadings) as exc:
             parse_framework_assignment(refusal, schema_for("value_discipline"))
         assert exc.value.refusal is True
