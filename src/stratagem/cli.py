@@ -114,7 +114,10 @@ def _insights(args, output: str) -> tuple[str, list]:
         raise _Failed(EXIT_INPUT, "error: --subject required for training-data mode")
     found = []
     if dataset is not None or series is not None:
-        found = insights_mod.run_all_rules(dataset, series, subject or None)
+        try:
+            found = insights_mod.run_all_rules(dataset, series, subject or None)
+        except insights_mod.NonFiniteResult as exc:
+            raise _Failed(EXIT_INPUT, f"error: {exc}") from None
     if args.llm_config:
         try:
             llm_found = _llm_insights(args.llm_config, subject, dataset)

@@ -401,7 +401,8 @@ def analysis_to_dict(analysis: OrganizedAnalysis) -> dict:
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     """Rebuild an analysis from its interchange JSON; a wrongly typed field
     is a ``TypeError``."""
-    schema = schema_for(d["schema_kind"], d.get("max_per_slot", DEFAULT_MAX_PER_SLOT))
+    max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
+    schema = schema_for(d["schema_kind"], max_per_slot)
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
     attributes: dict[str, str | AxisScore | None] = {}
     for slot_json in d["slots"]:

@@ -305,16 +305,20 @@ def _check_labels(labels, names, lines, kind: str) -> None:
         seen.add(name)
 
 
-_DATE_FORMATS = ("%Y-%m-%d", "%m/%d/%Y")
+# strptime's own patterns for %Y, %m and %d, in "%Y-%m-%d" and "%m/%d/%Y"
+# order, so a cell parses exactly when strptime accepts one of the formats.
+_Y, _M, _D = r"(\d\d\d\d)", r"(1[0-2]|0[1-9]|[1-9])", r"(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])"
+_DATE = re.compile(f"{_Y}-{_M}-{_D}|{_M}/{_D}/{_Y}")
 
 
 def _parse_date(cell: str, line: int) -> dt.date:
-    s = cell.strip()
-    for fmt in _DATE_FORMATS:
+    match = _DATE.fullmatch(cell.strip())
+    if match:
+        y, m, d = match.group(1, 2, 3) if match.group(1) else match.group(6, 4, 5)
         try:
-            return dt.datetime.strptime(s, fmt).date()
+            return dt.date(int(y), int(m), int(d))
         except ValueError:
-            continue
+            pass
     raise UnparseableDate(line, cell)
 
 

@@ -8,6 +8,7 @@ are clamped into [0, 1] so downstream ranking has a uniform scale.
 
 from __future__ import annotations
 
+import math
 import re
 import statistics
 from dataclasses import dataclass, replace
@@ -144,6 +145,21 @@ def _slug(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
 
 
+class NonFiniteResult(ValueError):
+    """A rule's mean, slope or ratio overflowed: its finite inputs are too
+    large (or too small) for float arithmetic."""
+
+    def __init__(self, metric: str, quantity: str):
+        self.metric = metric
+        super().__init__(f"{metric}: {quantity} is not finite; the values overflow")
+
+
+def _finite(x: float, metric: str, quantity: str) -> float:
+    if not math.isfinite(x):
+        raise NonFiniteResult(metric, quantity)
+    return x
+
+
 def _clamp01(x: float) -> float:
     return max(0.0, min(1.0, x))
 
@@ -169,15 +185,18 @@ def trend_insight(
     n = len(values)
     xs = range(n)
     xbar = (n - 1) / 2
-    ybar = sum(values) / n
+    ybar = _finite(sum(values) / n, metric.name, "mean")
     sxx = sum((x - xbar) ** 2 for x in xs)
     sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, values))
-    slope = sxy / sxx
+    slope = _finite(sxy / sxx, metric.name, "trend slope")
     base = abs(values[0]) if values[0] != 0 else (abs(ybar) or 1.0)
-    rel_slope_change = slope * (n - 1) / base
+    rel_slope_change = _finite(slope * (n - 1) / base, metric.name, "relative slope")
     if abs(rel_slope_change) < THRESHOLDS.trend_window_change:
         return None
-    rel_change = (values[-1] - values[0]) / base * (1 if values[0] >= 0 else -1)
+    rel_change = _finite(
+        (values[-1] - values[0]) / base * (1 if values[0] >= 0 else -1),
+        metric.name, "relative change",
+    )
     deltas = [b - a for a, b in zip(values, values[1:])]
     agree = sum(1 for d in deltas if d * slope > 0)
     steady = agree / len(deltas) >= THRESHOLDS.steady_delta_share
@@ -435,7 +454,10 @@ def weekly_cycle_insight(series: TimeSeries) -> Insight | None:
     by_day: dict[int, list[float]] = {}
     for o in obs:
         by_day.setdefault(o.date.weekday(), []).append(o.close)
-    means = {d: sum(v) / len(v) for d, v in by_day.items()}
+    means = {
+        d: _finite(sum(v) / len(v), "close", f"{_WEEKDAYS[d]} mean")
+        for d, v in by_day.items()
+    }
     sd = statistics.pstdev([o.close for o in obs])
     if sd == 0:
         return None
@@ -546,7 +568,7 @@ def insight_to_dict(ins: Insight) -> dict:
     }
 
 
-_JSON_TYPES = {str: "a string", list: "a list", (int, float): "a number"}
+_JSON_TYPES = {str: "a string", list: "a list", int: "an integer", (int, float): "a number"}
 
 
 def typed(d: dict, key: str, kind):

@@ -5,13 +5,19 @@ whose wrapped lines fit a box interior in both width and height. When no
 size fits, even with hyphen-split words, it raises ``DoesNotFitAtMinFont``
 carrying the text; the second stage, in ``diagram``, reacts by doubling
 the canvas and laying the whole diagram out again.
+
+Widths are linear in font size, so ``wrap`` keeps each line's width as an
+integer sum of per-word advances in thousandths of an em (``_em``, cached
+per string) and measures no trial line; its fit test is the expression
+``measure_text`` computes, so the lines are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .fonts import measure_text
+from .fonts import advance, measure_text
 
 MIN_FONT = 10
 MAX_FONT = 28
@@ -76,24 +82,41 @@ def _split_token(token: str, width: float, size: float) -> list[str]:
     return pieces
 
 
+@lru_cache(maxsize=4096)
+def _em(s: str) -> int:
+    """Advance sum of ``s`` in thousandths of an em; ``measure_text`` is
+    ``size * _em(s) / 1000.0``."""
+    return sum(advance(c) for c in s)
+
+
 def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
     """Greedy wrap of whitespace-separated words into lines of at most
-    ``width`` px at font ``size``. Overlong words are hyphen-split."""
-    words = text.split()
+    ``width`` px at font ``size``. Overlong words are hyphen-split.
+
+    Lines are summed in integer thousandths of an em and each fit test is
+    ``measure_text``'s own expression, so the lines are the ones that
+    measuring every trial line would give."""
+    if size <= 0:
+        raise ValueError("font size must be positive")
+    space_em = _em(" ")
     lines: list[str] = []
     current = ""
-    for word in words:
-        candidates = (
-            [word] if measure_text(word, size) <= width else _split_token(word, width, size)
-        )
-        for piece in candidates:
-            trial = piece if not current else current + " " + piece
-            if measure_text(trial, size) <= width:
-                current = trial
+    current_em = 0
+    for word in text.split():
+        word_em = _em(word)
+        if size * word_em / 1000.0 <= width:
+            pieces = [(word, word_em)]
+        else:
+            pieces = [(p, _em(p)) for p in _split_token(word, width, size)]
+        for piece, piece_em in pieces:
+            if not current:
+                current, current_em = piece, piece_em
+            elif size * (current_em + space_em + piece_em) / 1000.0 <= width:
+                current += " " + piece
+                current_em += space_em + piece_em
             else:
-                if current:
-                    lines.append(current)
-                current = piece
+                lines.append(current)
+                current, current_em = piece, piece_em
     if current:
         lines.append(current)
     return tuple(lines)

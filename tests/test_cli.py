@@ -89,8 +89,23 @@ class TestInsightsCommand:
         )
         out = tmp_path / "i.json"
         assert run("insights", "--timeseries", str(series), "-o", str(out)) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert capsys.readouterr().err == (
+            "error: Closing price: mean is not finite; the values overflow\n"
+        )
         assert not out.exists()
+
+    def test_overflowing_series_stops_the_pipeline(self, tmp_path, capsys):
+        series = tmp_path / "s.tsv"
+        series.write_text("date\tclose\tvolume\n" + "".join(
+            f"2024-04-{day:02d}\t{1.7e308 if day % 2 else 1e300}\t1\n" for day in range(1, 29)
+        ), encoding="utf-8")
+        out = tmp_path / "d.svg"
+        assert run("pipeline", "--timeseries", str(series), "--framework", "swot",
+                   "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: Closing price: mean is not finite; the values overflow\n"
+        )
+        assert list(tmp_path.iterdir()) == [series]
 
     @pytest.mark.parametrize("table,message", [
         ("Metric\tA\tA\nRevenue\t1\t2\n", "line 1: repeated entity name 'A'"),
@@ -305,6 +320,23 @@ class TestRenderCommand:
         capsys.readouterr()
         assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
         expected = f"error: invalid analysis file {analysis}: {message}\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "d.svg").exists()
+
+    @pytest.mark.parametrize("raw,kind", [
+        ("NaN", "float"), ("1e400", "float"), ("2.5", "float"), ("true", "bool"),
+        ('"3"', "str"),
+    ], ids=["nan", "overflowing", "fraction", "bool", "string"])
+    def test_max_per_slot_must_be_an_integer(self, insights_file, tmp_path, capsys, raw, kind):
+        analysis = tmp_path / "a.json"
+        run("organize", str(insights_file), "--framework", "swot", "-o", str(analysis))
+        data = json.loads(analysis.read_text())
+        data["max_per_slot"] = "@max@"
+        analysis.write_text(json.dumps(data).replace('"@max@"', raw), encoding="utf-8")
+        capsys.readouterr()
+        assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
+        expected = (f"error: invalid analysis file {analysis}: "
+                    f"max_per_slot must be an integer, not {kind}\n")
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "d.svg").exists()
 

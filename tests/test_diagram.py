@@ -11,7 +11,7 @@ import xml.parsers.expat
 import pytest
 
 from conftest import random_analysis, random_insights
-from stratagem import diagram
+from stratagem import diagram, textfit
 from stratagem.diagram import (
     RISK_PALETTE,
     DiagramSpec,
@@ -366,6 +366,24 @@ def test_foobar_svg_bytes_are_pinned(kind, foobar_dataset, prices_series):
     found = run_all_rules(foobar_dataset, prices_series)
     svg = render_analysis(organize(found, schema_for(kind), subject=foobar_dataset.subject))
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == FOOBAR_SVG_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", FRAMEWORK_KINDS)
+def test_foobar_render_measures_few_lines(kind, foobar_dataset, prices_series, monkeypatch):
+    """Wrapping sums cached word widths: a whole render measures at most 100
+    strings, where re-measuring each growing line took thousands."""
+    calls = 0
+    measure = textfit.measure_text
+
+    def counting(s, size):
+        nonlocal calls
+        calls += 1
+        return measure(s, size)
+
+    monkeypatch.setattr(textfit, "measure_text", counting)
+    found = run_all_rules(foobar_dataset, prices_series)
+    render_analysis(organize(found, schema_for(kind), subject=foobar_dataset.subject))
+    assert 0 < calls <= 100
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,53 @@ class TestParseTimeseries:
         s = parse_timeseries("2024-04-01\t100\t10\n2024-04-02\t101\t10\n")
         assert len(s.observations) == 2
 
+    @staticmethod
+    def _strptime_date(cell: str) -> dt.date | None:
+        for fmt in ("%Y-%m-%d", "%m/%d/%Y"):
+            try:
+                return dt.datetime.strptime(cell.strip(), fmt).date()
+            except ValueError:
+                pass
+        return None
+
+    @given(cell=st.one_of(
+        st.text(alphabet="0123456789-/ \u0661", max_size=12),
+        st.builds(
+            str.format,
+            st.sampled_from(["{0:04d}-{1:02d}-{2:02d}", "{0}-{1}-{2}", "{1}/{2}/{0}",
+                             "{1:02d}/{2:02d}/{0:04d}", "{0:04d}-{1}-{2:2d}", " {1}/{2}/{0} ",
+                             "\u0661{0:03d}-{1}-{2}", "{1}/{2}/\u0661{0:03d}",
+                             "{0:04d}-{1}-1\u0661", "\u0661{1}/{2}/{0:04d}"]),
+            st.sampled_from([0, 1, 99, 2000, 2023, 2024, 9999, 10000]),
+            st.integers(0, 13),
+            st.integers(0, 32),
+        ),
+    ))
+    @settings(max_examples=400)
+    def test_date_parse_matches_strptime(self, cell):
+        """One regex accepts exactly the cells that strptime accepts in
+        either format, with the same date."""
+        try:
+            parsed = ingest._parse_date(cell, 1)
+        except UnparseableDate:
+            parsed = None
+        assert parsed == self._strptime_date(cell)
+
+    @pytest.mark.parametrize("cell,date", [
+        ("2023-01- 5", dt.date(2023, 1, 5)),
+        ("2023-01-1\u0661", dt.date(2023, 1, 11)),
+        ("1/5/2023", dt.date(2023, 1, 5)),
+        ("\u0661/5/2023", None),
+        ("2023-02-30", None),
+    ])
+    def test_date_edge_cases(self, cell, date):
+        assert self._strptime_date(cell) == date
+        if date is None:
+            with pytest.raises(UnparseableDate):
+                ingest._parse_date(cell, 1)
+        else:
+            assert ingest._parse_date(cell, 1) == date
+
     def test_unparseable_date_reports_line(self):
         with pytest.raises(UnparseableDate) as exc:
             parse_timeseries("date\tclose\tvolume\n2024-04-01\t100\t10\nnope\t101\t10\n")

@@ -19,6 +19,7 @@ from stratagem.ingest import (
 from stratagem.insights import (
     Evidence,
     Insight,
+    NonFiniteResult,
     insight_from_dict,
     insight_to_dict,
     peer_comparison_insight,
@@ -107,6 +108,16 @@ class TestTrend:
 
     def test_too_short_window(self):
         assert trend_insight([1.0, 2.0], HIGHER) is None
+
+    @pytest.mark.parametrize("values,quantity", [
+        ([1.7e308, 1e300] * 10, "mean"),
+        ([5e-324, 1e10, 1e20], "relative slope"),
+    ], ids=["overflowing-mean", "vanishing-base"])
+    def test_overflow_is_typed_error(self, values, quantity):
+        with pytest.raises(NonFiniteResult) as exc:
+            trend_insight(values, HIGHER)
+        assert exc.value.metric == "Revenue ($m)"
+        assert str(exc.value) == f"Revenue ($m): {quantity} is not finite; the values overflow"
 
     @given(
         values=st.lists(st.floats(1, 1e4, allow_nan=False), min_size=3, max_size=30),
@@ -322,6 +333,13 @@ class TestWeeklyCycle:
 
     def test_flat_series_is_silent(self):
         assert weekly_cycle_insight(weekday_series(30, lambda d, i: 100.0)) is None
+
+    def test_overflowing_mean_is_typed_error(self):
+        s = weekday_series(30, lambda d, i: 1.7e308 if i % 2 else 1e300)
+        with pytest.raises(NonFiniteResult) as exc:
+            weekly_cycle_insight(s)
+        assert exc.value.metric == "close"
+        assert "mean is not finite" in str(exc.value)
 
     def test_white_noise_false_positive_rate(self):
         rng = random.Random(20240401)

@@ -54,8 +54,9 @@ def _oracle_split(token: str, width: float, size: float) -> list[str] | None:
     return pieces
 
 
-def oracle_fits(text: str, width: float, height: float, size: float) -> bool:
-    """Exhaustive greedy simulation: does the text fit the box at this size?"""
+def _oracle_wrap(text: str, width: float, size: float) -> tuple[str, ...] | None:
+    """Greedy fill re-measuring every trial line; None when a token cannot
+    be split to fit."""
     lines = []
     current = ""
     for word in text.split():
@@ -64,7 +65,7 @@ def oracle_fits(text: str, width: float, height: float, size: float) -> bool:
         else:
             pieces = _oracle_split(word, width, size)
             if pieces is None:
-                return False
+                return None
         for piece in pieces:
             trial = piece if not current else current + " " + piece
             if _oracle_width(trial, size) <= width:
@@ -75,7 +76,13 @@ def oracle_fits(text: str, width: float, height: float, size: float) -> bool:
                 current = piece
     if current:
         lines.append(current)
-    if any(_oracle_width(ln, size) > width for ln in lines):
+    return tuple(lines)
+
+
+def oracle_fits(text: str, width: float, height: float, size: float) -> bool:
+    """Exhaustive greedy simulation: does the text fit the box at this size?"""
+    lines = _oracle_wrap(text, width, size)
+    if lines is None or any(_oracle_width(ln, size) > width for ln in lines):
         return False
     return len(lines) * LINE_HEIGHT * size <= height
 
@@ -126,6 +133,35 @@ class TestWrap:
     def test_unbreakable_single_glyph(self):
         with pytest.raises(UnbreakableToken):
             wrap("m", 2, 12)  # one 'm' is wider than 2px at 12px
+
+    def test_rejects_nonpositive_size(self):
+        with pytest.raises(ValueError):
+            wrap("x", 100, 0)
+
+    @given(
+        words=st.lists(
+            st.text(alphabet="abcdefghijklmnopqrstuvwxyzMWIl0-.,éè中—", min_size=1, max_size=24),
+            min_size=0, max_size=30,
+        ),
+        width=st.floats(1, 400),
+        cut=st.one_of(st.none(), st.integers(1, 30)),
+        size=st.one_of(st.integers(MIN_FONT, MAX_FONT), st.floats(0.5, 40)),
+    )
+    @settings(max_examples=300)
+    def test_lines_match_oracle(self, words, width, cut, size):
+        """The integer-em running sums give the lines that re-measuring
+        every trial line gives, or raise where the oracle cannot split.
+        With ``cut``, the width is the exact measure of the first ``cut``
+        words, where a differently rounded fit test would break the line."""
+        text = " ".join(words)
+        if cut is not None and words:
+            width = _oracle_width(" ".join(words[:cut]), size)
+        expected = _oracle_wrap(text, width, size)
+        if expected is None:
+            with pytest.raises(UnbreakableToken):
+                wrap(text, width, size)
+        else:
+            assert wrap(text, width, size) == expected
 
 
 # ---------------------------------------------------------------------------
