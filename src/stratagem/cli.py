@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input/validation error, 3 LLM/network error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -189,13 +190,11 @@ def _render(args, analysis: frameworks.OrganizedAnalysis, output: str) -> None:
     except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         raise _Failed(EXIT_INPUT, f"error: invalid style file {args.style}: {exc}") from None
     try:
-        svg = diagram.render_analysis(analysis, style)
+        spec = diagram.layout(analysis, style)
     except diagram.LayoutOverflow as exc:
         raise _Failed(EXIT_LAYOUT, f"layout overflow: {exc.text!r}") from None
-    _write_text(output, svg)
-    width = svg.split('width="', 1)[1].split('"', 1)[0]
-    height = svg.split('height="', 1)[1].split('"', 1)[0]
-    print(f"wrote {output} ({width} x {height} px)")
+    _write_text(output, diagram.emit_svg(spec))
+    print(f"wrote {output} ({spec.width:.2f} x {spec.height:.2f} px)")
 
 
 def cmd_insights(args) -> int:
@@ -237,7 +236,10 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; each ``parse_args``
+    still fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="stratagem",
         description="Business data to strategy-management diagrams.",
@@ -278,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "insights": cmd_insights,
         "organize": cmd_organize,

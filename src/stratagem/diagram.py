@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import string
 from dataclasses import dataclass
 
 from .fonts import FONT_FAMILY
@@ -67,11 +68,27 @@ class Style:
 
 # Style lengths stop here so the layouts' whole-pixel geometry loops stay short.
 _MAX_LENGTH = 20000.0
+# Style colours and the font family are copied into SVG attributes. Escaping
+# keeps them from breaking the markup; these forms also keep them to a plain
+# colour (#rgb, #rrggbb or a CSS 2.1 keyword) and a plain font-name list.
+_NAMED_COLORS = frozenset((
+    "aqua", "black", "blue", "fuchsia", "gray", "green", "lime", "maroon", "navy",
+    "olive", "orange", "purple", "red", "silver", "teal", "white", "yellow",
+))
+_FONT_FAMILY_CHARS = frozenset(string.ascii_letters + string.digits + " ,'-")
+
+
+def _is_color(value) -> bool:
+    return isinstance(value, str) and (
+        value in _NAMED_COLORS
+        or (len(value) in (4, 7) and value[0] == "#" and set(value[1:]) <= set(string.hexdigits))
+    )
 
 
 def load_style(path: str | None) -> Style:
     """Style JSON: canvas size, palette overrides, font bounds; absent -> defaults.
-    Raises ValueError for a value the layouts cannot honour."""
+    Raises ValueError naming the key for a value the layouts cannot honour or
+    that is not a plain colour or font-family list."""
     if path is None:
         return Style()
     with open(path, encoding="utf-8") as fh:
@@ -85,6 +102,8 @@ def load_style(path: str | None) -> Style:
         if key in raw:
             kwargs[key] = raw[key]
     if "palette" in raw:
+        if not isinstance(raw["palette"], dict):
+            raise ValueError("palette must be an object")
         merged = dict(RISK_PALETTE)
         merged.update(raw["palette"])
         kwargs["palette"] = tuple(sorted(merged.items()))
@@ -103,6 +122,13 @@ def load_style(path: str | None) -> Style:
     ):
         if type(value) is not int or not MIN_FONT <= value <= high:
             raise ValueError(f"{name} must be an integer in [{MIN_FONT}, {high}]")
+    for name, value in (("background", style.background),
+                        *((f"palette {level}", fill) for level, fill in style.palette)):
+        if not _is_color(value):
+            raise ValueError(f"{name} must be #rgb, #rrggbb or a CSS 2.1 colour name")
+    family = style.font_family
+    if not isinstance(family, str) or not family or not set(family) <= _FONT_FAMILY_CHARS:
+        raise ValueError("font_family must be letters, digits, spaces, commas, - and '")
     return style
 
 

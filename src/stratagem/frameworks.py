@@ -398,9 +398,26 @@ def analysis_to_dict(analysis: OrganizedAnalysis) -> dict:
     }
 
 
+def _attribute_from_dict(slot_json: dict) -> str | AxisScore | None:
+    """A slot's ``attribute``: null, ``{"risk": level}`` or ``{"axis_score":
+    number, "contributing": integer}``; anything else raises naming the field."""
+    if slot_json.get("attribute") is None:
+        return None
+    attr = typed(slot_json, "attribute", dict)
+    if "risk" in attr:
+        risk = typed(attr, "risk", str)
+        if risk not in RISK_LEVELS:
+            raise ValueError(f"risk must be one of {', '.join(RISK_LEVELS)}")
+        return risk
+    return AxisScore(
+        value=typed(attr, "axis_score", (int, float)),
+        contributing=typed(attr, "contributing", int),
+    )
+
+
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     """Rebuild an analysis from its interchange JSON; a wrongly typed field
-    is a ``TypeError``."""
+    is a ``TypeError``, an out-of-range one a ``ValueError``."""
     max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
     schema = schema_for(d["schema_kind"], max_per_slot)
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
@@ -411,15 +428,7 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
             (insight_from_dict(f["insight"]), typed(f, "fit", (int, float)))
             for f in typed(slot_json, "factors", list)
         ]
-        attr = slot_json.get("attribute")
-        if attr is None:
-            attributes[slot_id] = None
-        elif "risk" in attr:
-            attributes[slot_id] = attr["risk"]
-        else:
-            attributes[slot_id] = AxisScore(
-                value=attr["axis_score"], contributing=attr["contributing"]
-            )
+        attributes[slot_id] = _attribute_from_dict(slot_json)
     return OrganizedAnalysis(
         schema=schema,
         subject=typed(d, "subject", str),

@@ -568,7 +568,8 @@ def insight_to_dict(ins: Insight) -> dict:
     }
 
 
-_JSON_TYPES = {str: "a string", list: "a list", int: "an integer", (int, float): "a number"}
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object", int: "an integer",
+               (int, float): "a number"}
 
 
 def typed(d: dict, key: str, kind):

@@ -201,11 +201,34 @@ def _http_complete(config: ProviderConfig, prompt: str) -> str:
     return data["choices"][0]["message"]["content"]
 
 
+# The last replayed transcript as ((path, st_dev, st_ino, st_size,
+# st_mtime_ns), responses): importlib's size-and-mtime rule for bytecode.
+# A record-mode append changes the size, so it is seen by the next replay.
+# The entry is dropped before a reload, so at most one transcript is held
+# and a load that fails leaves none.
+_replayed: tuple[tuple, dict[str, str]] | None = None
+
+
+def _replay_responses(path: str) -> dict[str, str]:
+    """``load_transcript(path)``, parsed again only when the file changed."""
+    global _replayed
+    try:
+        st = os.stat(path)
+    except OSError:
+        return load_transcript(path)
+    key = (path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    cached = _replayed
+    if cached is None or cached[0] != key:
+        _replayed = None
+        cached = _replayed = (key, load_transcript(path))
+    return cached[1]
+
+
 def complete(config: ProviderConfig, prompt: str, request_key: str) -> str:
     """One chat-completion round trip, transcript append, or replay lookup,
     with ``request_key`` naming the request in the transcript."""
     if config.mode == "replay":
-        response = load_transcript(config.transcript_path).get(request_key)
+        response = _replay_responses(config.transcript_path).get(request_key)
         if response is None:
             raise ReplayMiss(request_key)
         return response

@@ -5,6 +5,8 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
@@ -323,6 +325,27 @@ class TestRenderCommand:
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "d.svg").exists()
 
+    @pytest.mark.parametrize("framework,attribute,message", [
+        ("value-discipline", {"axis_score": 5, "contributing": "many"},
+         "contributing must be an integer, not str"),
+        ("value-discipline", {"axis_score": "5", "contributing": 1},
+         "axis_score must be a number, not str"),
+        ("porter5", "high", "attribute must be an object, not str"),
+        ("porter5", {"risk": "extreme"}, "risk must be one of low, moderate, high, intense"),
+    ], ids=["string-contributing", "string-axis-score", "bare-risk", "unknown-risk"])
+    def test_wrongly_typed_attribute_is_input_error(self, insights_file, tmp_path, capsys,
+                                                    framework, attribute, message):
+        analysis = tmp_path / "a.json"
+        run("organize", str(insights_file), "--framework", framework, "-o", str(analysis))
+        data = json.loads(analysis.read_text())
+        data["slots"][0]["attribute"] = attribute
+        analysis.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
+        expected = f"error: invalid analysis file {analysis}: {message}\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "d.svg").exists()
+
     @pytest.mark.parametrize("raw,kind", [
         ("NaN", "float"), ("1e400", "float"), ("2.5", "float"), ("true", "bool"),
         ('"3"', "str"),
@@ -347,7 +370,7 @@ class TestRenderCommand:
         def boom(analysis_, style):
             raise diagram.LayoutOverflow("some statement")
 
-        monkeypatch.setattr(diagram, "render_analysis", boom)
+        monkeypatch.setattr(diagram, "layout", boom)
         assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 4
         assert "layout overflow" in capsys.readouterr().err
 
@@ -363,7 +386,8 @@ class TestRenderCommand:
     @pytest.mark.parametrize("content", [
         None, "{not json", '{"canvas": [900]}', '{"padding": 0}',
         '{"max_font": 40, "canvas": [3000, 2000]}', '{"min_font": 20, "max_font": 12}',
-        '{"canvas": [-900, 640]}',
+        '{"canvas": [-900, 640]}', '{"background": "url(#x)"}', '{"palette": {"high": "red;"}}',
+        '{"font_family": "A<b>"}',
     ])
     def test_bad_style_file_is_input_error(self, insights_file, tmp_path, capsys, content):
         analysis = tmp_path / "a.json"
@@ -484,6 +508,34 @@ class TestFileErrors:
         assert capsys.readouterr().err == (
             f"error: cannot write {missing / written}: {os.strerror(errno.ENOENT)}\n"
         )
+
+
+class TestRepeatedCalls:
+    """``main`` builds its argument parser once per process; a flag given to
+    one call must not reach the next."""
+
+    def test_same_outputs_as_fresh_interpreters(self, insights_file, tmp_path, capsys):
+        style = tmp_path / "style.json"
+        style.write_text('{"canvas": [1100, 700], "background": "#F7F7F7"}', encoding="utf-8")
+        analysis = tmp_path / "a2.json"
+        argvs = [
+            ("organize", str(insights_file), "--framework", "swot", "--max-per-slot", "1",
+             "-o", str(tmp_path / "a1.json")),
+            ("organize", str(insights_file), "--framework", "swot", "-o", str(analysis)),
+            ("render", str(analysis), "--style", str(style), "-o", str(tmp_path / "d1.svg")),
+            ("render", str(analysis), "-o", str(tmp_path / "d2.svg")),
+        ]
+        capsys.readouterr()
+        in_process = []
+        for argv in argvs:
+            assert run(*argv) == 0
+            in_process.append((capsys.readouterr().out, Path(argv[-1]).read_bytes()))
+        assert in_process[0] != in_process[1] and in_process[2] != in_process[3]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for argv, (out, written) in zip(argvs, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "stratagem.cli", *argv],
+                                   capture_output=True, text=True, env=env, check=True)
+            assert (fresh.stdout, Path(argv[-1]).read_bytes()) == (out, written)
 
 
 class TestPipeline:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -151,6 +152,35 @@ class TestStyle:
         assert s.padding == 10
         assert s.risk_fill("intense") == "#FF0000"
         assert s.risk_fill("low") == "#D9EAD3"  # unmentioned levels keep defaults
+
+    def test_colour_and_font_forms(self, tmp_path):
+        path = tmp_path / "style.json"
+        path.write_text(json.dumps({
+            "background": "white", "palette": {"low": "#abc", "high": "#A0B1C2"},
+            "font_family": "'Open Sans', DejaVu-Sans, sans-serif",
+        }), encoding="utf-8")
+        s = load_style(str(path))
+        assert (s.background, s.risk_fill("low"), s.risk_fill("high")) == (
+            "white", "#abc", "#A0B1C2")
+        assert s.font_family == "'Open Sans', DejaVu-Sans, sans-serif"
+
+    @pytest.mark.parametrize("content,key", [
+        ('{"background": "url(#x)"}', "background"),
+        ('{"background": "#12345"}', "background"),
+        ('{"background": "White"}', "background"),
+        ('{"background": 255}', "background"),
+        ('{"palette": {"high": "red;"}}', "palette high"),
+        ('{"palette": ["high", "red"]}', "palette"),
+        ('{"font_family": "A<b>"}', "font_family"),
+        ('{"font_family": "Arial; x"}', "font_family"),
+        ('{"font_family": ""}', "font_family"),
+        ('{"font_family": ["Arial"]}', "font_family"),
+    ])
+    def test_unsafe_colour_or_font_names_the_key(self, tmp_path, content, key):
+        path = tmp_path / "style.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            load_style(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,56 @@ class TestTransport:
             load_transcript(str(path))
 
 
+def _record(key: str, response: str) -> str:
+    return json.dumps({"request_hash": key, "request": "r", "response": response}) + "\n"
+
+
+class TestReplayCache:
+    """Replay parses a transcript once per file version (path, device,
+    inode, size and mtime), not once per request."""
+
+    def test_one_parse_for_repeated_replays(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        path.write_text(_record("a", "first") + _record("b", "second"), encoding="utf-8")
+        parses = []
+
+        def counting(p):
+            parses.append(p)
+            return load_transcript(p)
+
+        monkeypatch.setattr(llm, "load_transcript", counting)
+        for i in range(20):
+            key, response = ("a", "first") if i % 2 else ("b", "second")
+            assert complete(replay_config(path), "prompt", key) == response
+        assert parses == [str(path)]
+
+    def test_replay_sees_a_record_appended_in_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        path.write_text(_record("a", "first"), encoding="utf-8")
+        assert complete(replay_config(path), "prompt", "a") == "first"
+        monkeypatch.setattr(llm, "_http_complete", lambda config, prompt: "recorded")
+        record = ProviderConfig(model="m", mode="record", transcript_path=str(path))
+        assert complete(record, "prompt", "b") == "recorded"
+        assert complete(replay_config(path), "prompt", "b") == "recorded"
+
+    def test_rewritten_bad_line_is_reported(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(_record("a", "first"), encoding="utf-8")
+        assert complete(replay_config(path), "prompt", "a") == "first"
+        path.write_text(_record("a", "first") + "{not json\n", encoding="utf-8")
+        with pytest.raises(llm.BadTranscript, match=f"transcript {path}, line 2: not JSON"):
+            complete(replay_config(path), "prompt", "a")
+
+    def test_deleted_transcript_is_reported(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(_record("a", "first"), encoding="utf-8")
+        assert complete(replay_config(path), "prompt", "a") == "first"
+        path.unlink()
+        with pytest.raises(llm.BadTranscript) as exc:
+            complete(replay_config(path), "prompt", "a")
+        assert str(exc.value) == f"cannot read transcript {path}: No such file or directory"
+
+
 # ---------------------------------------------------------------------------
 # insight-list parsing
 
