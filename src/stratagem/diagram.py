@@ -97,7 +97,12 @@ def load_style(path: str | None) -> Style:
         raise ValueError("top level must be an object")
     kwargs = {}
     if "canvas" in raw:
-        kwargs["canvas_w"], kwargs["canvas_h"] = float(raw["canvas"][0]), float(raw["canvas"][1])
+        canvas = raw["canvas"]
+        if not (isinstance(canvas, list) and len(canvas) == 2 and all(
+            type(v) in (int, float) and 1 <= v <= _MAX_LENGTH for v in canvas
+        )):
+            raise ValueError(f"canvas must be a list of two numbers in [1, {_MAX_LENGTH:g}]")
+        kwargs["canvas_w"], kwargs["canvas_h"] = float(canvas[0]), float(canvas[1])
     for key in ("padding", "gap", "min_font", "max_font", "font_family", "background"):
         if key in raw:
             kwargs[key] = raw[key]
@@ -109,8 +114,6 @@ def load_style(path: str | None) -> Style:
         kwargs["palette"] = tuple(sorted(merged.items()))
     style = Style(**kwargs)
     for name, value, low in (
-        ("canvas width", style.canvas_w, 1),
-        ("canvas height", style.canvas_h, 1),
         ("padding", style.padding, MIN_PADDING),
         ("gap", style.gap, 0),
     ):

@@ -424,6 +424,8 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     attributes: dict[str, str | AxisScore | None] = {}
     for slot_json in d["slots"]:
         slot_id = slot_json["id"]
+        if slot_id in attributes:
+            raise ValueError(f"slot {slot_id!r} is listed twice")
         assignments[slot_id] = [
             (insight_from_dict(f["insight"]), typed(f, "fit", (int, float)))
             for f in typed(slot_json, "factors", list)

@@ -81,6 +81,8 @@ class Evidence:
     def __post_init__(self):
         if self.kind not in EVIDENCE_KINDS:
             raise ValueError(f"unknown evidence kind {self.kind!r}")
+        if isinstance(self.value, float) and not math.isfinite(self.value):
+            raise ValueError(f"evidence value {self.value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -368,42 +370,33 @@ def sentiment_balance_insight(dataset: Dataset, subject: str) -> list[Insight]:
             continue
         share = pos / (pos + neg)
         shares[label] = share
-        refs = (pair["positive"], pair["negative"], subject)
-        evidence = (
-            Evidence(kind="computed-ratio", refs=refs, value=share),
-            Evidence(kind="metric-value", refs=(pair["positive"], subject), value=pos),
-            Evidence(kind="metric-value", refs=(pair["negative"], subject), value=neg),
-        )
         if share >= THRESHOLDS.sentiment_strong:
-            out.append(
-                Insight(
-                    id=f"sentiment:{_slug(label)}",
-                    statement=(
-                        f"Sentiment on {label} is {share * 100:.0f} percent positive "
-                        f"for {subject}, indicating a strong public reputation there."
-                    ),
-                    direction="positive",
-                    magnitude=_clamp01((share - 0.5) * 2),
-                    themes=frozenset(["public-sentiment"]),
-                    evidence=evidence,
-                    provenance="rule:sentiment",
-                )
-            )
+            direction, magnitude = "positive", (share - 0.5) * 2
+            only, reading = "", "indicating a strong public reputation there"
         elif share <= THRESHOLDS.sentiment_weak:
-            out.append(
-                Insight(
-                    id=f"sentiment:{_slug(label)}",
-                    statement=(
-                        f"Sentiment on {label} is only {share * 100:.0f} percent positive "
-                        f"for {subject}, signalling a reputational risk there."
-                    ),
-                    direction="negative",
-                    magnitude=_clamp01((0.5 - share) * 2 + 0.2),
-                    themes=frozenset(["public-sentiment"]),
-                    evidence=evidence,
-                    provenance="rule:sentiment",
-                )
+            direction, magnitude = "negative", (0.5 - share) * 2 + 0.2
+            only, reading = "only ", "signalling a reputational risk there"
+        else:
+            continue
+        out.append(
+            Insight(
+                id=f"sentiment:{_slug(label)}",
+                statement=(
+                    f"Sentiment on {label} is {only}{share * 100:.0f} percent positive "
+                    f"for {subject}, {reading}."
+                ),
+                direction=direction,
+                magnitude=_clamp01(magnitude),
+                themes=frozenset(["public-sentiment"]),
+                evidence=(
+                    Evidence(kind="computed-ratio",
+                             refs=(pair["positive"], pair["negative"], subject), value=share),
+                    Evidence(kind="metric-value", refs=(pair["positive"], subject), value=pos),
+                    Evidence(kind="metric-value", refs=(pair["negative"], subject), value=neg),
+                ),
+                provenance="rule:sentiment",
             )
+        )
     if len(shares) >= 2:
         ordered = sorted(shares.items(), key=lambda kv: kv[1])
         lo_label, lo_share = ordered[0]

@@ -11,12 +11,13 @@ all.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import hashlib
 import json
 import os
 import re
-import string
 from dataclasses import dataclass
+from itertools import count
 
 from .frameworks import (
     FrameworkSchema,
@@ -92,15 +93,13 @@ class NoSlotHeadings(LlmError):
 
 
 def render_prompt(template_id: str, bindings: dict[str, str]) -> str:
-    """Exact template substitution, byte-deterministic."""
+    """Exact template substitution, byte-deterministic; the first field
+    without a binding is a ``MissingBinding``."""
     template = PROMPT_TEMPLATES[template_id]
-    fields = {
-        name for _, name, _, _ in string.Formatter().parse(template) if name
-    }
-    for name in fields:
-        if name not in bindings:
-            raise MissingBinding(template_id, name)
-    return template.format(**{k: str(v) for k, v in bindings.items()})
+    try:
+        return template.format(**{k: str(v) for k, v in bindings.items()})
+    except KeyError as exc:
+        raise MissingBinding(template_id, exc.args[0]) from None
 
 
 def request_hash(template_id: str, bindings: dict[str, str]) -> str:
@@ -201,27 +200,23 @@ def _http_complete(config: ProviderConfig, prompt: str) -> str:
     return data["choices"][0]["message"]["content"]
 
 
-# The last replayed transcript as ((path, st_dev, st_ino, st_size,
-# st_mtime_ns), responses): importlib's size-and-mtime rule for bytecode.
-# A record-mode append changes the size, so it is seen by the next replay.
-# The entry is dropped before a reload, so at most one transcript is held
-# and a load that fails leaves none.
-_replayed: tuple[tuple, dict[str, str]] | None = None
+@functools.lru_cache(maxsize=1)
+def _transcript_version(path: str, *version: int) -> dict[str, str]:
+    """``load_transcript(path)`` for one ``version`` of the file (device,
+    inode, size, mtime): importlib's size-and-mtime rule for bytecode, so a
+    record-mode append is seen by the next replay. One transcript is held;
+    after a failed reload it is the previous version's, which the file no
+    longer matches."""
+    return load_transcript(path)
 
 
 def _replay_responses(path: str) -> dict[str, str]:
     """``load_transcript(path)``, parsed again only when the file changed."""
-    global _replayed
     try:
         st = os.stat(path)
     except OSError:
         return load_transcript(path)
-    key = (path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-    cached = _replayed
-    if cached is None or cached[0] != key:
-        _replayed = None
-        cached = _replayed = (key, load_transcript(path))
-    return cached[1]
+    return _transcript_version(path, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 def complete(config: ProviderConfig, prompt: str, request_key: str) -> str:
@@ -308,12 +303,14 @@ def _clip_words(text: str, context: str = "") -> str:
     return " ".join(words)
 
 
-def _llm_insight(index: int, text: str, label: str, full: str, model_label: str) -> Insight:
-    """An insight parsed from model output: the statement is ``text`` clipped
-    to the word bounds; direction and themes are read from ``full``."""
+def _llm_insight(index: int, label: str, text: str, model_label: str) -> Insight:
+    """An insight from one ``(label, text)`` list item: the statement is the
+    text, or the label when the text is empty, clipped to the word bounds;
+    direction and themes are read from label and text together."""
+    full = f"{label}: {text}" if label else text
     return Insight(
         id=f"llm:{index:02d}",
-        statement=_clip_words(text, context=label),
+        statement=_clip_words(text or label, context=label),
         direction=_direction_of(full),
         magnitude=LLM_MAGNITUDE,
         themes=_themes_of(full),
@@ -359,11 +356,7 @@ def parse_insight_list(response: str, model_label: str = "llm") -> list[Insight]
     items = _extract_items(response)
     if not items:
         raise NoItemsFound("response has no recognizable list structure")
-    return [
-        _llm_insight(i, text or label, label, f"{label}: {text}" if label else text,
-                     model_label)
-        for i, (label, text) in enumerate(items)
-    ]
+    return [_llm_insight(i, label, text, model_label) for i, (label, text) in enumerate(items)]
 
 
 _SLOT_SYNONYMS = {
@@ -404,7 +397,8 @@ def parse_framework_assignment(
     schema: FrameworkSchema,
     model_label: str = "llm",
 ) -> tuple[OrganizedAnalysis, list[ParseDiagnostic]]:
-    """Match slot headings and collect their items into a validated analysis."""
+    """Match slot headings, read each slot's section with the insight-list
+    item grammar, and collect the items into a validated analysis."""
     synonyms: dict[str, str] = {}
     for slot in schema.slots:
         synonyms[slot.title.lower()] = slot.id
@@ -416,25 +410,16 @@ def parse_framework_assignment(
     current: str | None = None
     saw_heading = False
     for raw in response.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        m = _HEADING_RE.match(line)
+        m = _HEADING_RE.match(raw.strip())
         if m:
-            head = m.group("head").strip().lower()
-            slot_id = synonyms.get(head)
-            if slot_id:
-                current = slot_id
+            head = m.group("head").strip()
+            current = synonyms.get(head.lower())
+            if current:
                 saw_heading = True
             else:
-                current = None
-                diagnostics.append(ParseDiagnostic("unmatched-heading", m.group("head").strip()))
-            continue
-        bullet = _BULLET_RE.match(raw)
-        if bullet and current:
-            sections[current].append(bullet.group(1).strip())
-        elif current and sections[current]:
-            sections[current][-1] += " " + line
+                diagnostics.append(ParseDiagnostic("unmatched-heading", head))
+        elif current:
+            sections[current].append(raw)
     if not saw_heading:
         low = response.lower()
         refusal = any(marker in low for marker in _REFUSAL_MARKERS)
@@ -444,29 +429,20 @@ def parse_framework_assignment(
             else "no slot headings recognized in response"
         )
         raise NoSlotHeadings(message, refusal=refusal)
-    counter = 0
+    ids = count()
     assignments: dict[str, list[tuple[Insight, float]]] = {}
     for slot in schema.slots:
-        texts = sections[slot.id]
-        if not texts:
+        items = _extract_items("\n".join(sections[slot.id]))
+        if not items:
             diagnostics.append(ParseDiagnostic("empty-slot", slot.id))
-        if len(texts) > schema.max_per_slot:
-            diagnostics.append(
-                ParseDiagnostic(
-                    "overflow",
-                    f"{slot.id}: {len(texts)} items, keeping {schema.max_per_slot}",
-                )
-            )
-        assignments[slot.id] = []
-        for text in texts:
-            label = ""
-            m = _BOLD_LABEL_RE.match(text)
-            if m:
-                label = m.group("label").strip().rstrip(":")
-                text = m.group("rest").strip() or label
-            ins = _llm_insight(counter, text, label, (label + " " + text).strip(), model_label)
-            assignments[slot.id].append((ins, LLM_FIT))
-            counter += 1
+        if len(items) > schema.max_per_slot:
+            diagnostics.append(ParseDiagnostic(
+                "overflow", f"{slot.id}: {len(items)} items, keeping {schema.max_per_slot}"
+            ))
+        assignments[slot.id] = [
+            (_llm_insight(next(ids), label, text, model_label), LLM_FIT)
+            for label, text in items
+        ]
     analysis = finalize(assignments, schema)
     violations = validate_analysis(analysis)
     if violations:

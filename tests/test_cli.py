@@ -244,10 +244,11 @@ class TestOrganizeCommand:
         lambda d: d["insights"][0].update(provenance=7),
         lambda d: d["insights"][0].update(themes="growth"),
         lambda d: d["insights"][0]["evidence"][0].update(value="13"),
+        lambda d: d["insights"][0]["evidence"][0].update(value=float("nan")),
         lambda d: d.update(insights=5),
         lambda d: d.update(subject=["Foobar Corp"]),
     ], ids=["numeric-statement", "numeric-provenance", "string-themes", "string-evidence-value",
-            "insights-not-a-list", "subject-not-a-string"])
+            "nan-evidence-value", "insights-not-a-list", "subject-not-a-string"])
     def test_wrongly_typed_field_is_input_error(self, insights_file, tmp_path, capsys, edit):
         data = json.loads(insights_file.read_text())
         edit(data)
@@ -286,7 +287,13 @@ class TestRenderCommand:
         (lambda d: d["slots"][0].update(factors=d["slots"][0]["factors"][:1] * 12),
          "violation [SlotOverflow] strengths: 12 factors in strengths, max 4\n"
          "violation [DuplicateAssignment] strengths: "),
-    ], ids=["unknown-kind", "slots-not-a-list", "repeated-factors"])
+        (lambda d: d["slots"].append(dict(d["slots"][0], factors=[])),
+         "error: invalid analysis file {path}: slot 'strengths' is listed twice\n"),
+        (lambda d: d["slots"][0]["factors"][0]["insight"]["evidence"][0].update(
+            value=float("nan")),
+         "error: invalid analysis file {path}: evidence value nan is not finite\n"),
+    ], ids=["unknown-kind", "slots-not-a-list", "repeated-factors", "repeated-slot",
+            "nan-evidence"])
     def test_malformed_analysis_file_is_input_error(
         self, insights_file, tmp_path, capsys, edit, expected
     ):
@@ -387,7 +394,7 @@ class TestRenderCommand:
         None, "{not json", '{"canvas": [900]}', '{"padding": 0}',
         '{"max_font": 40, "canvas": [3000, 2000]}', '{"min_font": 20, "max_font": 12}',
         '{"canvas": [-900, 640]}', '{"background": "url(#x)"}', '{"palette": {"high": "red;"}}',
-        '{"font_family": "A<b>"}',
+        '{"font_family": "A<b>"}', '{"canvas": ["900", true]}', '{"canvas": [900, 640, 1]}',
     ])
     def test_bad_style_file_is_input_error(self, insights_file, tmp_path, capsys, content):
         analysis = tmp_path / "a.json"

@@ -175,6 +175,9 @@ class TestStyle:
         ('{"font_family": "Arial; x"}', "font_family"),
         ('{"font_family": ""}', "font_family"),
         ('{"font_family": ["Arial"]}', "font_family"),
+        ('{"canvas": ["900", true]}', "canvas"),
+        ('{"canvas": [900, 640, 1]}', "canvas"),
+        ('{"canvas": [900, false]}', "canvas"),
     ])
     def test_unsafe_colour_or_font_names_the_key(self, tmp_path, content, key):
         path = tmp_path / "style.json"

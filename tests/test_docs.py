@@ -4,12 +4,16 @@ and every public name in the package has a caller."""
 from __future__ import annotations
 
 import ast
+import hashlib
 import re
 import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 from stratagem import cli
+from test_diagram import FOOBAR_SVG_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +39,17 @@ def test_render_foobar_insights_file_feeds_organize(tmp_path, monkeypatch, capsy
     code = cli.main(["organize", str(insights), "--framework", "swot", "-o", str(out)])
     assert code == 0, capsys.readouterr().err
     assert out.exists()
+    for kind, digest in FOOBAR_SVG_SHA256.items():
+        svg = (tmp_path / f"foobar_{kind}.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == digest, kind
+
+
+def test_render_foobar_exits_1_when_a_stage_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["render_foobar.py", str(tmp_path)])
+    monkeypatch.setattr(cli, "main", lambda argv: cli.EXIT_INPUT)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "render_foobar.py"), run_name="__main__")
+    assert exc.value.code == 1
 
 
 # The public names that have no caller: the package version, and the

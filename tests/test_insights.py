@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
 import random
 import statistics
 
@@ -65,6 +66,11 @@ class TestInsightInvariants:
     def test_rule_provenance_requires_evidence(self):
         with pytest.raises(ValueError):
             Insight("x", "five words are enough here", "neutral", 0.5, frozenset(), (), "rule:r")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_evidence_rejected(self, value):
+        with pytest.raises(ValueError, match="^evidence value .* is not finite$"):
+            Evidence(kind="metric-value", refs=("Revenue",), value=value)
 
     def test_unknown_theme_rejected(self):
         with pytest.raises(ValueError):
@@ -238,6 +244,10 @@ class TestSentiment:
         by_id = {i.id: i for i in out}
         strong = by_id["sentiment:social-media"]
         assert strong.direction == "positive"
+        assert strong.statement == (
+            "Sentiment on social media is 93 percent positive for Foobar Corp, "
+            "indicating a strong public reputation there."
+        )
         social = 1876543 / (1876543 + 134567)
         assert next(e.value for e in strong.evidence if e.kind == "computed-ratio") == (
             pytest.approx(social, abs=1e-9)
@@ -261,6 +271,10 @@ class TestSentiment:
         out = sentiment_balance_insight(d, "A")
         assert len(out) == 1
         assert out[0].direction == "negative"
+        assert out[0].statement == (
+            "Sentiment on forum is only 20 percent positive for A, "
+            "signalling a reputational risk there."
+        )
 
     def test_zero_counts_are_skipped(self):
         d = Dataset(
@@ -446,11 +460,11 @@ _CELLS = st.one_of(st.none(), st.integers(-3, 3).map(float), st.integers(-999, 9
 
 
 @st.composite
-def rule_datasets(draw):
+def rule_datasets(draw, cells=_CELLS):
     names = draw(st.lists(st.sampled_from(_RULE_METRICS), min_size=1, max_size=12, unique=True))
     n_entities = draw(st.integers(1, 12))
     values = tuple(
-        tuple(draw(_CELLS) for _ in names) for _ in range(n_entities)
+        tuple(draw(cells) for _ in names) for _ in range(n_entities)
     )
     return Dataset(
         entities=tuple(f"Company {i}" for i in range(n_entities)),
@@ -481,6 +495,18 @@ class TestIndexedDataset:
             values=tuple(tuple(dataset.values[i][j] for j in cols) for i in rows),
         )
         assert _dicts(run_all_rules(shuffled, None)) == _dicts(run_all_rules(dataset, None))
+
+    @given(dataset=rule_datasets(st.one_of(
+        st.none(), st.floats(allow_nan=False, allow_infinity=False))))
+    @settings(max_examples=150)
+    def test_any_finite_cells_give_finite_evidence(self, dataset):
+        """``Evidence`` rejects a non-finite value, so a rule whose arithmetic
+        overflowed unguarded would raise a bare ``ValueError`` here."""
+        try:
+            found = run_all_rules(dataset, None)
+        except NonFiniteResult:
+            return
+        assert all(math.isfinite(e.value) for ins in found for e in ins.evidence)
 
     def test_value_calls_are_linear_in_metrics(self, monkeypatch):
         """Counts, not times: on an E x M table the rules make O(M) ``value``

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +48,25 @@ class TestPrompts:
         with pytest.raises(MissingBinding) as exc:
             render_prompt("framework_analysis", {"company": "Walmart"})
         assert exc.value.name == "framework"
+
+    def test_missing_binding_names_the_first_field_under_any_hash_seed(self):
+        code = (
+            "from stratagem.llm import MissingBinding, render_prompt\n"
+            "try:\n    render_prompt('insights_tabular', {})\n"
+            "except MissingBinding as exc:\n    print(exc.name)\n"
+        )
+        names = []
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            names.append(out.stdout.strip())
+        assert names == ["company"] * 6
+
+    def test_unknown_template_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            render_prompt("no_such_template", {"company": "X"})
 
     def test_data_block_is_appended(self):
         prompt = render_prompt(
@@ -295,6 +317,26 @@ class TestParseFramework:
         _, diagnostics = parse_framework_assignment(response, schema_for("swot"))
         assert any(d.kind == "unmatched-heading" and d.detail == "Summary"
                    for d in diagnostics)
+
+    def test_sections_use_the_insight_list_grammar(self):
+        strengths = (
+            "- **Scale:** Large store network across the country.\n"
+            "- Supply chain: Efficient logistics keep shelf prices low.\n"
+            "- Strong brand recognition in every market\n"
+            "    - including rural towns and small cities.\n"
+        )
+        response = (
+            "Strengths:\n" + strengths
+            + "Weaknesses:\n- Thin margins across the retail segment.\n"
+        )
+        analysis, _ = parse_framework_assignment(response, schema_for("swot"))
+        placed = [ins for ins, _ in analysis.assignments["strengths"]]
+        listed = parse_insight_list(strengths)
+        assert [(i.statement, i.direction, i.themes) for i in placed] == [
+            (i.statement, i.direction, i.themes) for i in listed
+        ]
+        assert len(placed) == 3
+        assert [i.id for i, _ in analysis.assignments["weaknesses"]] == ["llm:03"]
 
     def test_porter_headings_and_risk(self):
         response = (
