@@ -417,7 +417,8 @@ def _attribute_from_dict(slot_json: dict) -> str | AxisScore | None:
 
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     """Rebuild an analysis from its interchange JSON; a wrongly typed field
-    is a ``TypeError``, an out-of-range one a ``ValueError``."""
+    is a ``TypeError``, an out-of-range one, a repeated or a missing slot a
+    ``ValueError``."""
     max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
     schema = schema_for(d["schema_kind"], max_per_slot)
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
@@ -431,6 +432,9 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
             for f in typed(slot_json, "factors", list)
         ]
         attributes[slot_id] = _attribute_from_dict(slot_json)
+    for slot in schema.slots:
+        if slot.id not in attributes:
+            raise ValueError(f"slot {slot.id!r} is missing")
     return OrganizedAnalysis(
         schema=schema,
         subject=typed(d, "subject", str),

@@ -4,6 +4,8 @@ Input is UTF-8 delimited text with a header row. Missing, unparseable or
 non-finite (``1e999``) table cells become absent values (``None``), never
 zeros; in a timeseries they raise ``BadCell``. Timeseries are always
 re-sorted ascending by date so downstream rules see one canonical order.
+``parse_table`` parses each distinct cell string of a table once, through
+a dict that lives for that call, so repeated cells share one value.
 """
 
 from __future__ import annotations
@@ -148,7 +150,9 @@ class Dataset:
     builds its entity-to-row and metric-to-column maps once, when it checks
     that the names are unique. The maps are not fields, so equality, hash
     and repr see only the three fields. ``column(name)`` returns one
-    metric's values in entity order. Unknown names raise ``KeyError``.
+    metric's values in entity order, from a transpose of ``values`` that
+    is built on first use and, like the maps, is not a field. Unknown
+    names raise ``KeyError``.
     """
 
     entities: tuple[str, ...]
@@ -188,9 +192,12 @@ class Dataset:
     def value(self, entity: str, metric_name: str) -> float | None:
         return self.values[self._row_index[entity]][self._column_index[metric_name]]
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[float | None, ...], ...]:
+        return tuple(zip(*self.values))
+
     def column(self, name: str) -> tuple[float | None, ...]:
-        j = self._column_index[name]
-        return tuple(row[j] for row in self.values)
+        return self._columns[self._column_index[name]]
 
 
 @dataclass(frozen=True)
@@ -260,9 +267,14 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     for i, (line, row) in enumerate(rows[1:], start=1):
         if len(row) != width:
             raise RaggedRows(line, i, width, len(row))
-    body = [[c.strip() for c in row] for _, row in rows[1:]]
+    body = [row for _, row in rows[1:]]
     if not body or width < 2:
         raise NoNumericData("table has no data cells")
+    labels = [row[0].strip() for row in body]
+    # Cells repeat (``NA``, ``12.5%``, small integers), so each distinct
+    # string is parsed once and its repeats share one value.
+    number = {c: _parse_number(c) for c in {c for row in body for c in row[1:]}}
+    grid = [tuple(map(number.__getitem__, row[1:])) for row in body]
 
     corner = header[0].lower()
     if "metric" in corner:
@@ -275,19 +287,17 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     header_lines, body_lines = [header_line] * (width - 1), [line for line, _ in rows[1:]]
     if metrics_as_rows:
         entity_names, entity_lines = header[1:], header_lines
-        metric_labels, metric_lines = [row[0] for row in body], body_lines
-        # cells[metric][entity] -> transpose to entity-major
-        grid = [[_parse_number(c) for c in row[1:]] for row in body]
-        values = tuple(zip(*grid))
+        metric_labels, metric_lines = labels, body_lines
+        values = tuple(zip(*grid))  # grid[metric][entity] -> entity-major
     else:
-        entity_names, entity_lines = [row[0] for row in body], body_lines
+        entity_names, entity_lines = labels, body_lines
         metric_labels, metric_lines = header[1:], header_lines
-        values = tuple(tuple(_parse_number(c) for c in row[1:]) for row in body)
+        values = tuple(grid)
     _check_labels(entity_names, entity_names, entity_lines, "entity")
     _check_labels(metric_labels, [_split_annotation(n)[0] for n in metric_labels],
                   metric_lines, "metric")
 
-    if not any(v is not None for row in values for v in row):
+    if not any(v is not None for v in number.values()):
         raise NoNumericData("no numeric cells in table body")
     metrics = tuple(infer_metric_semantics(n) for n in metric_labels)
     return Dataset(entities=tuple(entity_names), metrics=metrics, values=values)

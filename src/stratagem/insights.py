@@ -233,12 +233,13 @@ def peer_comparison_insight(
     metric: MetricDescriptor,
 ) -> Insight | None:
     """Fires when the subject ranks strictly first or last among peers."""
-    sval = dataset.value(subject, metric.name)
+    column = dataset.column(metric.name)
+    sval = column[dataset.entities.index(subject)]
     if sval is None:
         return None
     peers = [
         (e, v)
-        for e, v in zip(dataset.entities, dataset.column(metric.name))
+        for e, v in zip(dataset.entities, column)
         if e != subject and v is not None
     ]
     if not peers:

@@ -9,13 +9,15 @@ the canvas and laying the whole diagram out again.
 Widths are linear in font size, so ``wrap`` keeps each line's width as an
 integer sum of per-word advances in thousandths of an em (``_em``, cached
 per string) and measures no trial line; its fit test is the expression
-``measure_text`` computes, so the lines are the same.
+``measure_text`` computes, so the lines are the same. ``_split_token``
+cuts an overlong word from running sums per character in the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .fonts import advance, measure_text
 
@@ -59,26 +61,35 @@ class TextBlock:
 
 
 def _split_token(token: str, width: float, size: float) -> list[str]:
-    """Hyphen-split a token wider than the line. Raises UnbreakableToken
-    when a single character plus hyphen cannot fit."""
+    """Hyphen-split a token wider than the line: each piece is the longest
+    prefix of the rest that fits with a hyphen, or the whole rest when it
+    fits. Raises UnbreakableToken when a single character plus hyphen
+    cannot fit.
+
+    ``ems[i]`` is the integer advance sum of ``token[:i]``. Prefix widths
+    only grow, so one forward scan finds each cut, and each fit test is
+    ``measure_text``'s own expression, so the pieces are the ones that
+    measuring every prefix gives."""
+    ems = [0, *accumulate(map(advance, token))]
+    hyphen_em = _em("-")
     pieces: list[str] = []
-    rest = token
-    while rest:
-        if measure_text(rest, size) <= width:
-            pieces.append(rest)
+    start, n = 0, len(token)
+    while start < n:
+        if size * (ems[n] - ems[start]) / 1000.0 <= width:
+            pieces.append(token[start:])
             break
-        cut = len(rest) - 1
-        while cut >= 1 and measure_text(rest[:cut] + "-", size) > width:
-            cut -= 1
-        if cut < 1:
-            if measure_text(rest[0], size) > width:
+        cut = start
+        while cut + 1 < n and size * (ems[cut + 1] - ems[start] + hyphen_em) / 1000.0 <= width:
+            cut += 1
+        if cut == start:
+            if size * (ems[start + 1] - ems[start]) / 1000.0 > width:
                 raise UnbreakableToken(token)
             # single char fits but char+hyphen does not; emit it bare
-            pieces.append(rest[0])
-            rest = rest[1:]
+            pieces.append(token[start])
+            start += 1
             continue
-        pieces.append(rest[:cut] + "-")
-        rest = rest[cut:]
+        pieces.append(token[start:cut] + "-")
+        start = cut
     return pieces
 
 

@@ -289,11 +289,13 @@ class TestRenderCommand:
          "violation [DuplicateAssignment] strengths: "),
         (lambda d: d["slots"].append(dict(d["slots"][0], factors=[])),
          "error: invalid analysis file {path}: slot 'strengths' is listed twice\n"),
+        (lambda d: d["slots"].pop(1),
+         "error: invalid analysis file {path}: slot 'weaknesses' is missing\n"),
         (lambda d: d["slots"][0]["factors"][0]["insight"]["evidence"][0].update(
             value=float("nan")),
          "error: invalid analysis file {path}: evidence value nan is not finite\n"),
     ], ids=["unknown-kind", "slots-not-a-list", "repeated-factors", "repeated-slot",
-            "nan-evidence"])
+            "missing-slot", "nan-evidence"])
     def test_malformed_analysis_file_is_input_error(
         self, insights_file, tmp_path, capsys, edit, expected
     ):

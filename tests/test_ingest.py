@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime as dt
+import io
 import random
 
 import pytest
@@ -94,13 +96,48 @@ class TestParseTable:
         assert d.value("A", "Revenue ($m)") == 1234
         assert d.value("A", "Margin (%)") == 12.5
 
+    @given(
+        pool=st.lists(
+            st.one_of(
+                st.sampled_from(["$$1", "1,2,3", "-$5", " 12 % ", "1e999", "NA", "",
+                                 "$1,234", "12.5%", "\u0661\u0662", "\u00a07\u3000"]),
+                st.text(alphabet="0123456789.,-+eE$% \t\"\u0663\u00a0\u2003NAx", max_size=8),
+            ),
+            min_size=1, max_size=6,
+        ),
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+        metrics_as_rows=st.booleans(),
+        dialect=st.sampled_from(["tab", "comma"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_cells_parse_as_one_by_one(self, pool, shape, metrics_as_rows, dialect, data):
+        """Parsing each distinct cell once gives the grid that parsing every
+        cell gives, in both orientations and both dialects."""
+        rows, cols = shape
+        cells = [[data.draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, delimiter="\t" if dialect == "tab" else ",")
+        writer.writerow(["Metric" if metrics_as_rows else "Company"]
+                        + [f"C{j}" for j in range(cols)])
+        writer.writerows([f"R{i}"] + row for i, row in enumerate(cells))
+        grid = [tuple(ingest._parse_number(c) for c in row) for row in cells]
+        expected = tuple(zip(*grid)) if metrics_as_rows else tuple(grid)
+        if all(v is None for row in grid for v in row):
+            with pytest.raises(NoNumericData):
+                parse_table(buf.getvalue(), dialect)
+        else:
+            assert parse_table(buf.getvalue(), dialect).values == expected
+
 
 class TestDatasetLookups:
     def test_maps_leave_equality_hash_and_repr_alone(self, foobar_text):
         built, fresh = parse_table(foobar_text), parse_table(foobar_text)
         assert built.value("Acme LLP", "Number of stores") == 450
+        assert built.column("Number of stores")[1] == 450
+        fresh.column("Number of stores")
         maps = set(vars(fresh)) - {f.name for f in dataclasses.fields(fresh)}
-        assert maps
+        assert "_columns" in maps
         for name in maps:  # drop one side's maps: they must not be compared
             del vars(fresh)[name]
         assert built == fresh
@@ -112,6 +149,22 @@ class TestDatasetLookups:
         d = foobar_dataset
         for m in d.metrics:
             assert d.column(m.name) == tuple(d.value(e, m.name) for e in d.entities)
+
+    @given(
+        values=st.integers(1, 6).flatmap(lambda m: st.lists(
+            st.lists(st.one_of(st.none(), st.floats(allow_nan=False)), min_size=m, max_size=m),
+            min_size=1, max_size=6,
+        )),
+    )
+    @settings(max_examples=100)
+    def test_column_matches_row_scan(self, values):
+        d = Dataset(
+            entities=tuple(f"E{i}" for i in range(len(values))),
+            metrics=tuple(MetricDescriptor(f"M{j}") for j in range(len(values[0]))),
+            values=tuple(map(tuple, values)),
+        )
+        for j, m in enumerate(d.metrics):
+            assert d.column(m.name) == tuple(row[j] for row in d.values)
 
     def test_unknown_names_raise_key_error(self, foobar_dataset):
         for lookup in (

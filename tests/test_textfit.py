@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratagem import textfit
 from stratagem.fonts import ADVANCE_WIDTHS, FALLBACK_ADVANCE, measure_text
 from stratagem.textfit import (
     LINE_HEIGHT,
@@ -20,6 +21,7 @@ from stratagem.textfit import (
     MIN_FONT,
     DoesNotFitAtMinFont,
     UnbreakableToken,
+    _split_token,
     fit_text,
     wrap,
 )
@@ -162,6 +164,47 @@ class TestWrap:
                 wrap(text, width, size)
         else:
             assert wrap(text, width, size) == expected
+
+
+class TestSplitToken:
+    @given(
+        token=st.text(alphabet="abcdefghijklmnopqrstuvwxyzMWIl0-.,éè中—", min_size=1, max_size=60),
+        width=st.floats(0.5, 400),
+        cut=st.one_of(st.none(), st.integers(1, 60)),
+        size=st.one_of(st.integers(MIN_FONT, MAX_FONT), st.floats(0.5, 40)),
+    )
+    @settings(max_examples=400)
+    def test_pieces_match_oracle(self, token, width, cut, size):
+        """Running sums cut where measuring every prefix cuts, and raise
+        where it cannot split. With ``cut``, the width is the exact measure
+        of a prefix plus hyphen, where a differently rounded test would cut
+        elsewhere."""
+        if cut is not None:
+            width = _oracle_width(token[:cut] + "-", size)
+        expected = _oracle_split(token, width, size)
+        if expected is None:
+            with pytest.raises(UnbreakableToken):
+                _split_token(token, width, size)
+        else:
+            assert _split_token(token, width, size) == expected
+
+    def test_long_token_measures_linearly(self, monkeypatch):
+        """Measuring every prefix made about 100,000 calls for this token."""
+        calls = 0
+        measure = textfit.measure_text
+
+        def counting(s, size):
+            nonlocal calls
+            calls += 1
+            return measure(s, size)
+
+        monkeypatch.setattr(textfit, "measure_text", counting)
+        token = "antidisestablishmentarianism" * 72
+        assert len(token) == 2016
+        pieces = _split_token(token, 120, 12)
+        assert calls <= len(token)
+        assert "".join(p.rstrip("-") for p in pieces) == token
+        assert all(measure(p, 12) <= 120 for p in pieces)
 
 
 # ---------------------------------------------------------------------------
