@@ -1,12 +1,12 @@
 """Layouts and SVG rendering for the four framework diagrams.
 
-Each layout turns an OrganizedAnalysis into a DiagramSpec: resolved boxes,
-arrows, radar geometry, and text blocks whose fit is guaranteed by the
-embedded font metrics. ``layout`` is the one entry point: it validates
-the analysis, then builds its framework's geometry at canvas scale 1, 2,
-4, ... (up to 8 doublings) until every text block fits at or above the
-minimum font size. ``emit_svg`` then re-validates every invariant and
-produces byte-deterministic SVG 1.1.
+``layout`` is the one entry point: it validates an OrganizedAnalysis, then
+tries canvas scale 1, 2, 4, ... (up to 8 doublings). At each scale a
+text-free geometry function per framework places the boxes, arrows and
+radar, and one fill step fits every text with the embedded font metrics
+and builds the DiagramSpec; the first scale at which every text fits at or
+above the minimum font size wins. ``emit_svg`` then re-validates every
+invariant and produces byte-deterministic SVG 1.1.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ import string
 from dataclasses import dataclass
 
 from .fonts import FONT_FAMILY
-from .frameworks import (
-    AxisScore,
-    OrganizedAnalysis,
-    validate_analysis,
+from .frameworks import OrganizedAnalysis, validate_analysis
+from .textfit import (
+    DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text,
 )
-from .textfit import DoesNotFitAtMinFont, MAX_FONT, MIN_FONT, TextBlock, fit_text
 
 # Single source of truth for risk coloring: one fixed palette per process,
 # light to saturated as severity rises.
@@ -240,106 +238,46 @@ def _project_to_boundary(p, rect):
 
 
 # ---------------------------------------------------------------------------
-# box filling
+# geometry: one function per framework, text-free
+#
+# Each takes (analysis, style, scale) and returns the diagram's geometry at
+# that canvas scale as (width, height, label, boxes, arrows, radar):
+# ``boxes`` holds (id, (x, y, w, h), title text, factor texts, fill) in slot
+# order, ``arrows`` holds ArrowEdges, and ``radar`` is None or (center,
+# radius, vertices, axes) with one (slot id, angle in degrees, score, label
+# text) per axis. No text is fitted here; ``_fill`` does that.
 
-def _fill_box(
-    box_id: str,
-    x: float,
-    y: float,
-    w: float,
-    h: float,
-    title_text: str,
-    factor_texts: list[str],
-    fill: str,
-    style: Style,
-) -> BoxNode:
-    """Fit a title line plus one text block per factor inside the box.
-
-    Raises DoesNotFitAtMinFont naming the text that does not fit; callers
-    react by growing the canvas.
-    """
-    pad = style.padding
-    iw = w - 2 * pad
-    ih = h - 2 * pad
-    if iw <= 0 or ih <= 0:
-        raise DoesNotFitAtMinFont(title_text)
-    cursor = y + pad
-    title_block = None
-    if title_text:
-        title_block = fit_text(
-            title_text, iw, ih, min_font=style.min_font, max_font=min(18, style.max_font),
-        ).at(x + pad, cursor)
-        cursor += title_block.height + 4
-    body: list[TextBlock] = []
-    if factor_texts:
-        remaining = (y + h - pad) - cursor
-        band = remaining / len(factor_texts)
-        if band <= 0:
-            raise DoesNotFitAtMinFont(factor_texts[0])
-        for i, text in enumerate(factor_texts):
-            block = fit_text(
-                text, iw, band, min_font=style.min_font, max_font=style.max_font
-            ).at(x + pad, cursor + i * band)
-            body.append(block)
-    return BoxNode(
-        id=box_id, x=x, y=y, w=w, h=h,
-        title=title_block, body=tuple(body), fill=fill,
-    )
-
-
-def _diagram_title(analysis: OrganizedAnalysis, label: str, width: float, style: Style) -> TextBlock:
-    text = f"{label}: {analysis.subject}" if analysis.subject else label
-    if width - 2 * style.gap <= 0:
-        raise DoesNotFitAtMinFont(text)
-    return fit_text(
-        text, width - 2 * style.gap, 36,
-        min_font=style.min_font, max_font=min(22, style.max_font),
-    ).at(style.gap, 8)
+_TITLE_STRIP = 48.0
+_MAX_DOUBLINGS = 8
 
 
 def _statements(analysis: OrganizedAnalysis, slot_id: str) -> list[str]:
     return [ins.statement for ins, _ in analysis.assignments.get(slot_id, [])]
 
 
-_TITLE_STRIP = 48.0
-_MAX_DOUBLINGS = 8
-
-
-# ---------------------------------------------------------------------------
-# layouts
-
-def _grid_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
+def _grid_at(analysis: OrganizedAnalysis, style: Style, scale: int):
     """SWOT 2x2 grid: S top-left, W top-right, O bottom-left, T bottom-right."""
     W = style.canvas_w * scale
     H = style.canvas_h * scale
-    title = _diagram_title(analysis, "SWOT Analysis", W, style)
     top = _TITLE_STRIP
     cw = W / 2
     ch = (H - top) / 2
     cell_fills = ("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8")
     positions = ((0, 0), (cw, 0), (0, ch), (cw, ch))
-    boxes = []
-    for slot, (cx, cy), fill in zip(analysis.schema.slots, positions, cell_fills):
-        boxes.append(
-            _fill_box(
-                slot.id, cx, top + cy, cw, ch,
-                slot.title, _statements(analysis, slot.id), fill, style,
-            )
-        )
-    return DiagramSpec(
-        width=W, height=H, boxes=tuple(boxes), title=title,
-        font_family=style.font_family, background=style.background,
+    boxes = tuple(
+        (slot.id, (cx, top + cy, cw, ch), slot.title, _statements(analysis, slot.id), fill)
+        for slot, (cx, cy), fill in zip(analysis.schema.slots, positions, cell_fills)
     )
+    return W, H, "SWOT Analysis", boxes, (), None
 
 
-def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
+def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int):
     """Porter five forces: rivalry centered, four categories at N/E/S/W,
     arrows pointing into the central box, fills from the risk palette."""
     central, *satellites = analysis.schema.slots
     W = style.canvas_w * scale
     H = style.canvas_h * scale
     g = style.gap
-    title = _diagram_title(analysis, "Porter's Five Forces", W, style)
     top = _TITLE_STRIP
     bw = (W - 4 * g) / 3
     bh = (H - top - 4 * g) / 3
@@ -355,12 +293,10 @@ def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> Diag
     boxes = []
     for slot, compass in ((central, "C"), *zip(satellites, ("N", "E", "S", "W"))):
         level = analysis.slot_attributes[slot.id]
-        boxes.append(
-            _fill_box(
-                slot.id, *grid_pos[compass], bw, bh, f"{slot.title} (risk: {level})",
-                _statements(analysis, slot.id), style.risk_fill(level), style,
-            )
-        )
+        boxes.append((
+            slot.id, (*grid_pos[compass], bw, bh), f"{slot.title} (risk: {level})",
+            _statements(analysis, slot.id), style.risk_fill(level),
+        ))
     cx, cy = grid_pos["C"]
     arrow_ends = {
         "N": (((cx + bw / 2), rows[0] + bh), ((cx + bw / 2), cy)),
@@ -372,14 +308,18 @@ def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> Diag
         ArrowEdge(from_id=slot.id, to_id=central.id, points=arrow_ends[compass])
         for slot, compass in zip(satellites, ("N", "E", "S", "W"))
     )
-    return DiagramSpec(
-        width=W, height=H, boxes=tuple(boxes), arrows=arrows, title=title,
-        font_family=style.font_family, background=style.background,
-    )
+    return W, H, "Porter's Five Forces", tuple(boxes), arrows, None
 
 
-def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
-    """Virtuous circle: N stage boxes on a circle, one directed arrow per stage."""
+def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int):
+    """Virtuous circle: N stage boxes on a circle, one directed arrow per stage.
+
+    ``canvas_w`` and ``canvas_h`` set only the box sizes: 30% and 26% of
+    them, times the scale. The canvas follows from the ring. Its radius
+    starts at 0.75 of the longer box side and grows in 10-px steps until
+    the boxes keep 8 px apart, and the canvas is the ring plus half a box
+    and the gap on every side, under the title strip. So the default
+    900x640 style gives a 711x655.4 canvas at scale 1."""
     slots = analysis.schema.slots
     n = len(slots)
     bw = style.canvas_w * 0.30 * scale
@@ -401,29 +341,22 @@ def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramS
     H = _TITLE_STRIP + 2 * (r + bh / 2 + margin)
     ox = W / 2
     oy = _TITLE_STRIP + (H - _TITLE_STRIP) / 2
-    title = _diagram_title(analysis, "Virtuous Circle", W, style)
-    boxes = []
-    for slot, (cx, cy) in zip(slots, centers):
-        boxes.append(
-            _fill_box(
-                slot.id, ox + cx - bw / 2, oy + cy - bh / 2, bw, bh,
-                slot.title, _statements(analysis, slot.id), _BOX_FILL, style,
-            )
-        )
-    arrows = tuple(
-        _cycle_arrow(boxes[k], boxes[(k + 1) % n], (ox, oy), r,
-                     angles[k], angles[(k + 1) % n])
-        for k in range(n)
+    rects = [(ox + cx - bw / 2, oy + cy - bh / 2, bw, bh) for cx, cy in centers]
+    boxes = tuple(
+        (slot.id, rect, slot.title, _statements(analysis, slot.id), _BOX_FILL)
+        for slot, rect in zip(slots, rects)
     )
-    return DiagramSpec(
-        width=W, height=H, boxes=tuple(boxes), arrows=arrows, title=title,
-        font_family=style.font_family, background=style.background,
-    )
+    arrows = []
+    for k in range(n):
+        j = (k + 1) % n
+        points = _cycle_arc(rects[k], rects[j], (ox, oy), r, angles[k], angles[j])
+        arrows.append(ArrowEdge(from_id=slots[k].id, to_id=slots[j].id, points=points))
+    return W, H, "Virtuous Circle", boxes, tuple(arrows), None
 
 
-def _cycle_arrow(box_a: BoxNode, box_b: BoxNode, center, r, theta_a, theta_b) -> ArrowEdge:
-    """Arc along the circumference from box_a to box_b, trimmed to their
-    boundaries by bisection on the angle."""
+def _cycle_arc(rect_a, rect_b, center, r, theta_a, theta_b) -> tuple[tuple[float, float], ...]:
+    """Points of the arc along the circumference from rect_a to rect_b,
+    trimmed to their boundaries by bisection on the angle."""
     if theta_b <= theta_a:
         theta_b += 2 * math.pi
     ox, oy = center
@@ -431,102 +364,62 @@ def _cycle_arrow(box_a: BoxNode, box_b: BoxNode, center, r, theta_a, theta_b) ->
     def point(t):
         return (ox + r * math.cos(t), oy + r * math.sin(t))
 
-    def inside(box, t):
-        px, py = point(t)
-        return box.x <= px <= box.x + box.w and box.y <= py <= box.y + box.h
+    def leave(rect, t_in, t_out):
+        """Bisect from an angle inside ``rect`` and one outside it to the
+        first outside angle next to its boundary."""
+        x, y, w, h = rect
+        for _ in range(50):
+            m = (t_in + t_out) / 2
+            px, py = point(m)
+            if x <= px <= x + w and y <= py <= y + h:
+                t_in = m
+            else:
+                t_out = m
+        return t_out
 
     mid = (theta_a + theta_b) / 2
-    lo, hi = theta_a, mid
-    for _ in range(50):
-        m = (lo + hi) / 2
-        if inside(box_a, m):
-            lo = m
-        else:
-            hi = m
-    exit_t = hi
-    lo, hi = mid, theta_b
-    for _ in range(50):
-        m = (lo + hi) / 2
-        if inside(box_b, m):
-            hi = m
-        else:
-            lo = m
-    entry_t = lo
+    exit_t = leave(rect_a, theta_a, mid)
+    entry_t = leave(rect_b, theta_b, mid)
     samples = 10
     pts = [point(exit_t + (entry_t - exit_t) * i / (samples - 1)) for i in range(samples)]
-    pts[0] = _project_to_boundary(pts[0], box_a.rect)
-    pts[-1] = _project_to_boundary(pts[-1], box_b.rect)
-    return ArrowEdge(from_id=box_a.id, to_id=box_b.id, points=tuple(pts))
+    pts[0] = _project_to_boundary(pts[0], rect_a)
+    pts[-1] = _project_to_boundary(pts[-1], rect_b)
+    return tuple(pts)
 
 
 _RADAR_ANGLES = (-90.0, 30.0, 150.0)
 
 
-def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int) -> DiagramSpec:
+def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int):
     """Value Discipline radar: three spokes at 120 degrees, grid rings at
     2/4/6/8/10, polygon vertices proportional to axis scores, plus a
     legend of top factor statements beside the plot."""
     slots = analysis.schema.slots
     W = style.canvas_w * scale
     H = style.canvas_h * scale
-    title = _diagram_title(analysis, "Value Discipline", W, style)
     top = _TITLE_STRIP
     plot_w = W * 0.52
     cx = plot_w / 2
     cy = top + (H - top) / 2
     radius = 0.62 * min(plot_w / 2, (H - top) / 2)
-    axes = []
-    vertices = []
-    for slot, angle in zip(slots, _RADAR_ANGLES):
-        attr = analysis.slot_attributes[slot.id]
-        assert isinstance(attr, AxisScore)
-        rad = math.radians(angle)
-        dx, dy = math.cos(rad), math.sin(rad)
-        vertices.append(
-            (cx + radius * attr.value / 10.0 * dx, cy + radius * attr.value / 10.0 * dy)
-        )
-        label_text = f"{slot.title} ({attr.value:.1f})"
-        block = fit_text(
-            label_text, 170 * scale, 40,
-            min_font=style.min_font, max_font=min(14, style.max_font),
-        )
-        lx_anchor = cx + (radius + 12) * dx
-        ly_anchor = cy + (radius + 12) * dy
-        lx = lx_anchor - block.width / 2 if abs(dx) < 0.2 else (
-            lx_anchor - block.width if dx < 0 else lx_anchor
-        )
-        ly = ly_anchor - block.height if dy < -0.2 else (
-            ly_anchor if dy > 0.2 else ly_anchor - block.height / 2
-        )
-        # push the label out until it clears the outer ring
-        while _rect_circle_overlap((lx, ly, block.width, block.height), (cx, cy), radius):
-            lx += dx * 4
-            ly += dy * 4
-        axes.append(RadarAxis(slot_id=slot.id, angle_deg=angle,
-                              score=attr.value, label=block.at(lx, ly)))
-    radar = RadarShape(center=(cx, cy), radius=radius,
-                       axes=tuple(axes), vertices=tuple(vertices))
     # legend column on the right: top factors per axis
     legend_x = plot_w + style.gap
     legend_w = W - legend_x - style.gap
     legend_h = (H - top - 4 * style.gap) / 3
-    boxes = []
-    for i, slot in enumerate(slots):
-        attr = analysis.slot_attributes[slot.id]
-        factors = _statements(analysis, slot.id)[:2]
-        boxes.append(
-            _fill_box(
-                f"legend_{slot.id}", legend_x,
-                top + style.gap + i * (legend_h + style.gap),
-                legend_w, legend_h,
-                f"{slot.title}: {attr.value:.1f} / 10",
-                factors, _BOX_FILL, style,
-            )
-        )
-    return DiagramSpec(
-        width=W, height=H, boxes=tuple(boxes), radar=radar, title=title,
-        font_family=style.font_family, background=style.background,
-    )
+    axes, vertices, boxes = [], [], []
+    for i, (slot, angle) in enumerate(zip(slots, _RADAR_ANGLES)):
+        score = analysis.slot_attributes[slot.id].value
+        rad = math.radians(angle)
+        dx, dy = math.cos(rad), math.sin(rad)
+        vertices.append((cx + radius * score / 10.0 * dx, cy + radius * score / 10.0 * dy))
+        axes.append((slot.id, angle, score, f"{slot.title} ({score:.1f})"))
+        boxes.append((
+            f"legend_{slot.id}",
+            (legend_x, top + style.gap + i * (legend_h + style.gap), legend_w, legend_h),
+            f"{slot.title}: {score:.1f} / 10", _statements(analysis, slot.id)[:2], _BOX_FILL,
+        ))
+    radar = ((cx, cy), radius, tuple(vertices), tuple(axes))
+    return W, H, "Value Discipline", tuple(boxes), (), radar
 
 
 def _rect_circle_overlap(rect, center, radius) -> bool:
@@ -545,6 +438,103 @@ _LAYOUTS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# text fill: the one step that fits text and builds a DiagramSpec
+
+def _cap(size: int, style: Style) -> int:
+    """A heading's largest font size, kept within the style's font bounds,
+    so a style ``min_font`` above ``size`` raises the cap."""
+    return max(style.min_font, min(size, style.max_font))
+
+
+def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
+              fill: str, style: Style) -> BoxNode:
+    """Fit a title line plus one text block per factor inside the box.
+
+    Raises DoesNotFitAtMinFont naming the text that does not fit; callers
+    react by growing the canvas.
+    """
+    x, y, w, h = rect
+    pad = style.padding
+    iw = w - 2 * pad
+    ih = h - 2 * pad
+    if iw <= 0 or ih <= 0:
+        raise DoesNotFitAtMinFont(title_text)
+    cursor = y + pad
+    title_block = None
+    if title_text:
+        title_block = fit_text(
+            title_text, iw, ih, min_font=style.min_font, max_font=_cap(18, style),
+        ).at(x + pad, cursor)
+        cursor += title_block.height + 4
+    body: list[TextBlock] = []
+    if factor_texts:
+        remaining = (y + h - pad) - cursor
+        band = remaining / len(factor_texts)
+        if band <= 0:
+            raise DoesNotFitAtMinFont(factor_texts[0])
+        for i, text in enumerate(factor_texts):
+            body.append(fit_text(
+                text, iw, band, min_font=style.min_font, max_font=style.max_font
+            ).at(x + pad, cursor + i * band))
+    return BoxNode(
+        id=box_id, x=x, y=y, w=w, h=h,
+        title=title_block, body=tuple(body), fill=fill,
+    )
+
+
+def _radar_label(text: str, angle_deg: float, center, radius: float, width: float,
+                 style: Style) -> TextBlock:
+    """Fit an axis label, place it just beyond its spoke's end, then push it
+    out along the spoke until it clears the outer ring."""
+    block = fit_text(text, width, 40, min_font=style.min_font, max_font=_cap(14, style))
+    cx, cy = center
+    rad = math.radians(angle_deg)
+    dx, dy = math.cos(rad), math.sin(rad)
+    lx_anchor = cx + (radius + 12) * dx
+    ly_anchor = cy + (radius + 12) * dy
+    lx = lx_anchor - block.width / 2 if abs(dx) < 0.2 else (
+        lx_anchor - block.width if dx < 0 else lx_anchor
+    )
+    ly = ly_anchor - block.height if dy < -0.2 else (
+        ly_anchor if dy > 0.2 else ly_anchor - block.height / 2
+    )
+    while _rect_circle_overlap((lx, ly, block.width, block.height), center, radius):
+        lx += dx * 4
+        ly += dy * 4
+    return block.at(lx, ly)
+
+
+def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry) -> DiagramSpec:
+    """Fit every text of one geometry and build its DiagramSpec: the
+    diagram title, then the radar labels, then the boxes in slot order.
+
+    Raises DoesNotFitAtMinFont naming the first text that does not fit.
+    """
+    width, height, label, boxes, arrows, radar = geometry
+    title = f"{label}: {analysis.subject}" if analysis.subject else label
+    if width - 2 * style.gap <= 0:
+        raise DoesNotFitAtMinFont(title)
+    # the band holds one line at the style's smallest font
+    title_block = fit_text(
+        title, width - 2 * style.gap, max(36, LINE_HEIGHT * style.min_font),
+        min_font=style.min_font, max_font=_cap(22, style),
+    ).at(style.gap, 8)
+    if radar:
+        center, radius, vertices, axes = radar
+        fitted = tuple(
+            RadarAxis(slot_id, angle, score,
+                      _radar_label(text, angle, center, radius, 170 * scale, style))
+            for slot_id, angle, score, text in axes
+        )
+        radar = RadarShape(center=center, radius=radius, axes=fitted, vertices=vertices)
+    return DiagramSpec(
+        width=width, height=height, boxes=tuple(_fill_box(*box, style) for box in boxes),
+        arrows=arrows, radar=radar, title=title_block,
+        font_family=style.font_family, background=style.background,
+    )
+
+
 def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     """Validate ``analysis``, then return its framework's diagram at the
     first canvas scale 1, 2, 4, ... at which every text fits.
@@ -554,10 +544,11 @@ def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     violations = validate_analysis(analysis)
     if violations:
         raise InvariantViolation("; ".join(v.message for v in violations))
-    build = _LAYOUTS[analysis.schema.kind]
+    geometry = _LAYOUTS[analysis.schema.kind]
     for attempt in range(_MAX_DOUBLINGS + 1):
+        scale = 2 ** attempt
         try:
-            return build(analysis, style, 2 ** attempt)
+            return _fill(analysis, style, scale, geometry(analysis, style, scale))
         except DoesNotFitAtMinFont as exc:
             failed = exc.text
     raise LayoutOverflow(failed)

@@ -425,7 +425,8 @@ def test_foobar_render_measures_few_lines(kind, foobar_dataset, prices_series, m
 
 @pytest.mark.parametrize("kind", ["swot", "porter5", "virtuous_cycle", "value_discipline"])
 def test_randomized_layouts_hold_invariants(kind):
-    rng = random.Random(hash(kind) % 2**32)
+    # a stable seed: str hashes are salted per process, so a failure replays
+    rng = random.Random(FRAMEWORK_KINDS.index(kind))
     for _ in range(25):
         analysis = random_analysis(rng, kind)
         spec = layout(analysis)
@@ -454,3 +455,67 @@ def test_layout_overflow_names_the_text_that_failed():
     with pytest.raises(diagram.LayoutOverflow) as exc:
         layout(analysis, wide_padding)
     assert exc.value.text == "Strengths"
+
+
+# ---------------------------------------------------------------------------
+# geometry and the fill step
+
+@pytest.mark.parametrize("scale", [1, 2, 4])
+@_EACH_FRAMEWORK
+def test_geometry_fits_no_text(builder, scale, monkeypatch):
+    """Each framework's geometry places its boxes, arrows and radar without
+    fitting any text; the fill step does all the fitting."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("geometry fitted a text")
+
+    analysis = builder()
+    monkeypatch.setattr(diagram, "fit_text", refuse)
+    geometry = diagram._LAYOUTS[analysis.schema.kind](analysis, Style(), scale)
+    width, height, label, boxes, arrows, radar = geometry
+    assert label and len(boxes) == len(analysis.schema.slots)
+    for _, (x, y, w, h), *_ in boxes:
+        assert 0 <= x and x + w <= width and 0 <= y and y + h <= height
+    assert (radar is not None) == (analysis.schema.kind == "value_discipline")
+
+
+def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):
+    """The fill step fits the diagram title, then the radar labels, then the
+    boxes. With no box interior at any scale and every axis label refused,
+    the overflow names the first label, and no box text is ever fitted."""
+    analysis = radar_analysis()
+    labels = {
+        f"{slot.title} ({analysis.slot_attributes[slot.id].value:.1f})"
+        for slot in analysis.schema.slots
+    }
+    fit = diagram.fit_text
+    fitted = []
+
+    def refuse_labels(text, *args, **kwargs):
+        fitted.append(text)
+        if text in labels:
+            raise textfit.DoesNotFitAtMinFont(text)
+        return fit(text, *args, **kwargs)
+
+    monkeypatch.setattr(diagram, "fit_text", refuse_labels)
+    with pytest.raises(diagram.LayoutOverflow) as exc:
+        layout(analysis, Style(padding=1e6))
+    first_label = fitted[1]
+    assert first_label.startswith("Operational Excellence (")
+    assert exc.value.text == first_label
+    assert fitted == ["Value Discipline: Foobar Corp", first_label] * (diagram._MAX_DOUBLINGS + 1)
+
+
+@pytest.mark.parametrize("min_font", range(MIN_FONT, MAX_FONT + 1))
+def test_every_min_font_lays_out_foobar(min_font, foobar_dataset, prices_series):
+    """The heading caps (14 px radar labels, 18 px box titles, 22 px diagram
+    title) rise to a style's ``min_font``, and the title band holds one line
+    at it, so every allowed ``min_font`` lays out all four frameworks."""
+    found = run_all_rules(foobar_dataset, prices_series)
+    style = Style(min_font=min_font)
+    for kind in FRAMEWORK_KINDS:
+        analysis = organize(found, schema_for(kind), subject=foobar_dataset.subject)
+        spec = layout(analysis, style)
+        assert validate_spec(spec) == []
+        blocks = [spec.title] + ([axis.label for axis in spec.radar.axes] if spec.radar else [])
+        blocks += [b for box in spec.boxes for b in (box.title, *box.body) if b]
+        assert all(min_font <= b.font_size for b in blocks if b.lines), kind
