@@ -162,8 +162,9 @@ def _organize(args, subject: str, found: list, output: str) -> frameworks.Organi
     _require_valid(analysis)
     _write_json(output, frameworks.analysis_to_dict(analysis))
     print(f"{'slot':<24} {'factors':>7}  attribute")
+    attributes = analysis.slot_attributes
     for slot in schema.slots:
-        attr = analysis.slot_attributes[slot.id]
+        attr = attributes[slot.id]
         if isinstance(attr, frameworks.AxisScore):
             label = f"axis {attr.value:.2f}"
         elif attr is None:

@@ -16,6 +16,7 @@ import math
 import re
 import string
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fonts import FONT_FAMILY
 from .frameworks import OrganizedAnalysis, validate_analysis
@@ -176,7 +177,17 @@ class RadarShape:
     center: tuple[float, float]
     radius: float
     axes: tuple[RadarAxis, ...]
-    vertices: tuple[tuple[float, float], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        """The polygon's corners: each axis's score along its spoke."""
+        cx, cy = self.center
+        rads = [math.radians(axis.angle_deg) for axis in self.axes]
+        return tuple(
+            (cx + self.radius * axis.score / 10.0 * math.cos(rad),
+             cy + self.radius * axis.score / 10.0 * math.sin(rad))
+            for axis, rad in zip(self.axes, rads)
+        )
 
 
 @dataclass(frozen=True)
@@ -244,7 +255,7 @@ def _project_to_boundary(p, rect):
 # that canvas scale as (width, height, label, boxes, arrows, radar):
 # ``boxes`` holds (id, (x, y, w, h), title text, factor texts, fill) in slot
 # order, ``arrows`` holds ArrowEdges, and ``radar`` is None or (center,
-# radius, vertices, axes) with one (slot id, angle in degrees, score, label
+# radius, axes) with one (slot id, angle in degrees, score, label
 # text) per axis. No text is fitted here; ``_fill`` does that.
 
 _TITLE_STRIP = 48.0
@@ -290,9 +301,10 @@ def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int):
         "S": (cols[1], rows[2]),
         "W": (cols[0], rows[1]),
     }
+    levels = analysis.slot_attributes
     boxes = []
     for slot, compass in ((central, "C"), *zip(satellites, ("N", "E", "S", "W"))):
-        level = analysis.slot_attributes[slot.id]
+        level = levels[slot.id]
         boxes.append((
             slot.id, (*grid_pos[compass], bw, bh), f"{slot.title} (risk: {level})",
             _statements(analysis, slot.id), style.risk_fill(level),
@@ -406,19 +418,17 @@ def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int):
     legend_x = plot_w + style.gap
     legend_w = W - legend_x - style.gap
     legend_h = (H - top - 4 * style.gap) / 3
-    axes, vertices, boxes = [], [], []
+    scores = analysis.slot_attributes
+    axes, boxes = [], []
     for i, (slot, angle) in enumerate(zip(slots, _RADAR_ANGLES)):
-        score = analysis.slot_attributes[slot.id].value
-        rad = math.radians(angle)
-        dx, dy = math.cos(rad), math.sin(rad)
-        vertices.append((cx + radius * score / 10.0 * dx, cy + radius * score / 10.0 * dy))
+        score = scores[slot.id].value
         axes.append((slot.id, angle, score, f"{slot.title} ({score:.1f})"))
         boxes.append((
             f"legend_{slot.id}",
             (legend_x, top + style.gap + i * (legend_h + style.gap), legend_w, legend_h),
             f"{slot.title}: {score:.1f} / 10", _statements(analysis, slot.id)[:2], _BOX_FILL,
         ))
-    radar = ((cx, cy), radius, tuple(vertices), tuple(axes))
+    radar = ((cx, cy), radius, tuple(axes))
     return W, H, "Value Discipline", tuple(boxes), (), radar
 
 
@@ -521,13 +531,13 @@ def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry) -> Di
         min_font=style.min_font, max_font=_cap(22, style),
     ).at(style.gap, 8)
     if radar:
-        center, radius, vertices, axes = radar
+        center, radius, axes = radar
         fitted = tuple(
             RadarAxis(slot_id, angle, score,
                       _radar_label(text, angle, center, radius, 170 * scale, style))
             for slot_id, angle, score, text in axes
         )
-        radar = RadarShape(center=center, radius=radius, axes=fitted, vertices=vertices)
+        radar = RadarShape(center=center, radius=radius, axes=fitted)
     return DiagramSpec(
         width=width, height=height, boxes=tuple(_fill_box(*box, style) for box in boxes),
         arrows=arrows, radar=radar, title=title_block,
@@ -603,15 +613,7 @@ def validate_spec(spec: DiagramSpec) -> list[str]:
                     )
     if spec.radar:
         radar = spec.radar
-        cx, cy = radar.center
-        for axis, vertex in zip(radar.axes, radar.vertices):
-            rad = math.radians(axis.angle_deg)
-            expected = (
-                cx + radar.radius * axis.score / 10.0 * math.cos(rad),
-                cy + radar.radius * axis.score / 10.0 * math.sin(rad),
-            )
-            if math.dist(vertex, expected) > 0.01:
-                problems.append(f"radar vertex off its spoke for {axis.slot_id}")
+        for axis in radar.axes:
             lx, ly = axis.label.origin
             if _rect_circle_overlap(
                 (lx, ly, axis.label.width, axis.label.height), radar.center, radar.radius

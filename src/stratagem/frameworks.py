@@ -2,20 +2,19 @@
 
 Assignment is deterministic: each slot carries an affinity table over
 (theme, direction) pairs, an insight goes to its argmax-fit slot when the
-fit clears the floor, and per-slot ranking is fit x magnitude. Porter
-slots get an ordinal risk level; Value Discipline slots get a logistic
-axis score in (0, 10).
+fit clears the floor, and per-slot ranking is fit x magnitude. A Porter
+slot's ordinal risk level and a Value Discipline slot's logistic axis
+score in [0, 10) are derived from its displayed factors, never stored.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
 from .insights import (
     DIRECTIONS,
-    MAX_WORDS,
-    MIN_WORDS,
     Insight,
     THEME_TAGS,
     insight_from_dict,
@@ -33,6 +32,44 @@ _RISK_BANDS = (0.25, 0.5, 0.75)
 
 class UnknownKind(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class AxisScore:
+    value: float
+    contributing: int
+
+    def __post_init__(self):
+        if not 0.0 <= self.value <= 10.0:
+            raise ValueError(f"axis score {self.value} outside [0, 10]")
+
+
+def assign_risk(assignments: list[tuple[Insight, float]]) -> str:
+    """Fit-weighted mean magnitude of negative insights, banded into levels."""
+    negs = [(ins, fit) for ins, fit in assignments if ins.direction == "negative"]
+    total_fit = sum(fit for _, fit in negs)
+    if total_fit == 0:
+        s = 0.0
+    else:
+        s = sum(ins.magnitude * fit for ins, fit in negs) / total_fit
+    for level, bound in zip(RISK_LEVELS, _RISK_BANDS):
+        if s < bound:
+            return level
+    return RISK_LEVELS[-1]
+
+
+_DIR_SIGN = {"positive": 1.0, "negative": -1.0, "neutral": 0.0}
+
+
+def score_axis(assignments: list[tuple[Insight, float]]) -> AxisScore:
+    """Logistic map of summed signed fit x magnitude onto [0, 10); empty -> 5.0."""
+    raw = sum(
+        ins.magnitude * fit * _DIR_SIGN[ins.direction] for ins, fit in assignments
+    )
+    # exp(-raw) overflows below raw = -709.78; from -700 down, 1 + exp(raw)
+    # is 1 in floating point, so the logistic is 10 * exp(raw).
+    value = 10.0 / (1.0 + math.exp(-raw)) if raw >= -700 else 10.0 * math.exp(raw)
+    return AxisScore(value=value, contributing=len(assignments))
 
 
 @dataclass(frozen=True)
@@ -154,6 +191,10 @@ _SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
     ),
 }
 
+# The attribute each kind derives for a slot from its displayed factors;
+# the other kinds' slots carry none.
+_SLOT_ATTRIBUTE = {"porter5": assign_risk, "value_discipline": score_axis}
+
 FRAMEWORK_KINDS = tuple(_SLOTS)
 
 
@@ -181,16 +222,6 @@ def schema_for(kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> Framework
 
 
 @dataclass(frozen=True)
-class AxisScore:
-    value: float
-    contributing: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 10.0:
-            raise ValueError(f"axis score {self.value} outside [0, 10]")
-
-
-@dataclass(frozen=True)
 class Violation:
     code: str
     slot_id: str | None
@@ -202,40 +233,23 @@ class OrganizedAnalysis:
     schema: FrameworkSchema
     subject: str
     assignments: dict[str, list[tuple[Insight, float]]]
-    slot_attributes: dict[str, str | AxisScore | None]
     overflow: dict[str, list[tuple[Insight, float]]] = field(default_factory=dict)
     unplaced: list[Insight] = field(default_factory=list)
+
+    @property
+    def slot_attributes(self) -> dict[str, str | AxisScore | None]:
+        """Each schema slot's risk level, axis score or None, derived from
+        its displayed factors on every read."""
+        derive = _SLOT_ATTRIBUTE.get(self.schema.kind)
+        return {
+            slot.id: derive(self.assignments.get(slot.id, [])) if derive else None
+            for slot in self.schema.slots
+        }
 
 
 def classify_insight(insight: Insight, schema: FrameworkSchema) -> dict[str, float]:
     """Fit score per slot: max affinity over the insight's themes."""
     return {slot.id: slot.fit(insight) for slot in schema.slots}
-
-
-def assign_risk(assignments: list[tuple[Insight, float]]) -> str:
-    """Fit-weighted mean magnitude of negative insights, banded into levels."""
-    negs = [(ins, fit) for ins, fit in assignments if ins.direction == "negative"]
-    total_fit = sum(fit for _, fit in negs)
-    if total_fit == 0:
-        s = 0.0
-    else:
-        s = sum(ins.magnitude * fit for ins, fit in negs) / total_fit
-    for level, bound in zip(RISK_LEVELS, _RISK_BANDS):
-        if s < bound:
-            return level
-    return RISK_LEVELS[-1]
-
-
-_DIR_SIGN = {"positive": 1.0, "negative": -1.0, "neutral": 0.0}
-
-
-def score_axis(assignments: list[tuple[Insight, float]]) -> AxisScore:
-    """Logistic map of summed signed fit x magnitude onto (0, 10); empty -> 5.0."""
-    raw = sum(
-        ins.magnitude * fit * _DIR_SIGN[ins.direction] for ins, fit in assignments
-    )
-    value = 10.0 / (1.0 + math.exp(-raw))
-    return AxisScore(value=value, contributing=len(assignments))
 
 
 def organize(
@@ -268,28 +282,19 @@ def finalize(
     subject: str = "",
     unplaced: list[Insight] | None = None,
 ) -> OrganizedAnalysis:
-    """Rank each slot by fit x magnitude, truncate to ``max_per_slot`` into
-    overflow, and derive the slot attributes. ``assignments`` holds a list
-    for every schema slot and is sorted and truncated in place."""
+    """Rank each slot by fit x magnitude and truncate to ``max_per_slot``
+    into overflow. ``assignments`` holds a list for every schema slot and
+    is sorted and truncated in place."""
     overflow: dict[str, list[tuple[Insight, float]]] = {}
     for slot_id, items in assignments.items():
         items.sort(key=lambda p: (-(p[1] * p[0].magnitude), p[0].id))
         if len(items) > schema.max_per_slot:
             overflow[slot_id] = items[schema.max_per_slot:]
             assignments[slot_id] = items[: schema.max_per_slot]
-    attributes: dict[str, str | AxisScore | None] = {}
-    for slot in schema.slots:
-        if schema.kind == "porter5":
-            attributes[slot.id] = assign_risk(assignments[slot.id])
-        elif schema.kind == "value_discipline":
-            attributes[slot.id] = score_axis(assignments[slot.id])
-        else:
-            attributes[slot.id] = None
     return OrganizedAnalysis(
         schema=schema,
         subject=subject,
         assignments=assignments,
-        slot_attributes=attributes,
         overflow=overflow,
         unplaced=unplaced or [],
     )
@@ -316,16 +321,6 @@ def validate_analysis(analysis: OrganizedAnalysis) -> list[Violation]:
         for ins, fit in items:
             if not 0.0 <= fit <= 1.0:
                 out.append(Violation("BadFit", slot_id, f"fit {fit} outside [0, 1]"))
-            words = len(ins.statement.split())
-            if not MIN_WORDS <= words <= MAX_WORDS:
-                out.append(
-                    Violation(
-                        "WordCount",
-                        slot_id,
-                        f"factor {ins.id!r} has {words} words, "
-                        f"need {MIN_WORDS}-{MAX_WORDS}",
-                    )
-                )
             if ins.id in seen_ids:
                 out.append(
                     Violation(
@@ -341,17 +336,6 @@ def validate_analysis(analysis: OrganizedAnalysis) -> list[Violation]:
                 Violation("BadOrdering", slot_id, "factors not sorted by fit x magnitude")
             )
     for slot in schema.slots:
-        attr = analysis.slot_attributes.get(slot.id)
-        if schema.kind == "porter5":
-            if attr not in RISK_LEVELS:
-                out.append(
-                    Violation("MissingAttribute", slot.id, "porter5 slot needs a risk level")
-                )
-        elif schema.kind == "value_discipline":
-            if not isinstance(attr, AxisScore):
-                out.append(
-                    Violation("MissingAttribute", slot.id, "value_discipline slot needs an axis score")
-                )
         if slot.id not in analysis.assignments:
             out.append(Violation("MissingSlot", slot.id, f"no assignment list for {slot.id}"))
     return out
@@ -360,20 +344,14 @@ def validate_analysis(analysis: OrganizedAnalysis) -> list[Violation]:
 def analysis_to_dict(analysis: OrganizedAnalysis) -> dict:
     """Documented interchange shape consumed by the diagram stage."""
     schema = analysis.schema
+    attributes = analysis.slot_attributes
     slots = []
     for slot in schema.slots:
-        attr = analysis.slot_attributes.get(slot.id)
-        if isinstance(attr, AxisScore):
-            attr_json = {"axis_score": attr.value, "contributing": attr.contributing}
-        elif attr is None:
-            attr_json = None
-        else:
-            attr_json = {"risk": attr}
         slots.append(
             {
                 "id": slot.id,
                 "title": slot.title,
-                "attribute": attr_json,
+                "attribute": _attribute_json(attributes[slot.id]),
                 "factors": [
                     {
                         "statement": ins.statement,
@@ -398,46 +376,44 @@ def analysis_to_dict(analysis: OrganizedAnalysis) -> dict:
     }
 
 
-def _attribute_from_dict(slot_json: dict) -> str | AxisScore | None:
-    """A slot's ``attribute``: null, ``{"risk": level}`` or ``{"axis_score":
-    number, "contributing": integer}``; anything else raises naming the field."""
-    if slot_json.get("attribute") is None:
-        return None
-    attr = typed(slot_json, "attribute", dict)
-    if "risk" in attr:
-        risk = typed(attr, "risk", str)
-        if risk not in RISK_LEVELS:
-            raise ValueError(f"risk must be one of {', '.join(RISK_LEVELS)}")
-        return risk
-    return AxisScore(
-        value=typed(attr, "axis_score", (int, float)),
-        contributing=typed(attr, "contributing", int),
-    )
+def _attribute_json(attr: str | AxisScore | None) -> dict | None:
+    """A slot attribute's interchange form: null, ``{"risk": level}`` or
+    ``{"axis_score": number, "contributing": integer}``."""
+    if isinstance(attr, AxisScore):
+        return {"axis_score": attr.value, "contributing": attr.contributing}
+    return None if attr is None else {"risk": attr}
 
 
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     """Rebuild an analysis from its interchange JSON; a wrongly typed field
-    is a ``TypeError``, an out-of-range one, a repeated or a missing slot a
+    is a ``TypeError``, an out-of-range one, a repeated or a missing slot,
+    or a slot ``attribute`` other than the one its factors give a
     ``ValueError``."""
     max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
     schema = schema_for(d["schema_kind"], max_per_slot)
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
-    attributes: dict[str, str | AxisScore | None] = {}
+    given: dict[str, object] = {}
     for slot_json in d["slots"]:
         slot_id = slot_json["id"]
-        if slot_id in attributes:
+        if slot_id in given:
             raise ValueError(f"slot {slot_id!r} is listed twice")
         assignments[slot_id] = [
             (insight_from_dict(f["insight"]), typed(f, "fit", (int, float)))
             for f in typed(slot_json, "factors", list)
         ]
-        attributes[slot_id] = _attribute_from_dict(slot_json)
+        given[slot_id] = slot_json.get("attribute")
     for slot in schema.slots:
-        if slot.id not in attributes:
+        if slot.id not in given:
             raise ValueError(f"slot {slot.id!r} is missing")
-    return OrganizedAnalysis(
+    analysis = OrganizedAnalysis(
         schema=schema,
         subject=typed(d, "subject", str),
         assignments=assignments,
-        slot_attributes=attributes,
     )
+    for slot_id, attr in analysis.slot_attributes.items():
+        expected, found = _attribute_json(attr), given[slot_id]
+        # a boolean never equals a number, as in ``typed``
+        if found != expected or isinstance(found, dict) and bool in map(type, found.values()):
+            raise ValueError(f"slot {slot_id!r}: attribute {json.dumps(found)} is not "
+                             f"{json.dumps(expected)}, the one its factors give")
+    return analysis

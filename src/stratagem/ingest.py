@@ -73,9 +73,12 @@ class NonPositivePrice(IngestError):
 
 
 class DuplicateDate(IngestError):
-    def __init__(self, date: dt.date):
+    """File line ``line`` repeats the date of an earlier row."""
+
+    def __init__(self, line: int, date: dt.date):
+        self.line = line
         self.date = date
-        super().__init__(f"duplicate date {date.isoformat()}")
+        super().__init__(f"line {line}: duplicate date {date.isoformat()}")
 
 
 POLARITIES = ("higher-is-better", "lower-is-better", "neutral")
@@ -339,11 +342,15 @@ def parse_timeseries(text: str, dialect: str = "tab") -> TimeSeries:
         raise EmptyInput("no rows in input")
     start = 0 if _looks_like_data_row(rows[0][1]) else 1
     obs = []
+    seen: set[dt.date] = set()
     for i, (line, row) in enumerate(rows[start:], start=1):
         cells = [c.strip() for c in row]
         if len(cells) < 3:
             raise RaggedRows(line, i, 3, len(cells))
         date = _parse_date(cells[0], line)
+        if date in seen:
+            raise DuplicateDate(line, date)
+        seen.add(date)
         close = _parse_cell(cells[1], line, "close")
         volume = _parse_cell(cells[2], line, "volume")
         if close <= 0:
@@ -351,11 +358,6 @@ def parse_timeseries(text: str, dialect: str = "tab") -> TimeSeries:
         obs.append(Observation(date=date, close=close, volume=volume))
     if not obs:
         raise NoNumericData("no observations in input")
-    seen: set[dt.date] = set()
-    for o in obs:
-        if o.date in seen:
-            raise DuplicateDate(o.date)
-        seen.add(o.date)
     return TimeSeries(observations=tuple(sorted(obs, key=lambda o: o.date)))
 
 

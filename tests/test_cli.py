@@ -69,6 +69,16 @@ class TestInsightsCommand:
         err = capsys.readouterr().err
         assert err == f"error in {bad}: line 2: cannot parse volume 'lots'\n"
 
+    def test_duplicate_date_names_its_first_repeat(self, tmp_path, capsys):
+        # unsorted rows and a blank line: the line is the first repeat in
+        # file order, counting blank lines, not the first in date order
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("date\tclose\tvolume\n2024-04-02\t100\t1\n2024-04-01\t100\t1\n\n"
+                       "2024-04-02\t101\t1\n2024-04-01\t102\t1\n", encoding="utf-8")
+        assert run("insights", "--timeseries", str(bad), "-o", str(tmp_path / "i.json")) == 2
+        assert capsys.readouterr().err == f"error in {bad}: line 5: duplicate date 2024-04-02\n"
+        assert not (tmp_path / "i.json").exists()
+
     def test_non_finite_cell_is_absent(self, tmp_path):
         table = tmp_path / "t.tsv"
         table.write_text(FOOBAR.read_text().replace("\t85\t", "\t1e999\t"), encoding="utf-8")
@@ -334,24 +344,42 @@ class TestRenderCommand:
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "d.svg").exists()
 
-    @pytest.mark.parametrize("framework,attribute,message", [
-        ("value-discipline", {"axis_score": 5, "contributing": "many"},
-         "contributing must be an integer, not str"),
-        ("value-discipline", {"axis_score": "5", "contributing": 1},
-         "axis_score must be a number, not str"),
-        ("porter5", "high", "attribute must be an object, not str"),
-        ("porter5", {"risk": "extreme"}, "risk must be one of low, moderate, high, intense"),
-    ], ids=["string-contributing", "string-axis-score", "bare-risk", "unknown-risk"])
+    @pytest.mark.parametrize("organize_args,slot,attribute,message", [
+        (["--framework", "value-discipline"], 0, {"axis_score": 5, "contributing": "many"},
+         """slot 'operational_excellence': attribute {"axis_score": 5, "contributing": "many"} """
+         "is not OWN, the one its factors give"),
+        (["--framework", "value-discipline"], 0, {"axis_score": "5", "contributing": 1},
+         """slot 'operational_excellence': attribute {"axis_score": "5", "contributing": 1} """
+         "is not OWN, the one its factors give"),
+        (["--framework", "porter5"], 0, "high",
+         """slot 'rivalry': attribute "high" is not {"risk": "low"}, the one its factors give"""),
+        (["--framework", "porter5"], 0, {"risk": "extreme"},
+         """slot 'rivalry': attribute {"risk": "extreme"} is not {"risk": "low"}, """
+         "the one its factors give"),
+        (["--framework", "porter5"], 2, {"risk": "low"},
+         """slot 'buyer_power': attribute {"risk": "low"} is not {"risk": "moderate"}, """
+         "the one its factors give"),
+        (["--framework", "value-discipline", "--max-per-slot", "1"], 0,
+         {"axis_score": 7.014404648004709, "contributing": True},
+         """slot 'operational_excellence': attribute {"axis_score": 7.014404648004709, """
+         """"contributing": true} is not {"axis_score": 7.014404648004709, """
+         """"contributing": 1}, the one its factors give"""),
+    ], ids=["string-contributing", "string-axis-score", "bare-risk", "unknown-risk",
+            "stale-risk", "boolean-contributing"])
     def test_wrongly_typed_attribute_is_input_error(self, insights_file, tmp_path, capsys,
-                                                    framework, attribute, message):
+                                                    organize_args, slot, attribute, message):
+        """An attribute is derived from its slot's factors, so any other
+        value, a wrongly typed one included, is named against the one the
+        factors give (OWN: the attribute the file was written with)."""
         analysis = tmp_path / "a.json"
-        run("organize", str(insights_file), "--framework", framework, "-o", str(analysis))
+        run("organize", str(insights_file), *organize_args, "-o", str(analysis))
         data = json.loads(analysis.read_text())
-        data["slots"][0]["attribute"] = attribute
+        own = json.dumps(data["slots"][slot]["attribute"])
+        data["slots"][slot]["attribute"] = attribute
         analysis.write_text(json.dumps(data), encoding="utf-8")
         capsys.readouterr()
         assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
-        expected = f"error: invalid analysis file {analysis}: {message}\n"
+        expected = f"error: invalid analysis file {analysis}: {message.replace('OWN', own)}\n"
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "d.svg").exists()
 
@@ -607,6 +635,21 @@ class TestPipeline:
             "peer:net-margin", "peer:net-margin-2", "peer:net-margin-3",
             "peer:number-of-stores",
         ]
+
+    def test_axis_score_of_far_negative_slot(self, tmp_path):
+        # 800 negative supply-chain factors sum to a logistic input near
+        # -800, where exp(-raw) overflows a float
+        table, svg = tmp_path / "t.tsv", tmp_path / "out.svg"
+        table.write_text("Metric\tSubject\tPeer\n" + "".join(
+            f"Supply margin {k}\t0\t100\n" for k in range(800)), encoding="utf-8")
+        assert run("pipeline", "--table", str(table), "--framework", "value-discipline",
+                   "--max-per-slot", "1000", "-o", str(svg)) == 0
+        slots = json.loads((tmp_path / "out.analysis.json").read_text())["slots"]
+        assert slots[0]["attribute"]["contributing"] == 800
+        assert all(0.0 <= slot["attribute"]["axis_score"] <= 10.0 for slot in slots)
+        assert run("render", str(tmp_path / "out.analysis.json"),
+                   "-o", str(tmp_path / "again.svg")) == 0
+        assert (tmp_path / "again.svg").read_bytes() == svg.read_bytes()
 
     def test_propagates_input_errors(self, tmp_path):
         assert run(

@@ -309,10 +309,11 @@ class TestParseTimeseries:
             parse_timeseries("date\tclose\tvolume\n2024-04-01\t-5\t10\n")
 
     def test_duplicate_date(self):
-        with pytest.raises(DuplicateDate):
+        with pytest.raises(DuplicateDate) as exc:
             parse_timeseries(
                 "date\tclose\tvolume\n2024-04-01\t100\t10\n2024-04-01\t101\t10\n"
             )
+        assert (exc.value.line, exc.value.date) == (3, dt.date(2024, 4, 1))
 
     def test_row_order_invariance(self, prices_text):
         baseline = parse_timeseries(prices_text)
