@@ -300,6 +300,12 @@ def finalize(
     )
 
 
+def _fit_problem(fit: float) -> str | None:
+    """Why ``fit`` is no fit, or None: a fit lies in [0, 1], so NaN and the
+    infinities are outside too."""
+    return None if 0.0 <= fit <= 1.0 else f"fit {fit} outside [0, 1]"
+
+
 def validate_analysis(analysis: OrganizedAnalysis) -> list[Violation]:
     """Check every OrganizedAnalysis invariant; empty list means valid."""
     out: list[Violation] = []
@@ -319,8 +325,9 @@ def validate_analysis(analysis: OrganizedAnalysis) -> list[Violation]:
                 )
             )
         for ins, fit in items:
-            if not 0.0 <= fit <= 1.0:
-                out.append(Violation("BadFit", slot_id, f"fit {fit} outside [0, 1]"))
+            problem = _fit_problem(fit)
+            if problem:
+                out.append(Violation("BadFit", slot_id, problem))
             if ins.id in seen_ids:
                 out.append(
                     Violation(
@@ -386,9 +393,9 @@ def _attribute_json(attr: str | AxisScore | None) -> dict | None:
 
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     """Rebuild an analysis from its interchange JSON; a wrongly typed field
-    is a ``TypeError``, an out-of-range one, a repeated or a missing slot,
-    or a slot ``attribute`` other than the one its factors give a
-    ``ValueError``."""
+    is a ``TypeError``, an out-of-range one (a fit included), a repeated or
+    a missing slot, or a slot ``attribute`` other than the one its factors
+    give a ``ValueError``."""
     max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
     schema = schema_for(d["schema_kind"], max_per_slot)
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
@@ -401,6 +408,11 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
             (insight_from_dict(f["insight"]), typed(f, "fit", (int, float)))
             for f in typed(slot_json, "factors", list)
         ]
+        # attributes are derived from the fits, so a bad fit is named first
+        for _, fit in assignments[slot_id]:
+            problem = _fit_problem(fit)
+            if problem:
+                raise ValueError(f"slot {slot_id!r}: {problem}")
         given[slot_id] = slot_json.get("attribute")
     for slot in schema.slots:
         if slot.id not in given:

@@ -232,29 +232,26 @@ def peer_comparison_insight(
     subject: str,
     metric: MetricDescriptor,
 ) -> Insight | None:
-    """Fires when the subject ranks strictly first or last among peers."""
+    """Fires when the subject ranks strictly first or last among peers.
+
+    Its ``rank`` evidence is the subject, its runner-up and the peer at the
+    opposite extreme, in the order of the ranking by ``(-value, entity)``;
+    with one peer, the runner-up is the opposite extreme, so two entries."""
     column = dataset.column(metric.name)
-    sval = column[dataset.entities.index(subject)]
+    at = dataset._row_index[subject]
+    sval = column[at]
     if sval is None:
         return None
-    peers = [
-        (e, v)
-        for e, v in zip(dataset.entities, column)
-        if e != subject and v is not None
-    ]
-    if not peers:
+    # in entity order, so the peer mean sums in a fixed order
+    peer_cells = column[:at] + column[at + 1:]
+    peer_values = [v for v in peer_cells if v is not None]
+    if not peer_values:
         return None
-    peer_values = [v for _, v in peers]
-    all_values = [sval] + peer_values
-    lo, hi = min(all_values), max(all_values)
-    if hi == lo:
-        return None
-    if sval > max(peer_values):
-        extremity = "highest"
-        raw_dir = "positive"
-    elif sval < min(peer_values):
-        extremity = "lowest"
-        raw_dir = "negative"
+    peer_lo, peer_hi = min(peer_values), max(peer_values)
+    if sval > peer_hi:
+        extremity, raw_dir, lo, hi = "highest", "positive", peer_lo, sval
+    elif sval < peer_lo:
+        extremity, raw_dir, lo, hi = "lowest", "negative", sval, peer_hi
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
@@ -267,14 +264,23 @@ def peer_comparison_insight(
     }[direction]
     statement = (
         f"{subject} has the {extremity} {metric.name} among "
-        f"{len(all_values)} companies, {tone} versus its peers."
+        f"{len(peer_values) + 1} companies, {tone} versus its peers."
     )
-    ranking = sorted(
-        [(subject, sval)] + peers, key=lambda p: (-p[1], p[0])
-    )
+    # (ranking key, entity, value); entity names are distinct, so the key
+    # orders them totally and min == max only for a single peer
+    entities = dataset.entities
+    peers = [
+        (-v, e, v)
+        for e, v in zip(entities[:at] + entities[at + 1:], peer_cells)
+        if v is not None
+    ]
+    first, last = min(peers), max(peers)
+    ends = [first, last] if first != last else [first]
+    own = (-sval, subject, sval)
+    ranking = [own, *ends] if extremity == "highest" else [*ends, own]
     evidence = tuple(
         Evidence(kind="rank", refs=(metric.name, entity), value=value)
-        for entity, value in ranking
+        for _, entity, value in ranking
     )
     return Insight(
         id=f"peer:{_slug(metric.name)}",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -46,6 +47,36 @@ class TestInsightsCommand:
         assert run("insights", "--timeseries", str(PRICES), "-o", str(out)) == 0
         data = json.loads(out.read_text())
         assert any(i["id"] == "trend:closing-price" for i in data["insights"])
+
+    def test_peer_evidence_is_bounded_on_a_wide_table(self, tmp_path):
+        """However many entities a table has, a peer insight carries three
+        rank entries at most (subject, runner-up, opposite extreme), and
+        each is a cell of the file."""
+        rng = random.Random(13)
+        entities = [f"Company {i:03d}" for i in range(130)]
+        lines = ["Metric\t" + "\t".join(entities)]
+        for j in range(12):
+            cells = [f"{rng.uniform(10, 1000):.2f}" for _ in entities]
+            cells[0] = ("5000", "1", cells[0])[j % 3]  # subject highest, lowest, as drawn
+            lines.append(f"Segment {j} sales\t" + "\t".join(cells))
+        table = tmp_path / "wide.tsv"
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "wide.json"
+        assert run("insights", "--table", str(table), "-o", str(out)) == 0
+
+        header, *rows = table.read_text(encoding="utf-8").splitlines()
+        names = header.split("\t")[1:]
+        cell = {(row.split("\t")[0], name): float(text)
+                for row in rows for name, text in zip(names, row.split("\t")[1:])}
+        peers = [i for i in json.loads(out.read_text())["insights"] if i["id"].startswith("peer:")]
+        assert {"highest", "lowest"} <= {word for i in peers for word in i["statement"].split()}
+        for ins in peers:
+            assert 2 <= len(ins["evidence"]) <= 3
+            for e in ins["evidence"]:
+                assert e["kind"] == "rank"
+                assert e["value"] == cell[tuple(e["refs"])]
+        # one rank entry per entity would make this file about 170 KB
+        assert out.stat().st_size < 20_000
 
     def test_no_inputs_is_input_error(self, capsys):
         assert run("insights") == 2
@@ -381,6 +412,28 @@ class TestRenderCommand:
         assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
         expected = f"error: invalid analysis file {analysis}: {message.replace('OWN', own)}\n"
         assert capsys.readouterr().err == expected
+        assert not (tmp_path / "d.svg").exists()
+
+    @pytest.mark.parametrize("fit,shown", [(1.5, "1.5"), (1e308, "1e+308"), (float("inf"), "inf")],
+                             ids=["above-one", "huge", "infinite"])
+    def test_bad_fit_is_named_before_the_attribute(self, insights_file, tmp_path, capsys,
+                                                   fit, shown):
+        """A slot's attribute is derived from its fits, so a fit outside
+        [0, 1] is reported as the fit, not as an attribute mismatch."""
+        analysis = tmp_path / "a.json"
+        run("organize", str(insights_file), "--framework", "value-discipline", "-o", str(analysis))
+        data = json.loads(analysis.read_text())
+        assert data["slots"][2]["id"] == "customer_intimacy"
+        # these two factors point opposite ways, so infinite fits sum to NaN
+        for factor in data["slots"][2]["factors"][1:3]:
+            factor["fit"] = fit
+        analysis.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid analysis file {analysis}: "
+            f"slot 'customer_intimacy': fit {shown} outside [0, 1]\n"
+        )
         assert not (tmp_path / "d.svg").exists()
 
     @pytest.mark.parametrize("raw,kind", [

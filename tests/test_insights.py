@@ -170,13 +170,42 @@ class TestPeerComparison:
         d = small_dataset(Metric=(5.0, 5.0, 5.0))
         assert peer_comparison_insight(d, "E0", d.metrics[0]) is None
 
-    def test_rank_evidence_covers_every_entity(self, foobar_dataset):
-        m = foobar_dataset.metric("Number of stores")
-        ins = peer_comparison_insight(foobar_dataset, "Foobar Corp", m)
-        assert {e.refs[1] for e in ins.evidence} == set(foobar_dataset.entities)
-        assert [e.value for e in ins.evidence] == sorted(
-            (e.value for e in ins.evidence), reverse=True
-        )
+    # Entity order differs from name order, so a tie broken by position
+    # would pick a different entity than one broken by name.
+    _RANKED = Dataset(
+        entities=("Acme", "Zed", "Bay", "Cove", "Dune", "Echo", "Fjord"),
+        metrics=(MetricDescriptor("High", "higher-is-better"),
+                 MetricDescriptor("Low", "higher-is-better"),
+                 MetricDescriptor("Lone", "higher-is-better")),
+        values=(
+            (10.0, 0.5, 5.0),
+            (7.0, 9.0, None),
+            (7.0, 9.0, None),
+            (3.0, 4.0, 2.0),
+            (1.0, 2.0, None),
+            (1.0, 2.0, None),
+            (None, 6.0, None),
+        ),
+    )
+
+    @pytest.mark.parametrize("metric,expected", [
+        # ranking by (-value, entity): Acme, Bay, Zed, Cove, Dune, Echo
+        ("High", [("Acme", 10.0), ("Bay", 7.0), ("Echo", 1.0)]),
+        # ranking: Bay, Zed, Fjord, Cove, Dune, Echo, Acme
+        ("Low", [("Bay", 9.0), ("Echo", 2.0), ("Acme", 0.5)]),
+        # one peer with a value: the runner-up is the opposite extreme
+        ("Lone", [("Acme", 5.0), ("Cove", 2.0)]),
+    ], ids=["subject-highest", "subject-lowest", "one-peer"])
+    def test_rank_evidence_is_subject_runner_up_and_opposite_extreme(self, metric, expected):
+        """Positions 0, 1 and -1 of the full ranking when the subject is
+        highest, 0, -2 and -1 when it is lowest; ties go by entity name."""
+        d = self._RANKED
+        ins = peer_comparison_insight(d, "Acme", d.metric(metric))
+        assert [(e.refs[1], e.value) for e in ins.evidence] == expected
+        for e in ins.evidence:
+            assert e.kind == "rank"
+            assert e.refs == (metric, e.refs[1])
+            assert e.value == d.value(e.refs[1], metric)
 
     @given(
         peers=st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=6),
@@ -473,6 +502,68 @@ def rule_datasets(draw, cells=_CELLS):
     )
 
 
+def _full_ranking_peer(dataset, subject, metric):
+    """Oracle: the peer rule with the whole column sorted into a ranking.
+    Returns None or (statement, direction, magnitude, ranking ends)."""
+    sval = dataset.value(subject, metric.name)
+    peers = [(e, dataset.value(e, metric.name)) for e in dataset.entities if e != subject]
+    peers = [(e, v) for e, v in peers if v is not None]
+    if sval is None or not peers:
+        return None
+    peer_values = [v for _, v in peers]
+    lo, hi = min(peer_values + [sval]), max(peer_values + [sval])
+    if sval > max(peer_values):
+        extremity, raw_dir = "highest", "positive"
+    elif sval < min(peer_values):
+        extremity, raw_dir = "lowest", "negative"
+    else:
+        return None
+    direction = {"neutral": "neutral", "higher-is-better": raw_dir,
+                 "lower-is-better": {"positive": "negative", "negative": "positive"}[raw_dir],
+                 }[metric.polarity]
+    magnitude = max(0.0, min(1.0, abs(sval - sum(peer_values) / len(peer_values)) / (hi - lo)))
+    tone = {"positive": "a clear strength", "negative": "a clear weakness",
+            "neutral": "an outlier position"}[direction]
+    statement = (f"{subject} has the {extremity} {metric.name} among "
+                 f"{len(peers) + 1} companies, {tone} versus its peers.")
+    ranking = sorted([(subject, sval)] + peers, key=lambda p: (-p[1], p[0]))
+    at = (0, 1, -1) if extremity == "highest" else (0, -2, -1)
+    ends = list(dict.fromkeys(ranking[i] for i in at))
+    return statement, direction, magnitude, ends
+
+
+# Wide floats make the peer mean depend on the order of its sum.
+_PEER_CELLS = st.one_of(st.none(), st.integers(-3, 3).map(float),
+                        st.floats(-1e6, 1e6, allow_nan=False),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def peer_columns(draw):
+    """A one-metric table of 2-40 entities with None cells and ties, and a
+    subject anywhere in it; the subject's cell is often moved to just past
+    (or onto) the peers' top or bottom, so that the rule fires often."""
+    n_entities = draw(st.integers(2, 40))
+    entities = tuple(draw(st.permutations([f"Company {i:02d}" for i in range(n_entities)])))
+    at = draw(st.integers(0, n_entities - 1))
+    cells = [draw(_PEER_CELLS) for _ in entities]
+    peer_values = [v for i, v in enumerate(cells) if i != at and v is not None]
+    place = draw(st.sampled_from(("as drawn", "top", "top", "bottom", "bottom")))
+    if peer_values and place != "as drawn":
+        edge, sign = (max(peer_values), 1) if place == "top" else (min(peer_values), -1)
+        step = draw(st.sampled_from((0.0, 1e-9, 0.5)))  # relative; 0 ties the edge
+        moved = edge + sign * step * max(1.0, abs(edge))
+        if math.isfinite(moved):
+            cells[at] = moved
+    polarity = draw(st.sampled_from(("higher-is-better", "lower-is-better", "neutral")))
+    dataset = Dataset(
+        entities=entities,
+        metrics=(MetricDescriptor("Revenue ($m)", polarity),),
+        values=tuple((v,) for v in cells),
+    )
+    return dataset, entities[at]
+
+
 def _dicts(found) -> list[dict]:
     return [insight_to_dict(ins) for ins in found]
 
@@ -507,6 +598,24 @@ class TestIndexedDataset:
         except NonFiniteResult:
             return
         assert all(math.isfinite(e.value) for ins in found for e in ins.evidence)
+
+    @given(table=peer_columns())
+    @settings(max_examples=300)
+    def test_peer_rule_matches_full_ranking_oracle(self, table):
+        """The early exit sums the peer values in entity order, so the
+        magnitude is equal, not just close; the evidence is the ranking's
+        subject, runner-up and opposite extreme."""
+        dataset, subject = table
+        metric = dataset.metrics[0]
+        expected = _full_ranking_peer(dataset, subject, metric)
+        ins = peer_comparison_insight(dataset, subject, metric)
+        if expected is None:
+            assert ins is None
+            return
+        statement, direction, magnitude, ends = expected
+        assert (ins.statement, ins.direction, ins.magnitude) == (statement, direction, magnitude)
+        assert [(e.refs[1], e.value) for e in ins.evidence] == ends
+        assert all(e.kind == "rank" and e.refs[0] == metric.name for e in ins.evidence)
 
     def test_value_calls_are_linear_in_metrics(self, monkeypatch):
         """Counts, not times: on an E x M table the rules make O(M) ``value``
