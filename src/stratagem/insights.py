@@ -148,8 +148,8 @@ def _slug(text: str) -> str:
 
 
 class NonFiniteResult(ValueError):
-    """A rule's mean, slope or ratio overflowed: its finite inputs are too
-    large (or too small) for float arithmetic."""
+    """A rule's mean, slope, ratio, spread or total overflowed: its finite
+    inputs are too large (or too small) for float arithmetic."""
 
     def __init__(self, metric: str, quantity: str):
         self.metric = metric
@@ -255,8 +255,9 @@ def peer_comparison_insight(
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
-    peer_mean = sum(peer_values) / len(peer_values)
-    magnitude = _clamp01(abs(sval - peer_mean) / (hi - lo))
+    peer_mean = _finite(sum(peer_values) / len(peer_values), metric.name, "peer mean")
+    spread = _finite(hi - lo, metric.name, "peer spread")
+    magnitude = _clamp01(abs(sval - peer_mean) / spread)
     tone = {
         "positive": "a clear strength",
         "negative": "a clear weakness",
@@ -304,7 +305,7 @@ def ratio_insight(
     den = dataset.value(subject, denominator)
     if num is None or den is None:
         return None, None
-    total = num + den
+    total = _finite(num + den, f"{numerator} + {denominator}", "total")
     if total == 0:
         return None, Diagnostic(
             rule="ratio", message=f"{numerator} and {denominator} are both zero"
@@ -373,9 +374,12 @@ def sentiment_balance_insight(dataset: Dataset, subject: str) -> list[Insight]:
         pair = channels[label]
         pos = dataset.value(subject, pair["positive"])
         neg = dataset.value(subject, pair["negative"])
-        if pos is None or neg is None or pos + neg == 0:
+        if pos is None or neg is None:
             continue
-        share = pos / (pos + neg)
+        total = _finite(pos + neg, f"{pair['positive']} + {pair['negative']}", "total")
+        if total == 0:
+            continue
+        share = pos / total
         shares[label] = share
         if share >= THRESHOLDS.sentiment_strong:
             direction, magnitude = "positive", (share - 0.5) * 2

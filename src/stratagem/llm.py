@@ -2,10 +2,11 @@
 record/replay transcripts, and strict parsing of responses into insights
 and framework analyses.
 
-LLM output is treated as untrusted input: everything is parsed, validated
-against the same schema invariants as the rule path, and truncated. With
-``mode="replay"`` and a shipped transcript no network access happens at
-all.
+Live and record calls POST through the standard library (HTTPS checked
+against the system trust store, a fixed 60 s timeout); a call that yields
+no completion is a ``TransportError``. Replay touches no network. LLM
+output is untrusted input: everything is parsed, validated against the
+same schema invariants as the rule path, and truncated.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .insights import MAX_WORDS, MIN_WORDS, Insight
 DEFAULT_API_KEY_ENV = "STRATAGEM_LLM_API_KEY"
 LLM_FIT = 0.7  # fixed fit for LLM-proposed slot assignments
 LLM_MAGNITUDE = 0.5  # LLMs provide no calibrated strength
+_TIMEOUT_S = 60.0  # seconds per socket operation of a live call
 
 PROMPT_TEMPLATES = {
     "trend_training_data": (
@@ -58,14 +60,8 @@ class AuthMissing(LlmError):
     pass
 
 
-class Timeout(LlmError):
-    pass
-
-
-class HttpStatus(LlmError):
-    def __init__(self, code: int):
-        self.code = code
-        super().__init__(f"HTTP status {code}")
+class TransportError(LlmError):
+    """No completion from the endpoint; the message names it and the cause."""
 
 
 class ReplayMiss(LlmError):
@@ -118,7 +114,6 @@ class ProviderConfig:
     model: str
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     api_key_env: str = DEFAULT_API_KEY_ENV
-    timeout: float = 60.0
     mode: str = "live"  # live | record | replay
     transcript_path: str | None = None
 
@@ -176,28 +171,33 @@ def _append_record(path: str, request_hash_: str, request: str, response: str) -
 
 
 def _http_complete(config: ProviderConfig, prompt: str) -> str:
-    import requests
+    import http.client
+    import urllib.request  # not at module level: importing the CLI stays fast
 
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
         raise AuthMissing(f"environment variable {config.api_key_env} is not set")
-    body = {
-        "model": config.model,
-        "messages": [{"role": "user", "content": prompt}],
-    }
+    body = {"model": config.model, "messages": [{"role": "user", "content": prompt}]}
+    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+    request = urllib.request.Request(config.endpoint, json.dumps(body).encode(), headers)
     try:
-        resp = requests.post(
-            config.endpoint,
-            json=body,
-            headers={"Authorization": f"Bearer {api_key}"},
-            timeout=config.timeout,
-        )
-    except requests.Timeout as exc:
-        raise Timeout(str(exc)) from exc
-    if resp.status_code != 200:
-        raise HttpStatus(resp.status_code)
-    data = resp.json()
-    return data["choices"][0]["message"]["content"]
+        with urllib.request.urlopen(request, timeout=_TIMEOUT_S) as resp:
+            status, raw = resp.status, resp.read()
+    except urllib.request.HTTPError as exc:  # a status outside 2xx
+        status, raw = exc.code, b""
+    except (OSError, http.client.HTTPException) as exc:  # no connection, a timeout, not HTTP
+        raise TransportError(f"{config.endpoint}: {getattr(exc, 'reason', exc)!r}") from None
+    if status != 200:
+        raise TransportError(f"{config.endpoint}: HTTP status {status}")
+    try:
+        content = json.loads(raw)["choices"][0]["message"]["content"]
+    except ValueError:
+        raise TransportError(f"{config.endpoint}: response body is not JSON") from None
+    except (LookupError, TypeError):
+        content = None
+    if not isinstance(content, str):
+        raise TransportError(f"{config.endpoint}: response has no string completion")
+    return content
 
 
 @functools.lru_cache(maxsize=1)

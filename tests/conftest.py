@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import http.server
+import json
 import random
 import socket
+import threading
 from pathlib import Path
 
 import pytest
 
-from stratagem import frameworks, ingest
+from stratagem import frameworks, ingest, llm
 from stratagem.insights import Evidence, Insight, THEME_TAGS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,6 +56,56 @@ def no_network(monkeypatch):
 
     monkeypatch.setattr(socket.socket, "connect", _blocked)
     monkeypatch.setattr(socket, "create_connection", _blocked)
+
+
+class _StubHandler(http.server.BaseHTTPRequestHandler):
+    """Records each POST and answers with the server's ``reply``: a status,
+    a body, and seconds to wait first (cut short when the test ends). With
+    the status None, the body is written as the whole raw reply."""
+
+    def do_POST(self):
+        server = self.server
+        server.requests.append((self.path, dict(self.headers),
+                                self.rfile.read(int(self.headers["Content-Length"]))))
+        status, body, delay = server.reply
+        server.release.wait(delay)
+        if status is None:
+            self.wfile.write(body)
+            return
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def completion_body(content) -> bytes:
+    """A chat-completions reply whose first choice says ``content``."""
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]}).encode()
+
+
+@pytest.fixture
+def llm_stub(monkeypatch):
+    """A chat-completions endpoint on 127.0.0.1, served by one thread, with
+    the API key set and proxies bypassed. Set ``reply`` to change the
+    answer; ``requests`` holds (path, headers, body) per call."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.handle_error = lambda request, address: None  # a client that timed out
+    server.requests = []
+    server.reply = (200, completion_body("- stub completion text"), 0.0)
+    server.release = threading.Event()
+    server.endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    monkeypatch.setenv(llm.DEFAULT_API_KEY_ENV, "test-key")
+    monkeypatch.setenv("no_proxy", "*")
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,))
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    thread.join()
+    server.server_close()
 
 
 # ---------------------------------------------------------------------------

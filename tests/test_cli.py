@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratagem import cli, diagram
+from stratagem import cli, diagram, llm
 
 FOOBAR = Path(__file__).parent / "fixtures" / "foobar.tsv"
 PRICES = Path(__file__).parent / "fixtures" / "prices.tsv"
@@ -137,6 +138,16 @@ class TestInsightsCommand:
         )
         assert not out.exists()
 
+    def test_overflowing_peer_spread_is_input_error(self, tmp_path, capsys):
+        table = tmp_path / "t.tsv"
+        table.write_text("Metric\tA\tB\tC\nRevenue ($m)\t1e308\t-1e308\t0\n", encoding="utf-8")
+        out = tmp_path / "i.json"
+        assert run("insights", "--table", str(table), "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: Revenue ($m): peer spread is not finite; the values overflow\n"
+        )
+        assert not out.exists()
+
     def test_overflowing_series_stops_the_pipeline(self, tmp_path, capsys):
         series = tmp_path / "s.tsv"
         series.write_text("date\tclose\tvolume\n" + "".join(
@@ -215,6 +226,23 @@ class TestInsightsCommand:
         assert code == 3
         assert "LLM error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reply,cause", [
+        ((500, b"oops", 0.0), "HTTP status 500"),
+        ((200, b"not json", 0.0), "response body is not JSON"),
+        ((200, b"{}", 30.0), "TimeoutError('timed out')"),
+    ], ids=["500", "not-json", "timeout"])
+    def test_live_transport_failure_is_llm_error(self, tmp_path, capsys, monkeypatch,
+                                                 llm_stub, reply, cause):
+        llm_stub.reply = reply
+        monkeypatch.setattr(llm, "_TIMEOUT_S", 0.2)
+        parse = cli._parse_llm_flag
+        monkeypatch.setattr(cli, "_parse_llm_flag", lambda value: dataclasses.replace(
+            parse(value), endpoint=llm_stub.endpoint))
+        out = tmp_path / "x.json"
+        assert run("insights", "--table", str(FOOBAR), "--llm", "live:m", "-o", str(out)) == 3
+        assert capsys.readouterr().err == f"LLM error: {llm_stub.endpoint}: {cause}\n"
+        assert not out.exists()
+        assert json.loads(llm_stub.requests[0][2])["model"] == "m"
 
     @pytest.mark.parametrize("content,message", [
         (None, "cannot read transcript"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -381,6 +382,96 @@ class TestEmitSvg:
         parser.StartElementHandler = start
         parser.Parse(svg, True)
         assert injected in seen
+
+
+# ---------------------------------------------------------------------------
+# validate_spec's problems, one perturbation of a laid-out Foobar spec each
+
+def _moved(box, dx, dy):
+    """``box`` and its texts shifted by (dx, dy)."""
+    def shift(block):
+        return block.at(block.origin[0] + dx, block.origin[1] + dy)
+
+    return dataclasses.replace(box, x=box.x + dx, y=box.y + dy,
+                               title=shift(box.title), body=tuple(map(shift, box.body)))
+
+
+def _with_box(spec, i, box):
+    return dataclasses.replace(spec, boxes=spec.boxes[:i] + (box,) + spec.boxes[i + 1:])
+
+
+def _with_title(spec, i, **changes):
+    box = spec.boxes[i]
+    return _with_box(spec, i, dataclasses.replace(box, title=dataclasses.replace(box.title, **changes)))
+
+
+def _with_arrow_points(spec, points):
+    arrow = dataclasses.replace(spec.arrows[0], points=points(spec.arrows[0]))
+    return dataclasses.replace(spec, arrows=(arrow,) + spec.arrows[1:])
+
+
+def _center(box):
+    return (box.x + box.w / 2, box.y + box.h / 2)
+
+
+_SPEC_PROBLEMS = [
+    ("swot", lambda s: _with_box(s, 0, _moved(s.boxes[0], -10, 0)),
+     "box strengths outside canvas"),
+    ("swot", lambda s: _with_title(s, 0, origin=(s.boxes[0].x + 1, s.boxes[0].title.origin[1])),
+     "text in box strengths violates padding"),
+    ("swot", lambda s: _with_title(s, 0, origin=(
+        s.boxes[0].x + s.boxes[0].w - diagram.MIN_PADDING - s.boxes[0].title.width + 1,
+        s.boxes[0].title.origin[1])),
+     "text in box strengths overflows width"),
+    ("swot", lambda s: _with_title(s, 0, origin=(
+        s.boxes[0].title.origin[0],
+        s.boxes[0].y + s.boxes[0].h - diagram.MIN_PADDING - s.boxes[0].title.height + 1)),
+     "text in box strengths overflows height"),
+    ("swot", lambda s: _with_title(s, 0, font_size=MIN_FONT - 1),
+     f"font size {MIN_FONT - 1} outside bounds in strengths"),
+    ("swot", lambda s: _with_box(s, 1, _moved(s.boxes[1], -30, 0)),
+     "boxes strengths and weaknesses overlap"),
+    ("porter5", lambda s: dataclasses.replace(s, arrows=(
+        dataclasses.replace(s.arrows[0], from_id="nowhere"),) + s.arrows[1:]),
+     "arrow references unknown box nowhere->rivalry"),
+    ("porter5", lambda s: _with_arrow_points(s, lambda a: (_center(s.boxes[1]),) + a.points[1:]),
+     "arrow start not on boundary of supplier_power"),
+    ("porter5", lambda s: _with_arrow_points(s, lambda a: a.points[:-1] + (_center(s.boxes[0]),)),
+     "arrow end not on boundary of rivalry"),
+    ("porter5", lambda s: _with_arrow_points(
+        s, lambda a: (a.points[0], _center(s.boxes[1]), a.points[-1])),
+     "arrow supplier_power->rivalry enters box supplier_power"),
+    ("value_discipline", lambda s: dataclasses.replace(s, radar=dataclasses.replace(
+        s.radar, axes=(dataclasses.replace(
+            s.radar.axes[0], label=s.radar.axes[0].label.at(*s.radar.center)),)
+        + s.radar.axes[1:])),
+     "radar label overlaps ring for operational_excellence"),
+]
+
+
+@pytest.mark.parametrize("kind,perturb,problem", _SPEC_PROBLEMS, ids=[
+    "outside-canvas", "padding", "width", "height", "font-size", "overlap",
+    "unknown-box", "arrow-start", "arrow-end", "arrow-enters-box", "radar-label",
+])
+def test_each_spec_problem_is_reported(kind, perturb, problem, foobar_dataset, prices_series):
+    found = run_all_rules(foobar_dataset, prices_series)
+    spec = layout(organize(found, schema_for(kind), subject=foobar_dataset.subject))
+    assert validate_spec(spec) == []
+    bad = perturb(spec)
+    assert validate_spec(bad) == [problem]
+    with pytest.raises(InvariantViolation) as exc:
+        emit_svg(bad)
+    assert str(exc.value) == problem
+
+
+def test_layout_rejects_an_invalid_analysis():
+    analysis = swot_analysis()
+    analysis.assignments["strengths"] = [
+        (make_insight(10 + i, "positive", 0.5, ["growth"]), 0.7) for i in range(5)
+    ]
+    with pytest.raises(InvariantViolation) as exc:
+        layout(analysis)
+    assert str(exc.value) == "5 factors in strengths, max 4"
 
 
 # SHA-256 of the bundled Foobar table and price series rendered in each

@@ -1,12 +1,15 @@
 """The README's library snippet and the bundled scripts work as documented,
-and every public name in the package has a caller."""
+every public name in the package has a caller, and the package needs
+nothing beyond the standard library."""
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,3 +103,37 @@ def test_every_public_name_has_a_caller():
                 if name not in used and name not in _words(rest):
                     uncalled.append(f"{module}.{name}")
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in sorted((ROOT / "src" / "stratagem").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one within the package
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in (*sys.stdlib_module_names, "stratagem")
+            ]
+    assert outside == []
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert not re.search(r"^dependencies\s*=", project, re.M)
+
+
+def test_importing_the_cli_leaves_the_http_client_unloaded():
+    """``llm`` imports ``urllib.request`` only for a live call, so starting
+    the CLI does not pay for it."""
+    code = ("import sys, stratagem.cli\n"
+            "print(sorted(m for m in sys.modules if m in ('urllib.request', 'http.client')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -292,6 +292,20 @@ class TestValidateAnalysis:
         codes = {v.code for v in validate_analysis(analysis)}
         assert "DuplicateAssignment" in codes
 
+    def test_bad_fit_is_flagged(self):
+        analysis = organize([], schema_for("swot"))
+        analysis.assignments["strengths"] = [(make_insight(0, "positive", 0.5, ["growth"]), 1.5)]
+        assert [(v.code, v.slot_id, v.message) for v in validate_analysis(analysis)] == [
+            ("BadFit", "strengths", "fit 1.5 outside [0, 1]"),
+        ]
+
+    def test_missing_slot_is_flagged(self):
+        analysis = organize([], schema_for("swot"))
+        del analysis.assignments["threats"]
+        assert [(v.code, v.slot_id, v.message) for v in validate_analysis(analysis)] == [
+            ("MissingSlot", "threats", "no assignment list for threats"),
+        ]
+
     def test_bad_ordering_is_flagged(self):
         analysis = organize([], schema_for("swot"))
         analysis.assignments["strengths"] = [

@@ -166,6 +166,19 @@ class TestDatasetLookups:
         for j, m in enumerate(d.metrics):
             assert d.column(m.name) == tuple(row[j] for row in d.values)
 
+    @pytest.mark.parametrize("entities,metrics,values,message", [
+        ((), ("M",), (), "dataset needs at least one entity"),
+        (("A", ""), ("M",), ((1.0,), (2.0,)), "entity names must be non-empty"),
+        (("A", "A"), ("M",), ((1.0,), (2.0,)), "entity names must be unique"),
+        (("A",), ("M", "M"), ((1.0, 2.0),), "metric names must be unique"),
+        (("A", "B"), ("M",), ((1.0,),), "value matrix row count != entity count"),
+        (("A", "B"), ("M",), ((1.0,), (2.0, 3.0)), "value matrix column count != metric count"),
+    ], ids=["no-entity", "empty-entity", "repeated-entity", "repeated-metric",
+            "row-count", "column-count"])
+    def test_bad_construction_is_rejected(self, entities, metrics, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(entities, tuple(map(MetricDescriptor, metrics)), values)
+
     def test_unknown_names_raise_key_error(self, foobar_dataset):
         for lookup in (
             lambda: foobar_dataset.value("Nobody Inc", "Number of stores"),
@@ -314,6 +327,18 @@ class TestParseTimeseries:
                 "date\tclose\tvolume\n2024-04-01\t100\t10\n2024-04-01\t101\t10\n"
             )
         assert (exc.value.line, exc.value.date) == (3, dt.date(2024, 4, 1))
+
+    @pytest.mark.parametrize("days,closes,message", [
+        ((2, 1), (100.0, 101.0), "observations must be date-ascending"),
+        ((1, 1), (100.0, 101.0), "duplicate observation dates"),
+        ((1, 2), (100.0, 0.0), "prices must be strictly positive"),
+    ], ids=["descending", "duplicate", "non-positive"])
+    def test_bad_construction_is_rejected(self, days, closes, message):
+        observations = tuple(
+            Observation(dt.date(2024, 4, day), close, 10.0) for day, close in zip(days, closes)
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TimeSeries(observations)
 
     def test_row_order_invariance(self, prices_text):
         baseline = parse_timeseries(prices_text)

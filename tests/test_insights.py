@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
+import re
 import statistics
 
 import pytest
@@ -448,6 +449,21 @@ class TestRunAllRules:
         with pytest.raises(ValueError):
             run_all_rules(foobar_dataset, None, subject="Nobody Inc")
 
+    @pytest.mark.parametrize("columns,message", [
+        ({"Revenue ($m)": (1e308, -1e308, 0.0)}, "Revenue ($m): peer spread"),
+        ({"Revenue ($m)": (1e308, -1e308, -1e308)}, "Revenue ($m): peer mean"),
+        ({"Online revenue": (1e308,), "In-store revenue": (1e308,)},
+         "Online revenue + In-store revenue: total"),
+        ({"Positive web sentiment": (1e308,), "Negative web sentiment": (1e308,)},
+         "Positive web sentiment + Negative web sentiment: total"),
+    ], ids=["peer-spread", "peer-mean", "ratio-total", "sentiment-total"])
+    def test_overflowing_table_arithmetic_is_typed_error(self, columns, message):
+        """Finite cells whose sum or difference overflows would otherwise
+        give a magnitude of 0 or NaN, or a share of 0 percent."""
+        with pytest.raises(NonFiniteResult) as exc:
+            run_all_rules(small_dataset(**columns), None)
+        assert str(exc.value) == f"{message} is not finite; the values overflow"
+
     def test_all_statements_within_word_bounds(self, foobar_dataset, prices_series):
         for ins in run_all_rules(foobar_dataset, prices_series):
             assert 5 <= len(ins.statement.split()) <= 40
@@ -504,7 +520,8 @@ def rule_datasets(draw, cells=_CELLS):
 
 def _full_ranking_peer(dataset, subject, metric):
     """Oracle: the peer rule with the whole column sorted into a ranking.
-    Returns None or (statement, direction, magnitude, ranking ends)."""
+    Returns None or (statement, direction, magnitude, ranking ends), and
+    raises NonFiniteResult when a firing rule's mean or spread overflows."""
     sval = dataset.value(subject, metric.name)
     peers = [(e, dataset.value(e, metric.name)) for e in dataset.entities if e != subject]
     peers = [(e, v) for e, v in peers if v is not None]
@@ -518,6 +535,10 @@ def _full_ranking_peer(dataset, subject, metric):
         extremity, raw_dir = "lowest", "negative"
     else:
         return None
+    for quantity, x in (("peer mean", sum(peer_values) / len(peer_values)),
+                        ("peer spread", hi - lo)):
+        if not math.isfinite(x):
+            raise NonFiniteResult(metric.name, quantity)
     direction = {"neutral": "neutral", "higher-is-better": raw_dir,
                  "lower-is-better": {"positive": "negative", "negative": "positive"}[raw_dir],
                  }[metric.polarity]
@@ -607,7 +628,12 @@ class TestIndexedDataset:
         subject, runner-up and opposite extreme."""
         dataset, subject = table
         metric = dataset.metrics[0]
-        expected = _full_ranking_peer(dataset, subject, metric)
+        try:
+            expected = _full_ranking_peer(dataset, subject, metric)
+        except NonFiniteResult as exc:
+            with pytest.raises(NonFiniteResult, match=f"^{re.escape(str(exc))}$"):
+                peer_comparison_insight(dataset, subject, metric)
+            return
         ins = peer_comparison_insight(dataset, subject, metric)
         if expected is None:
             assert ins is None

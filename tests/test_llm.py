@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import completion_body
 from stratagem import llm
 from stratagem.frameworks import schema_for, validate_analysis
 from stratagem.llm import (
@@ -20,6 +23,7 @@ from stratagem.llm import (
     NoSlotHeadings,
     ProviderConfig,
     ReplayMiss,
+    TransportError,
     ask,
     complete,
     load_transcript,
@@ -133,6 +137,81 @@ class TestTransport:
         )
         with pytest.raises(ValueError):
             load_transcript(str(path))
+
+
+class TestLiveTransport:
+    """Live and record calls against a chat-completions stub on loopback."""
+
+    def config(self, stub, **kw) -> ProviderConfig:
+        return ProviderConfig(model="m", endpoint=stub.endpoint, **kw)
+
+    def test_live_call_sends_body_and_headers(self, llm_stub):
+        assert complete(self.config(llm_stub), "Say hello to Zoë.", "k") == "- stub completion text"
+        [(path, headers, body)] = llm_stub.requests
+        assert path == "/v1/chat/completions"
+        assert json.loads(body) == {
+            "model": "m", "messages": [{"role": "user", "content": "Say hello to Zoë."}],
+        }
+        assert headers["Authorization"] == "Bearer test-key"
+        assert headers["Content-Type"] == "application/json"
+
+    def test_record_mode_appends_through_the_stub(self, llm_stub, tmp_path):
+        path = tmp_path / "t.jsonl"
+        config = self.config(llm_stub, mode="record", transcript_path=str(path))
+        bindings = {"company": "X"}
+        assert ask(config, "trend_training_data", bindings) == "- stub completion text"
+        key = request_hash("trend_training_data", bindings)
+        assert load_transcript(str(path)) == {key: "- stub completion text"}
+        assert len(llm_stub.requests) == 1
+
+    @pytest.mark.parametrize("status,body,cause", [
+        (500, b"oops", "HTTP status 500"),
+        (204, b"", "HTTP status 204"),
+        (200, b"<html>not json</html>", "response body is not JSON"),
+        (200, b"\xff\xfe\xfd", "response body is not JSON"),
+        (200, b'{"choices": []}', "response has no string completion"),
+        (200, b'[1, 2]', "response has no string completion"),
+        (200, completion_body(None), "response has no string completion"),
+        (None, b"SSH-2.0-OpenSSH_9.6\r\n", "BadStatusLine('SSH-2.0-OpenSSH_9.6\\r\\n')"),
+        (None, b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{}",
+         "IncompleteRead(2 bytes read, 98 more expected)"),
+    ], ids=["500", "204", "not-json", "not-utf8", "no-choices", "array", "null-content",
+            "not-http", "cut-short"])
+    def test_bad_reply_is_transport_error(self, llm_stub, status, body, cause):
+        llm_stub.reply = (status, body, 0.0)
+        with pytest.raises(TransportError) as exc:
+            complete(self.config(llm_stub), "prompt", "k")
+        assert str(exc.value) == f"{llm_stub.endpoint}: {cause}"
+
+    def test_slow_reply_is_transport_error(self, llm_stub, monkeypatch):
+        monkeypatch.setattr(llm, "_TIMEOUT_S", 0.2)
+        llm_stub.reply = (200, completion_body("too late"), 30.0)
+        with pytest.raises(TransportError) as exc:
+            complete(self.config(llm_stub), "prompt", "k")
+        assert str(exc.value) == f"{llm_stub.endpoint}: TimeoutError('timed out')"
+
+    def test_closed_port_is_transport_error(self, llm_stub):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        endpoint = f"http://127.0.0.1:{port}/v1"
+        with pytest.raises(TransportError) as exc:
+            complete(ProviderConfig(model="m", endpoint=endpoint), "prompt", "k")
+        refused = errno.ECONNREFUSED
+        assert str(exc.value) == (
+            f"{endpoint}: ConnectionRefusedError({refused}, {os.strerror(refused)!r})"
+        )
+
+    def test_unresolvable_name_is_transport_error(self, llm_stub, monkeypatch):
+        def unknown(*args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", unknown)
+        with pytest.raises(TransportError) as exc:
+            complete(ProviderConfig(model="m", endpoint="http://llm.invalid/v1"), "prompt", "k")
+        assert str(exc.value) == (
+            f"http://llm.invalid/v1: gaierror({socket.EAI_NONAME}, 'Name or service not known')"
+        )
 
 
 def _record(key: str, response: str) -> str:
