@@ -64,8 +64,11 @@ def _parse_llm_flag(value: str) -> llm.ProviderConfig | None:
     kind, _, rest = value.partition(":")
     if kind == "live" and rest:
         return llm.ProviderConfig(model=rest, mode="live")
-    if kind == "record" and rest:
-        return llm.ProviderConfig(model="default", mode="record", transcript_path=rest)
+    if kind == "record":
+        model, sep, path = rest.partition(":")
+        if not (model and sep and path):
+            raise ValueError(f"bad --llm value {value!r}: record takes record:MODEL:PATH")
+        return llm.ProviderConfig(model=model, mode="record", transcript_path=path)
     if kind == "replay" and rest:
         return llm.ProviderConfig(model="replay", mode="replay", transcript_path=rest)
     raise ValueError(f"bad --llm value {value!r}")
@@ -253,7 +256,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--subject", default="", help="analysis subject entity")
         p.add_argument(
             "--llm", default="off",
-            help="off | live:MODEL | record:TRANSCRIPT | replay:TRANSCRIPT",
+            help="off | live:MODEL | record:MODEL:TRANSCRIPT | replay:TRANSCRIPT",
         )
 
     p = sub.add_parser("insights", help="extract insights from data")

@@ -602,12 +602,10 @@ def validate_spec(spec: DiagramSpec) -> list[str]:
         if not _on_rect_boundary(arrow.points[-1], dst.rect):
             problems.append(f"arrow end not on boundary of {arrow.to_id}")
         for p in arrow.points[1:-1]:
+            if math.dist(p, arrow.points[0]) <= 2.0 or math.dist(p, arrow.points[-1]) <= 2.0:
+                continue
             for box in spec.boxes:
-                near_end = (
-                    math.dist(p, arrow.points[0]) <= 2.0
-                    or math.dist(p, arrow.points[-1]) <= 2.0
-                )
-                if not near_end and box.contains_point(*p):
+                if box.contains_point(*p):
                     problems.append(
                         f"arrow {arrow.from_id}->{arrow.to_id} enters box {box.id}"
                     )

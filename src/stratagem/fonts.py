@@ -8,6 +8,8 @@ fallback, accepting minor visual slack where the exact face is absent.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 FALLBACK_ADVANCE = 600  # 0.6 em for characters outside the table
 
 ADVANCE_WIDTHS: dict[str, int] = {}
@@ -31,12 +33,8 @@ ADVANCE_WIDTHS.update({
 FONT_FAMILY = "Helvetica, Arial, sans-serif"
 
 
-def advance(ch: str) -> int:
-    return ADVANCE_WIDTHS.get(ch, FALLBACK_ADVANCE)
-
-
 def measure_text(s: str, size: float) -> float:
     """Width in px: size x sum of per-character advances / 1000."""
     if size <= 0:
         raise ValueError("font size must be positive")
-    return size * sum(advance(c) for c in s) / 1000.0
+    return size * sum(map(ADVANCE_WIDTHS.get, s, repeat(FALLBACK_ADVANCE))) / 1000.0

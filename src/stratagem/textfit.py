@@ -11,15 +11,29 @@ integer sum of per-word advances in thousandths of an em (``_em``, cached
 per string) and measures no trial line; its fit test is the expression
 ``measure_text`` computes, so the lines are the same. ``_split_token``
 cuts an overlong word from running sums per character in the same way.
+
+The search wraps only at sizes that a line-count floor leaves open. At a
+size, let ``cap`` be the largest integer em sum ``c`` with
+``size * c / 1000.0 <= width``: that is wrap's fit test, which only
+grows with ``c``, and every line wrap emits (a whole word, a hyphenated
+or last piece, a bare character, or words joined by spaces) passed it,
+so no line sums to more than ``cap``. Pieces keep every character of
+their word and add hyphens, and joins add spaces, so the lines together
+sum to at least ``total_em``, the words' sum. There are therefore at
+least ``ceil(total_em / cap)`` lines, and when that many fail the height
+test (the same expression as the final check, which grows with the line
+count) no wrap at that size fits. When ``cap`` is 0 no character fits
+and wrap would raise ``UnbreakableToken``. Skipping those sizes returns
+the block, or raises the error, that wrapping at every size gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 
-from .fonts import advance, measure_text
+from .fonts import ADVANCE_WIDTHS, FALLBACK_ADVANCE, measure_text
 
 MIN_FONT = 10
 MAX_FONT = 28
@@ -54,7 +68,12 @@ class TextBlock:
 
     @property
     def width(self) -> float:
-        return max((measure_text(ln, self.font_size) for ln in self.lines), default=0.0)
+        """Width of the widest line. Width is linear in the em sum, so this
+        measures one line: the one with the largest em sum, summed without
+        ``_em``'s cache so that finished lines do not fill it."""
+        if not self.lines:
+            return 0.0
+        return measure_text(max(self.lines, key=_em.__wrapped__), self.font_size)
 
     def at(self, x: float, y: float) -> "TextBlock":
         return TextBlock(lines=self.lines, font_size=self.font_size, origin=(x, y))
@@ -70,7 +89,7 @@ def _split_token(token: str, width: float, size: float) -> list[str]:
     only grow, so one forward scan finds each cut, and each fit test is
     ``measure_text``'s own expression, so the pieces are the ones that
     measuring every prefix gives."""
-    ems = [0, *accumulate(map(advance, token))]
+    ems = [0, *accumulate(map(ADVANCE_WIDTHS.get, token, repeat(FALLBACK_ADVANCE)))]
     hyphen_em = _em("-")
     pieces: list[str] = []
     start, n = 0, len(token)
@@ -95,9 +114,10 @@ def _split_token(token: str, width: float, size: float) -> list[str]:
 
 @lru_cache(maxsize=4096)
 def _em(s: str) -> int:
-    """Advance sum of ``s`` in thousandths of an em; ``measure_text`` is
-    ``size * _em(s) / 1000.0``."""
-    return sum(advance(c) for c in s)
+    """Advance sum of ``s`` in thousandths of an em, summed in C by mapping
+    the table's ``dict.get`` with the fallback advance; ``measure_text``
+    sums the same integers, so it is ``size * _em(s) / 1000.0``."""
+    return sum(map(ADVANCE_WIDTHS.get, s, repeat(FALLBACK_ADVANCE)))
 
 
 def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
@@ -133,6 +153,23 @@ def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
     return tuple(lines)
 
 
+def _ruled_out(total_em: int, width: float, height: float, size: int) -> bool:
+    """True when words summing to ``total_em`` cannot wrap into
+    ``width`` x ``height`` at ``size``: the line-count floor of the module
+    docstring. ``cap`` starts from the quotient and steps to the exact
+    bound of wrap's fit test; a NaN width leaves it at ``total_em``, a
+    floor of one line."""
+    estimate = width * 1000.0 / size
+    cap = int(estimate) if estimate < total_em else total_em
+    while cap < total_em and size * (cap + 1) / 1000.0 <= width:
+        cap += 1
+    while cap > 0 and size * cap / 1000.0 > width:
+        cap -= 1
+    if cap <= 0:
+        return True
+    return -(-total_em // cap) * LINE_HEIGHT * size > height
+
+
 def fit_text(
     text: str,
     width: float,
@@ -141,12 +178,17 @@ def fit_text(
     max_font: int = MAX_FONT,
 ) -> TextBlock:
     """Largest integer font size whose wrapped text fits width x height;
-    DoesNotFitAtMinFont(text) when none in [min_font, max_font] does."""
+    DoesNotFitAtMinFont(text) when none in [min_font, max_font] does.
+    Sizes the line-count floor rules out are skipped without wrapping."""
     if width <= 0 or height <= 0:
         raise ValueError("box interior must have positive dimensions")
-    if not text.split():
+    words = text.split()
+    if not words:
         return TextBlock(lines=(), font_size=float(max_font))
+    total_em = sum(map(_em, words))
     for size in range(max_font, min_font - 1, -1):
+        if size > 0 and _ruled_out(total_em, width, height, size):
+            continue
         try:
             lines = wrap(text, width, size)
         except UnbreakableToken:

@@ -206,6 +206,51 @@ class TestInsightsCommand:
     def test_bad_llm_flag(self):
         assert run("insights", "--table", str(FOOBAR), "--llm", "magic") == 2
 
+    @pytest.mark.parametrize("value,model,mode,path", [
+        ("off", None, None, None),
+        ("live:gpt-4o", "gpt-4o", "live", None),
+        ("record:gpt-4o:t.jsonl", "gpt-4o", "record", "t.jsonl"),
+        ("record:m:C:/runs/t.jsonl", "m", "record", "C:/runs/t.jsonl"),
+        ("record:m:a:b:c", "m", "record", "a:b:c"),
+        ("replay:t.jsonl", "replay", "replay", "t.jsonl"),
+    ])
+    def test_parse_llm_flag(self, value, model, mode, path):
+        config = cli._parse_llm_flag(value)
+        if model is None:
+            assert config is None
+        else:
+            assert (config.model, config.mode, config.transcript_path) == (model, mode, path)
+
+    @pytest.mark.parametrize("value", [
+        "record:t.jsonl", "record:", "record:m:", "record::t.jsonl", "live:", "replay:", "magic",
+    ])
+    def test_parse_llm_flag_rejects(self, value):
+        with pytest.raises(ValueError, match="bad --llm value"):
+            cli._parse_llm_flag(value)
+
+    def test_record_without_model_names_the_form(self, tmp_path, capsys):
+        transcript = tmp_path / "t.jsonl"
+        code = run("insights", "--table", str(FOOBAR), "--llm", f"record:{transcript}",
+                   "-o", str(tmp_path / "x.json"))
+        assert code == 2
+        assert "bad --llm value" in capsys.readouterr().err
+        assert not transcript.exists()
+
+    def test_record_sends_the_named_model(self, tmp_path, monkeypatch):
+        models = []
+
+        def fake(config, prompt):
+            models.append(config.model)
+            return "- Revenue grew faster than every peer this quarter"
+
+        monkeypatch.setattr(llm, "_http_complete", fake)
+        transcript = tmp_path / "run:1.jsonl"
+        code = run("insights", "--table", str(FOOBAR), "--llm", f"record:gpt-4o:{transcript}",
+                   "-o", str(tmp_path / "x.json"))
+        assert code == 0
+        assert models and set(models) == {"gpt-4o"}
+        assert transcript.exists()
+
     def test_replay_merge_is_offline(self, tmp_path, no_network):
         out = tmp_path / "merged.json"
         code = run(

@@ -3,7 +3,8 @@
 ``oracle_fits`` is an independent re-implementation of the wrapping
 contract (greedy fill, hyphen-splitting of overlong tokens) used to verify
 fit-optimality of the search: the chosen size fits and the next size up
-does not.
+does not. ``_exhaustive_fit`` is the search without the line-count floor,
+wrapping at every size, which ``fit_text`` must match exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from stratagem.textfit import (
     MAX_FONT,
     MIN_FONT,
     DoesNotFitAtMinFont,
+    TextBlock,
     UnbreakableToken,
+    _em,
     _split_token,
     fit_text,
     wrap,
@@ -89,6 +92,32 @@ def oracle_fits(text: str, width: float, height: float, size: float) -> bool:
     return len(lines) * LINE_HEIGHT * size <= height
 
 
+def _exhaustive_fit(text: str, width: float, height: float,
+                    min_font: int = MIN_FONT, max_font: int = MAX_FONT) -> TextBlock:
+    """The font-size search with no floor: wrap at every size from
+    ``max_font`` down and keep the first that fits."""
+    if width <= 0 or height <= 0:
+        raise ValueError("box interior must have positive dimensions")
+    if not text.split():
+        return TextBlock(lines=(), font_size=float(max_font))
+    for size in range(max_font, min_font - 1, -1):
+        try:
+            lines = wrap(text, width, size)
+        except UnbreakableToken:
+            continue
+        if len(lines) * LINE_HEIGHT * size <= height:
+            return TextBlock(lines=lines, font_size=float(size))
+    raise DoesNotFitAtMinFont(text)
+
+
+def _outcome(search, *args):
+    """The block a search returns, or the type and message it raises."""
+    try:
+        return search(*args)
+    except (DoesNotFitAtMinFont, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 # ---------------------------------------------------------------------------
 # measurement
 
@@ -110,6 +139,25 @@ class TestMeasure:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             measure_text("x", 0)
+
+
+class TestBlockWidth:
+    @given(
+        lines=st.lists(st.text(alphabet="aMWIl0- .,éè中—", max_size=30), max_size=8),
+        size=st.one_of(st.integers(MIN_FONT, MAX_FONT), st.floats(0.5, 40)),
+    )
+    @settings(max_examples=200)
+    def test_width_is_widest_measured_line(self, lines, size):
+        """One measurement of the line with the largest em sum gives the
+        widest line's width, and finding it leaves ``_em``'s cache as it was."""
+        block = TextBlock(lines=tuple(lines), font_size=size)
+        cached = _em.cache_info().currsize
+        expected = max((measure_text(ln, size) for ln in lines), default=0.0)
+        assert block.width == expected
+        assert _em.cache_info().currsize == cached
+
+    def test_empty_block_is_zero_wide(self):
+        assert TextBlock(lines=(), font_size=12.0).width == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +330,60 @@ class TestFitText:
         # the produced block really is contained
         assert block.width <= width + 1e-9
         assert block.height <= height + 1e-9
+
+    @given(
+        words=st.lists(
+            st.text(alphabet="abcdefghijklmnopqrstuvwxyzMWIl0-.,éè中—", min_size=1, max_size=40),
+            min_size=0, max_size=30,
+        ),
+        width_mode=st.sampled_from(["free", "one-glyph", "below-glyph", "words"]),
+        width=st.floats(0.5, 400),
+        at=st.integers(0, 40),
+        height=st.one_of(st.floats(1, 400), st.integers(1, 12)),
+        min_font=st.integers(0, 30),
+        max_font=st.integers(1, 40),
+    )
+    @settings(max_examples=500)
+    def test_floor_matches_exhaustive_search(self, words, width_mode, width, at,
+                                             height, min_font, max_font):
+        """Skipping sizes by the line-count floor returns the block that
+        wrapping at every size returns, or raises the same error. Widths
+        cover overlong tokens, glyphs missing from the table, a width that
+        holds one glyph exactly (so glyph plus hyphen does not fit), a
+        width just under the narrowest glyph of the text, and the exact
+        measure of the first words; an integer height is that many lines."""
+        text = " ".join(words)
+        size = min(max(min_font, 1), max_font)
+        chars = "".join(words) or "x"
+        if width_mode == "one-glyph":
+            width = measure_text(chars[at % len(chars)], size)
+        elif width_mode == "below-glyph":
+            width = min(measure_text(c, size) for c in chars) * 0.999
+        elif width_mode == "words" and words:
+            width = measure_text(" ".join(words[:1 + at % len(words)]), size)
+        if isinstance(height, int):
+            height = height * LINE_HEIGHT * size
+        assert _outcome(fit_text, text, width, height, min_font, max_font) == _outcome(
+            _exhaustive_fit, text, width, height, min_font, max_font
+        )
+
+    def test_floor_skips_sizes_without_wrapping(self, monkeypatch):
+        """A long text in a short box: the floor rules out the sizes from 28
+        down to within one of the size that fits, so at most two are wrapped
+        where the search without it wraps all 19."""
+        calls = []
+        real = textfit.wrap
+
+        def counting(text, width, size):
+            calls.append(size)
+            return real(text, width, size)
+
+        text = " ".join(["strategy"] * 60)
+        expected = _exhaustive_fit(text, 300, 120)
+        assert expected.font_size == MIN_FONT
+        monkeypatch.setattr(textfit, "wrap", counting)
+        assert fit_text(text, 300, 120) == expected
+        assert 1 <= len(calls) <= 2 and calls[-1] == MIN_FONT
 
     @given(
         width=st.floats(30, 300),
