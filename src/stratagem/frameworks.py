@@ -306,6 +306,17 @@ def _fit_problem(fit: float) -> str | None:
     return None if 0.0 <= fit <= 1.0 else f"fit {fit} outside [0, 1]"
 
 
+def _copy_problem(factor: dict, ins: Insight) -> str | None:
+    """Why ``factor``'s copy of its insight's statement or magnitude is not
+    the insight's, or None; a boolean is no magnitude."""
+    for key, expected in (("statement", ins.statement), ("magnitude", ins.magnitude)):
+        found = factor.get(key)
+        if found != expected or isinstance(found, bool):
+            return (f"factor {key} {json.dumps(found)} is not {json.dumps(expected)}, "
+                    "the one its insight gives")
+    return None
+
+
 def validate_analysis(analysis: OrganizedAnalysis) -> list[Violation]:
     """Check every OrganizedAnalysis invariant; empty list means valid."""
     out: list[Violation] = []
@@ -394,8 +405,9 @@ def _attribute_json(attr: str | AxisScore | None) -> dict | None:
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     """Rebuild an analysis from its interchange JSON; a wrongly typed field
     is a ``TypeError``, an out-of-range one (a fit included), a repeated or
-    a missing slot, or a slot ``attribute`` other than the one its factors
-    give a ``ValueError``."""
+    a missing slot, a slot ``attribute`` other than the one its factors
+    give, or a factor ``statement`` or ``magnitude`` other than its
+    insight's a ``ValueError``."""
     max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
     schema = schema_for(d["schema_kind"], max_per_slot)
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
@@ -404,13 +416,13 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
         slot_id = slot_json["id"]
         if slot_id in given:
             raise ValueError(f"slot {slot_id!r} is listed twice")
+        factors = typed(slot_json, "factors", list)
         assignments[slot_id] = [
-            (insight_from_dict(f["insight"]), typed(f, "fit", (int, float)))
-            for f in typed(slot_json, "factors", list)
+            (insight_from_dict(f["insight"]), typed(f, "fit", (int, float))) for f in factors
         ]
         # attributes are derived from the fits, so a bad fit is named first
-        for _, fit in assignments[slot_id]:
-            problem = _fit_problem(fit)
+        for f, (ins, fit) in zip(factors, assignments[slot_id]):
+            problem = _fit_problem(fit) or _copy_problem(f, ins)
             if problem:
                 raise ValueError(f"slot {slot_id!r}: {problem}")
         given[slot_id] = slot_json.get("attribute")

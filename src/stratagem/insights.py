@@ -110,12 +110,6 @@ class Insight:
             raise ValueError("rule-sourced insight needs at least one evidence entry")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    rule: str
-    message: str
-
-
 _THEME_KEYWORDS = (
     (("online",), "online-channel"),
     (("brand", "awareness", "media spend", "marketing", "advertis"), "brand-marketing"),
@@ -294,23 +288,38 @@ def peer_comparison_insight(
     )
 
 
+def _pair_share(
+    dataset: Dataset, subject: str, a: str, b: str
+) -> tuple[float, tuple[Evidence, Evidence, Evidence]] | None:
+    """``a``'s share of ``a + b`` for ``subject`` and its evidence: the
+    computed ratio, then the metric values of ``a`` and ``b``. None when a
+    cell is absent or the total is 0; ``NonFiniteResult`` when it overflows."""
+    va = dataset.value(subject, a)
+    vb = dataset.value(subject, b)
+    if va is None or vb is None:
+        return None
+    total = _finite(va + vb, f"{a} + {b}", "total")
+    if total == 0:
+        return None
+    share = va / total
+    return share, (
+        Evidence(kind="computed-ratio", refs=(a, b, subject), value=share),
+        Evidence(kind="metric-value", refs=(a, subject), value=va),
+        Evidence(kind="metric-value", refs=(b, subject), value=vb),
+    )
+
+
 def ratio_insight(
     dataset: Dataset,
     subject: str,
     numerator: str,
     denominator: str,
-) -> tuple[Insight | None, Diagnostic | None]:
+) -> Insight | None:
     """Channel-mix rule for the (online revenue, in-store revenue) pair."""
-    num = dataset.value(subject, numerator)
-    den = dataset.value(subject, denominator)
-    if num is None or den is None:
-        return None, None
-    total = _finite(num + den, f"{numerator} + {denominator}", "total")
-    if total == 0:
-        return None, Diagnostic(
-            rule="ratio", message=f"{numerator} and {denominator} are both zero"
-        )
-    share = num / total
+    found = _pair_share(dataset, subject, numerator, denominator)
+    if found is None:
+        return None
+    share, evidence = found
     if share < THRESHOLDS.online_share_low:
         direction = "negative"
         statement = (
@@ -324,24 +333,15 @@ def ratio_insight(
             f"for {subject}, showing a well developed online channel."
         )
     else:
-        return None, None
-    magnitude = _clamp01(abs(share - THRESHOLDS.online_share_low) / 0.85)
-    evidence = (
-        Evidence(kind="computed-ratio", refs=(numerator, denominator, subject), value=share),
-        Evidence(kind="metric-value", refs=(numerator, subject), value=num),
-        Evidence(kind="metric-value", refs=(denominator, subject), value=den),
-    )
-    return (
-        Insight(
-            id=f"ratio:{_slug(numerator)}-vs-{_slug(denominator)}",
-            statement=statement,
-            direction=direction,
-            magnitude=magnitude,
-            themes=frozenset(["online-channel"]),
-            evidence=evidence,
-            provenance="rule:ratio",
-        ),
-        None,
+        return None
+    return Insight(
+        id=f"ratio:{_slug(numerator)}-vs-{_slug(denominator)}",
+        statement=statement,
+        direction=direction,
+        magnitude=_clamp01(abs(share - THRESHOLDS.online_share_low) / 0.85),
+        themes=frozenset(["online-channel"]),
+        evidence=evidence,
+        provenance="rule:ratio",
     )
 
 
@@ -366,21 +366,18 @@ def _sentiment_channels(dataset: Dataset) -> dict[str, dict[str, str]]:
 
 
 def sentiment_balance_insight(dataset: Dataset, subject: str) -> list[Insight]:
-    """Per-channel positive-share insights plus a cross-channel contrast."""
+    """Per-channel positive-share insights plus a cross-channel contrast
+    whose evidence is the two channels' computed ratios."""
     channels = _sentiment_channels(dataset)
-    shares: dict[str, float] = {}
+    ratios: dict[str, Evidence] = {}
     out: list[Insight] = []
     for label in sorted(channels):
         pair = channels[label]
-        pos = dataset.value(subject, pair["positive"])
-        neg = dataset.value(subject, pair["negative"])
-        if pos is None or neg is None:
+        found = _pair_share(dataset, subject, pair["positive"], pair["negative"])
+        if found is None:
             continue
-        total = _finite(pos + neg, f"{pair['positive']} + {pair['negative']}", "total")
-        if total == 0:
-            continue
-        share = pos / total
-        shares[label] = share
+        share, evidence = found
+        ratios[label] = evidence[0]
         if share >= THRESHOLDS.sentiment_strong:
             direction, magnitude = "positive", (share - 0.5) * 2
             only, reading = "", "indicating a strong public reputation there"
@@ -399,45 +396,28 @@ def sentiment_balance_insight(dataset: Dataset, subject: str) -> list[Insight]:
                 direction=direction,
                 magnitude=_clamp01(magnitude),
                 themes=frozenset(["public-sentiment"]),
-                evidence=(
-                    Evidence(kind="computed-ratio",
-                             refs=(pair["positive"], pair["negative"], subject), value=share),
-                    Evidence(kind="metric-value", refs=(pair["positive"], subject), value=pos),
-                    Evidence(kind="metric-value", refs=(pair["negative"], subject), value=neg),
-                ),
+                evidence=evidence,
                 provenance="rule:sentiment",
             )
         )
-    if len(shares) >= 2:
-        ordered = sorted(shares.items(), key=lambda kv: kv[1])
-        lo_label, lo_share = ordered[0]
-        hi_label, hi_share = ordered[-1]
-        gap = hi_share - lo_share
+    if len(ratios) >= 2:
+        ordered = sorted(ratios, key=lambda label: ratios[label].value)
+        lo_label, hi_label = ordered[0], ordered[-1]
+        lo, hi = ratios[lo_label], ratios[hi_label]
+        gap = hi.value - lo.value
         if gap >= THRESHOLDS.sentiment_gap:
-            evidence = (
-                Evidence(
-                    kind="computed-ratio",
-                    refs=(channels[hi_label]["positive"], channels[hi_label]["negative"], subject),
-                    value=hi_share,
-                ),
-                Evidence(
-                    kind="computed-ratio",
-                    refs=(channels[lo_label]["positive"], channels[lo_label]["negative"], subject),
-                    value=lo_share,
-                ),
-            )
             out.append(
                 Insight(
                     id=f"sentiment-contrast:{_slug(lo_label)}-vs-{_slug(hi_label)}",
                     statement=(
                         f"Positive sentiment differs across channels for {subject}: "
-                        f"{hi_label} runs at {hi_share * 100:.0f} percent while "
-                        f"{lo_label} runs at {lo_share * 100:.0f} percent."
+                        f"{hi_label} runs at {hi.value * 100:.0f} percent while "
+                        f"{lo_label} runs at {lo.value * 100:.0f} percent."
                     ),
                     direction="neutral",
                     magnitude=_clamp01(gap / 0.5),
                     themes=frozenset(["public-sentiment"]),
-                    evidence=evidence,
+                    evidence=(hi, lo),
                     provenance="rule:sentiment-contrast",
                 )
             )
@@ -523,7 +503,7 @@ def run_all_rules(
                 found.append(ins)
         pair = _find_revenue_pair(dataset)
         if pair:
-            ins, _ = ratio_insight(dataset, subj, pair[0], pair[1])
+            ins = ratio_insight(dataset, subj, pair[0], pair[1])
             if ins:
                 found.append(ins)
         found.extend(sentiment_balance_insight(dataset, subj))

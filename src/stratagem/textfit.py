@@ -157,8 +157,7 @@ def _ruled_out(total_em: int, width: float, height: float, size: int) -> bool:
     """True when words summing to ``total_em`` cannot wrap into
     ``width`` x ``height`` at ``size``: the line-count floor of the module
     docstring. ``cap`` starts from the quotient and steps to the exact
-    bound of wrap's fit test; a NaN width leaves it at ``total_em``, a
-    floor of one line."""
+    bound of wrap's fit test."""
     estimate = width * 1000.0 / size
     cap = int(estimate) if estimate < total_em else total_em
     while cap < total_em and size * (cap + 1) / 1000.0 <= width:
@@ -180,7 +179,7 @@ def fit_text(
     """Largest integer font size whose wrapped text fits width x height;
     DoesNotFitAtMinFont(text) when none in [min_font, max_font] does.
     Sizes the line-count floor rules out are skipped without wrapping."""
-    if width <= 0 or height <= 0:
+    if not (width > 0 and height > 0):
         raise ValueError("box interior must have positive dimensions")
     words = text.split()
     if not words:

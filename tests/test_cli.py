@@ -509,6 +509,34 @@ class TestRenderCommand:
         )
         assert not (tmp_path / "d.svg").exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"statement": "Foobar Corp leads every rival on stores."},
+         'factor statement "Foobar Corp leads every rival on stores." is not "Foobar Corp has '
+         'the highest Number of stores among 3 companies, a clear strength versus its peers."'),
+        ({"magnitude": 0.5}, "factor magnitude 0.5 is not 0.8529411764705882"),
+        ({"magnitude": True}, "factor magnitude true is not 0.8529411764705882"),
+        ({"statement": "Foobar Corp leads every rival on stores.", "magnitude": 0.5},
+         'factor statement "Foobar Corp leads every rival on stores." is not "Foobar Corp has '
+         'the highest Number of stores among 3 companies, a clear strength versus its peers."'),
+    ], ids=["statement", "magnitude", "boolean-magnitude", "both"])
+    def test_factor_copy_must_match_its_insight(self, tmp_path, capsys, edit, message):
+        """A factor's statement and magnitude repeat its insight's; the
+        renderer reads the insight, so a differing copy is rejected, not
+        silently ignored."""
+        assert run("pipeline", "--table", str(FOOBAR), "--framework", "swot",
+                   "-o", str(tmp_path / "out.svg")) == 0
+        analysis = tmp_path / "out.analysis.json"
+        data = json.loads(analysis.read_text())
+        data["slots"][0]["factors"][0].update(edit)
+        analysis.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid analysis file {analysis}: "
+            f"slot 'strengths': {message}, the one its insight gives\n"
+        )
+        assert not (tmp_path / "d.svg").exists()
+
     @pytest.mark.parametrize("raw,kind", [
         ("NaN", "float"), ("1e400", "float"), ("2.5", "float"), ("true", "bool"),
         ('"3"', "str"),

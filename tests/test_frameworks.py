@@ -332,6 +332,27 @@ class TestInterchange:
         assert again.slot_attributes == analysis.slot_attributes
         assert validate_analysis(again) == []
 
+    @pytest.mark.parametrize("key,value,shown", [
+        ("statement", "Gen statement edited by hand here.", '"Gen statement edited by hand here."'),
+        ("magnitude", 0.25, "0.25"),
+        ("magnitude", float("nan"), "NaN"),
+        ("magnitude", None, "null"),
+    ], ids=["statement", "magnitude", "nan-magnitude", "missing-magnitude"])
+    def test_factor_copy_differing_from_its_insight_is_rejected(self, key, value, shown):
+        ins = random_insight(random.Random(3), 0)
+        d = analysis_to_dict(organize([ins], schema_for("swot"), subject="Acme LLP"))
+        slot = next(s for s in d["slots"] if s["factors"])
+        factor = slot["factors"][0]
+        expected = json.dumps(factor[key])
+        if value is None:
+            del factor[key]
+        else:
+            factor[key] = value
+        with pytest.raises(ValueError) as exc:
+            analysis_from_dict(d)
+        assert str(exc.value) == (f"slot {slot['id']!r}: factor {key} {shown} is not "
+                                  f"{expected}, the one its insight gives")
+
     @given(seed=st.integers(0, 10**6), kind=st.sampled_from(frameworks.FRAMEWORK_KINDS),
            max_per_slot=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
+import json
 import math
 import random
 import re
@@ -233,10 +235,9 @@ class TestPeerComparison:
 
 class TestRatio:
     def test_underdeveloped_online_channel(self, foobar_dataset):
-        ins, diag = ratio_insight(
+        ins = ratio_insight(
             foobar_dataset, "Foobar Corp", "Online revenue ($m)", "In-store revenue ($m)"
         )
-        assert diag is None
         assert ins.direction == "negative"
         assert ins.themes == frozenset(["online-channel"])
         share = next(e for e in ins.evidence if e.kind == "computed-ratio")
@@ -245,24 +246,20 @@ class TestRatio:
 
     def test_strong_online_channel(self):
         d = small_dataset(**{"Online revenue": (600.0,), "In-store revenue": (400.0,)})
-        ins, diag = ratio_insight(d, "E0", "Online revenue", "In-store revenue")
+        ins = ratio_insight(d, "E0", "Online revenue", "In-store revenue")
         assert ins.direction == "positive"
-        assert diag is None
 
     def test_mid_share_is_silent(self):
         d = small_dataset(**{"Online revenue": (300.0,), "In-store revenue": (700.0,)})
-        ins, diag = ratio_insight(d, "E0", "Online revenue", "In-store revenue")
-        assert ins is None and diag is None
+        assert ratio_insight(d, "E0", "Online revenue", "In-store revenue") is None
 
-    def test_zero_total_yields_diagnostic(self):
+    def test_zero_total_is_silent(self):
         d = small_dataset(**{"Online revenue": (0.0,), "In-store revenue": (0.0,)})
-        ins, diag = ratio_insight(d, "E0", "Online revenue", "In-store revenue")
-        assert ins is None
-        assert diag is not None and diag.rule == "ratio"
+        assert ratio_insight(d, "E0", "Online revenue", "In-store revenue") is None
 
     def test_absent_value_is_silent(self):
         d = small_dataset(**{"Online revenue": (None,), "In-store revenue": (500.0,)})
-        assert ratio_insight(d, "E0", "Online revenue", "In-store revenue") == (None, None)
+        assert ratio_insight(d, "E0", "Online revenue", "In-store revenue") is None
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +341,143 @@ class TestSentiment:
         out = sentiment_balance_insight(d, "A")
         assert len(out) == 1
         assert out[0].magnitude == pytest.approx((0.9 - 0.5) * 2)
+
+
+# ---------------------------------------------------------------------------
+# the pair-share rules against their formulas written out in full
+
+_CHANNELS = ("forum", "social media", "store", "web")
+_PAIR_CELLS = st.one_of(
+    st.none(), st.just(0.0), st.sampled_from((1e308, -1e308)),
+    st.integers(0, 1000).map(float), st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _written_out_ratio(dataset, subject, numerator, denominator):
+    """Oracle: the channel-mix rule with its lookup, overflow guard,
+    zero-total skip and evidence in place."""
+    num = dataset.value(subject, numerator)
+    den = dataset.value(subject, denominator)
+    if num is None or den is None:
+        return None
+    total = num + den
+    if not math.isfinite(total):
+        raise NonFiniteResult(f"{numerator} + {denominator}", "total")
+    if total == 0:
+        return None
+    share = num / total
+    if share < 0.15:
+        direction = "negative"
+        statement = (f"Online revenue is only {share * 100:.1f} percent of total revenue "
+                     f"for {subject}, leaving the online channel underdeveloped.")
+    elif share > 0.50:
+        direction = "positive"
+        statement = (f"Online revenue reaches {share * 100:.1f} percent of total revenue "
+                     f"for {subject}, showing a well developed online channel.")
+    else:
+        return None
+    return Insight(
+        id="ratio:online-revenue-vs-in-store-revenue", statement=statement,
+        direction=direction, magnitude=max(0.0, min(1.0, abs(share - 0.15) / 0.85)),
+        themes=frozenset(["online-channel"]),
+        evidence=(
+            Evidence("computed-ratio", (numerator, denominator, subject), share),
+            Evidence("metric-value", (numerator, subject), num),
+            Evidence("metric-value", (denominator, subject), den),
+        ),
+        provenance="rule:ratio",
+    )
+
+
+def _written_out_sentiment(dataset, subject, labels):
+    """Oracle: the per-channel sentiment rule and the contrast, each
+    channel's share and both evidence forms computed in place."""
+    shares, out = {}, []
+    for label in sorted(labels):
+        pos_name, neg_name = f"Positive {label} sentiment", f"Negative {label} sentiment"
+        pos = dataset.value(subject, pos_name)
+        neg = dataset.value(subject, neg_name)
+        if pos is None or neg is None:
+            continue
+        total = pos + neg
+        if not math.isfinite(total):
+            raise NonFiniteResult(f"{pos_name} + {neg_name}", "total")
+        if total == 0:
+            continue
+        share = pos / total
+        shares[label] = share
+        if share >= 0.85:
+            direction, magnitude = "positive", (share - 0.5) * 2
+            only, reading = "", "indicating a strong public reputation there"
+        elif share <= 0.50:
+            direction, magnitude = "negative", (0.5 - share) * 2 + 0.2
+            only, reading = "only ", "signalling a reputational risk there"
+        else:
+            continue
+        out.append(Insight(
+            id=f"sentiment:{label.replace(' ', '-')}",
+            statement=(f"Sentiment on {label} is {only}{share * 100:.0f} percent positive "
+                       f"for {subject}, {reading}."),
+            direction=direction, magnitude=max(0.0, min(1.0, magnitude)),
+            themes=frozenset(["public-sentiment"]),
+            evidence=(
+                Evidence("computed-ratio", (pos_name, neg_name, subject), share),
+                Evidence("metric-value", (pos_name, subject), pos),
+                Evidence("metric-value", (neg_name, subject), neg),
+            ),
+            provenance="rule:sentiment",
+        ))
+    if len(shares) >= 2:
+        ordered = sorted(shares.items(), key=lambda kv: kv[1])
+        (lo_label, lo_share), (hi_label, hi_share) = ordered[0], ordered[-1]
+        gap = hi_share - lo_share
+        if gap >= 0.10:
+            out.append(Insight(
+                id=(f"sentiment-contrast:{lo_label.replace(' ', '-')}"
+                    f"-vs-{hi_label.replace(' ', '-')}"),
+                statement=(f"Positive sentiment differs across channels for {subject}: "
+                           f"{hi_label} runs at {hi_share * 100:.0f} percent while "
+                           f"{lo_label} runs at {lo_share * 100:.0f} percent."),
+                direction="neutral", magnitude=max(0.0, min(1.0, gap / 0.5)),
+                themes=frozenset(["public-sentiment"]),
+                evidence=tuple(
+                    Evidence("computed-ratio", (f"Positive {lb} sentiment",
+                                                f"Negative {lb} sentiment", subject), v)
+                    for lb, v in ((hi_label, hi_share), (lo_label, lo_share))
+                ),
+                provenance="rule:sentiment-contrast",
+            ))
+    return out
+
+
+def _as_dicts_or_error(rule, *args):
+    """A rule's insights as JSON dicts, or the message of the
+    ``NonFiniteResult`` it raises."""
+    try:
+        found = rule(*args)
+    except NonFiniteResult as exc:
+        return "NonFiniteResult", str(exc)
+    return _dicts([found] if isinstance(found, Insight) else found or [])
+
+
+class TestPairShareRules:
+    @given(labels=st.lists(st.sampled_from(_CHANNELS), min_size=2, max_size=4, unique=True),
+           data=st.data())
+    @settings(max_examples=300)
+    def test_rules_match_written_out_formulas(self, labels, data):
+        names = ["Online revenue", "In-store revenue"] + [
+            f"{side} {label} sentiment" for label in labels for side in ("Positive", "Negative")
+        ]
+        dataset = Dataset(
+            entities=("Foobar Corp",),
+            metrics=tuple(infer_metric_semantics(n) for n in names),
+            values=(tuple(data.draw(_PAIR_CELLS) for _ in names),),
+        )
+        pair = ("Online revenue", "In-store revenue")
+        assert _as_dicts_or_error(ratio_insight, dataset, "Foobar Corp", *pair) == (
+            _as_dicts_or_error(_written_out_ratio, dataset, "Foobar Corp", *pair))
+        assert _as_dicts_or_error(sentiment_balance_insight, dataset, "Foobar Corp") == (
+            _as_dicts_or_error(_written_out_sentiment, dataset, "Foobar Corp", labels))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +597,16 @@ class TestRunAllRules:
         with pytest.raises(NonFiniteResult) as exc:
             run_all_rules(small_dataset(**columns), None)
         assert str(exc.value) == f"{message} is not finite; the values overflow"
+
+    def test_foobar_insights_are_pinned(self, foobar_dataset, prices_series):
+        """The twelve Foobar table and price-series insights, ratio,
+        sentiment and contrast included, byte for byte."""
+        found = run_all_rules(foobar_dataset, prices_series)
+        text = json.dumps([insight_to_dict(i) for i in found],
+                          sort_keys=True, ensure_ascii=False, allow_nan=False)
+        assert len(found) == 12
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "d8a77be7598b576a708bf5092a266a86437003c46ce122d5fdbe978383d4960d")
 
     def test_all_statements_within_word_bounds(self, foobar_dataset, prices_series):
         for ins in run_all_rules(foobar_dataset, prices_series):

@@ -282,6 +282,14 @@ class TestFitText:
         with pytest.raises(ValueError):
             fit_text("hello there", 0, 50)
 
+    def test_rejects_nan_width(self):
+        with pytest.raises(ValueError, match="^box interior must have positive dimensions$"):
+            fit_text("hello world", float("nan"), 200)
+
+    def test_rejects_nan_height(self):
+        with pytest.raises(ValueError, match="^box interior must have positive dimensions$"):
+            fit_text("hello world", 200, float("nan"))
+
     def test_block_positioning(self):
         block = fit_text("Hello", 200, 100).at(30, 40)
         assert block.origin == (30, 40)
