@@ -149,9 +149,12 @@ def _load_insights_file(path: str) -> tuple[str, list]:
         raise ValueError("subject must be a string")
     parsed = []
     for i, item in enumerate(raw["insights"]):
+        if not isinstance(item, dict):
+            problems.append(f"insight #{i}: must be an object, not {type(item).__name__}")
+            continue
         try:
             parsed.append(insights_mod.insight_from_dict(item))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             problems.append(f"insight #{i}: {exc}")
     if problems:
         raise ValueError("\n".join(problems))

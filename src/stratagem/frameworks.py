@@ -19,6 +19,7 @@ from .insights import (
     THEME_TAGS,
     insight_from_dict,
     insight_to_dict,
+    objects,
     typed,
 )
 
@@ -408,17 +409,20 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     a missing slot, a slot ``attribute`` other than the one its factors
     give, or a factor ``statement`` or ``magnitude`` other than its
     insight's a ``ValueError``."""
+    if not isinstance(d, dict):
+        raise TypeError(f"top level must be an object, not {type(d).__name__}")
     max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
-    schema = schema_for(d["schema_kind"], max_per_slot)
+    schema = schema_for(typed(d, "schema_kind", str), max_per_slot)
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
     given: dict[str, object] = {}
-    for slot_json in d["slots"]:
-        slot_id = slot_json["id"]
+    for slot_json in objects(d, "slots"):
+        slot_id = typed(slot_json, "id", str)
         if slot_id in given:
             raise ValueError(f"slot {slot_id!r} is listed twice")
-        factors = typed(slot_json, "factors", list)
+        factors = objects(slot_json, "factors")
         assignments[slot_id] = [
-            (insight_from_dict(f["insight"]), typed(f, "fit", (int, float))) for f in factors
+            (insight_from_dict(typed(f, "insight", dict)), typed(f, "fit", (int, float)))
+            for f in factors
         ]
         # attributes are derived from the fits, so a bad fit is named first
         for f, (ins, fit) in zip(factors, assignments[slot_id]):

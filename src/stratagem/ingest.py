@@ -2,10 +2,15 @@
 
 Input is UTF-8 delimited text with a header row. Missing, unparseable or
 non-finite (``1e999``) table cells become absent values (``None``), never
-zeros; in a timeseries they raise ``BadCell``. Timeseries are always
-re-sorted ascending by date so downstream rules see one canonical order.
-``parse_table`` parses each distinct cell string of a table once, through
-a dict that lives for that call, so repeated cells share one value.
+zeros; in a timeseries they raise ``BadCell``. ``parse_table`` parses each
+distinct cell string of a table once, through a dict that lives for that
+call, so repeated cells share one value.
+
+A timeseries is two columns, ``dates`` and ``closes``, re-sorted ascending
+by date so downstream rules see one canonical order. ``parse_timeseries``
+parses each of the date, close and volume columns whole; volume is
+validated but not stored. A bad row still raises its typed error with its
+file line: any failed check hands the rows to a row-by-row parse.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import csv
 import datetime as dt
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -204,32 +210,27 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Observation:
-    date: dt.date
-    close: float
-    volume: float
-
-
-@dataclass(frozen=True)
 class TimeSeries:
-    observations: tuple[Observation, ...]
+    """Closing prices as two columns of one length: ``dates`` strictly
+    ascending, so no date repeats, and every close positive."""
+
+    dates: tuple[dt.date, ...]
+    closes: tuple[float, ...]
 
     def __post_init__(self):
-        dates = [o.date for o in self.observations]
-        if dates != sorted(dates):
-            raise ValueError("observations must be date-ascending")
-        if len(set(dates)) != len(dates):
-            raise ValueError("duplicate observation dates")
-        if any(o.close <= 0 for o in self.observations):
+        if len(self.dates) != len(self.closes):
+            raise ValueError("dates and closes differ in length")
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
+            raise ValueError("dates must be strictly ascending")
+        if not all(c > 0 for c in self.closes):
             raise ValueError("prices must be strictly positive")
 
     @property
-    def closes(self) -> tuple[float, ...]:
-        return tuple(o.close for o in self.observations)
-
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(o.date for o in self.observations)
+    def observations(self) -> tuple[tuple[dt.date, float], ...]:
+        """``(date, close)`` per row, read only by the benchmark tracer's
+        cell count (``bench/tracing.py``). It goes when that hook reads
+        ``dates`` instead; nothing in the package reads it."""
+        return tuple(zip(self.dates, self.closes))
 
 
 _NUM_RE = re.compile(r"^-?\d+(\.\d+)?([eE][+-]?\d+)?$")
@@ -252,7 +253,7 @@ def _read_rows(text: str, dialect: str) -> list[tuple[int, list[str]]]:
     if delim is None:
         raise ValueError(f"unknown dialect {dialect!r}")
     reader = csv.reader(io.StringIO(text), delimiter=delim)
-    return [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    return [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
 
 
 def parse_table(text: str, dialect: str = "tab") -> Dataset:
@@ -324,7 +325,7 @@ _Y, _M, _D = r"(\d\d\d\d)", r"(1[0-2]|0[1-9]|[1-9])", r"(3[01]|[12]\d|0[1-9]|[1-
 _DATE = re.compile(f"{_Y}-{_M}-{_D}|{_M}/{_D}/{_Y}")
 
 
-def _parse_date(cell: str, line: int) -> dt.date:
+def _date(cell: str) -> dt.date | None:
     match = _DATE.fullmatch(cell.strip())
     if match:
         y, m, d = match.group(1, 2, 3) if match.group(1) else match.group(6, 4, 5)
@@ -332,33 +333,110 @@ def _parse_date(cell: str, line: int) -> dt.date:
             return dt.date(int(y), int(m), int(d))
         except ValueError:
             pass
-    raise UnparseableDate(line, cell)
+    return None
+
+
+def _parse_date(cell: str, line: int) -> dt.date:
+    date = _date(cell)
+    if date is None:
+        raise UnparseableDate(line, cell)
+    return date
+
+
+# Whole-column shapes, ASCII digits only (``\d`` and ``float`` also take
+# other scripts' digits): zero-padded ``YYYY-MM-DD`` or ``MM/DD/YYYY``
+# dates, one per line, and plain ``$?digits(.digits)?`` numbers once commas
+# are dropped.
+_ISO_DATES = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:\n[0-9]{4}-[0-9]{2}-[0-9]{2})*")
+_US_DATES = re.compile(r"[0-9]{2}/[0-9]{2}/[0-9]{4}(?:\n[0-9]{2}/[0-9]{2}/[0-9]{4})*")
+_PLAIN_NUMBERS = re.compile(r"\$?[0-9]+(?:\.[0-9]+)?(?:\n\$?[0-9]+(?:\.[0-9]+)?)*")
+
+
+def _date_column(cells: list[str]) -> list[dt.date] | None:
+    """``_parse_date`` of every cell, or None if any cell is no date. A
+    column of one whole-column shape is read by ``date.fromisoformat``,
+    which takes exactly the dates ``_parse_date`` does in that shape;
+    anything else is parsed cell by cell. A quoted cell can hold a line
+    break, so the line count must be the cell count."""
+    joined, iso = "\n".join(cells), None
+    if joined.count("\n") + 1 == len(cells):
+        if _ISO_DATES.fullmatch(joined):
+            iso = cells
+        elif _US_DATES.fullmatch(joined):
+            iso = [f"{c[6:]}-{c[:2]}-{c[3:5]}" for c in cells]
+    if iso is not None:
+        try:
+            return list(map(dt.date.fromisoformat, iso))
+        except ValueError:  # a month or day out of range
+            pass
+    dates = list(map(_date, cells))
+    return None if None in dates else dates
+
+
+def _number_column(cells: list[str]) -> list[float | None]:
+    """``_parse_number`` of every cell. A column of the whole-column shape
+    is read by ``float``; anything else, or a value past the float range
+    (``float`` gives inf, ``_parse_number`` None), is parsed cell by cell."""
+    joined = "\n".join(cells).replace(",", "")
+    if _PLAIN_NUMBERS.fullmatch(joined) and joined.count("\n") + 1 == len(cells):
+        values = list(map(float, joined.replace("$", "").split("\n")))
+        if math.inf not in values:
+            return values
+    return list(map(_parse_number, cells))
 
 
 def parse_timeseries(text: str, dialect: str = "tab") -> TimeSeries:
-    """Parse date/close/volume rows; output is always date-ascending."""
+    """Parse date/close/volume rows; output is always date-ascending.
+
+    The first three cells of the rows are read as three columns, each
+    parsed whole, and every property is checked once; volume is checked
+    but not kept. If any check fails, ``_parse_rows`` parses the rows one
+    by one and raises the first bad row's typed error, naming its line.
+    """
     rows = _read_rows(text, dialect)
     if not rows:
         raise EmptyInput("no rows in input")
-    start = 0 if _looks_like_data_row(rows[0][1]) else 1
-    obs = []
-    seen: set[dt.date] = set()
-    for i, (line, row) in enumerate(rows[start:], start=1):
+    body = rows[0 if _date(rows[0][1][0]) is not None else 1:]
+    return _parse_columns([row for _, row in body]) or _parse_rows(body)
+
+
+def _parse_columns(rows: list[list[str]]) -> TimeSeries | None:
+    """The series ``_parse_rows`` returns, or None where it would raise."""
+    if not rows or min(map(len, rows)) < 3:
+        return None
+    dates = _date_column([row[0] for row in rows])
+    if dates is None or len(set(dates)) != len(dates):
+        return None
+    closes = _number_column([row[1] for row in rows])
+    if None in closes or None in _number_column([row[2] for row in rows]):
+        return None
+    if min(closes) <= 0:
+        return None
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return TimeSeries(dates=tuple(map(dates.__getitem__, order)),
+                      closes=tuple(map(closes.__getitem__, order)))
+
+
+def _parse_rows(rows: list[tuple[int, list[str]]]) -> TimeSeries:
+    """Parse row by row; the first bad row raises, its checks in the order
+    ragged, date, duplicate, close, volume, non-positive."""
+    by_date: dict[dt.date, float] = {}
+    for i, (line, row) in enumerate(rows, start=1):
         cells = [c.strip() for c in row]
         if len(cells) < 3:
             raise RaggedRows(line, i, 3, len(cells))
         date = _parse_date(cells[0], line)
-        if date in seen:
+        if date in by_date:
             raise DuplicateDate(line, date)
-        seen.add(date)
         close = _parse_cell(cells[1], line, "close")
-        volume = _parse_cell(cells[2], line, "volume")
+        _parse_cell(cells[2], line, "volume")
         if close <= 0:
             raise NonPositivePrice(line, close)
-        obs.append(Observation(date=date, close=close, volume=volume))
-    if not obs:
+        by_date[date] = close
+    if not by_date:
         raise NoNumericData("no observations in input")
-    return TimeSeries(observations=tuple(sorted(obs, key=lambda o: o.date)))
+    dates = sorted(by_date)
+    return TimeSeries(dates=tuple(dates), closes=tuple(map(by_date.__getitem__, dates)))
 
 
 def _parse_cell(cell: str, line: int, column: str) -> float:
@@ -366,14 +444,6 @@ def _parse_cell(cell: str, line: int, column: str) -> float:
     if value is None:
         raise BadCell(line, column, cell)
     return value
-
-
-def _looks_like_data_row(row: list[str]) -> bool:
-    try:
-        _parse_date(row[0], 0)
-        return True
-    except UnparseableDate:
-        return False
 
 
 def _format_value(v: float | None) -> str:

@@ -12,6 +12,7 @@ import math
 import re
 import statistics
 from dataclasses import dataclass, replace
+from datetime import date
 from itertools import count
 
 from .ingest import Dataset, MetricDescriptor, TimeSeries
@@ -427,22 +428,27 @@ def sentiment_balance_insight(dataset: Dataset, subject: str) -> list[Insight]:
 _WEEKDAYS = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
+def _iso_week_count(dates) -> int:
+    """How many ISO weeks ``dates`` fall in: the ordinal of a date's
+    Monday names its week."""
+    return len({d.toordinal() - d.weekday() for d in dates})
+
+
 def weekly_cycle_insight(series: TimeSeries) -> Insight | None:
     """Weekday effect: fires when the weekday-mean spread is large vs volatility."""
-    obs = series.observations
-    if len(obs) < 20:
+    dates, closes = series.dates, series.closes
+    if len(dates) < 20:
         return None
-    weeks = {o.date.isocalendar()[:2] for o in obs}
-    if len(weeks) < 3:
+    if _iso_week_count(dates) < 3:
         return None
     by_day: dict[int, list[float]] = {}
-    for o in obs:
-        by_day.setdefault(o.date.weekday(), []).append(o.close)
+    for day, close in zip(dates, closes):
+        by_day.setdefault(day.weekday(), []).append(close)
     means = {
         d: _finite(sum(v) / len(v), "close", f"{_WEEKDAYS[d]} mean")
         for d, v in by_day.items()
     }
-    sd = statistics.pstdev([o.close for o in obs])
+    sd = statistics.pstdev(closes)
     if sd == 0:
         return None
     low_day = min(means, key=lambda d: (means[d], d))
@@ -509,7 +515,7 @@ def run_all_rules(
         found.extend(sentiment_balance_insight(dataset, subj))
     if series is not None:
         close_metric = MetricDescriptor(name="Closing price", polarity="higher-is-better")
-        labels = [o.date.isoformat() for o in series.observations]
+        labels = list(map(date.isoformat, series.dates))
         ins = trend_insight(list(series.closes), close_metric, labels)
         if ins:
             found.append(ins)
@@ -558,11 +564,24 @@ _JSON_TYPES = {str: "a string", list: "a list", dict: "an object", int: "an inte
 
 def typed(d: dict, key: str, kind):
     """``d[key]`` if it has the JSON type ``kind`` (a key of ``_JSON_TYPES``;
-    booleans are not numbers), else ``TypeError`` naming the key."""
+    booleans are not numbers), else ``TypeError`` naming the key, or
+    ``ValueError`` if the key is missing."""
+    if key not in d:
+        raise ValueError(f"{key} is missing; it must be {_JSON_TYPES[kind]}")
     value = d[key]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise TypeError(f"{key} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
     return value
+
+
+def objects(d: dict, key: str) -> list[dict]:
+    """``typed(d, key, list)`` if every item is a JSON object, else
+    ``TypeError`` naming the first other item ``key[i]``."""
+    items = typed(d, key, list)
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise TypeError(f"{key}[{i}] must be an object, not {type(item).__name__}")
+    return items
 
 
 def _strings(d: dict, key: str) -> tuple[str, ...]:
@@ -583,7 +602,7 @@ def insight_from_dict(d: dict) -> Insight:
         evidence=tuple(
             Evidence(kind=typed(e, "kind", str), refs=_strings(e, "refs"),
                      value=typed(e, "value", (int, float)))
-            for e in typed(d, "evidence", list)
+            for e in objects(d, "evidence")
         ),
         provenance=typed(d, "provenance", str),
     )

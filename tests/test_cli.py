@@ -374,6 +374,16 @@ class TestOrganizeCommand:
         assert capsys.readouterr().err.startswith(f"error: invalid insights file {bad}:\n")
         assert not out.exists()
 
+    def test_missing_key_names_the_field(self, insights_file, tmp_path, capsys):
+        data = json.loads(insights_file.read_text())
+        del data["insights"][0]["id"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("organize", str(bad), "--framework", "swot") == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid insights file {bad}:\ninsight #0: id is missing; it must be a string\n")
+
     def test_max_per_slot_guard(self, insights_file):
         assert run(
             "organize", str(insights_file), "--framework", "swot", "--max-per-slot", "0"
@@ -446,6 +456,24 @@ class TestRenderCommand:
         assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
         expected = f"error: invalid analysis file {analysis}: {message}\n"
         assert capsys.readouterr().err == expected
+        assert not (tmp_path / "d.svg").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["slots"][0]["factors"][0].pop("fit"), "fit is missing; it must be a number"),
+        (lambda d: d["slots"].__setitem__(0, 1.5), "slots[0] must be an object, not float"),
+        (lambda d: d.update(slots=3), "slots must be a list, not int"),
+        (lambda d: d["slots"][0].update(id={}), "id must be a string, not dict"),
+    ], ids=["missing-fit", "float-slot", "integer-slots", "object-slot-id"])
+    def test_malformed_container_names_the_field(self, insights_file, tmp_path, capsys,
+                                                 edit, message):
+        analysis = tmp_path / "a.json"
+        run("organize", str(insights_file), "--framework", "swot", "-o", str(analysis))
+        data = json.loads(analysis.read_text())
+        edit(data)
+        analysis.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 2
+        assert capsys.readouterr().err == f"error: invalid analysis file {analysis}: {message}\n"
         assert not (tmp_path / "d.svg").exists()
 
     @pytest.mark.parametrize("organize_args,slot,attribute,message", [

@@ -20,7 +20,6 @@ from stratagem.ingest import (
     MetricDescriptor,
     NoNumericData,
     NonPositivePrice,
-    Observation,
     RaggedRows,
     TimeSeries,
     UnparseableDate,
@@ -238,9 +237,9 @@ class TestParseTimeseries:
     def test_newest_first_is_normalized(self, prices_series):
         dates = prices_series.dates
         assert list(dates) == sorted(dates)
-        assert len(prices_series.observations) == 30
-        assert prices_series.observations[0].date == dt.date(2024, 4, 1)
-        assert prices_series.observations[-1].date == dt.date(2024, 5, 10)
+        assert len(dates) == len(prices_series.closes) == 30
+        assert dates[0] == dt.date(2024, 4, 1)
+        assert dates[-1] == dt.date(2024, 5, 10)
 
     def test_us_date_format(self):
         s = parse_timeseries(
@@ -250,7 +249,7 @@ class TestParseTimeseries:
 
     def test_headerless_input(self):
         s = parse_timeseries("2024-04-01\t100\t10\n2024-04-02\t101\t10\n")
-        assert len(s.observations) == 2
+        assert s.closes == (100.0, 101.0)
 
     @staticmethod
     def _strptime_date(cell: str) -> dt.date | None:
@@ -329,16 +328,15 @@ class TestParseTimeseries:
         assert (exc.value.line, exc.value.date) == (3, dt.date(2024, 4, 1))
 
     @pytest.mark.parametrize("days,closes,message", [
-        ((2, 1), (100.0, 101.0), "observations must be date-ascending"),
-        ((1, 1), (100.0, 101.0), "duplicate observation dates"),
+        ((2, 1), (100.0, 101.0), "dates must be strictly ascending"),
+        ((1, 1), (100.0, 101.0), "dates must be strictly ascending"),
         ((1, 2), (100.0, 0.0), "prices must be strictly positive"),
-    ], ids=["descending", "duplicate", "non-positive"])
+        ((1, 2), (100.0,), "dates and closes differ in length"),
+    ], ids=["descending", "duplicate", "non-positive", "unequal-lengths"])
     def test_bad_construction_is_rejected(self, days, closes, message):
-        observations = tuple(
-            Observation(dt.date(2024, 4, day), close, 10.0) for day, close in zip(days, closes)
-        )
+        dates = tuple(dt.date(2024, 4, day) for day in days)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            TimeSeries(observations)
+            TimeSeries(dates, closes)
 
     def test_row_order_invariance(self, prices_text):
         baseline = parse_timeseries(prices_text)
@@ -351,14 +349,127 @@ class TestParseTimeseries:
 
 
 # ---------------------------------------------------------------------------
+# column parsing against the cell-by-cell and row-by-row parses
+
+_VALID_DATE = st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31))
+_ISO_CELL = _VALID_DATE.map(lambda d: f"{d.year:04d}-{d.month:02d}-{d.day:02d}")
+_US_CELL = _VALID_DATE.map(lambda d: f"{d.month:02d}/{d.day:02d}/{d.year:04d}")
+_INTS = (st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32))
+_ODD_DATE = st.one_of(
+    st.builds("{:04d}-{:02d}-{:02d}".format, *_INTS),  # in shape, maybe out of range
+    st.builds("{1:02d}/{2:02d}/{0:04d}".format, *_INTS),
+    st.sampled_from(["2024-4-1", " 2024-04-01", "2024-04-01 ", "4/1/2024", "2024-04-0\u0661",
+                     "\u0660\u0664/01/2024", "", "20240401", "2024-W14-1",
+                     "2024-04-01T00:00", "nope", "2024-02-30", "02/30/2024"]),
+    st.text(alphabet="0123456789-/ \n\u0661", max_size=11),
+)
+_PLAIN_NUMBER = st.one_of(
+    st.builds("{}{}{}{}".format, st.sampled_from(["", "$"]), st.integers(0, 10**6),
+              st.text(alphabet="0123456789,", max_size=6),
+              st.sampled_from(["", ".5", ".25", ".0", ".000"])),
+    st.just("9" * 400),  # plain, but past the float range
+)
+_ODD_NUMBER = st.one_of(
+    st.sampled_from(["$", "%", ",", " ", "-", "1e5", "1E-3", "-2.5", "12%", " 7 ", "$$5",
+                     "\u0661\u0662", "\u0661.5", "1\n2", "1e999", "", "5.", ".5",
+                     "1,2.3,4", "-0", "$-5", "0"]),
+    st.text(alphabet="0123456789$%,. -eE+\u0661\n", max_size=8),
+)
+
+
+def _columns(usual, odd):
+    """Lists of ``usual`` cells, and such lists with one ``odd`` cell, or
+    two usual cells joined by a line break (a quoted cell can hold one),
+    inserted: columns the whole-column shape almost fits."""
+    cells = st.lists(usual, max_size=20)
+    odd = st.one_of(odd, st.builds("{}\n{}".format, usual, usual))
+    return st.one_of(cells, st.builds(lambda c, cell, at: c[:at] + [cell] + c[at:],
+                                      cells, odd, st.integers(0, 20)))
+
+
+def _dates_cell_by_cell(cells):
+    try:
+        return [ingest._parse_date(c, 1) for c in cells]
+    except UnparseableDate:
+        return None
+
+
+def _row_by_row(text: str):
+    """What the row-by-row parse of a file with a header returns or raises."""
+    try:
+        s = ingest._parse_rows(ingest._read_rows(text, "tab")[1:])
+    except ingest.IngestError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return s.dates, s.closes
+
+
+def _parsed(text: str):
+    try:
+        s = parse_timeseries(text)
+    except ingest.IngestError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return s.dates, s.closes
+
+
+# A mutation replaces cell 0, 1 or 2 of a data row with a drawn text, or
+# with the date of another row (a repeat), or cuts the row short.
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("cell"), st.just(0), st.one_of(_ODD_DATE, _ISO_CELL, _US_CELL)),
+    st.tuples(st.just("cell"), st.sampled_from([1, 2]), st.one_of(_ODD_NUMBER, _PLAIN_NUMBER)),
+    st.tuples(st.just("cell"), st.just(1), st.sampled_from(["0", "0.00", "$0", "-0", "-3"])),
+    st.tuples(st.just("repeat-date"), st.just(0), st.just("")),
+    st.tuples(st.just("short"), st.integers(0, 2), st.just("")),
+)
+
+
+class TestColumnParse:
+    @given(cells=st.one_of(_columns(_ISO_CELL, _ODD_DATE), _columns(_US_CELL, _ODD_DATE),
+                           _columns(_ISO_CELL, _US_CELL)))
+    @settings(max_examples=400)
+    def test_date_column_matches_cell_by_cell(self, cells):
+        assert ingest._date_column(cells) == _dates_cell_by_cell(cells)
+
+    @given(cells=_columns(_PLAIN_NUMBER, _ODD_NUMBER))
+    @settings(max_examples=400)
+    def test_number_column_matches_cell_by_cell(self, cells):
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, ingest._number_column(cells))) == [
+            repr(ingest._parse_number(c)) for c in cells]
+
+    @given(us_dates=st.booleans(), data=st.data(),
+           mutations=st.lists(st.tuples(st.integers(0, 29), _MUTATIONS), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_file_parses_as_row_by_row(self, prices_text, us_dates, data, mutations):
+        """A bad cell anywhere gives the same typed error, message and line
+        as the row-by-row parse; a good file gives the same columns."""
+        header, *rows = list(csv.reader(io.StringIO(prices_text), delimiter="\t"))
+        if us_dates:
+            rows = [[f"{r[0][5:7]}/{r[0][8:]}/{r[0][:4]}", f"${float(r[1]):,.2f}",
+                     f"{int(r[2]):,}"] for r in rows]
+        for index, (kind, column, text) in mutations:
+            row = rows[index]
+            if kind == "short":
+                del row[column:]
+            elif kind == "cell" and column < len(row):  # a row cut short has fewer
+                row[column] = text
+            elif kind == "repeat-date" and row:
+                row[0] = (rows[data.draw(st.integers(0, 29))][:1] or [""])[0]
+        out = io.StringIO()
+        csv.writer(out, delimiter="\t", lineterminator="\n").writerows([header] + rows)
+        assert _parsed(out.getvalue()) == _row_by_row(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
 # serialization round-trips
 
-def serialize_timeseries(series: TimeSeries) -> str:
+def serialize_timeseries(series: TimeSeries, volumes=None) -> str:
     """A date/close/volume file that ``parse_timeseries`` reads back to
-    ``series``: ``repr`` keeps every float exact."""
+    ``series``: ``repr`` keeps every float exact. A series keeps no
+    volume, so each row gets ``volumes[i]``, or 0."""
     lines = ["date\tclose\tvolume"]
-    for o in series.observations:
-        lines.append(f"{o.date.isoformat()}\t{o.close!r}\t{o.volume!r}")
+    volumes = volumes or [0.0] * len(series.dates)
+    for date, close, volume in zip(series.dates, series.closes, volumes):
+        lines.append(f"{date.isoformat()}\t{close!r}\t{volume!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -429,5 +540,6 @@ class TestSerialization:
     @settings(max_examples=60)
     def test_timeseries_round_trip_property(self, rows):
         rows.sort(key=lambda t: t[0])
-        s = TimeSeries(tuple(Observation(*r) for r in rows))
-        assert parse_timeseries(serialize_timeseries(s)) == s
+        dates, closes, volumes = zip(*rows)
+        s = TimeSeries(dates, closes)
+        assert parse_timeseries(serialize_timeseries(s, volumes)) == s

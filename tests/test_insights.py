@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from stratagem.ingest import (
     Dataset,
     MetricDescriptor,
-    Observation,
     TimeSeries,
     infer_metric_semantics,
 )
@@ -24,6 +23,7 @@ from stratagem.insights import (
     Evidence,
     Insight,
     NonFiniteResult,
+    _iso_week_count,
     insight_from_dict,
     insight_to_dict,
     peer_comparison_insight,
@@ -485,13 +485,14 @@ class TestPairShareRules:
 
 def weekday_series(days: int, close_fn) -> TimeSeries:
     start = dt.date(2024, 4, 1)  # a Monday
-    obs = []
+    dates, closes = [], []
     d = start
-    while len(obs) < days:
+    while len(dates) < days:
         if d.weekday() < 5:
-            obs.append(Observation(d, close_fn(d, len(obs)), 1000.0))
+            closes.append(close_fn(d, len(dates)))
+            dates.append(d)
         d += dt.timedelta(days=1)
-    return TimeSeries(tuple(obs))
+    return TimeSeries(tuple(dates), tuple(closes))
 
 
 class TestWeeklyCycle:
@@ -504,6 +505,10 @@ class TestWeeklyCycle:
         assert next(
             e.value for e in ins.evidence if e.refs == ("close", "stdev")
         ) == pytest.approx(sd)
+
+    @given(st.sets(st.dates(), max_size=40))
+    def test_week_count_matches_iso_calendar(self, dates):
+        assert _iso_week_count(dates) == len({d.isocalendar()[:2] for d in dates})
 
     def test_short_window_is_silent(self):
         s = weekday_series(10, lambda d, i: 94.0 if d.weekday() == 4 else 100.0)
