@@ -3,7 +3,9 @@
 Every stage writes its JSON artifact so each step can be inspected and
 replayed independently. ``pipeline`` runs the same three stages, passing
 the insights and the analysis in memory, and writes files byte-identical
-to chaining the three subcommands on the emitted intermediates.
+to chaining the three subcommands on the emitted intermediates. Each
+input is checked once, where it is read, and a bad one is an input error
+naming the file; insights with distinct ids organize into a valid analysis.
 
 Exit codes: 0 success, 2 input/validation error, 3 LLM/network error,
 4 layout overflow.
@@ -139,8 +141,20 @@ def _insights(args, output: str) -> tuple[str, list]:
     return subject, found
 
 
-def _load_insights_file(path: str) -> tuple[str, list]:
-    raw = json.loads(_read_text(path))
+def _load_json(path: str, kind: str, parse):
+    """``parse`` applied to the JSON in ``path``; text that is not JSON, or
+    that ``parse`` rejects, is an input error naming the file."""
+    text = _read_text(path)
+    try:
+        return parse(json.loads(text))
+    except (ValueError, TypeError, RecursionError) as exc:
+        sep = "\n" if kind == "insights" else " "  # one line per bad insight
+        raise _Failed(EXIT_INPUT, f"error: invalid {kind} file {path}:{sep}{exc}") from None
+
+
+def _insights_from_json(raw) -> tuple[str, list]:
+    """The subject and the insights of an insights file, whose ids are
+    distinct, so that organizing them gives a valid analysis."""
     problems = []
     if not isinstance(raw, dict) or not isinstance(raw.get("insights"), list):
         raise ValueError('top level must be an object with an "insights" array')
@@ -148,14 +162,20 @@ def _load_insights_file(path: str) -> tuple[str, list]:
     if not isinstance(subject, str):
         raise ValueError("subject must be a string")
     parsed = []
+    first: dict[str, int] = {}
     for i, item in enumerate(raw["insights"]):
         if not isinstance(item, dict):
             problems.append(f"insight #{i}: must be an object, not {type(item).__name__}")
             continue
         try:
-            parsed.append(insights_mod.insight_from_dict(item))
+            ins = insights_mod.insight_from_dict(item)
         except (TypeError, ValueError) as exc:
             problems.append(f"insight #{i}: {exc}")
+            continue
+        if ins.id in first:
+            problems.append(f"insight #{i}: id {ins.id!r} repeats insight #{first[ins.id]}")
+        first.setdefault(ins.id, i)
+        parsed.append(ins)
     if problems:
         raise ValueError("\n".join(problems))
     return subject, parsed
@@ -165,7 +185,6 @@ def _organize(args, subject: str, found: list, output: str) -> frameworks.Organi
     """Stage two: the insights organized into ``args.framework``, written to ``output``."""
     schema = frameworks.schema_for(_FRAMEWORK_NAMES[args.framework], args.max_per_slot)
     analysis = frameworks.organize(found, schema, subject=subject)
-    _require_valid(analysis)
     _write_json(output, frameworks.analysis_to_dict(analysis))
     print(f"{'slot':<24} {'factors':>7}  attribute")
     attributes = analysis.slot_attributes
@@ -182,20 +201,10 @@ def _organize(args, subject: str, found: list, output: str) -> frameworks.Organi
     return analysis
 
 
-def _require_valid(analysis: frameworks.OrganizedAnalysis) -> None:
-    violations = frameworks.validate_analysis(analysis)
-    if violations:
-        raise _Failed(EXIT_INPUT, "\n".join(
-            f"violation [{v.code}] {v.slot_id}: {v.message}" for v in violations
-        ))
-
-
 def _render(args, analysis: frameworks.OrganizedAnalysis, output: str) -> None:
     """Stage three: the analysis drawn with ``args.style`` as SVG at ``output``."""
-    try:
-        style = diagram.load_style(args.style)
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
-        raise _Failed(EXIT_INPUT, f"error: invalid style file {args.style}: {exc}") from None
+    style = diagram.Style() if args.style is None else _load_json(
+        args.style, "style", diagram.load_style)
     try:
         spec = diagram.layout(analysis, style)
     except diagram.LayoutOverflow as exc:
@@ -210,24 +219,13 @@ def cmd_insights(args) -> int:
 
 
 def cmd_organize(args) -> int:
-    try:
-        subject, found = _load_insights_file(args.insights)
-    except ValueError as exc:
-        raise _Failed(
-            EXIT_INPUT, f"error: invalid insights file {args.insights}:\n{exc}"
-        ) from None
+    subject, found = _load_json(args.insights, "insights", _insights_from_json)
     _organize(args, subject, found, args.output)
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
-    try:
-        analysis = frameworks.analysis_from_dict(json.loads(_read_text(args.analysis)))
-    except (KeyError, ValueError, TypeError, frameworks.UnknownKind) as exc:
-        raise _Failed(
-            EXIT_INPUT, f"error: invalid analysis file {args.analysis}: {exc}"
-        ) from None
-    _require_valid(analysis)
+    analysis = _load_json(args.analysis, "analysis", frameworks.analysis_from_dict)
     _render(args, analysis, args.output)
     return EXIT_OK
 

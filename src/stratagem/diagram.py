@@ -11,7 +11,6 @@ invariant and produces byte-deterministic SVG 1.1.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import string
@@ -84,14 +83,10 @@ def _is_color(value) -> bool:
     )
 
 
-def load_style(path: str | None) -> Style:
-    """Style JSON: canvas size, palette overrides, font bounds; absent -> defaults.
-    Raises ValueError naming the key for a value the layouts cannot honour or
-    that is not a plain colour or font-family list."""
-    if path is None:
-        return Style()
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+def load_style(raw) -> Style:
+    """Decoded style JSON: canvas size, palette overrides, font bounds; absent
+    -> defaults. Raises ValueError naming the key for a value the layouts
+    cannot honour or that is not a plain colour or font-family list."""
     if not isinstance(raw, dict):
         raise ValueError("top level must be an object")
     kwargs = {}

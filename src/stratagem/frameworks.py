@@ -31,7 +31,7 @@ RISK_LEVELS = ("low", "moderate", "high", "intense")
 _RISK_BANDS = (0.25, 0.5, 0.75)
 
 
-class UnknownKind(Exception):
+class UnknownKind(ValueError):
     pass
 
 
@@ -307,14 +307,15 @@ def _fit_problem(fit: float) -> str | None:
     return None if 0.0 <= fit <= 1.0 else f"fit {fit} outside [0, 1]"
 
 
-def _copy_problem(factor: dict, ins: Insight) -> str | None:
-    """Why ``factor``'s copy of its insight's statement or magnitude is not
-    the insight's, or None; a boolean is no magnitude."""
-    for key, expected in (("statement", ins.statement), ("magnitude", ins.magnitude)):
-        found = factor.get(key)
-        if found != expected or isinstance(found, bool):
-            return (f"factor {key} {json.dumps(found)} is not {json.dumps(expected)}, "
-                    "the one its insight gives")
+def _copy_problem(*copies) -> str | None:
+    """The message for the first of ``copies``, each ``(name, found, expected,
+    source)``, whose ``found`` value is not the ``expected`` one, else None;
+    a boolean never equals a number, as in ``typed``."""
+    for name, found, expected, source in copies:
+        values = found.values() if isinstance(found, dict) else (found,)
+        if found != expected or bool in map(type, values):
+            return (f"{name} {json.dumps(found)} is not {json.dumps(expected)}, "
+                    f"the one {source}")
     return None
 
 
@@ -404,17 +405,17 @@ def _attribute_json(attr: str | AxisScore | None) -> dict | None:
 
 
 def analysis_from_dict(d: dict) -> OrganizedAnalysis:
-    """Rebuild an analysis from its interchange JSON; a wrongly typed field
-    is a ``TypeError``, an out-of-range one (a fit included), a repeated or
-    a missing slot, a slot ``attribute`` other than the one its factors
-    give, or a factor ``statement`` or ``magnitude`` other than its
-    insight's a ``ValueError``."""
+    """Rebuild a valid analysis from its interchange JSON; a wrongly typed
+    field is a ``TypeError``, an out-of-range one (a fit included), a
+    repeated or a missing slot, a ``validate_analysis`` violation, or a
+    copy (a factor's ``statement`` and ``magnitude``, a slot's ``title``
+    and ``attribute``) other than the one it derives from a ``ValueError``."""
     if not isinstance(d, dict):
         raise TypeError(f"top level must be an object, not {type(d).__name__}")
     max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
     schema = schema_for(typed(d, "schema_kind", str), max_per_slot)
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
-    given: dict[str, object] = {}
+    given: dict[str, dict] = {}
     for slot_json in objects(d, "slots"):
         slot_id = typed(slot_json, "id", str)
         if slot_id in given:
@@ -426,10 +427,12 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
         ]
         # attributes are derived from the fits, so a bad fit is named first
         for f, (ins, fit) in zip(factors, assignments[slot_id]):
-            problem = _fit_problem(fit) or _copy_problem(f, ins)
+            problem = _fit_problem(fit) or _copy_problem(
+                ("factor statement", f.get("statement"), ins.statement, "its insight gives"),
+                ("factor magnitude", f.get("magnitude"), ins.magnitude, "its insight gives"))
             if problem:
                 raise ValueError(f"slot {slot_id!r}: {problem}")
-        given[slot_id] = slot_json.get("attribute")
+        given[slot_id] = slot_json
     for slot in schema.slots:
         if slot.id not in given:
             raise ValueError(f"slot {slot.id!r} is missing")
@@ -438,10 +441,15 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
         subject=typed(d, "subject", str),
         assignments=assignments,
     )
-    for slot_id, attr in analysis.slot_attributes.items():
-        expected, found = _attribute_json(attr), given[slot_id]
-        # a boolean never equals a number, as in ``typed``
-        if found != expected or isinstance(found, dict) and bool in map(type, found.values()):
-            raise ValueError(f"slot {slot_id!r}: attribute {json.dumps(found)} is not "
-                             f"{json.dumps(expected)}, the one its factors give")
+    violations = validate_analysis(analysis)
+    if violations:
+        raise ValueError("\n".join(
+            f"violation [{v.code}] {v.slot_id}: {v.message}" for v in violations))
+    for slot, attr in zip(schema.slots, analysis.slot_attributes.values()):
+        problem = _copy_problem(
+            ("title", given[slot.id].get("title"), slot.title, "its schema gives"),
+            ("attribute", given[slot.id].get("attribute"), _attribute_json(attr),
+             "its factors give"))
+        if problem:
+            raise ValueError(f"slot {slot.id!r}: {problem}")
     return analysis

@@ -253,7 +253,10 @@ def _read_rows(text: str, dialect: str) -> list[tuple[int, list[str]]]:
     if delim is None:
         raise ValueError(f"unknown dialect {dialect!r}")
     reader = csv.reader(io.StringIO(text), delimiter=delim)
-    return [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
+    try:
+        return [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
+    except csv.Error as exc:  # a cell over the csv module's field size limit
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
 
 
 def parse_table(text: str, dialect: str = "tab") -> Dataset:

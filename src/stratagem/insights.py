@@ -233,24 +233,25 @@ def peer_comparison_insight(
     opposite extreme, in the order of the ranking by ``(-value, entity)``;
     with one peer, the runner-up is the opposite extreme, so two entries."""
     column = dataset.column(metric.name)
-    at = dataset._row_index[subject]
-    sval = column[at]
+    sval = column[dataset._row_index[subject]]
     if sval is None:
         return None
-    # in entity order, so the peer mean sums in a fixed order
-    peer_cells = column[:at] + column[at + 1:]
-    peer_values = [v for v in peer_cells if v is not None]
-    if not peer_values:
+    # (ranking key, entity, value) in entity order, for a fixed peer-mean sum;
+    # entities are distinct, so the key orders them totally and the highest
+    # peer ``first`` is the lowest ``last`` only for a single peer
+    peers = [(-v, e, v) for e, v in zip(dataset.entities, column)
+             if v is not None and e != subject]
+    if not peers:
         return None
-    peer_lo, peer_hi = min(peer_values), max(peer_values)
-    if sval > peer_hi:
-        extremity, raw_dir, lo, hi = "highest", "positive", peer_lo, sval
-    elif sval < peer_lo:
-        extremity, raw_dir, lo, hi = "lowest", "negative", sval, peer_hi
+    first, last = min(peers), max(peers)
+    if sval > first[2]:
+        extremity, raw_dir, lo, hi = "highest", "positive", last[2], sval
+    elif sval < last[2]:
+        extremity, raw_dir, lo, hi = "lowest", "negative", sval, first[2]
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
-    peer_mean = _finite(sum(peer_values) / len(peer_values), metric.name, "peer mean")
+    peer_mean = _finite(sum(v for _, _, v in peers) / len(peers), metric.name, "peer mean")
     spread = _finite(hi - lo, metric.name, "peer spread")
     magnitude = _clamp01(abs(sval - peer_mean) / spread)
     tone = {
@@ -260,17 +261,8 @@ def peer_comparison_insight(
     }[direction]
     statement = (
         f"{subject} has the {extremity} {metric.name} among "
-        f"{len(peer_values) + 1} companies, {tone} versus its peers."
+        f"{len(peers) + 1} companies, {tone} versus its peers."
     )
-    # (ranking key, entity, value); entity names are distinct, so the key
-    # orders them totally and min == max only for a single peer
-    entities = dataset.entities
-    peers = [
-        (-v, e, v)
-        for e, v in zip(entities[:at] + entities[at + 1:], peer_cells)
-        if v is not None
-    ]
-    first, last = min(peers), max(peers)
     ends = [first, last] if first != last else [first]
     own = (-sval, subject, sval)
     ranking = [own, *ends] if extremity == "highest" else [*ends, own]

@@ -145,6 +145,8 @@ def load_transcript(path: str) -> dict[str, str]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise BadTranscript(f"{where}: not JSON ({exc.msg})") from None
+            except RecursionError:
+                raise BadTranscript(f"{where}: JSON nested too deeply") from None
             if not (
                 isinstance(record, dict)
                 and isinstance(record.get("request_hash"), str)

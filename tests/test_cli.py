@@ -185,7 +185,11 @@ class TestInsightsCommand:
         ("--timeseries",
          "date\tclose\tvolume\n\n2024-04-01\t100\t1\n\n\n2024-04-02\t100\tlots\n",
          "line 6: cannot parse volume 'lots'"),
-    ], ids=["table", "timeseries"])
+        ("--table", f"Metric\tA\tB\n\nRevenue\t1\t{'9' * 200_000}\n",
+         "line 3: field larger than field limit (131072)"),
+        ("--timeseries", f"date\tclose\tvolume\n\n2024-04-01\t100\t{'1' * 200_000}\n",
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["table", "timeseries", "oversized-table-cell", "oversized-timeseries-cell"])
     def test_error_line_counts_blank_lines(self, tmp_path, capsys, flag, text, message):
         bad = tmp_path / "bad.tsv"
         bad.write_text(text, encoding="utf-8")
@@ -296,7 +300,9 @@ class TestInsightsCommand:
         (b'{"request_hash": 7, "response": "x"}\n', "line 1: not a record"),
         (b'{"request_hash": "abc", "response": "x"}\n' * 2,
          "line 2: duplicate request hash"),
-    ], ids=["missing", "not-utf8", "not-json", "bad-record", "duplicate-hash"])
+        (b"\n" + b"[" * 5000 + b"]" * 5000 + b"\n", "line 2: JSON nested too deeply"),
+    ], ids=["missing", "not-utf8", "not-json", "bad-record", "duplicate-hash",
+            "deep-nesting"])
     def test_bad_transcript_is_llm_error(self, tmp_path, no_network, capsys,
                                          content, message):
         transcript = tmp_path / "t.jsonl"
@@ -384,6 +390,26 @@ class TestOrganizeCommand:
         assert capsys.readouterr().err == (
             f"error: invalid insights file {bad}:\ninsight #0: id is missing; it must be a string\n")
 
+    @pytest.mark.parametrize("max_per_slot", ["4", "20"])
+    def test_repeated_insight_id_is_input_error(self, tmp_path, capsys, max_per_slot):
+        """Organizing insights with distinct ids gives a valid analysis, so a
+        repeated id is rejected where the file is read, whether or not the
+        copy would be displayed."""
+        assert run("pipeline", "--table", str(FOOBAR), "--timeseries", str(PRICES),
+                   "--framework", "swot", "-o", str(tmp_path / "out.svg")) == 0
+        insights = tmp_path / "out.insights.json"
+        data = json.loads(insights.read_text())
+        data["insights"].append(data["insights"][0])
+        insights.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "a.json"
+        assert run("organize", str(insights), "--framework", "swot",
+                   "--max-per-slot", max_per_slot, "-o", str(out)) == 2
+        last, first_id = len(data["insights"]) - 1, data["insights"][0]["id"]
+        assert capsys.readouterr().err == (f"error: invalid insights file {insights}:\n"
+                                           f"insight #{last}: id {first_id!r} repeats insight #0\n")
+        assert not out.exists()
+
     def test_max_per_slot_guard(self, insights_file):
         assert run(
             "organize", str(insights_file), "--framework", "swot", "--max-per-slot", "0"
@@ -409,6 +435,7 @@ class TestRenderCommand:
          "error: invalid analysis file {path}: unknown framework kind 'bcg_matrix'\n"),
         (lambda d: d.update(slots=5), "error: invalid analysis file {path}: "),
         (lambda d: d["slots"][0].update(factors=d["slots"][0]["factors"][:1] * 12),
+         "error: invalid analysis file {path}: "
          "violation [SlotOverflow] strengths: 12 factors in strengths, max 4\n"
          "violation [DuplicateAssignment] strengths: "),
         (lambda d: d["slots"].append(dict(d["slots"][0], factors=[])),
@@ -418,8 +445,11 @@ class TestRenderCommand:
         (lambda d: d["slots"][0]["factors"][0]["insight"]["evidence"][0].update(
             value=float("nan")),
          "error: invalid analysis file {path}: evidence value nan is not finite\n"),
+        (lambda d: d["slots"][0].update(title="Forces"),
+         """error: invalid analysis file {path}: slot 'strengths': title "Forces" is not """
+         """"Strengths", the one its schema gives\n"""),
     ], ids=["unknown-kind", "slots-not-a-list", "repeated-factors", "repeated-slot",
-            "missing-slot", "nan-evidence"])
+            "missing-slot", "nan-evidence", "edited-title"])
     def test_malformed_analysis_file_is_input_error(
         self, insights_file, tmp_path, capsys, edit, expected
     ):
@@ -617,7 +647,8 @@ class TestRenderCommand:
         capsys.readouterr()
         code = run("render", str(analysis), "--style", str(style), "-o", str(tmp_path / "d.svg"))
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: invalid style file {style}: ")
+        problem = "cannot read" if content is None else "invalid style file"
+        assert capsys.readouterr().err.startswith(f"error: {problem} {style}: ")
         assert not (tmp_path / "d.svg").exists()
 
 
@@ -707,6 +738,35 @@ class TestFileErrors:
             f"error: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,argv", [
+        ("insights", ["organize", "{path}", "--framework", "swot"]),
+        ("analysis", ["render", "{path}"]),
+        ("style", ["render", "{analysis}", "--style", "{path}"]),
+    ], ids=["insights", "analysis", "style"])
+    def test_deeply_nested_json_is_input_error(self, insights_file, tmp_path, capsys,
+                                               kind, argv):
+        analysis, path, out = tmp_path / "a.json", tmp_path / "deep.json", tmp_path / "out"
+        assert run("organize", str(insights_file), "--framework", "swot",
+                   "-o", str(analysis)) == 0
+        path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+        capsys.readouterr()
+        argv = [a.format(path=path, analysis=analysis) for a in argv]
+        assert run(*argv, "-o", str(out)) == 2
+        sep = "\n" if kind == "insights" else " "
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid {kind} file {path}:{sep}maximum recursion depth exceeded")
+        assert not out.exists()
+
+    def test_non_utf8_style_file_is_input_error(self, insights_file, tmp_path, capsys):
+        analysis, style = tmp_path / "a.json", tmp_path / "style.json"
+        assert run("organize", str(insights_file), "--framework", "swot",
+                   "-o", str(analysis)) == 0
+        style.write_bytes(b'{\n"background": "#FFF\xff"}\n')
+        capsys.readouterr()
+        assert run("render", str(analysis), "--style", str(style),
+                   "-o", str(tmp_path / "d.svg")) == 2
+        assert capsys.readouterr().err == f"error in {style}: line 2: not UTF-8 text\n"
 
     @pytest.mark.parametrize("argv,written", [
         (["insights", "--table", str(FOOBAR)], "out.svg"),

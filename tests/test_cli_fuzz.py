@@ -1,15 +1,18 @@
 """Mutation fuzz of the CLI's input files.
 
-The Foobar table, ``prices.tsv`` and a pipeline's insights and analysis
-files are mutated a line, a cell, a value or a key at a time and fed to
-``cli.main`` in-process. Whatever the mutation, the run ends with a
-documented exit code and no traceback, and a run that succeeds writes an
-SVG that expat parses and JSON that holds finite numbers only.
+The Foobar table, ``prices.tsv``, a pipeline's insights and analysis
+files and a style file are mutated a line, a cell, a value, a key or an
+array item at a time and fed to ``cli.main`` in-process. Whatever the
+mutation, the run ends with a documented exit code and no traceback; an
+input error names the file that the failing stage read; and a run that
+succeeds writes an SVG that expat parses and JSON that holds finite
+numbers only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -25,13 +28,21 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FRAMEWORKS = ("swot", "porter5", "cycle", "value-discipline")
 EXIT_CODES = (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_LLM, cli.EXIT_LAYOUT)
 # A cell or JSON value replaced by raw text: a NaN, an overflowing number,
-# an empty string, a negative zero, or a byte that is not UTF-8.
-TOKENS = (b"NaN", b"1e999", b"", b"-0", b"\xff")
-JSON_TOKENS = (b"NaN", b"1e999", b'""', b"-0", b'"\xff"')
+# an empty string, a negative zero, a byte that is not UTF-8, a cell over
+# the csv module's 131,072-character field limit, or arrays nested deeper
+# than the interpreter's recursion limit.
+TOKENS = (b"NaN", b"1e999", b"", b"-0", b"\xff", b"1" * 200_000)
+JSON_TOKENS = (b"NaN", b"1e999", b'""', b"-0", b'"\xff"', b"[" * 5000 + b"]" * 5000)
 # One value of each JSON type; a type change picks one of another type.
 TYPED_VALUES = (0, 1.5, "x", [], {}, None, True)
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
+
+STYLE = json.dumps({
+    "canvas": [1000, 700], "padding": 10, "gap": 14, "min_font": 11, "max_font": 24,
+    "font_family": "Arial, sans-serif", "background": "#FAFAF7",
+    "palette": {"high": "#F4A582", "intense": "#D6604D"},
+}, indent=2).encode()
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +133,18 @@ def _places(node):
 
 def _mutate_json(data, text: bytes) -> bytes:
     """Replace a value with a token or a value of another type, drop or
-    repeat a key, or mutate a line of the file."""
-    op = data.draw(st.sampled_from(("token", "type", "drop", "repeat", "line")))
+    repeat a key, copy an array item, or mutate a line of the file."""
+    op = data.draw(st.sampled_from(("token", "type", "drop", "repeat", "copy", "line")))
     if op == "line":
         return _mutate_lines(data, text)
     root = [_load(text)]
     places = list(_places(root))
-    if op in ("token", "type"):
+    if op == "copy":
+        items = data.draw(st.sampled_from(
+            [h[at] for h, at in places if type(h[at]) is list and h[at]]))
+        items.insert(data.draw(st.integers(0, len(items))),
+                     copy.deepcopy(data.draw(st.sampled_from(items))))
+    elif op in ("token", "type"):
         holder, at = data.draw(st.sampled_from(places))
         if op == "token":
             holder[at] = data.draw(st.sampled_from(JSON_TOKENS))
@@ -151,9 +167,13 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite JSON number {name}")
 
 
-def _check(code: int, err: str, outputs: list[Path]) -> None:
+def _check(code: int, err: str, outputs: list[Path], read: Path) -> None:
+    """``read`` is the file that the run's failing stage read, so an input
+    error names it."""
     assert code in EXIT_CODES, err
     assert "Traceback" not in err, err
+    if code == cli.EXIT_INPUT:
+        assert str(read) in err, err
     if code == cli.EXIT_OK:
         for path in outputs:
             if path.suffix == ".svg":
@@ -167,7 +187,8 @@ def _pipeline(flag: str, name: str, mutated: bytes, framework: str) -> None:
         path, svg = Path(d) / name, Path(d) / "out.svg"
         path.write_bytes(mutated)
         code, err = _main("pipeline", flag, str(path), "--framework", framework, "-o", str(svg))
-        _check(code, err, [svg, Path(d) / "out.insights.json", Path(d) / "out.analysis.json"])
+        _check(code, err, [svg, Path(d) / "out.insights.json", Path(d) / "out.analysis.json"],
+               path)
 
 
 @given(data=st.data(), framework=st.sampled_from(FRAMEWORKS))
@@ -196,9 +217,9 @@ def test_mutated_insights_file(pipeline_files, data, framework):
         path, analysis, svg = Path(d) / "i.json", Path(d) / "a.json", Path(d) / "d.svg"
         path.write_bytes(mutated)
         code, err = _main("organize", str(path), "--framework", framework, "-o", str(analysis))
-        _check(code, err, [analysis])
+        _check(code, err, [analysis], path)
         if code == cli.EXIT_OK:
-            _check(*_main("render", str(analysis), "-o", str(svg)), [svg])
+            _check(*_main("render", str(analysis), "-o", str(svg)), [svg], analysis)
 
 
 @given(data=st.data(), framework=st.sampled_from(FRAMEWORKS))
@@ -208,4 +229,16 @@ def test_mutated_analysis_file(pipeline_files, data, framework):
     with tempfile.TemporaryDirectory() as d:
         path, svg = Path(d) / "a.json", Path(d) / "d.svg"
         path.write_bytes(mutated)
-        _check(*_main("render", str(path), "-o", str(svg)), [svg])
+        _check(*_main("render", str(path), "-o", str(svg)), [svg], path)
+
+
+@given(data=st.data(), framework=st.sampled_from(FRAMEWORKS))
+@FUZZ
+def test_mutated_style_file(pipeline_files, data, framework):
+    mutated = _mutate_json(data, STYLE)
+    with tempfile.TemporaryDirectory() as d:
+        analysis, style, svg = Path(d) / "a.json", Path(d) / "s.json", Path(d) / "d.svg"
+        analysis.write_bytes(pipeline_files[framework])
+        style.write_bytes(mutated)
+        _check(*_main("render", str(analysis), "--style", str(style), "-o", str(svg)),
+               [svg], style)

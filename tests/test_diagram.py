@@ -138,29 +138,24 @@ class TestRiskColor:
 
 class TestStyle:
     def test_default_style(self):
-        s = load_style(None)
+        s = load_style({})
+        assert s == Style()
         assert (s.canvas_w, s.canvas_h) == (900.0, 640.0)
         assert s.risk_fill("intense") == "#EA9999"
 
-    def test_style_json_overrides(self, tmp_path):
-        path = tmp_path / "style.json"
-        path.write_text(
-            '{"canvas": [1200, 800], "padding": 10, "palette": {"intense": "#FF0000"}}',
-            encoding="utf-8",
-        )
-        s = load_style(str(path))
+    def test_style_json_overrides(self):
+        s = load_style(json.loads(
+            '{"canvas": [1200, 800], "padding": 10, "palette": {"intense": "#FF0000"}}'))
         assert (s.canvas_w, s.canvas_h) == (1200.0, 800.0)
         assert s.padding == 10
         assert s.risk_fill("intense") == "#FF0000"
         assert s.risk_fill("low") == "#D9EAD3"  # unmentioned levels keep defaults
 
-    def test_colour_and_font_forms(self, tmp_path):
-        path = tmp_path / "style.json"
-        path.write_text(json.dumps({
+    def test_colour_and_font_forms(self):
+        s = load_style({
             "background": "white", "palette": {"low": "#abc", "high": "#A0B1C2"},
             "font_family": "'Open Sans', DejaVu-Sans, sans-serif",
-        }), encoding="utf-8")
-        s = load_style(str(path))
+        })
         assert (s.background, s.risk_fill("low"), s.risk_fill("high")) == (
             "white", "#abc", "#A0B1C2")
         assert s.font_family == "'Open Sans', DejaVu-Sans, sans-serif"
@@ -180,11 +175,9 @@ class TestStyle:
         ('{"canvas": [900, 640, 1]}', "canvas"),
         ('{"canvas": [900, false]}', "canvas"),
     ])
-    def test_unsafe_colour_or_font_names_the_key(self, tmp_path, content, key):
-        path = tmp_path / "style.json"
-        path.write_text(content, encoding="utf-8")
+    def test_unsafe_colour_or_font_names_the_key(self, content, key):
         with pytest.raises(ValueError, match=f"^{key} must be"):
-            load_style(str(path))
+            load_style(json.loads(content))
 
 
 # ---------------------------------------------------------------------------
