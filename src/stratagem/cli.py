@@ -123,7 +123,8 @@ def _insights(args, output: str) -> tuple[str, list]:
         try:
             found = insights_mod.run_all_rules(dataset, series, subject or None)
         except insights_mod.NonFiniteResult as exc:
-            raise _Failed(EXIT_INPUT, f"error: {exc}") from None
+            path = _overflowing_input(args, dataset, subject)
+            raise _Failed(EXIT_INPUT, f"error in {path}: {exc}") from None
     if args.llm_config:
         try:
             llm_found = _llm_insights(args.llm_config, subject, dataset)
@@ -139,6 +140,17 @@ def _insights(args, output: str) -> tuple[str, list]:
     _write_json(output, out)
     print(f"wrote {len(found)} insights to {output}")
     return subject, found
+
+
+def _overflowing_input(args, dataset, subject: str) -> str:
+    """The file whose rules overflowed. The table's rules run first, so it
+    is the table when they overflow on their own, else the timeseries."""
+    if dataset is not None:
+        try:
+            insights_mod.run_all_rules(dataset, None, subject or None)
+        except insights_mod.NonFiniteResult:
+            return args.table
+    return args.timeseries
 
 
 def _load_json(path: str, kind: str, parse):

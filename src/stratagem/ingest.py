@@ -2,9 +2,14 @@
 
 Input is UTF-8 delimited text with a header row. Missing, unparseable or
 non-finite (``1e999``) table cells become absent values (``None``), never
-zeros; in a timeseries they raise ``BadCell``. ``parse_table`` parses each
-distinct cell string of a table once, through a dict that lives for that
-call, so repeated cells share one value.
+zeros; in a timeseries they raise ``BadCell``. ``_parse_number`` is the one
+definition of a number cell. ``_number_column`` parses many cells in one
+bulk pass: one regex marks the cells that are not plain decimals,
+``float`` reads the rest, and every marked cell goes through
+``_parse_number``, the fallback and the oracle the tests compare the bulk
+pass against. ``parse_table`` hands it each distinct cell string of a
+table once (``_numbers``), so repeated cells share one value, and
+``parse_timeseries`` its close and volume columns.
 
 A timeseries is two columns, ``dates`` and ``closes``, re-sorted ascending
 by date so downstream rules see one canonical order. ``parse_timeseries``
@@ -23,6 +28,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 
 class IngestError(Exception):
@@ -160,8 +166,10 @@ class Dataset:
     that the names are unique. The maps are not fields, so equality, hash
     and repr see only the three fields. ``column(name)`` returns one
     metric's values in entity order, from a transpose of ``values`` that
-    is built on first use and, like the maps, is not a field. Unknown
-    names raise ``KeyError``.
+    is built on first use and, like the maps, is not a field;
+    ``parse_table`` stores the metric-major grid of a metric-rows table
+    there, so that table is transposed once. Unknown names raise
+    ``KeyError``.
     """
 
     entities: tuple[str, ...]
@@ -246,6 +254,21 @@ def _parse_number(cell: str) -> float | None:
     return None
 
 
+# A line break and the line after it, unless that line is a plain cell: an
+# optional ``$``, an optional ``-``, ASCII digits with commas, an optional
+# fraction and an optional ``%``, which ``_parse_number`` reads as ``float``
+# does once ``$``, ``,`` and ``%`` are dropped. Starting at a line break
+# lets the engine skip from line to line, and no two adjacent quantifiers
+# take the same character, so each line is matched in linear time.
+_OTHER_LINE = re.compile(r"\n(?!\$?-?[0-9][0-9,]*(?:\.[0-9]+)?%?$)[^\n]*", re.M)
+
+
+def _numbers(cells: set[str]) -> dict[str, float | None]:
+    """``_parse_number`` of each cell, keyed by cell, in one bulk pass."""
+    cells = list(cells)
+    return dict(zip(cells, _number_column(cells)))
+
+
 def _read_rows(text: str, dialect: str) -> list[tuple[int, list[str]]]:
     """The non-blank rows, each with its line number in ``text`` (blank
     lines counted; the last line of a row whose quoted cell spans lines)."""
@@ -280,7 +303,7 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     labels = [row[0].strip() for row in body]
     # Cells repeat (``NA``, ``12.5%``, small integers), so each distinct
     # string is parsed once and its repeats share one value.
-    number = {c: _parse_number(c) for c in {c for row in body for c in row[1:]}}
+    number = _numbers({c for row in body for c in row[1:]})
     grid = [tuple(map(number.__getitem__, row[1:])) for row in body]
 
     corner = header[0].lower()
@@ -307,7 +330,10 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     if not any(v is not None for v in number.values()):
         raise NoNumericData("no numeric cells in table body")
     metrics = tuple(infer_metric_semantics(n) for n in metric_labels)
-    return Dataset(entities=tuple(entity_names), metrics=metrics, values=values)
+    dataset = Dataset(entities=tuple(entity_names), metrics=metrics, values=values)
+    if metrics_as_rows:  # the grid is the transpose ``column`` would build
+        vars(dataset)["_columns"] = tuple(grid)
+    return dataset
 
 
 def _check_labels(labels, names, lines, kind: str) -> None:
@@ -346,13 +372,10 @@ def _parse_date(cell: str, line: int) -> dt.date:
     return date
 
 
-# Whole-column shapes, ASCII digits only (``\d`` and ``float`` also take
-# other scripts' digits): zero-padded ``YYYY-MM-DD`` or ``MM/DD/YYYY``
-# dates, one per line, and plain ``$?digits(.digits)?`` numbers once commas
-# are dropped.
+# Whole-column date shapes, ASCII digits only (``\d`` also takes other
+# scripts' digits): zero-padded ``YYYY-MM-DD`` or ``MM/DD/YYYY``, one per line.
 _ISO_DATES = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:\n[0-9]{4}-[0-9]{2}-[0-9]{2})*")
 _US_DATES = re.compile(r"[0-9]{2}/[0-9]{2}/[0-9]{4}(?:\n[0-9]{2}/[0-9]{2}/[0-9]{4})*")
-_PLAIN_NUMBERS = re.compile(r"\$?[0-9]+(?:\.[0-9]+)?(?:\n\$?[0-9]+(?:\.[0-9]+)?)*")
 
 
 def _date_column(cells: list[str]) -> list[dt.date] | None:
@@ -377,15 +400,22 @@ def _date_column(cells: list[str]) -> list[dt.date] | None:
 
 
 def _number_column(cells: list[str]) -> list[float | None]:
-    """``_parse_number`` of every cell. A column of the whole-column shape
-    is read by ``float``; anything else, or a value past the float range
-    (``float`` gives inf, ``_parse_number`` None), is parsed cell by cell."""
-    joined = "\n".join(cells).replace(",", "")
-    if _PLAIN_NUMBERS.fullmatch(joined) and joined.count("\n") + 1 == len(cells):
-        values = list(map(float, joined.replace("$", "").split("\n")))
-        if math.inf not in values:
-            return values
-    return list(map(_parse_number, cells))
+    """``_parse_number`` of every cell, in one bulk pass. One ``sub`` over
+    the cells, each after a line break, turns every line that is not a
+    plain cell into ``inf``; with ``$``, ``,`` and ``%`` dropped, ``float``
+    reads every line. An infinite value, from such a line or from a plain
+    cell past the float range, is replaced by ``_parse_number`` of its
+    cell. A quoted cell can hold a line break, so unless the line count is
+    the cell count every cell goes through ``_parse_number``."""
+    text = _OTHER_LINE.sub("\ninf", "\n" + "\n".join(cells))
+    if text.count("\n") != len(cells):
+        return list(map(_parse_number, cells))
+    text = text[1:].replace(",", "").replace("$", "").replace("%", "")
+    values = list(map(float, text.split("\n")))
+    if not math.isfinite(sum(values)):  # an inf in values, or a sum past the range
+        for i in compress(range(len(values)), map(math.isinf, values)):
+            values[i] = _parse_number(cells[i])
+    return values
 
 
 def parse_timeseries(text: str, dialect: str = "tab") -> TimeSeries:

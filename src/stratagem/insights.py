@@ -13,7 +13,9 @@ import re
 import statistics
 from dataclasses import dataclass, replace
 from datetime import date
+from functools import partial
 from itertools import count
+from operator import is_not
 
 from .ingest import Dataset, MetricDescriptor, TimeSeries
 
@@ -233,16 +235,20 @@ def peer_comparison_insight(
     opposite extreme, in the order of the ranking by ``(-value, entity)``;
     with one peer, the runner-up is the opposite extreme, so two entries."""
     column = dataset.column(metric.name)
-    sval = column[dataset._row_index[subject]]
+    at = dataset._row_index[subject]
+    sval = column[at]
     if sval is None:
         return None
-    # (ranking key, entity, value) in entity order, for a fixed peer-mean sum;
-    # entities are distinct, so the key orders them totally and the highest
-    # peer ``first`` is the lowest ``last`` only for a single peer
+    # the peers' values in entity order, for a fixed peer-mean sum; most
+    # subjects lie within them, so the ranking is built only past this test
+    values = list(filter(partial(is_not, None), column[:at] + column[at + 1:]))
+    if not values or min(values) <= sval <= max(values):
+        return None
+    # (ranking key, entity, value); entities are distinct, so the key orders
+    # them totally and the highest peer ``first`` is the lowest ``last``
+    # only for a single peer
     peers = [(-v, e, v) for e, v in zip(dataset.entities, column)
              if v is not None and e != subject]
-    if not peers:
-        return None
     first, last = min(peers), max(peers)
     if sval > first[2]:
         extremity, raw_dir, lo, hi = "highest", "positive", last[2], sval
@@ -251,7 +257,7 @@ def peer_comparison_insight(
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
-    peer_mean = _finite(sum(v for _, _, v in peers) / len(peers), metric.name, "peer mean")
+    peer_mean = _finite(sum(values) / len(values), metric.name, "peer mean")
     spread = _finite(hi - lo, metric.name, "peer spread")
     magnitude = _clamp01(abs(sval - peer_mean) / spread)
     tone = {
@@ -261,7 +267,7 @@ def peer_comparison_insight(
     }[direction]
     statement = (
         f"{subject} has the {extremity} {metric.name} among "
-        f"{len(peers) + 1} companies, {tone} versus its peers."
+        f"{len(values) + 1} companies, {tone} versus its peers."
     )
     ends = [first, last] if first != last else [first]
     own = (-sval, subject, sval)
@@ -487,7 +493,8 @@ def run_all_rules(
     series: TimeSeries | None,
     subject: str | None = None,
 ) -> list[Insight]:
-    """Apply every applicable rule; return a total-ordered list with distinct ids."""
+    """Apply every applicable rule, the table's before the series'; return
+    a total-ordered list with distinct ids."""
     if dataset is None and series is None:
         raise ValueError("need a dataset or a timeseries")
     found: list[Insight] = []

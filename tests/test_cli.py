@@ -134,7 +134,7 @@ class TestInsightsCommand:
         out = tmp_path / "i.json"
         assert run("insights", "--timeseries", str(series), "-o", str(out)) == 2
         assert capsys.readouterr().err == (
-            "error: Closing price: mean is not finite; the values overflow\n"
+            f"error in {series}: Closing price: mean is not finite; the values overflow\n"
         )
         assert not out.exists()
 
@@ -144,9 +144,28 @@ class TestInsightsCommand:
         out = tmp_path / "i.json"
         assert run("insights", "--table", str(table), "-o", str(out)) == 2
         assert capsys.readouterr().err == (
-            "error: Revenue ($m): peer spread is not finite; the values overflow\n"
+            f"error in {table}: Revenue ($m): peer spread is not finite; the values overflow\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("overflowing,message", [
+        ("table", "Revenue ($m): peer spread"),
+        ("timeseries", "Closing price: mean"),
+    ])
+    def test_overflow_names_the_file_the_rule_read(self, tmp_path, capsys, overflowing, message):
+        # both inputs given, one of them overflowing
+        big = overflowing == "table"
+        table, series = tmp_path / "t.tsv", tmp_path / "s.tsv"
+        table.write_text("Metric\tA\tB\tC\nRevenue ($m)\t"
+                         + ("1e308\t-1e308\t0\n" if big else "5\t1\t0\n"), encoding="utf-8")
+        close = 100 if big else 1.5e308
+        series.write_text("date\tclose\tvolume\n" + "".join(
+            f"2024-04-0{day}\t{close}\t1\n" for day in (1, 2, 3)), encoding="utf-8")
+        assert run("insights", "--table", str(table), "--timeseries", str(series),
+                   "-o", str(tmp_path / "i.json")) == 2
+        read = table if big else series
+        assert capsys.readouterr().err == (
+            f"error in {read}: {message} is not finite; the values overflow\n")
 
     def test_overflowing_series_stops_the_pipeline(self, tmp_path, capsys):
         series = tmp_path / "s.tsv"
@@ -157,7 +176,7 @@ class TestInsightsCommand:
         assert run("pipeline", "--timeseries", str(series), "--framework", "swot",
                    "-o", str(out)) == 2
         assert capsys.readouterr().err == (
-            "error: Closing price: mean is not finite; the values overflow\n"
+            f"error in {series}: Closing price: mean is not finite; the values overflow\n"
         )
         assert list(tmp_path.iterdir()) == [series]
 

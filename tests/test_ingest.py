@@ -90,6 +90,25 @@ class TestParseTable:
         with pytest.raises(NoNumericData):
             parse_table("Metric\tA\n")
 
+    @pytest.mark.parametrize("other,values", [("5", (None, 5.0)), ("NA", None)],
+                             ids=["plain", "absent"])
+    def test_line_break_in_a_cell(self, other, values):
+        """The halves of a quoted "1\\n2" are no cells of the table: it is
+        absent, and a table with no other number has no numeric data."""
+        text = f'Metric\tA\tB\nRevenue\t"1\n2"\t{other}\n'
+        if values is None:
+            with pytest.raises(NoNumericData):
+                parse_table(text)
+        else:
+            assert parse_table(text).column("Revenue") == values
+
+    def test_long_comma_run_is_parsed_in_linear_time(self):
+        # a plain-cell pattern with two adjacent quantifiers over commas
+        # backtracks quadratically here: minutes, where this takes milliseconds
+        commas = "," * 130_000
+        d = parse_table(f"Metric\tA\tB\tC\nRevenue\t5{commas}x\t{commas}5\t5{commas}\n")
+        assert d.column("Revenue") == (None, 5.0, 5.0)
+
     def test_currency_and_percent_glyphs(self):
         d = parse_table("Metric\tA\nRevenue ($m)\t$1,234\nMargin (%)\t12.5%\n")
         assert d.value("A", "Revenue ($m)") == 1234
@@ -111,8 +130,9 @@ class TestParseTable:
     )
     @settings(max_examples=200)
     def test_cells_parse_as_one_by_one(self, pool, shape, metrics_as_rows, dialect, data):
-        """Parsing each distinct cell once gives the grid that parsing every
-        cell gives, in both orientations and both dialects."""
+        """Parsing each distinct cell once gives the grid, and the columns,
+        that parsing every cell gives, in both orientations and both
+        dialects."""
         rows, cols = shape
         cells = [[data.draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
         buf = io.StringIO()
@@ -126,7 +146,9 @@ class TestParseTable:
             with pytest.raises(NoNumericData):
                 parse_table(buf.getvalue(), dialect)
         else:
-            assert parse_table(buf.getvalue(), dialect).values == expected
+            d = parse_table(buf.getvalue(), dialect)
+            assert d.values == expected
+            assert tuple(d.column(m.name) for m in d.metrics) == tuple(zip(*expected))
 
 
 class TestDatasetLookups:
@@ -372,7 +394,8 @@ _PLAIN_NUMBER = st.one_of(
 _ODD_NUMBER = st.one_of(
     st.sampled_from(["$", "%", ",", " ", "-", "1e5", "1E-3", "-2.5", "12%", " 7 ", "$$5",
                      "\u0661\u0662", "\u0661.5", "1\n2", "1e999", "", "5.", ".5",
-                     "1,2.3,4", "-0", "$-5", "0"]),
+                     "1,2.3,4", "-0", "$-5", "0", "-$5", ",$,$5", "-,5", "5.,5", "5.,",
+                     "5,.5", "5%,%", "5%5", "$5%$", "-" + "9" * 400, "5\r"]),
     st.text(alphabet="0123456789$%,. -eE+\u0661\n", max_size=8),
 )
 
@@ -435,6 +458,13 @@ class TestColumnParse:
         # repr tells -0.0 from 0.0
         assert list(map(repr, ingest._number_column(cells))) == [
             repr(ingest._parse_number(c)) for c in cells]
+
+    @given(cells=st.one_of(_columns(_PLAIN_NUMBER, _ODD_NUMBER),
+                           st.lists(st.one_of(_PLAIN_NUMBER, _ODD_NUMBER), max_size=20)))
+    @settings(max_examples=400)
+    def test_bulk_numbers_match_cell_by_cell(self, cells):
+        assert {c: repr(v) for c, v in ingest._numbers(set(cells)).items()} == {
+            c: repr(ingest._parse_number(c)) for c in cells}
 
     @given(us_dates=st.booleans(), data=st.data(),
            mutations=st.lists(st.tuples(st.integers(0, 29), _MUTATIONS), max_size=3))

@@ -23,7 +23,12 @@ from stratagem.insights import (
     Evidence,
     Insight,
     NonFiniteResult,
+    _clamp01,
+    _finite,
+    _flip,
     _iso_week_count,
+    _slug,
+    _themes,
     insight_from_dict,
     insight_to_dict,
     peer_comparison_insight,
@@ -702,18 +707,58 @@ def _full_ranking_peer(dataset, subject, metric):
     return statement, direction, magnitude, ends
 
 
-# Wide floats make the peer mean depend on the order of its sum.
-_PEER_CELLS = st.one_of(st.none(), st.integers(-3, 3).map(float),
+def _ranking_peer(dataset, subject, metric):
+    """Reference: the peer rule that ranks every peer by ``(-value,
+    entity)`` and then tests the subject against the ranking's ends."""
+    column = dataset.column(metric.name)
+    sval = column[dataset.entities.index(subject)]
+    if sval is None:
+        return None
+    peers = [(-v, e, v) for e, v in zip(dataset.entities, column)
+             if v is not None and e != subject]
+    if not peers:
+        return None
+    first, last = min(peers), max(peers)
+    if sval > first[2]:
+        extremity, raw_dir, lo, hi = "highest", "positive", last[2], sval
+    elif sval < last[2]:
+        extremity, raw_dir, lo, hi = "lowest", "negative", sval, first[2]
+    else:
+        return None
+    direction = _flip(raw_dir, metric.polarity)
+    peer_mean = _finite(sum(v for _, _, v in peers) / len(peers), metric.name, "peer mean")
+    spread = _finite(hi - lo, metric.name, "peer spread")
+    tone = {"positive": "a clear strength", "negative": "a clear weakness",
+            "neutral": "an outlier position"}[direction]
+    ends = [first, last] if first != last else [first]
+    own = (-sval, subject, sval)
+    ranking = [own, *ends] if extremity == "highest" else [*ends, own]
+    return Insight(
+        id=f"peer:{_slug(metric.name)}",
+        statement=(f"{subject} has the {extremity} {metric.name} among "
+                   f"{len(peers) + 1} companies, {tone} versus its peers."),
+        direction=direction,
+        magnitude=_clamp01(abs(sval - peer_mean) / spread),
+        themes=_themes(metric.name),
+        evidence=tuple(Evidence(kind="rank", refs=(metric.name, entity), value=value)
+                       for _, entity, value in ranking),
+        provenance="rule:peer",
+    )
+
+
+# Wide floats make the peer mean depend on the order of its sum; the two
+# zeros tie, and ``repr`` tells them apart.
+_PEER_CELLS = st.one_of(st.none(), st.integers(-3, 3).map(float), st.sampled_from((0.0, -0.0)),
                         st.floats(-1e6, 1e6, allow_nan=False),
                         st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
-def peer_columns(draw):
-    """A one-metric table of 2-40 entities with None cells and ties, and a
-    subject anywhere in it; the subject's cell is often moved to just past
-    (or onto) the peers' top or bottom, so that the rule fires often."""
-    n_entities = draw(st.integers(2, 40))
+def peer_columns(draw, sizes=st.integers(2, 40)):
+    """A one-metric table of ``sizes`` entities with None cells and ties,
+    and a subject anywhere in it; the subject's cell is often moved to just
+    past (or onto) the peers' top or bottom, so that the rule fires often."""
+    n_entities = draw(sizes)
     entities = tuple(draw(st.permutations([f"Company {i:02d}" for i in range(n_entities)])))
     at = draw(st.integers(0, n_entities - 1))
     cells = [draw(_PEER_CELLS) for _ in entities]
@@ -791,6 +836,24 @@ class TestIndexedDataset:
         assert (ins.statement, ins.direction, ins.magnitude) == (statement, direction, magnitude)
         assert [(e.refs[1], e.value) for e in ins.evidence] == ends
         assert all(e.kind == "rank" and e.refs[0] == metric.name for e in ins.evidence)
+
+    @given(table=peer_columns(st.one_of(st.integers(2, 3), st.integers(2, 40))))
+    @settings(max_examples=300)
+    def test_peer_rule_matches_ranking_reference(self, table):
+        """Field for field, ``repr`` of every float included, the rule is
+        the reference that ranks every peer; about a quarter of the tables
+        have two entities, so one peer."""
+        dataset, subject = table
+        metric = dataset.metrics[0]
+
+        def outcome(rule):
+            try:
+                ins = rule(dataset, subject, metric)
+            except NonFiniteResult as exc:
+                return str(exc)
+            return ins and json.dumps(insight_to_dict(ins))
+
+        assert outcome(peer_comparison_insight) == outcome(_ranking_peer)
 
     def test_value_calls_are_linear_in_metrics(self, monkeypatch):
         """Counts, not times: on an E x M table the rules make O(M) ``value``
