@@ -52,9 +52,35 @@ def _write_text(path: str, text: str) -> None:
         raise _Failed(EXIT_INPUT, f"error: cannot write {path}: {exc.strerror}") from None
 
 
+# One encoder for every stage file: ``json.dumps`` with these keywords would
+# build a new one per call, and any ``indent`` selects the pure-Python encoder.
+_ENCODE = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+
+
+def _json_lines(obj: dict) -> str:
+    """``obj`` as strict UTF-8 JSON text, one top-level key per line and each
+    item of a top-level list on a line of its own, records separated by
+    ``"\\n"``; the lines stay diffable and each value goes through the C
+    encoder. Raises ``ValueError`` on a NaN or infinity."""
+    fields = []
+    for key, value in obj.items():
+        if isinstance(value, list):
+            text = _framed("[", [_ENCODE(item) for item in value], "]")
+        else:
+            text = _ENCODE(value)
+        fields.append(f"{_ENCODE(key)}: {text}")
+    return _framed("{", fields, "}") + "\n"
+
+
+def _framed(opening: str, lines: list[str], closing: str) -> str:
+    """``lines`` joined by commas, each on its own line between the two
+    framing lines; an empty list leaves no blank line."""
+    return "\n".join((opening, ",\n".join(lines), closing)) if lines else f"{opening}\n{closing}"
+
+
 def _write_json(path: str, obj: dict) -> None:
     try:
-        text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+        text = _json_lines(obj)
     except ValueError as exc:
         raise _Failed(EXIT_INPUT, f"error: cannot write {path}: {exc}") from None
     _write_text(path, text)

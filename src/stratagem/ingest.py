@@ -28,7 +28,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 
 class IngestError(Exception):
@@ -303,7 +303,7 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     labels = [row[0].strip() for row in body]
     # Cells repeat (``NA``, ``12.5%``, small integers), so each distinct
     # string is parsed once and its repeats share one value.
-    number = _numbers({c for row in body for c in row[1:]})
+    number = _numbers(set(chain.from_iterable(row[1:] for row in body)))
     grid = [tuple(map(number.__getitem__, row[1:])) for row in body]
 
     corner = header[0].lower()

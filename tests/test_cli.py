@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import math
 import os
 import random
 import subprocess
@@ -834,6 +835,63 @@ class TestRepeatedCalls:
             fresh = subprocess.run([sys.executable, "-m", "stratagem.cli", *argv],
                                    capture_output=True, text=True, env=env, check=True)
             assert (fresh.stdout, Path(argv[-1]).read_bytes()) == (out, written)
+
+
+# JSON values whose strings hold the characters that break lines in some
+# readers: U+2028 and U+0085 stay raw with ``ensure_ascii=False``.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from("\n\u2028\x85\"\\"), st.characters()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestStageFiles:
+    """A stage file is strict JSON with one top-level key per line and each
+    item of a top-level list on one line of its own."""
+
+    @given(obj=st.dictionaries(_JSON_TEXT, st.lists(_JSON_VALUES, max_size=5) | _JSON_VALUES,
+                               max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_one_line_per_record(self, obj):
+        text = cli._json_lines(obj)
+        assert json.loads(text) == obj
+        assert text.endswith("\n")
+        # not splitlines(): it also breaks on the raw U+2028 and U+0085
+        lines = text.split("\n")
+        assert lines[0] == "{" and lines[-2:] == ["}", ""]
+        rest = iter(lines[1:-2])
+        for key, value in obj.items():
+            line = next(rest)
+            if isinstance(value, list):
+                assert line == json.dumps(key, ensure_ascii=False) + ": ["
+                for item in value:
+                    assert json.loads(next(rest).removesuffix(",")) == item
+                assert next(rest) in ("]", "],")
+            else:
+                assert json.loads("{" + line.removesuffix(",") + "}") == {key: value}
+        assert next(rest, None) is None
+
+    @pytest.mark.parametrize("obj", [
+        {"subject": "x", "magnitude": float("nan"), "insights": []},
+        {"subject": "x", "insights": [{"id": "a"}, {"evidence": [{"value": [1.0, -math.inf]}]}]},
+    ], ids=["top-level", "inside-a-list-item"])
+    def test_non_finite_value_is_not_written(self, tmp_path, obj):
+        path = tmp_path / "out.json"
+        with pytest.raises(cli._Failed) as failed:
+            cli._write_json(str(path), obj)
+        assert failed.value.code == cli.EXIT_INPUT
+        assert str(failed.value).startswith(
+            f"error: cannot write {path}: Out of range float values are not JSON compliant")
+        assert not path.exists()
+
+    def test_foobar_insights_file_has_one_line_per_insight(self, insights_file):
+        text = insights_file.read_text(encoding="utf-8")
+        found = json.loads(text)["insights"]
+        assert text.split("\n")[:3] == ["{", '"subject": "Foobar Corp",', '"insights": [']
+        assert len(text.split("\n")) == len(found) + 6  # 5 framing lines and the final ""
 
 
 class TestPipeline:
