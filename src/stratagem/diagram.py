@@ -225,24 +225,6 @@ def _on_rect_boundary(p, rect, tol: float = 0.5) -> bool:
     return inside_x and inside_y and near_edge
 
 
-def _project_to_boundary(p, rect):
-    """Nearest point on the rectangle boundary to p."""
-    x, y, w, h = rect
-    px = min(max(p[0], x), x + w)
-    py = min(max(p[1], y), y + h)
-    # if the clamped point is interior, push it to the closest edge
-    d = [
-        (abs(px - x), (x, py)),
-        (abs(px - (x + w)), (x + w, py)),
-        (abs(py - y), (px, y)),
-        (abs(py - (y + h)), (px, y + h)),
-    ]
-    d.sort(key=lambda t: t[0])
-    if x < px < x + w and y < py < y + h:
-        return d[0][1]
-    return (px, py)
-
-
 # ---------------------------------------------------------------------------
 # geometry: one function per framework, text-free
 #
@@ -362,36 +344,49 @@ def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int):
 
 
 def _cycle_arc(rect_a, rect_b, center, r, theta_a, theta_b) -> tuple[tuple[float, float], ...]:
-    """Points of the arc along the circumference from rect_a to rect_b,
-    trimmed to their boundaries by bisection on the angle."""
+    """Ten points along the ring, evenly spaced in angle, from where it
+    leaves ``rect_a`` to where it enters ``rect_b``.
+
+    A box is the intersection of four half-planes, one per edge, and each
+    box is centred on the ring at its angle ``theta``. So, going round
+    from ``theta``, the ring stays in the box until its first crossing of
+    any edge line. It meets a vertical edge ``X`` at ``±acos((X - ox) /
+    r)`` and a horizontal edge ``Y`` at ``asin((Y - oy) / r)`` and ``pi``
+    minus that, when the edge is within ``r`` of the ring's centre. The
+    exit from ``rect_a`` is the crossing the smallest forward step from
+    ``theta_a``, the entry into ``rect_b`` the smallest backward step from
+    ``theta_b``. Each end takes its edge's coordinate exactly, so it lies
+    on its box's boundary."""
     if theta_b <= theta_a:
         theta_b += 2 * math.pi
+    exit_t, first = _ring_crossing(rect_a, center, r, theta_a, 1)
+    entry_t, last = _ring_crossing(rect_b, center, r, theta_b, -1)
     ox, oy = center
+    inner = (exit_t + (entry_t - exit_t) * i / 9 for i in range(1, 9))
+    return (first, *((ox + r * math.cos(t), oy + r * math.sin(t)) for t in inner), last)
 
-    def point(t):
-        return (ox + r * math.cos(t), oy + r * math.sin(t))
 
-    def leave(rect, t_in, t_out):
-        """Bisect from an angle inside ``rect`` and one outside it to the
-        first outside angle next to its boundary."""
-        x, y, w, h = rect
-        for _ in range(50):
-            m = (t_in + t_out) / 2
-            px, py = point(m)
-            if x <= px <= x + w and y <= py <= y + h:
-                t_in = m
-            else:
-                t_out = m
-        return t_out
-
-    mid = (theta_a + theta_b) / 2
-    exit_t = leave(rect_a, theta_a, mid)
-    entry_t = leave(rect_b, theta_b, mid)
-    samples = 10
-    pts = [point(exit_t + (entry_t - exit_t) * i / (samples - 1)) for i in range(samples)]
-    pts[0] = _project_to_boundary(pts[0], rect_a)
-    pts[-1] = _project_to_boundary(pts[-1], rect_b)
-    return tuple(pts)
+def _ring_crossing(rect, center, r, theta, sign):
+    """The angle, unwrapped next to ``theta``, and the point where the ring
+    first crosses an edge line of ``rect`` going from ``theta`` in the
+    direction ``sign`` (1 forward, -1 backward)."""
+    x, y, w, h = rect
+    ox, oy = center
+    crossings = []
+    for edge in (x, x + w):
+        if abs(edge - ox) <= r:
+            t = math.acos((edge - ox) / r)
+            crossings += ((t, 0, edge), (-t, 0, edge))
+    for edge in (y, y + h):
+        if abs(edge - oy) <= r:
+            t = math.asin((edge - oy) / r)
+            crossings += ((t, 1, edge), (math.pi - t, 1, edge))
+    step, t, axis, edge = min(
+        ((sign * (t - theta)) % (2 * math.pi), t, axis, edge) for t, axis, edge in crossings
+    )
+    point = [ox + r * math.cos(t), oy + r * math.sin(t)]
+    point[axis] = edge
+    return theta + sign * step, tuple(point)
 
 
 _RADAR_ANGLES = (-90.0, 30.0, 150.0)

@@ -78,12 +78,12 @@ class SlotDescriptor:
     id: str
     title: str
     # Affinity key: (theme, direction); direction "*" matches any.
-    affinity: tuple[tuple[tuple[str, str], float], ...]
+    affinity: dict[tuple[str, str], float]
 
     def __post_init__(self):
-        if not any(w > 0 for _, w in self.affinity):
+        if not any(w > 0 for w in self.affinity.values()):
             raise ValueError(f"slot {self.id} has no nonzero affinity")
-        for (theme, direction), w in self.affinity:
+        for (theme, direction), w in self.affinity.items():
             if theme not in THEME_TAGS:
                 raise ValueError(f"unknown theme {theme!r} in slot {self.id}")
             if direction not in DIRECTIONS + ("*",):
@@ -92,7 +92,7 @@ class SlotDescriptor:
                 raise ValueError(f"affinity weight {w} outside [0, 1]")
 
     def fit(self, insight: Insight) -> float:
-        table = dict(self.affinity)
+        table = self.affinity
         best = 0.0
         for theme in insight.themes:
             w = table.get((theme, insight.direction), table.get((theme, "*"), 0.0))
@@ -100,15 +100,11 @@ class SlotDescriptor:
         return best
 
 
-def _slot(id: str, title: str, affinity: dict[tuple[str, str], float]) -> SlotDescriptor:
-    return SlotDescriptor(id, title, tuple(sorted(affinity.items())))
-
-
 # The slots of each framework kind, built and checked once. The first
 # porter5 slot is the diagram's hub.
 _SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
     "swot": (
-        _slot("strengths", "Strengths", {
+        SlotDescriptor("strengths", "Strengths", {
             ("market-presence", "positive"): 1.0,
             ("brand-marketing", "positive"): 1.0,
             ("supply-chain", "positive"): 0.9,
@@ -119,7 +115,7 @@ _SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
             ("cost", "positive"): 0.8,
             ("growth", "positive"): 0.7,
         }),
-        _slot("weaknesses", "Weaknesses", {
+        SlotDescriptor("weaknesses", "Weaknesses", {
             ("online-channel", "negative"): 1.0,
             ("supply-chain", "negative"): 0.9,
             ("profitability", "negative"): 0.9,
@@ -130,14 +126,14 @@ _SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
             ("public-sentiment", "negative"): 0.6,
             ("growth", "negative"): 0.6,
         }),
-        _slot("opportunities", "Opportunities", {
+        SlotDescriptor("opportunities", "Opportunities", {
             ("growth", "positive"): 0.9,
             ("growth", "neutral"): 0.4,
             ("online-channel", "negative"): 0.5,
             ("market-presence", "positive"): 0.6,
             ("product-diversity", "positive"): 0.5,
         }),
-        _slot("threats", "Threats", {
+        SlotDescriptor("threats", "Threats", {
             ("competition", "negative"): 1.0,
             ("competition", "*"): 0.8,
             ("public-sentiment", "negative"): 0.8,
@@ -146,45 +142,45 @@ _SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
         }),
     ),
     "porter5": (
-        _slot("rivalry", "Competitive Rivalry", {
+        SlotDescriptor("rivalry", "Competitive Rivalry", {
             ("competition", "*"): 1.0,
             ("market-presence", "*"): 0.6,
             ("brand-marketing", "*"): 0.5,
         }),
-        _slot("supplier_power", "Supplier Power",
-              {("supply-chain", "*"): 1.0, ("cost", "*"): 0.7}),
-        _slot("buyer_power", "Buyer Power",
-              {("public-sentiment", "*"): 0.9, ("online-channel", "*"): 0.6}),
-        _slot("new_entrants", "Threat of New Entrants",
-              {("growth", "*"): 0.8, ("online-channel", "*"): 0.5}),
-        _slot("substitutes", "Threat of Substitutes",
-              {("product-diversity", "*"): 0.9, ("profitability", "*"): 0.4}),
+        SlotDescriptor("supplier_power", "Supplier Power",
+                       {("supply-chain", "*"): 1.0, ("cost", "*"): 0.7}),
+        SlotDescriptor("buyer_power", "Buyer Power",
+                       {("public-sentiment", "*"): 0.9, ("online-channel", "*"): 0.6}),
+        SlotDescriptor("new_entrants", "Threat of New Entrants",
+                       {("growth", "*"): 0.8, ("online-channel", "*"): 0.5}),
+        SlotDescriptor("substitutes", "Threat of Substitutes",
+                       {("product-diversity", "*"): 0.9, ("profitability", "*"): 0.4}),
     ),
     "virtuous_cycle": (
-        _slot("invest", "Invest",
-              {("brand-marketing", "*"): 0.9, ("cost", "*"): 0.7}),
-        _slot("improve_offering", "Improve Offering", {
+        SlotDescriptor("invest", "Invest",
+                       {("brand-marketing", "*"): 0.9, ("cost", "*"): 0.7}),
+        SlotDescriptor("improve_offering", "Improve Offering", {
             ("product-diversity", "*"): 0.9,
             ("supply-chain", "*"): 0.8,
             ("online-channel", "*"): 0.7,
         }),
-        _slot("attract_customers", "Attract Customers",
-              {("public-sentiment", "*"): 0.9, ("market-presence", "*"): 0.8}),
-        _slot("grow_revenue", "Grow Revenue",
-              {("growth", "*"): 1.0, ("profitability", "*"): 0.95}),
+        SlotDescriptor("attract_customers", "Attract Customers",
+                       {("public-sentiment", "*"): 0.9, ("market-presence", "*"): 0.8}),
+        SlotDescriptor("grow_revenue", "Grow Revenue",
+                       {("growth", "*"): 1.0, ("profitability", "*"): 0.95}),
     ),
     "value_discipline": (
-        _slot("operational_excellence", "Operational Excellence", {
+        SlotDescriptor("operational_excellence", "Operational Excellence", {
             ("supply-chain", "*"): 1.0,
             ("cost", "*"): 0.9,
             ("profitability", "*"): 0.8,
         }),
-        _slot("product_leadership", "Product Leadership", {
+        SlotDescriptor("product_leadership", "Product Leadership", {
             ("product-diversity", "*"): 1.0,
             ("brand-marketing", "*"): 0.8,
             ("growth", "*"): 0.7,
         }),
-        _slot("customer_intimacy", "Customer Intimacy", {
+        SlotDescriptor("customer_intimacy", "Customer Intimacy", {
             ("public-sentiment", "*"): 1.0,
             ("online-channel", "*"): 0.7,
             ("market-presence", "*"): 0.6,

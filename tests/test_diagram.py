@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 import xml.parsers.expat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_analysis, random_insights
 from stratagem import diagram, textfit
@@ -265,6 +266,57 @@ class TestLayoutCycle:
                 assert max(dx, dy) >= 8.0 - 1e-6
 
 
+def _bisect_exit(rect, center, r, t_in, t_out):
+    """The first angle outside ``rect`` next to its boundary, by 60
+    halvings between an angle inside it and one outside it: the search
+    the arc ends were once found by, kept as the closed form's oracle."""
+    (ox, oy), (x, y, w, h) = center, rect
+    for _ in range(60):
+        m = (t_in + t_out) / 2
+        px, py = ox + r * math.cos(m), oy + r * math.sin(m)
+        if x <= px <= x + w and y <= py <= y + h:
+            t_in = m
+        else:
+            t_out = m
+    return t_out
+
+
+_CANVASES = st.one_of(
+    st.tuples(st.floats(1, 20000), st.floats(1, 20000)),
+    # near-square boxes, on which the ring grows past its start radius
+    st.tuples(st.floats(100, 17000), st.floats(1.13, 1.17)).map(lambda c: (c[0], c[0] * c[1])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canvas=_CANVASES, gap=st.floats(0, 200), scale=st.sampled_from([1, 2, 4]))
+def test_cycle_arrows_leave_and_enter_boxes_where_a_bisection_finds(canvas, gap, scale):
+    """Each arrow of the ring starts where it leaves one box and ends where
+    it enters the next, at the angles a bisection finds, and each end takes
+    an edge's coordinate exactly; no point between lies inside either box."""
+    style = Style(canvas_w=canvas[0], canvas_h=canvas[1], gap=gap)
+    width, height, _, boxes, arrows, _ = diagram._cycle_at(cycle_analysis(), style, scale)
+    center = (width / 2, diagram._TITLE_STRIP + (height - diagram._TITLE_STRIP) / 2)
+    rects = [rect for _, rect, *_ in boxes]
+    n = len(rects)
+    for k, arrow in enumerate(arrows):
+        rect_a, rect_b = rects[k], rects[(k + 1) % n]
+        r = math.dist(center, (rect_a[0] + rect_a[2] / 2, rect_a[1] + rect_a[3] / 2))
+        theta_a = 2 * math.pi * k / n - math.pi / 2
+        theta_b = theta_a + 2 * math.pi / n
+        mid = (theta_a + theta_b) / 2
+        first, *inner, last = arrow.points
+        for p, rect, theta in ((first, rect_a, theta_a), (last, rect_b, theta_b)):
+            found = math.atan2(p[1] - center[1], p[0] - center[0])
+            expected = _bisect_exit(rect, center, r, theta, mid)
+            assert abs(math.remainder(found - expected, 2 * math.pi)) <= 1e-9
+            assert diagram._on_rect_boundary(p, rect, tol=1e-9)
+            assert p[0] in (rect[0], rect[0] + rect[2]) or p[1] in (rect[1], rect[1] + rect[3])
+        for px, py in inner:
+            for x, y, w, h in (rect_a, rect_b):
+                assert not (x < px < x + w and y < py < y + h)
+
+
 # ---------------------------------------------------------------------------
 # radar
 
@@ -483,6 +535,37 @@ def test_foobar_svg_bytes_are_pinned(kind, foobar_dataset, prices_series):
     found = run_all_rules(foobar_dataset, prices_series)
     svg = render_analysis(organize(found, schema_for(kind), subject=foobar_dataset.subject))
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == FOOBAR_SVG_SHA256[kind]
+
+
+# The default style, the benchmark's three cli-replay styles, and two
+# near-square canvases on which the ring grows past its start radius.
+CYCLE_CORPUS_STYLES = (
+    {},
+    {"canvas": [1000, 700], "padding": 10, "font_family": "Arial, sans-serif"},
+    {"canvas": [900, 640], "gap": 14, "min_font": 11, "max_font": 24,
+     "palette": {"high": "#F4A582", "intense": "#D6604D"}},
+    {"canvas": [1200, 800], "background": "#FAFAF7", "max_font": 20},
+    {"canvas": [900, 1040]},
+    {"canvas": [2000, 2310], "gap": 6},
+)
+# SHA-256 over 48 random cycle analyses drawn in each corpus style (the SVG,
+# or the LayoutOverflow text where one is raised), recorded while the arc
+# ends were still found by bisection.
+CYCLE_CORPUS_SHA256 = "9d4292cc3f3e417a18295a9589038a983d065621656999029f801f4f9fcbbc28"
+
+
+def test_cycle_corpus_bytes_are_pinned():
+    styles = [load_style(raw) for raw in CYCLE_CORPUS_STYLES]
+    digest = hashlib.sha256()
+    for seed in range(48):
+        analysis = random_analysis(random.Random(seed), "virtuous_cycle")
+        for style in styles:
+            try:
+                out = render_analysis(analysis, style)
+            except diagram.LayoutOverflow as exc:
+                out = f"LayoutOverflow: {exc}"
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == CYCLE_CORPUS_SHA256
 
 
 @pytest.mark.parametrize("kind", FRAMEWORK_KINDS)
