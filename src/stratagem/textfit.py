@@ -8,27 +8,42 @@ the canvas and laying the whole diagram out again.
 
 Widths are linear in font size, so ``wrap`` keeps each line's width as an
 integer sum of per-word advances in thousandths of an em (``_em``, cached
-per string) and measures no trial line; its fit test is the expression
-``measure_text`` computes, so the lines are the same. ``_split_token``
-cuts an overlong word from running sums per character in the same way.
+per string) and measures no trial line. Its fit test is the expression
+``measure_text`` computes, ``size * c / 1000.0 <= width`` for an em sum
+``c``, which only grows with ``c``; ``_cap`` finds the largest ``c`` that
+passes, so a line fits exactly when its em sum is at most ``cap``. When
+every word fits alone, the greedy line from word ``i`` ends at the last
+word ``j`` whose prefix sum of ``word_em + space_em`` is at most
+``P[i] + cap + space_em``, found by ``bisect_right`` on the sums: the
+line the word-by-word fill gives. A text with an overlong word is filled
+piece by piece, and ``_split_token`` cuts the word from running sums per
+character in the same way.
 
 The search wraps only at sizes that a line-count floor leaves open. At a
-size, let ``cap`` be the largest integer em sum ``c`` with
-``size * c / 1000.0 <= width``: that is wrap's fit test, which only
-grows with ``c``, and every line wrap emits (a whole word, a hyphenated
-or last piece, a bare character, or words joined by spaces) passed it,
-so no line sums to more than ``cap``. Pieces keep every character of
-their word and add hyphens, and joins add spaces, so the lines together
-sum to at least ``total_em``, the words' sum. There are therefore at
-least ``ceil(total_em / cap)`` lines, and when that many fail the height
-test (the same expression as the final check, which grows with the line
+size, every line wrap emits (a whole word, a hyphenated or last piece, a
+bare character, or words joined by spaces) passed the fit test, so no
+line sums to more than ``cap``. Pieces keep every character of their
+word and add hyphens, and joins add spaces, so the lines together sum to
+at least ``total_em``, the words' sum. There are therefore at least
+``ceil(total_em / cap)`` lines, and when that many fail the height test
+(the same expression as the final check, which grows with the line
 count) no wrap at that size fits. When ``cap`` is 0 no character fits
 and wrap would raise ``UnbreakableToken``. Skipping those sizes returns
 the block, or raises the error, that wrapping at every size gives.
+
+The floor only grows with size: ``size * c`` rises with ``size``, so
+``cap`` falls, the line count ``ceil(total_em / cap)`` rises, and so
+does ``lines * LINE_HEIGHT * size``, each float step rounding
+monotonically. The sizes it leaves open are therefore every size up to
+one largest, which ``fit_text`` finds by bisection; from there down it
+wraps the sizes that testing each size from ``max_font`` down would
+wrap, and returns the same block. The first probe is ``max_font``, the
+size at which about half of a report's texts are open.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -120,29 +135,62 @@ def _em(s: str) -> int:
     return sum(map(ADVANCE_WIDTHS.get, s, repeat(FALLBACK_ADVANCE)))
 
 
+def _cap(width: float, size: float, limit: int) -> int:
+    """The largest integer em sum ``c`` in [0, limit] with
+    ``size * c / 1000.0 <= width``, wrap's fit test, or -1 when no ``c``
+    passes. The product and quotient round monotonically, so the test
+    passes up to this bound and fails above it. ``c`` starts from the
+    quotient and steps to the exact bound."""
+    estimate = width * 1000.0 / size
+    if estimate >= limit:
+        c = limit
+    else:
+        c = int(estimate) if estimate > 0.0 else 0  # a NaN width starts at 0
+    while c < limit and size * (c + 1) / 1000.0 <= width:
+        c += 1
+    while c >= 0 and not size * c / 1000.0 <= width:
+        c -= 1
+    return c
+
+
 def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
     """Greedy wrap of whitespace-separated words into lines of at most
     ``width`` px at font ``size``. Overlong words are hyphen-split.
 
     Lines are summed in integer thousandths of an em and each fit test is
     ``measure_text``'s own expression, so the lines are the ones that
-    measuring every trial line would give."""
+    measuring every trial line would give. When every word fits alone,
+    each line's end is the last prefix sum of ``word_em + space_em``
+    within ``cap + space_em`` of the line's start. Otherwise the words
+    sum to more than ``cap``, so ``cap`` is below ``_cap``'s limit and
+    ``<= cap`` is the fit test for any line, hyphens included."""
     if size <= 0:
         raise ValueError("font size must be positive")
+    words = text.split()
+    ems = list(map(_em, words))
     space_em = _em(" ")
-    lines: list[str] = []
+    sums = [0, *accumulate(em + space_em for em in ems)]
+    cap = _cap(width, size, sums[-1])
+    if max(ems, default=0) <= cap:
+        lines = []
+        start = 0
+        while start < len(words):
+            end = bisect_right(sums, sums[start] + cap + space_em, start + 1) - 1
+            lines.append(" ".join(words[start:end]))
+            start = end
+        return tuple(lines)
+    lines = []
     current = ""
     current_em = 0
-    for word in text.split():
-        word_em = _em(word)
-        if size * word_em / 1000.0 <= width:
+    for word, word_em in zip(words, ems):
+        if word_em <= cap:
             pieces = [(word, word_em)]
         else:
             pieces = [(p, _em(p)) for p in _split_token(word, width, size)]
         for piece, piece_em in pieces:
             if not current:
                 current, current_em = piece, piece_em
-            elif size * (current_em + space_em + piece_em) / 1000.0 <= width:
+            elif current_em + space_em + piece_em <= cap:
                 current += " " + piece
                 current_em += space_em + piece_em
             else:
@@ -156,14 +204,8 @@ def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
 def _ruled_out(total_em: int, width: float, height: float, size: int) -> bool:
     """True when words summing to ``total_em`` cannot wrap into
     ``width`` x ``height`` at ``size``: the line-count floor of the module
-    docstring. ``cap`` starts from the quotient and steps to the exact
-    bound of wrap's fit test."""
-    estimate = width * 1000.0 / size
-    cap = int(estimate) if estimate < total_em else total_em
-    while cap < total_em and size * (cap + 1) / 1000.0 <= width:
-        cap += 1
-    while cap > 0 and size * cap / 1000.0 > width:
-        cap -= 1
+    docstring."""
+    cap = _cap(width, size, total_em)
     if cap <= 0:
         return True
     return -(-total_em // cap) * LINE_HEIGHT * size > height
@@ -178,16 +220,23 @@ def fit_text(
 ) -> TextBlock:
     """Largest integer font size whose wrapped text fits width x height;
     DoesNotFitAtMinFont(text) when none in [min_font, max_font] does.
-    Sizes the line-count floor rules out are skipped without wrapping."""
+    Sizes the line-count floor rules out are skipped without wrapping:
+    they are every size above the largest open one, found by bisection."""
     if not (width > 0 and height > 0):
         raise ValueError("box interior must have positive dimensions")
     words = text.split()
     if not words:
         return TextBlock(lines=(), font_size=float(max_font))
     total_em = sum(map(_em, words))
-    for size in range(max_font, min_font - 1, -1):
-        if size > 0 and _ruled_out(total_em, width, height, size):
-            continue
+    low, high = max(min_font, 1), max_font
+    probe = high
+    while low <= high:
+        if _ruled_out(total_em, width, height, probe):
+            high = probe - 1
+        else:
+            low = probe + 1
+        probe = (low + high) // 2
+    for size in range(high, min_font - 1, -1):
         try:
             lines = wrap(text, width, size)
         except UnbreakableToken:

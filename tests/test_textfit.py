@@ -5,17 +5,24 @@ contract (greedy fill, hyphen-splitting of overlong tokens) used to verify
 fit-optimality of the search: the chosen size fits and the next size up
 does not. ``_exhaustive_fit`` is the search without the line-count floor,
 wrapping at every size, which ``fit_text`` must match exactly.
+``_scan_fit`` tests the floor at every size from the largest down, as
+the search did before it bisected for the first open size; ``fit_text``
+must wrap the sizes it wraps.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_analysis
 from stratagem import textfit
 from stratagem.fonts import ADVANCE_WIDTHS, FALLBACK_ADVANCE, measure_text
+from stratagem.frameworks import FRAMEWORK_KINDS
 from stratagem.textfit import (
     LINE_HEIGHT,
     MAX_FONT,
@@ -24,6 +31,7 @@ from stratagem.textfit import (
     TextBlock,
     UnbreakableToken,
     _em,
+    _ruled_out,
     _split_token,
     fit_text,
     wrap,
@@ -101,6 +109,25 @@ def _exhaustive_fit(text: str, width: float, height: float,
     if not text.split():
         return TextBlock(lines=(), font_size=float(max_font))
     for size in range(max_font, min_font - 1, -1):
+        try:
+            lines = wrap(text, width, size)
+        except UnbreakableToken:
+            continue
+        if len(lines) * LINE_HEIGHT * size <= height:
+            return TextBlock(lines=lines, font_size=float(size))
+    raise DoesNotFitAtMinFont(text)
+
+
+def _scan_fit(text: str, width: float, height: float, min_font: int, max_font: int,
+              wrapped: list) -> TextBlock:
+    """The search that tests the line-count floor at each size from
+    ``max_font`` down, appending each size it wraps to ``wrapped``."""
+    words = text.split()
+    total_em = sum(map(_em, words))
+    for size in range(max_font, min_font - 1, -1):
+        if size > 0 and _ruled_out(total_em, width, height, size):
+            continue
+        wrapped.append(size)
         try:
             lines = wrap(text, width, size)
         except UnbreakableToken:
@@ -212,6 +239,36 @@ class TestWrap:
                 wrap(text, width, size)
         else:
             assert wrap(text, width, size) == expected
+
+    @given(
+        words=st.lists(
+            st.text(alphabet="abcdefghijklmnopqrstuvwxyzMWIl0-.,éè中—", min_size=1, max_size=24),
+            min_size=1, max_size=200,
+        ),
+        below=st.booleans(),
+        size=st.one_of(st.integers(MIN_FONT, MAX_FONT), st.floats(0.5, 40)),
+    )
+    @settings(max_examples=200)
+    def test_lines_match_oracle_at_the_widest_word(self, words, below, size):
+        """At the widest word's exact measure every word fits alone, so line
+        ends are found by bisecting the prefix sums; one float below it that
+        word is split. Both sides give the oracle's lines."""
+        text = " ".join(words)
+        width = max(_oracle_width(word, size) for word in words)
+        if below:
+            width = math.nextafter(width, 0.0)
+        split = textfit._split_token
+        with pytest.MonkeyPatch.context() as patch:
+            splits = []
+            patch.setattr(textfit, "_split_token",
+                          lambda *args: splits.append(args) or split(*args))
+            expected = _oracle_wrap(text, width, size)
+            if expected is None:
+                with pytest.raises(UnbreakableToken):
+                    wrap(text, width, size)
+            else:
+                assert wrap(text, width, size) == expected
+        assert bool(splits) == below
 
 
 class TestSplitToken:
@@ -375,6 +432,71 @@ class TestFitText:
             _exhaustive_fit, text, width, height, min_font, max_font
         )
 
+    @given(
+        total_em=st.integers(1, 10**6),
+        lines=st.integers(1, 2000),
+        width_size=st.integers(1, 40),
+        width_mode=st.sampled_from(["exact", "below", "free"]),
+        width=st.floats(0.01, 1000),
+        height_size=st.integers(1, 40),
+        height=st.one_of(st.none(), st.floats(0.01, 10**6)),
+    )
+    @settings(max_examples=500)
+    def test_floor_only_grows_with_size(self, total_em, lines, width_size, width_mode,
+                                        width, height_size, height):
+        """Once the line-count floor rules a size out, it rules out every
+        larger size too, which is what lets the search bisect for the first
+        open size. The exact width is that at which ``width_size`` holds
+        ``lines`` lines of the words, where the cap steps; without a free
+        height, the height is exactly ``lines`` lines at ``height_size``."""
+        cap = -(-total_em // lines)
+        if width_mode != "free":
+            width = width_size * cap / 1000
+        if width_mode == "below":
+            width = math.nextafter(width, 0.0)
+        if height is None:
+            height = lines * LINE_HEIGHT * height_size
+        ruled = [_ruled_out(total_em, width, height, size) for size in range(1, 41)]
+        assert ruled == sorted(ruled)
+
+    @given(
+        words=st.lists(
+            st.text(alphabet="abcdefghijklmnopqrstuvwxyzMWIl0-.,éè中—", min_size=1, max_size=40),
+            min_size=1, max_size=30,
+        ),
+        width_mode=st.sampled_from(["free", "one-glyph", "words"]),
+        width=st.floats(0.5, 400),
+        at=st.integers(0, 40),
+        height=st.one_of(st.floats(1, 400), st.integers(1, 12)),
+        min_font=st.integers(0, 30),
+        max_font=st.integers(1, 40),
+    )
+    @settings(max_examples=300)
+    def test_wraps_the_sizes_the_scan_wraps(self, words, width_mode, width, at,
+                                            height, min_font, max_font):
+        """Bisecting for the first open size wraps the same sizes, in the
+        same order, as testing the floor at each size from ``max_font``
+        down: every open size down to the one returned. This holds the
+        traced ``textfit.wrap.calls`` and ``sizes_per_fit``."""
+        text = " ".join(words)
+        size = min(max(min_font, 1), max_font)
+        chars = "".join(words)
+        if width_mode == "one-glyph":
+            width = measure_text(chars[at % len(chars)], size)
+        elif width_mode == "words":
+            width = measure_text(" ".join(words[:1 + at % len(words)]), size)
+        if isinstance(height, int):
+            height = height * LINE_HEIGHT * size
+        expected_sizes = []
+        expected = _outcome(_scan_fit, text, width, height, min_font, max_font, expected_sizes)
+        real = textfit.wrap
+        with pytest.MonkeyPatch.context() as patch:
+            sizes = []
+            patch.setattr(textfit, "wrap",
+                          lambda text, width, size: sizes.append(size) or real(text, width, size))
+            assert _outcome(fit_text, text, width, height, min_font, max_font) == expected
+        assert sizes == expected_sizes
+
     def test_floor_skips_sizes_without_wrapping(self, monkeypatch):
         """A long text in a short box: the floor rules out the sizes from 28
         down to within one of the size that fits, so at most two are wrapped
@@ -408,3 +530,60 @@ class TestFitText:
             measure_text(ln, 12) <= width for ln in lines
         )
         assert all(measure_text(ln, 12) <= width for ln in lines)
+
+
+# ---------------------------------------------------------------------------
+# pinned fit corpus
+
+# (min_font, max_font) pairs, taken in turn by the corpus texts
+FIT_CORPUS_FONTS = ((10, 28), (11, 24), (10, 18), (0, 40))
+# SHA-256 over the fit of every corpus text in every corpus box (the size
+# and lines, or the DoesNotFitAtMinFont text), recorded on Python 3.10,
+# 3.11 and 3.12 while the search still tested the floor at each size and
+# wrap filled lines word by word.
+FIT_CORPUS_SHA256 = "2e6040cf6ba6bb95fe57a5bb86eb43ca0b0d53d7a896ef0a7f7883b8a02f2ccd"
+
+
+def _fit_corpus_texts() -> list[str]:
+    """The slot titles, subjects and statements of 12 random analyses of
+    each kind, each text once, in the order first drawn."""
+    texts = {}
+    for seed in range(12):
+        rng = random.Random(seed)
+        for kind in FRAMEWORK_KINDS:
+            analysis = random_analysis(rng, kind)
+            texts.update(dict.fromkeys(slot.title for slot in analysis.schema.slots))
+            texts[analysis.subject] = None
+            texts.update(dict.fromkeys(
+                insight.statement
+                for factors in analysis.assignments.values() for insight, _ in factors))
+    return list(texts)
+
+
+def _fit_corpus_boxes(text: str) -> list[tuple[float, float]]:
+    """A spread of box widths and heights: fixed ones, the exact measure of
+    the first half of the words at three sizes and one float below each,
+    and exact multiples of the line height."""
+    words = text.split() or ["x"]
+    half = " ".join(words[:max(1, len(words) // 2)])
+    widths = [24.5, 61.0, 117.3, 250.0, 480.0]
+    for size in (10, 19, 28):
+        exact = measure_text(half, size)
+        widths += [exact, math.nextafter(exact, 0.0)]
+    heights = [13.0, 40.0, 95.5, 260.0]
+    heights += [lines * LINE_HEIGHT * size for lines, size in ((1, 10), (3, 19), (2, 28))]
+    return [(w, h) for w in widths for h in heights]
+
+
+def test_fit_corpus_is_pinned():
+    digest = hashlib.sha256()
+    for i, text in enumerate(_fit_corpus_texts()):
+        min_font, max_font = FIT_CORPUS_FONTS[i % len(FIT_CORPUS_FONTS)]
+        for width, height in _fit_corpus_boxes(text):
+            try:
+                block = fit_text(text, width, height, min_font, max_font)
+                out = f"{block.font_size!r}\n" + "\n".join(block.lines)
+            except DoesNotFitAtMinFont as exc:
+                out = f"DoesNotFitAtMinFont: {exc.text}"
+            digest.update(out.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == FIT_CORPUS_SHA256
