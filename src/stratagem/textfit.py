@@ -11,13 +11,13 @@ integer sum of per-word advances in thousandths of an em (``_em``, cached
 per string) and measures no trial line. Its fit test is the expression
 ``measure_text`` computes, ``size * c / 1000.0 <= width`` for an em sum
 ``c``, which only grows with ``c``; ``_cap`` finds the largest ``c`` that
-passes, so a line fits exactly when its em sum is at most ``cap``. When
-every word fits alone, the greedy line from word ``i`` ends at the last
-word ``j`` whose prefix sum of ``word_em + space_em`` is at most
+passes, so a line fits exactly when its em sum is at most ``cap``. Words
+wider than a line are first replaced by their hyphen-split pieces, which
+``_split_token`` cuts from running sums per character in the same way.
+The greedy line from word ``i`` then ends at the last word ``j`` whose
+prefix sum ``P`` of ``word_em + space_em`` is at most
 ``P[i] + cap + space_em``, found by ``bisect_right`` on the sums: the
-line the word-by-word fill gives. A text with an overlong word is filled
-piece by piece, and ``_split_token`` cuts the word from running sums per
-character in the same way.
+line the word-by-word fill gives.
 
 The search wraps only at sizes that a line-count floor leaves open. At a
 size, every line wrap emits (a whole word, a hyphenated or last piece, a
@@ -159,45 +159,29 @@ def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
 
     Lines are summed in integer thousandths of an em and each fit test is
     ``measure_text``'s own expression, so the lines are the ones that
-    measuring every trial line would give. When every word fits alone,
-    each line's end is the last prefix sum of ``word_em + space_em``
-    within ``cap + space_em`` of the line's start. Otherwise the words
-    sum to more than ``cap``, so ``cap`` is below ``_cap``'s limit and
-    ``<= cap`` is the fit test for any line, hyphens included."""
+    measuring every trial line would give. Overlong words are replaced by
+    their pieces first; a word is overlong only when it sums to more than
+    ``cap``, below ``_cap``'s limit, so ``<= cap`` is then the fit test for
+    lines of pieces, hyphens included. Each line takes the next word and
+    ends at the last prefix sum of ``word_em + space_em`` within
+    ``cap + space_em`` of the line's start: the greedy fill's line."""
     if size <= 0:
         raise ValueError("font size must be positive")
     words = text.split()
     ems = list(map(_em, words))
     space_em = _em(" ")
+    cap = _cap(width, size, sum(ems) + space_em * len(words))
+    if max(ems, default=0) > cap:
+        words = [piece for word, word_em in zip(words, ems)
+                 for piece in ((word,) if word_em <= cap else _split_token(word, width, size))]
+        ems = list(map(_em, words))
     sums = [0, *accumulate(em + space_em for em in ems)]
-    cap = _cap(width, size, sums[-1])
-    if max(ems, default=0) <= cap:
-        lines = []
-        start = 0
-        while start < len(words):
-            end = bisect_right(sums, sums[start] + cap + space_em, start + 1) - 1
-            lines.append(" ".join(words[start:end]))
-            start = end
-        return tuple(lines)
     lines = []
-    current = ""
-    current_em = 0
-    for word, word_em in zip(words, ems):
-        if word_em <= cap:
-            pieces = [(word, word_em)]
-        else:
-            pieces = [(p, _em(p)) for p in _split_token(word, width, size)]
-        for piece, piece_em in pieces:
-            if not current:
-                current, current_em = piece, piece_em
-            elif current_em + space_em + piece_em <= cap:
-                current += " " + piece
-                current_em += space_em + piece_em
-            else:
-                lines.append(current)
-                current, current_em = piece, piece_em
-    if current:
-        lines.append(current)
+    start = 0
+    while start < len(words):
+        end = bisect_right(sums, sums[start] + cap + space_em, start + 2) - 1
+        lines.append(" ".join(words[start:end]))
+        start = end
     return tuple(lines)
 
 

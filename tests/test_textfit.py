@@ -5,9 +5,6 @@ contract (greedy fill, hyphen-splitting of overlong tokens) used to verify
 fit-optimality of the search: the chosen size fits and the next size up
 does not. ``_exhaustive_fit`` is the search without the line-count floor,
 wrapping at every size, which ``fit_text`` must match exactly.
-``_scan_fit`` tests the floor at every size from the largest down, as
-the search did before it bisected for the first open size; ``fit_text``
-must wrap the sizes it wraps.
 """
 
 from __future__ import annotations
@@ -109,25 +106,6 @@ def _exhaustive_fit(text: str, width: float, height: float,
     if not text.split():
         return TextBlock(lines=(), font_size=float(max_font))
     for size in range(max_font, min_font - 1, -1):
-        try:
-            lines = wrap(text, width, size)
-        except UnbreakableToken:
-            continue
-        if len(lines) * LINE_HEIGHT * size <= height:
-            return TextBlock(lines=lines, font_size=float(size))
-    raise DoesNotFitAtMinFont(text)
-
-
-def _scan_fit(text: str, width: float, height: float, min_font: int, max_font: int,
-              wrapped: list) -> TextBlock:
-    """The search that tests the line-count floor at each size from
-    ``max_font`` down, appending each size it wraps to ``wrapped``."""
-    words = text.split()
-    total_em = sum(map(_em, words))
-    for size in range(max_font, min_font - 1, -1):
-        if size > 0 and _ruled_out(total_em, width, height, size):
-            continue
-        wrapped.append(size)
         try:
             lines = wrap(text, width, size)
         except UnbreakableToken:
@@ -250,9 +228,9 @@ class TestWrap:
     )
     @settings(max_examples=200)
     def test_lines_match_oracle_at_the_widest_word(self, words, below, size):
-        """At the widest word's exact measure every word fits alone, so line
-        ends are found by bisecting the prefix sums; one float below it that
-        word is split. Both sides give the oracle's lines."""
+        """At the widest word's exact measure every word fits alone and none
+        is split; one float below it that word is split into pieces before
+        the line ends are bisected. Both sides give the oracle's lines."""
         text = " ".join(words)
         width = max(_oracle_width(word, size) for word in words)
         if below:
@@ -476,8 +454,9 @@ class TestFitText:
                                             height, min_font, max_font):
         """Bisecting for the first open size wraps the same sizes, in the
         same order, as testing the floor at each size from ``max_font``
-        down: every open size down to the one returned. This holds the
-        traced ``textfit.wrap.calls`` and ``sizes_per_fit``."""
+        down: every size the floor leaves open, down to the one returned
+        or to ``min_font``. This holds the traced ``textfit.wrap.calls``
+        and ``sizes_per_fit``."""
         text = " ".join(words)
         size = min(max(min_font, 1), max_font)
         chars = "".join(words)
@@ -487,15 +466,16 @@ class TestFitText:
             width = measure_text(" ".join(words[:1 + at % len(words)]), size)
         if isinstance(height, int):
             height = height * LINE_HEIGHT * size
-        expected_sizes = []
-        expected = _outcome(_scan_fit, text, width, height, min_font, max_font, expected_sizes)
+        sizes = []
         real = textfit.wrap
         with pytest.MonkeyPatch.context() as patch:
-            sizes = []
             patch.setattr(textfit, "wrap",
                           lambda text, width, size: sizes.append(size) or real(text, width, size))
-            assert _outcome(fit_text, text, width, height, min_font, max_font) == expected
-        assert sizes == expected_sizes
+            outcome = _outcome(fit_text, text, width, height, min_font, max_font)
+        last = int(outcome.font_size) if isinstance(outcome, TextBlock) else min_font
+        total_em = sum(map(_em, words))
+        assert sizes == [s for s in range(max_font, last - 1, -1)
+                         if not (s > 0 and _ruled_out(total_em, width, height, s))]
 
     def test_floor_skips_sizes_without_wrapping(self, monkeypatch):
         """A long text in a short box: the floor rules out the sizes from 28
