@@ -142,7 +142,7 @@ def _insights(args, output: str) -> tuple[str, list]:
     subject = args.subject or (dataset.subject if dataset else "")
     if dataset is not None and subject not in dataset.entities:
         raise _Failed(EXIT_INPUT, f"error: subject {subject!r} not found in table")
-    if dataset is None and series is None and not subject:
+    if dataset is None and args.llm_config is not None and not subject:
         raise _Failed(EXIT_INPUT, "error: --subject required for training-data mode")
     found = []
     if dataset is not None or series is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fonts import FONT_FAMILY
-from .frameworks import OrganizedAnalysis, validate_analysis
+from .frameworks import RISK_LEVELS, OrganizedAnalysis, validate_analysis
 from .textfit import (
     DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text,
 )
@@ -64,6 +64,9 @@ class Style:
         return dict(self.palette)[level]
 
 
+# The keys a style file may hold; any other is a misspelling to report.
+_STYLE_KEYS = ("canvas", "padding", "gap", "min_font", "max_font", "font_family",
+               "background", "palette")
 # Style lengths stop here so the layouts' whole-pixel geometry loops stay short.
 _MAX_LENGTH = 20000.0
 # Style colours and the font family are copied into SVG attributes. Escaping
@@ -85,10 +88,14 @@ def _is_color(value) -> bool:
 
 def load_style(raw) -> Style:
     """Decoded style JSON: canvas size, palette overrides, font bounds; absent
-    -> defaults. Raises ValueError naming the key for a value the layouts
+    -> defaults. Raises ValueError naming the key for a key it does not
+    read, a palette level outside RISK_LEVELS, or a value the layouts
     cannot honour or that is not a plain colour or font-family list."""
     if not isinstance(raw, dict):
         raise ValueError("top level must be an object")
+    for key in raw:
+        if key not in _STYLE_KEYS:
+            raise ValueError(f"{key!r} must be one of the style keys {', '.join(_STYLE_KEYS)}")
     kwargs = {}
     if "canvas" in raw:
         canvas = raw["canvas"]
@@ -103,6 +110,10 @@ def load_style(raw) -> Style:
     if "palette" in raw:
         if not isinstance(raw["palette"], dict):
             raise ValueError("palette must be an object")
+        for level in raw["palette"]:
+            if level not in RISK_LEVELS:
+                raise ValueError(f"palette {level!r} must be one of the risk levels "
+                                 f"{', '.join(RISK_LEVELS)}")
         merged = dict(RISK_PALETTE)
         merged.update(raw["palette"])
         kwargs["palette"] = tuple(sorted(merged.items()))

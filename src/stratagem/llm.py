@@ -113,7 +113,6 @@ def request_hash(template_id: str, bindings: dict[str, str]) -> str:
 class ProviderConfig:
     model: str
     endpoint: str = "https://api.openai.com/v1/chat/completions"
-    api_key_env: str = DEFAULT_API_KEY_ENV
     mode: str = "live"  # live | record | replay
     transcript_path: str | None = None
 
@@ -176,9 +175,9 @@ def _http_complete(config: ProviderConfig, prompt: str) -> str:
     import http.client
     import urllib.request  # not at module level: importing the CLI stays fast
 
-    api_key = os.environ.get(config.api_key_env)
+    api_key = os.environ.get(DEFAULT_API_KEY_ENV)
     if not api_key:
-        raise AuthMissing(f"environment variable {config.api_key_env} is not set")
+        raise AuthMissing(f"environment variable {DEFAULT_API_KEY_ENV} is not set")
     body = {"model": config.model, "messages": [{"role": "user", "content": prompt}]}
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
     request = urllib.request.Request(config.endpoint, json.dumps(body).encode(), headers)

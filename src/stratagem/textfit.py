@@ -13,23 +13,23 @@ per string) and measures no trial line. Its fit test is the expression
 ``c``, which only grows with ``c``; ``_cap`` finds the largest ``c`` that
 passes, so a line fits exactly when its em sum is at most ``cap``. Words
 wider than a line are first replaced by their hyphen-split pieces, which
-``_split_token`` cuts from running sums per character in the same way.
-The greedy line from word ``i`` then ends at the last word ``j`` whose
-prefix sum ``P`` of ``word_em + space_em`` is at most
-``P[i] + cap + space_em``, found by ``bisect_right`` on the sums: the
-line the word-by-word fill gives.
+``_split_token`` cuts by the same bound: a piece ends at the last prefix
+sum of its characters within ``cap - hyphen_em`` of its start. The greedy
+line from word ``i`` then ends at the last word ``j`` whose prefix sum
+``P`` of ``word_em + space_em`` is at most ``P[i] + cap + space_em``,
+found by ``bisect_right`` on the sums: the line the word-by-word fill
+gives.
 
 The search wraps only at sizes that a line-count floor leaves open. At a
-size, every line wrap emits (a whole word, a hyphenated or last piece, a
-bare character, or words joined by spaces) passed the fit test, so no
-line sums to more than ``cap``. Pieces keep every character of their
-word and add hyphens, and joins add spaces, so the lines together sum to
-at least ``total_em``, the words' sum. There are therefore at least
-``ceil(total_em / cap)`` lines, and when that many fail the height test
-(the same expression as the final check, which grows with the line
-count) no wrap at that size fits. When ``cap`` is 0 no character fits
-and wrap would raise ``UnbreakableToken``. Skipping those sizes returns
-the block, or raises the error, that wrapping at every size gives.
+size, every line and every piece sums to at most ``cap``. Pieces keep
+every character of their word and add hyphens, and joins add spaces, so
+the lines together sum to at least ``total_em``, the words' sum. There
+are therefore at least ``ceil(total_em / cap)`` lines, and when that
+many fail the height test (the same expression as the final check,
+which grows with the line count) no wrap at that size fits. When
+``cap`` is 0 no character fits and wrap would raise ``UnbreakableToken``.
+Skipping those sizes returns the block, or raises the error, that
+wrapping at every size gives.
 
 The floor only grows with size: ``size * c`` rises with ``size``, so
 ``cap`` falls, the line count ``ceil(total_em / cap)`` rises, and so
@@ -97,33 +97,32 @@ class TextBlock:
 def _split_token(token: str, width: float, size: float) -> list[str]:
     """Hyphen-split a token wider than the line: each piece is the longest
     prefix of the rest that fits with a hyphen, or the whole rest when it
-    fits. Raises UnbreakableToken when a single character plus hyphen
-    cannot fit.
+    fits. Where no prefix fits with a hyphen, the next character goes on
+    a line of its own, bare; UnbreakableToken is raised when that
+    character alone cannot fit.
 
-    ``ems[i]`` is the integer advance sum of ``token[:i]``. Prefix widths
-    only grow, so one forward scan finds each cut, and each fit test is
-    ``measure_text``'s own expression, so the pieces are the ones that
-    measuring every prefix gives."""
+    ``ems[i]`` is the integer advance sum of ``token[:i]``, and every sum
+    tested is at most the whole token plus a hyphen, ``_cap``'s limit, so
+    a piece fits exactly when it sums to at most ``cap``. Each cut is then
+    the last prefix sum within ``cap - hyphen_em`` of the piece's start,
+    found by ``bisect_right`` as ``wrap`` finds line ends."""
     ems = [0, *accumulate(map(ADVANCE_WIDTHS.get, token, repeat(FALLBACK_ADVANCE)))]
     hyphen_em = _em("-")
+    n = len(token)
+    cap = _cap(width, size, ems[-1] + hyphen_em)
     pieces: list[str] = []
-    start, n = 0, len(token)
-    while start < n:
-        if size * (ems[n] - ems[start]) / 1000.0 <= width:
-            pieces.append(token[start:])
-            break
-        cut = start
-        while cut + 1 < n and size * (ems[cut + 1] - ems[start] + hyphen_em) / 1000.0 <= width:
+    start = 0
+    while ems[n] - ems[start] > cap:
+        cut = bisect_right(ems, ems[start] + cap - hyphen_em, start + 1, n) - 1
+        if cut > start:
+            pieces.append(token[start:cut] + "-")
+        elif ems[start + 1] - ems[start] <= cap:
             cut += 1
-        if cut == start:
-            if size * (ems[start + 1] - ems[start]) / 1000.0 > width:
-                raise UnbreakableToken(token)
-            # single char fits but char+hyphen does not; emit it bare
             pieces.append(token[start])
-            start += 1
-            continue
-        pieces.append(token[start:cut] + "-")
+        else:
+            raise UnbreakableToken(token)
         start = cut
+    pieces.append(token[start:])
     return pieces
 
 
@@ -155,7 +154,9 @@ def _cap(width: float, size: float, limit: int) -> int:
 
 def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
     """Greedy wrap of whitespace-separated words into lines of at most
-    ``width`` px at font ``size``. Overlong words are hyphen-split.
+    ``width`` px at font ``size``. Overlong words are hyphen-split; a
+    width that fits no character (zero, negative or NaN) raises
+    UnbreakableToken for any word.
 
     Lines are summed in integer thousandths of an em and each fit test is
     ``measure_text``'s own expression, so the lines are the ones that

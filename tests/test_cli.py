@@ -227,6 +227,16 @@ class TestInsightsCommand:
     def test_unknown_subject_is_input_error(self, capsys):
         assert run("insights", "--table", str(FOOBAR), "--subject", "Nobody Inc") == 2
 
+    @pytest.mark.parametrize("inputs", [(), ("--timeseries", str(PRICES))],
+                             ids=["llm-only", "timeseries"])
+    def test_llm_without_table_needs_subject(self, tmp_path, no_network, capsys, inputs):
+        """With no table there is no subject to ask the model about."""
+        out = tmp_path / "x.json"
+        code = run("insights", *inputs, "--llm", f"replay:{WALMART}", "-o", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: --subject required for training-data mode\n"
+        assert not out.exists()
+
     def test_bad_llm_flag(self):
         assert run("insights", "--table", str(FOOBAR), "--llm", "magic") == 2
 
@@ -657,6 +667,8 @@ class TestRenderCommand:
         '{"max_font": 40, "canvas": [3000, 2000]}', '{"min_font": 20, "max_font": 12}',
         '{"canvas": [-900, 640]}', '{"background": "url(#x)"}', '{"palette": {"high": "red;"}}',
         '{"font_family": "A<b>"}', '{"canvas": ["900", true]}', '{"canvas": [900, 640, 1]}',
+        '{"canvass": [1, 2], "max-font": 5, "palette": {"hgih": "#fff"}}',
+        '{"palette": {"hgih": "#fff"}}',
     ])
     def test_bad_style_file_is_input_error(self, insights_file, tmp_path, capsys, content):
         analysis = tmp_path / "a.json"

@@ -117,7 +117,7 @@ class TestTransport:
 
     def test_live_without_key_fails_before_network(self, no_network, monkeypatch):
         monkeypatch.delenv(llm.DEFAULT_API_KEY_ENV, raising=False)
-        with pytest.raises(AuthMissing):
+        with pytest.raises(AuthMissing, match=f"^environment variable {llm.DEFAULT_API_KEY_ENV} "):
             complete(ProviderConfig(model="m", mode="live"), "hello there friend", "k")
 
     def test_record_then_replay_round_trip(self, tmp_path, monkeypatch):

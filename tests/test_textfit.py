@@ -189,6 +189,15 @@ class TestWrap:
         with pytest.raises(UnbreakableToken):
             wrap("m", 2, 12)  # one 'm' is wider than 2px at 12px
 
+    @pytest.mark.parametrize("width", [0.0, -5.0, math.nan])
+    def test_width_that_fits_no_character_raises(self, width):
+        """No character fits a zero, negative or NaN width, so splitting
+        raises rather than putting one character on each line."""
+        with pytest.raises(UnbreakableToken):
+            wrap("ab cd", width, 10)
+        with pytest.raises(UnbreakableToken):
+            _split_token("ab", width, 10)
+
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             wrap("x", 100, 0)
