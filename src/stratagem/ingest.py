@@ -2,14 +2,17 @@
 
 Input is UTF-8 delimited text with a header row. Missing, unparseable or
 non-finite (``1e999``) table cells become absent values (``None``), never
-zeros; in a timeseries they raise ``BadCell``. ``_parse_number`` is the one
-definition of a number cell. ``_number_column`` parses many cells in one
-bulk pass: one regex marks the cells that are not plain decimals,
-``float`` reads the rest, and every marked cell goes through
-``_parse_number``, the fallback and the oracle the tests compare the bulk
-pass against. ``parse_table`` hands it each distinct cell string of a
-table once (``_numbers``), so repeated cells share one value, and
-``parse_timeseries`` its close and volume columns.
+zeros; in a timeseries they raise ``BadCell``. A table is held once, as a
+``Dataset`` of one column per metric: ``parse_table`` keeps a metric-rows
+grid as it reads it and transposes an entity-rows grid.
+
+``_parse_number`` is the one definition of a number cell.
+``_number_column`` parses many cells in one bulk pass: one regex marks the
+cells that are not plain decimals, ``float`` reads the rest, and every
+marked cell goes through ``_parse_number``, the fallback and the oracle
+the tests compare the bulk pass against. ``parse_table`` hands it each
+distinct cell string of a table once (``_numbers``), so repeated cells
+share one value, and ``parse_timeseries`` its close and volume columns.
 
 A timeseries is two columns, ``dates`` and ``closes``, re-sorted ascending
 by date so downstream rules see one canonical order. ``parse_timeseries``
@@ -159,22 +162,19 @@ def infer_metric_semantics(name: str) -> MetricDescriptor:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Entity-by-metric value matrix; entities[0] is the analysis subject.
+    """Entity-by-metric values held as one column per metric, each in
+    entity order; entities[0] is the analysis subject.
 
-    ``value(entity, metric)`` and ``metric(name)`` are O(1): each instance
-    builds its entity-to-row and metric-to-column maps once, when it checks
-    that the names are unique. The maps are not fields, so equality, hash
-    and repr see only the three fields. ``column(name)`` returns one
-    metric's values in entity order, from a transpose of ``values`` that
-    is built on first use and, like the maps, is not a field;
-    ``parse_table`` stores the metric-major grid of a metric-rows table
-    there, so that table is transposed once. Unknown names raise
-    ``KeyError``.
+    ``value(entity, metric)``, ``metric(name)`` and ``column(name)`` are
+    O(1): each instance builds its entity-to-row and metric-to-column maps
+    once, when it checks that the names are unique. The maps are not
+    fields, so equality, hash and repr see only the three fields. Unknown
+    names raise ``KeyError``.
     """
 
     entities: tuple[str, ...]
     metrics: tuple[MetricDescriptor, ...]
-    values: tuple[tuple[float | None, ...], ...]  # entity-major
+    columns: tuple[tuple[float | None, ...], ...]  # columns[metric][entity]
 
     def __post_init__(self):
         if not self.entities:
@@ -185,11 +185,11 @@ class Dataset:
             raise ValueError("entity names must be unique")
         if len(self._column_index) != len(self.metrics):
             raise ValueError("metric names must be unique")
-        if len(self.values) != len(self.entities):
-            raise ValueError("value matrix row count != entity count")
-        for row in self.values:
-            if len(row) != len(self.metrics):
-                raise ValueError("value matrix column count != metric count")
+        if len(self.columns) != len(self.metrics):
+            raise ValueError("value matrix column count != metric count")
+        for column in self.columns:
+            if len(column) != len(self.entities):
+                raise ValueError("value matrix row count != entity count")
 
     @property
     def subject(self) -> str:
@@ -207,14 +207,10 @@ class Dataset:
         return self.metrics[self._column_index[name]]
 
     def value(self, entity: str, metric_name: str) -> float | None:
-        return self.values[self._row_index[entity]][self._column_index[metric_name]]
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[float | None, ...], ...]:
-        return tuple(zip(*self.values))
+        return self.columns[self._column_index[metric_name]][self._row_index[entity]]
 
     def column(self, name: str) -> tuple[float | None, ...]:
-        return self._columns[self._column_index[name]]
+        return self.columns[self._column_index[name]]
 
 
 @dataclass(frozen=True)
@@ -318,11 +314,11 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     if metrics_as_rows:
         entity_names, entity_lines = header[1:], header_lines
         metric_labels, metric_lines = labels, body_lines
-        values = tuple(zip(*grid))  # grid[metric][entity] -> entity-major
+        columns = tuple(grid)
     else:
         entity_names, entity_lines = labels, body_lines
         metric_labels, metric_lines = header[1:], header_lines
-        values = tuple(grid)
+        columns = tuple(zip(*grid))  # grid[entity][metric] -> one tuple per metric
     _check_labels(entity_names, entity_names, entity_lines, "entity")
     _check_labels(metric_labels, [_split_annotation(n)[0] for n in metric_labels],
                   metric_lines, "metric")
@@ -330,10 +326,7 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     if not any(v is not None for v in number.values()):
         raise NoNumericData("no numeric cells in table body")
     metrics = tuple(infer_metric_semantics(n) for n in metric_labels)
-    dataset = Dataset(entities=tuple(entity_names), metrics=metrics, values=values)
-    if metrics_as_rows:  # the grid is the transpose ``column`` would build
-        vars(dataset)["_columns"] = tuple(grid)
-    return dataset
+    return Dataset(entities=tuple(entity_names), metrics=metrics, columns=columns)
 
 
 def _check_labels(labels, names, lines, kind: str) -> None:
@@ -495,13 +488,13 @@ def serialize_dataset(dataset: Dataset) -> str:
     so parse(serialize(d)) == d.
     """
     lines = ["Metric\t" + "\t".join(dataset.entities)]
-    for m in dataset.metrics:
+    for m, column in zip(dataset.metrics, dataset.columns):
         label = m.name
         if infer_metric_semantics(m.name).polarity != m.polarity:
             if m.polarity == "lower-is-better":
                 label += " !lower"
             elif m.polarity == "higher-is-better":
                 label += " !higher"
-        cells = [_format_value(v) for v in dataset.column(m.name)]
+        cells = [_format_value(v) for v in column]
         lines.append(label + "\t" + "\t".join(cells))
     return "\n".join(lines) + "\n"

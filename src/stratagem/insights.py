@@ -178,7 +178,9 @@ def trend_insight(
     metric: MetricDescriptor,
     labels: list[str] | None = None,
 ) -> Insight | None:
-    """Least-squares trend over an ordered window of values."""
+    """Least-squares trend over an ordered window of values; ``labels``
+    follow the metric in the ``trend-slope`` refs (``run_all_rules`` gives
+    the window's first and last dates)."""
     if len(values) < 3:
         return None
     n = len(values)
@@ -514,8 +516,8 @@ def run_all_rules(
         found.extend(sentiment_balance_insight(dataset, subj))
     if series is not None:
         close_metric = MetricDescriptor(name="Closing price", polarity="higher-is-better")
-        labels = list(map(date.isoformat, series.dates))
-        ins = trend_insight(list(series.closes), close_metric, labels)
+        window = list(map(date.isoformat, series.dates[:1] + series.dates[-1:]))
+        ins = trend_insight(list(series.closes), close_metric, window)
         if ins:
             found.append(ins)
         ins = weekly_cycle_insight(series)

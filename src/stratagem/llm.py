@@ -360,19 +360,19 @@ def parse_insight_list(response: str, model_label: str = "llm") -> list[Insight]
     return [_llm_insight(i, label, text, model_label) for i, (label, text) in enumerate(items)]
 
 
+# Headings that name a slot other than by its title or its id with spaces,
+# which ``parse_framework_assignment`` matches for every slot.
 _SLOT_SYNONYMS = {
-    "strengths": ("strengths", "strength"),
-    "weaknesses": ("weaknesses", "weakness"),
-    "opportunities": ("opportunities", "opportunity"),
-    "threats": ("threats", "threat"),
-    "rivalry": ("competitive rivalry", "rivalry", "industry rivalry"),
-    "supplier_power": ("supplier power", "bargaining power of suppliers"),
-    "buyer_power": ("buyer power", "bargaining power of buyers"),
-    "new_entrants": ("threat of new entrants", "new entrants"),
-    "substitutes": ("threat of substitutes", "substitutes"),
-    "operational_excellence": ("operational excellence", "operational efficiency"),
-    "product_leadership": ("product leadership", "product innovation"),
-    "customer_intimacy": ("customer intimacy", "customer relationships"),
+    "strengths": ("strength",),
+    "weaknesses": ("weakness",),
+    "opportunities": ("opportunity",),
+    "threats": ("threat",),
+    "rivalry": ("industry rivalry",),
+    "supplier_power": ("bargaining power of suppliers",),
+    "buyer_power": ("bargaining power of buyers",),
+    "operational_excellence": ("operational efficiency",),
+    "product_leadership": ("product innovation",),
+    "customer_intimacy": ("customer relationships",),
 }
 
 _REFUSAL_MARKERS = (
@@ -400,12 +400,9 @@ def parse_framework_assignment(
 ) -> tuple[OrganizedAnalysis, list[ParseDiagnostic]]:
     """Match slot headings, read each slot's section with the insight-list
     item grammar, and collect the items into a validated analysis."""
-    synonyms: dict[str, str] = {}
-    for slot in schema.slots:
-        synonyms[slot.title.lower()] = slot.id
-        synonyms[slot.id.replace("_", " ")] = slot.id
-        for syn in _SLOT_SYNONYMS.get(slot.id, ()):
-            synonyms[syn] = slot.id
+    synonyms = {heading: slot.id for slot in schema.slots
+                for heading in (slot.title.lower(), slot.id.replace("_", " "),
+                                *_SLOT_SYNONYMS.get(slot.id, ()))}
     sections: dict[str, list[str]] = {slot.id: [] for slot in schema.slots}
     diagnostics: list[ParseDiagnostic] = []
     current: str | None = None

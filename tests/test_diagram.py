@@ -32,6 +32,7 @@ from stratagem.frameworks import (
     organize,
     schema_for,
 )
+from stratagem.ingest import parse_table
 from stratagem.insights import Evidence, Insight, run_all_rules
 from stratagem.textfit import MAX_FONT, MIN_FONT
 
@@ -537,6 +538,21 @@ def test_foobar_svg_bytes_are_pinned(kind, foobar_dataset, prices_series):
     found = run_all_rules(foobar_dataset, prices_series)
     svg = render_analysis(organize(found, schema_for(kind), subject=foobar_dataset.subject))
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == FOOBAR_SVG_SHA256[kind]
+
+
+def test_foobar_entity_rows_parse_and_render_the_same(foobar_text, foobar_dataset, prices_series):
+    """The fixture transposed to one row per entity, corner ``Company``,
+    is the same Dataset and renders the four pinned digests."""
+    cells = list(zip(*(line.split("\t") for line in foobar_text.splitlines())))
+    cells[0] = ("Company",) + cells[0][1:]
+    dataset = parse_table("".join("\t".join(row) + "\n" for row in cells))
+    assert dataset.entities == ("Foobar Corp", "Acme LLP", "Roy G Biv")
+    assert dataset == foobar_dataset
+    assert hash(dataset) == hash(foobar_dataset)
+    found = run_all_rules(dataset, prices_series)
+    for kind in FRAMEWORK_KINDS:
+        svg = render_analysis(organize(found, schema_for(kind), subject=dataset.subject))
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == FOOBAR_SVG_SHA256[kind], kind
 
 
 # The default style, the benchmark's three cli-replay styles, and two

@@ -9,6 +9,7 @@ import hashlib
 import os
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,22 @@ def test_render_foobar_exits_1_when_a_stage_fails(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(ROOT / "scripts" / "render_foobar.py"), run_name="__main__")
     assert exc.value.code == 1
+
+
+def test_make_transcripts_rewrites_the_walmart_fixture(tmp_path, capsys):
+    """The transcript's request hashes come from the prompt templates and
+    ``serialize_dataset`` of the Foobar table, so the script, run from a
+    copy of the repository layout, writes the bundled file byte for byte."""
+    fixtures = tmp_path / "tests" / "fixtures"
+    shutil.copytree(ROOT / "tests" / "fixtures", fixtures)
+    (fixtures / "walmart.jsonl").unlink()
+    script = tmp_path / "scripts" / "make_transcripts.py"
+    script.parent.mkdir()
+    shutil.copy(ROOT / "scripts" / "make_transcripts.py", script)
+    runpy.run_path(str(script), run_name="__main__")
+    assert "(4 records)" in capsys.readouterr().out
+    assert (fixtures / "walmart.jsonl").read_bytes() == (
+        ROOT / "tests" / "fixtures" / "walmart.jsonl").read_bytes()
 
 
 # The public names that have no caller: the package version, and the

@@ -28,6 +28,7 @@ from stratagem.ingest import (
     parse_timeseries,
     serialize_dataset,
 )
+from stratagem.insights import run_all_rules
 
 
 # ---------------------------------------------------------------------------
@@ -141,24 +142,27 @@ class TestParseTable:
                         + [f"C{j}" for j in range(cols)])
         writer.writerows([f"R{i}"] + row for i, row in enumerate(cells))
         grid = [tuple(ingest._parse_number(c) for c in row) for row in cells]
-        expected = tuple(zip(*grid)) if metrics_as_rows else tuple(grid)
+        expected = tuple(grid) if metrics_as_rows else tuple(zip(*grid))
         if all(v is None for row in grid for v in row):
             with pytest.raises(NoNumericData):
                 parse_table(buf.getvalue(), dialect)
         else:
             d = parse_table(buf.getvalue(), dialect)
-            assert d.values == expected
-            assert tuple(d.column(m.name) for m in d.metrics) == tuple(zip(*expected))
+            assert d.columns == expected
+            assert tuple(d.column(m.name) for m in d.metrics) == expected
 
 
 class TestDatasetLookups:
-    def test_maps_leave_equality_hash_and_repr_alone(self, foobar_text):
+    def test_maps_leave_equality_hash_and_repr_alone(self, foobar_text, prices_series):
+        """The table is held once: after every rule has read it, the two
+        name maps are the only attributes besides the three fields."""
         built, fresh = parse_table(foobar_text), parse_table(foobar_text)
         assert built.value("Acme LLP", "Number of stores") == 450
         assert built.column("Number of stores")[1] == 450
-        fresh.column("Number of stores")
+        assert [f.name for f in dataclasses.fields(Dataset)] == ["entities", "metrics", "columns"]
+        run_all_rules(fresh, prices_series)
         maps = set(vars(fresh)) - {f.name for f in dataclasses.fields(fresh)}
-        assert "_columns" in maps
+        assert maps == {"_row_index", "_column_index"}
         for name in maps:  # drop one side's maps: they must not be compared
             del vars(fresh)[name]
         assert built == fresh
@@ -172,33 +176,38 @@ class TestDatasetLookups:
             assert d.column(m.name) == tuple(d.value(e, m.name) for e in d.entities)
 
     @given(
-        values=st.integers(1, 6).flatmap(lambda m: st.lists(
+        rows=st.integers(1, 6).flatmap(lambda m: st.lists(
             st.lists(st.one_of(st.none(), st.floats(allow_nan=False)), min_size=m, max_size=m),
             min_size=1, max_size=6,
         )),
     )
     @settings(max_examples=100)
-    def test_column_matches_row_scan(self, values):
+    def test_column_matches_row_scan(self, rows):
+        """Built from the transpose of entity rows, each column and each
+        value reads back that entity row's cell."""
         d = Dataset(
-            entities=tuple(f"E{i}" for i in range(len(values))),
-            metrics=tuple(MetricDescriptor(f"M{j}") for j in range(len(values[0]))),
-            values=tuple(map(tuple, values)),
+            entities=tuple(f"E{i}" for i in range(len(rows))),
+            metrics=tuple(MetricDescriptor(f"M{j}") for j in range(len(rows[0]))),
+            columns=tuple(zip(*rows)),
         )
         for j, m in enumerate(d.metrics):
-            assert d.column(m.name) == tuple(row[j] for row in d.values)
+            assert d.column(m.name) == tuple(row[j] for row in rows)
+            for e, row in zip(d.entities, rows):
+                assert d.value(e, m.name) is row[j]
 
-    @pytest.mark.parametrize("entities,metrics,values,message", [
-        ((), ("M",), (), "dataset needs at least one entity"),
-        (("A", ""), ("M",), ((1.0,), (2.0,)), "entity names must be non-empty"),
-        (("A", "A"), ("M",), ((1.0,), (2.0,)), "entity names must be unique"),
-        (("A",), ("M", "M"), ((1.0, 2.0),), "metric names must be unique"),
+    @pytest.mark.parametrize("entities,metrics,columns,message", [
+        ((), ("M",), ((),), "dataset needs at least one entity"),
+        (("A", ""), ("M",), ((1.0, 2.0),), "entity names must be non-empty"),
+        (("A", "A"), ("M",), ((1.0, 2.0),), "entity names must be unique"),
+        (("A",), ("M", "M"), ((1.0,), (2.0,)), "metric names must be unique"),
         (("A", "B"), ("M",), ((1.0,),), "value matrix row count != entity count"),
-        (("A", "B"), ("M",), ((1.0,), (2.0, 3.0)), "value matrix column count != metric count"),
+        (("A", "B"), ("M",), ((1.0, 2.0), (3.0, 4.0)),
+         "value matrix column count != metric count"),
     ], ids=["no-entity", "empty-entity", "repeated-entity", "repeated-metric",
             "row-count", "column-count"])
-    def test_bad_construction_is_rejected(self, entities, metrics, values, message):
+    def test_bad_construction_is_rejected(self, entities, metrics, columns, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            Dataset(entities, tuple(map(MetricDescriptor, metrics)), values)
+            Dataset(entities, tuple(map(MetricDescriptor, metrics)), columns)
 
     def test_unknown_names_raise_key_error(self, foobar_dataset):
         for lookup in (
@@ -513,14 +522,14 @@ class TestSerialization:
             MetricDescriptor("Revenue ($m)", "lower-is-better"),
             MetricDescriptor("xyzzy", "neutral"),
         )
-        d = Dataset(entities=("A", "B"), metrics=metrics, values=((1.0, None), (2.0, 3.5)))
+        d = Dataset(entities=("A", "B"), metrics=metrics, columns=((1.0, 2.0), (None, 3.5)))
         text = serialize_dataset(d)
         assert "!lower" in text
         assert "NA" in text
         again = parse_table(text)
         assert again.metric("Revenue ($m)").polarity == "lower-is-better"
         assert again.value("A", "xyzzy") is None
-        assert again.values == d.values
+        assert again.columns == d.columns
 
     def test_timeseries_round_trip(self, prices_series):
         assert parse_timeseries(serialize_timeseries(prices_series)) == prices_series
@@ -548,12 +557,12 @@ class TestSerialization:
             st.none(), st.integers(-10**6, 10**6).map(float),
             st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: round(v, 4)),
         )
-        values = tuple(
-            tuple(data.draw(cell) for _ in metrics) for _ in entities
+        columns = tuple(
+            tuple(data.draw(cell) for _ in entities) for _ in metrics
         )
-        if not any(v is not None for row in values for v in row):
+        if not any(v is not None for column in columns for v in column):
             return
-        d = Dataset(entities=entities, metrics=metrics, values=values)
+        d = Dataset(entities=entities, metrics=metrics, columns=columns)
         assert parse_table(serialize_dataset(d)) == d
 
     @given(

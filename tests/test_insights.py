@@ -44,17 +44,15 @@ HIGHER = MetricDescriptor("Revenue ($m)", "higher-is-better")
 
 
 def small_dataset(**metric_values) -> Dataset:
-    """One-entity-per-column dataset from {metric_name: (v_subject, *peers)}."""
+    """Dataset of one column per metric from {metric_name: (v_subject, *peers)}."""
     names = list(metric_values)
     n_entities = len(next(iter(metric_values.values())))
     entities = tuple(f"E{i}" for i in range(n_entities))
     metrics = tuple(
         MetricDescriptor(n, "higher-is-better") for n in names
     )
-    values = tuple(
-        tuple(metric_values[n][i] for n in names) for i in range(n_entities)
-    )
-    return Dataset(entities=entities, metrics=metrics, values=values)
+    columns = tuple(tuple(metric_values[n]) for n in names)
+    return Dataset(entities=entities, metrics=metrics, columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +146,25 @@ class TestTrend:
             assert a.direction == b.direction
             assert a.magnitude == pytest.approx(b.magnitude, rel=1e-6, abs=1e-9)
 
+    @given(n=st.integers(3, 600), start=st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31)),
+           change=st.one_of(st.floats(0.05, 2.0), st.floats(-0.9, -0.05)),
+           rng=st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_series_evidence_names_only_the_window(self, n, start, change, rng):
+        """However long the series, the trend-slope refs are the metric and
+        the window's first and last dates, not one label per row. The
+        closes ramp by ``change`` over the window with 1% noise, so the
+        trend always fires."""
+        dates = [start]
+        for _ in range(n - 1):
+            dates.append(dates[-1] + dt.timedelta(days=rng.randint(1, 4)))
+        closes = [100.0 * (1 + change * i / (n - 1)) * (1 + rng.uniform(-0.01, 0.01))
+                  for i in range(n)]
+        found = run_all_rules(None, TimeSeries(dates=tuple(dates), closes=tuple(closes)))
+        [trend] = [ins for ins in found if ins.provenance == "rule:trend"]
+        assert [e.refs for e in trend.evidence if e.kind == "trend-slope"] == [
+            ("Closing price", dates[0].isoformat(), dates[-1].isoformat())]
+
 
 # ---------------------------------------------------------------------------
 # peer comparison
@@ -185,14 +202,10 @@ class TestPeerComparison:
         metrics=(MetricDescriptor("High", "higher-is-better"),
                  MetricDescriptor("Low", "higher-is-better"),
                  MetricDescriptor("Lone", "higher-is-better")),
-        values=(
-            (10.0, 0.5, 5.0),
-            (7.0, 9.0, None),
-            (7.0, 9.0, None),
-            (3.0, 4.0, 2.0),
-            (1.0, 2.0, None),
-            (1.0, 2.0, None),
-            (None, 6.0, None),
+        columns=(
+            (10.0, 7.0, 7.0, 3.0, 1.0, 1.0, None),
+            (0.5, 9.0, 9.0, 4.0, 2.0, 2.0, 6.0),
+            (5.0, None, None, 2.0, None, None, None),
         ),
     )
 
@@ -298,7 +311,7 @@ class TestSentiment:
                 MetricDescriptor("Positive forum sentiment", "higher-is-better"),
                 MetricDescriptor("Negative forum sentiment", "lower-is-better"),
             ),
-            values=((200.0, 800.0),),
+            columns=((200.0,), (800.0,)),
         )
         out = sentiment_balance_insight(d, "A")
         assert len(out) == 1
@@ -315,7 +328,7 @@ class TestSentiment:
                 MetricDescriptor("Positive forum sentiment", "higher-is-better"),
                 MetricDescriptor("Negative forum sentiment", "lower-is-better"),
             ),
-            values=((0.0, 0.0),),
+            columns=((0.0,), (0.0,)),
         )
         assert sentiment_balance_insight(d, "A") == []
 
@@ -328,7 +341,7 @@ class TestSentiment:
                 MetricDescriptor("Positive y sentiment", "higher-is-better"),
                 MetricDescriptor("Negative y sentiment", "lower-is-better"),
             ),
-            values=((70.0, 30.0, 72.0, 28.0),),
+            columns=((70.0,), (30.0,), (72.0,), (28.0,)),
         )
         assert all("contrast" not in i.id for i in sentiment_balance_insight(d, "A"))
 
@@ -341,7 +354,7 @@ class TestSentiment:
                 MetricDescriptor("Positive forum sentiment", "higher-is-better"),
                 MetricDescriptor("Negative forum sentiment", "lower-is-better"),
             ),
-            values=((9.0 * scale, 1.0 * scale),),
+            columns=((9.0 * scale,), (1.0 * scale,)),
         )
         out = sentiment_balance_insight(d, "A")
         assert len(out) == 1
@@ -476,7 +489,7 @@ class TestPairShareRules:
         dataset = Dataset(
             entities=("Foobar Corp",),
             metrics=tuple(infer_metric_semantics(n) for n in names),
-            values=(tuple(data.draw(_PAIR_CELLS) for _ in names),),
+            columns=tuple((data.draw(_PAIR_CELLS),) for _ in names),
         )
         pair = ("Online revenue", "In-store revenue")
         assert _as_dicts_or_error(ratio_insight, dataset, "Foobar Corp", *pair) == (
@@ -616,7 +629,7 @@ class TestRunAllRules:
                           sort_keys=True, ensure_ascii=False, allow_nan=False)
         assert len(found) == 12
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "d8a77be7598b576a708bf5092a266a86437003c46ce122d5fdbe978383d4960d")
+            "5cd693b34a058edac13f7b3f37653f61bca22592ecd1df702f74a7815dc08ea7")
 
     def test_all_statements_within_word_bounds(self, foobar_dataset, prices_series):
         for ins in run_all_rules(foobar_dataset, prices_series):
@@ -640,7 +653,7 @@ class _LinearDataset(Dataset):
     def value(self, entity, metric_name):
         i = self.entities.index(entity)
         j = [m.name for m in self.metrics].index(metric_name)
-        return self.values[i][j]
+        return self.columns[j][i]
 
     def column(self, name):
         return tuple(self.value(e, name) for e in self.entities)
@@ -662,13 +675,13 @@ _CELLS = st.one_of(st.none(), st.integers(-3, 3).map(float), st.integers(-999, 9
 def rule_datasets(draw, cells=_CELLS):
     names = draw(st.lists(st.sampled_from(_RULE_METRICS), min_size=1, max_size=12, unique=True))
     n_entities = draw(st.integers(1, 12))
-    values = tuple(
-        tuple(draw(cells) for _ in names) for _ in range(n_entities)
+    columns = tuple(
+        tuple(draw(cells) for _ in range(n_entities)) for _ in names
     )
     return Dataset(
         entities=tuple(f"Company {i}" for i in range(n_entities)),
         metrics=tuple(infer_metric_semantics(n) for n in names),
-        values=values,
+        columns=columns,
     )
 
 
@@ -774,7 +787,7 @@ def peer_columns(draw, sizes=st.integers(2, 40)):
     dataset = Dataset(
         entities=entities,
         metrics=(MetricDescriptor("Revenue ($m)", polarity),),
-        values=tuple((v,) for v in cells),
+        columns=(tuple(cells),),
     )
     return dataset, entities[at]
 
@@ -787,7 +800,7 @@ class TestIndexedDataset:
     @given(dataset=rule_datasets())
     @settings(max_examples=150)
     def test_rules_match_linear_scan_oracle(self, dataset):
-        oracle = _LinearDataset(dataset.entities, dataset.metrics, dataset.values)
+        oracle = _LinearDataset(dataset.entities, dataset.metrics, dataset.columns)
         assert _dicts(run_all_rules(dataset, None)) == _dicts(run_all_rules(oracle, None))
 
     @given(dataset=rule_datasets(), data=st.data())
@@ -798,7 +811,7 @@ class TestIndexedDataset:
         shuffled = Dataset(
             entities=tuple(dataset.entities[i] for i in rows),
             metrics=tuple(dataset.metrics[j] for j in cols),
-            values=tuple(tuple(dataset.values[i][j] for j in cols) for i in rows),
+            columns=tuple(tuple(dataset.columns[j][i] for i in rows) for j in cols),
         )
         assert _dicts(run_all_rules(shuffled, None)) == _dicts(run_all_rules(dataset, None))
 
@@ -863,8 +876,8 @@ class TestIndexedDataset:
         dataset = Dataset(
             entities=tuple(f"Company {i}" for i in range(150)),
             metrics=tuple(infer_metric_semantics(n) for n in names),
-            values=tuple(
-                tuple(float(rng.randint(1, 500)) for _ in names) for _ in range(150)
+            columns=tuple(
+                tuple(float(rng.randint(1, 500)) for _ in range(150)) for _ in names
             ),
         )
         calls = 0

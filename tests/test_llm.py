@@ -350,14 +350,39 @@ class TestParseFramework:
             self._swot_response(walmart_transcript), schema_for("swot")
         )
         assert validate_analysis(analysis) == []
-        assert all(analysis.assignments[s] for s in
-                   ("strengths", "weaknesses", "opportunities", "threats"))
-        strengths = analysis.assignments["strengths"]
-        assert len(strengths) == 4  # fifth item spills into overflow
-        assert "global presence" in strengths[0][0].statement
+        assert {slot: len(items) for slot, items in analysis.assignments.items()} == {
+            "strengths": 4, "weaknesses": 3, "opportunities": 3, "threats": 3}
+        assert {slot: len(items) for slot, items in analysis.overflow.items()} == {
+            "strengths": 1}  # the fifth strength
+        assert "global presence" in analysis.assignments["strengths"][0][0].statement
         assert any(d.kind == "overflow" for d in diagnostics)
         assert all(fit == llm.LLM_FIT for items in analysis.assignments.values()
                    for _, fit in items)
+
+    @pytest.mark.parametrize("kind,slot,headings", [
+        ("swot", "strengths", ("Strengths", "Strength")),
+        ("swot", "weaknesses", ("Weaknesses", "Weakness")),
+        ("swot", "opportunities", ("Opportunities", "Opportunity")),
+        ("swot", "threats", ("Threats", "Threat")),
+        ("porter5", "rivalry", ("Competitive Rivalry", "Rivalry", "Industry Rivalry")),
+        ("porter5", "supplier_power", ("Supplier Power", "Bargaining Power of Suppliers")),
+        ("porter5", "buyer_power", ("Buyer Power", "Bargaining Power of Buyers")),
+        ("porter5", "new_entrants", ("Threat of New Entrants", "New Entrants")),
+        ("porter5", "substitutes", ("Threat of Substitutes", "Substitutes")),
+        ("virtuous_cycle", "improve_offering", ("Improve Offering",)),
+        ("value_discipline", "operational_excellence",
+         ("Operational Excellence", "Operational Efficiency")),
+        ("value_discipline", "product_leadership", ("Product Leadership", "Product Innovation")),
+        ("value_discipline", "customer_intimacy",
+         ("Customer Intimacy", "Customer Relationships")),
+    ])
+    def test_each_heading_names_its_slot(self, kind, slot, headings):
+        """A slot's title, its id with spaces and its synonyms, in any case."""
+        for heading in headings + tuple(h.upper() for h in headings):
+            response = f"{heading}:\n- One point about this part of the business.\n"
+            analysis, diagnostics = parse_framework_assignment(response, schema_for(kind))
+            assert "unmatched-heading" not in [d.kind for d in diagnostics], heading
+            assert len(analysis.assignments[slot]) == 1, heading
 
     def test_refusal_is_typed(self, walmart_transcript):
         transcript = load_transcript(str(walmart_transcript))
