@@ -2,11 +2,11 @@
 
 ``layout`` is the one entry point: it validates an OrganizedAnalysis, then
 tries canvas scale 1, 2, 4, ... (up to 8 doublings). At each scale a
-text-free geometry function per framework places the boxes, arrows and
-radar, and one fill step fits every text with the embedded font metrics
-and builds the DiagramSpec; the first scale at which every text fits at or
-above the minimum font size wins. ``emit_svg`` then re-validates every
-invariant and produces byte-deterministic SVG 1.1.
+text-free geometry function places the boxes, arrows and radar (both grid
+kinds share one), and one fill step fits every text with the embedded font
+metrics and builds the DiagramSpec; the first scale at which every text
+fits at or above the minimum font size wins. ``emit_svg`` then re-validates
+every invariant and produces byte-deterministic SVG 1.1.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 import string
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -237,7 +238,7 @@ def _on_rect_boundary(p, rect, tol: float = 0.5) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# geometry: one function per framework, text-free
+# geometry: one function per drawing, text-free; the grid kinds share one
 #
 # Each takes (analysis, style, scale) and returns the diagram's geometry at
 # that canvas scale as (width, height, label, boxes, arrows, radar):
@@ -254,61 +255,51 @@ def _statements(analysis: OrganizedAnalysis, slot_id: str) -> list[str]:
     return [ins.statement for ins, _ in analysis.assignments.get(slot_id, [])]
 
 
-def _grid_at(analysis: OrganizedAnalysis, style: Style, scale: int):
-    """SWOT 2x2 grid: S top-left, W top-right, O bottom-left, T bottom-right."""
-    W = style.canvas_w * scale
-    H = style.canvas_h * scale
-    top = _TITLE_STRIP
-    cw = W / 2
-    ch = (H - top) / 2
-    cell_fills = ("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8")
-    positions = ((0, 0), (cw, 0), (0, ch), (cw, ch))
-    boxes = tuple(
-        (slot.id, (cx, top + cy, cw, ch), slot.title, _statements(analysis, slot.id), fill)
-        for slot, (cx, cy), fill in zip(analysis.schema.slots, positions, cell_fills)
-    )
-    return W, H, "SWOT Analysis", boxes, (), None
+# One record per grid framework: title, rows x columns, whether the boxes
+# keep ``style.gap``, each slot's (row, column) cell, the fixed fills (a slot
+# with a risk level shows it in its title and fill instead), and whether the
+# other boxes point arrows at the first (the hub).
+_Grid = namedtuple("_Grid", "title rows cols gapped cells fills hub")
+_GRIDS = {
+    "swot": _Grid("SWOT Analysis", rows=2, cols=2, gapped=False,
+                  cells=((0, 0), (0, 1), (1, 0), (1, 1)),  # S W / O T
+                  fills=("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8"), hub=False),
+    "porter5": _Grid("Porter's Five Forces", rows=3, cols=3, gapped=True,
+                     cells=((1, 1), (0, 1), (1, 2), (2, 1), (1, 0)),  # C N E S W
+                     fills=(), hub=True),
+}
 
 
-def _hub_spoke_at(analysis: OrganizedAnalysis, style: Style, scale: int):
-    """Porter five forces: rivalry centered, four categories at N/E/S/W,
-    arrows pointing into the central box, fills from the risk palette."""
-    central, *satellites = analysis.schema.slots
-    W = style.canvas_w * scale
-    H = style.canvas_h * scale
-    g = style.gap
-    top = _TITLE_STRIP
-    bw = (W - 4 * g) / 3
-    bh = (H - top - 4 * g) / 3
-    cols = (g, 2 * g + bw, 3 * g + 2 * bw)
-    rows = (top + g, top + 2 * g + bh, top + 3 * g + 2 * bh)
-    grid_pos = {
-        "C": (cols[1], rows[1]),
-        "N": (cols[1], rows[0]),
-        "E": (cols[2], rows[1]),
-        "S": (cols[1], rows[2]),
-        "W": (cols[0], rows[1]),
-    }
+def _cells_at(analysis: OrganizedAnalysis, style: Style, scale: int):
+    """A grid framework drawn from its ``_GRIDS`` record."""
+    grid, slots = _GRIDS[analysis.schema.kind], analysis.schema.slots
+    W, H = style.canvas_w * scale, style.canvas_h * scale
+    g = style.gap if grid.gapped else 0.0
+    bw = (W - (grid.cols + 1) * g) / grid.cols
+    bh = (H - _TITLE_STRIP - (grid.rows + 1) * g) / grid.rows
+    rects = [((c + 1) * g + c * bw, _TITLE_STRIP + (r + 1) * g + r * bh, bw, bh)
+             for r, c in grid.cells]
     levels = analysis.slot_attributes
     boxes = []
-    for slot, compass in ((central, "C"), *zip(satellites, ("N", "E", "S", "W"))):
+    for i, (slot, rect) in enumerate(zip(slots, rects)):
         level = levels[slot.id]
-        boxes.append((
-            slot.id, (*grid_pos[compass], bw, bh), f"{slot.title} (risk: {level})",
-            _statements(analysis, slot.id), style.risk_fill(level),
-        ))
-    cx, cy = grid_pos["C"]
-    arrow_ends = {
-        "N": (((cx + bw / 2), rows[0] + bh), ((cx + bw / 2), cy)),
-        "E": ((cols[2], cy + bh / 2), ((cx + bw), cy + bh / 2)),
-        "S": (((cx + bw / 2), rows[2]), ((cx + bw / 2), cy + bh)),
-        "W": ((cols[0] + bw, cy + bh / 2), (cx, cy + bh / 2)),
-    }
+        title, fill = (f"{slot.title} (risk: {level})", style.risk_fill(level)) \
+            if level in RISK_LEVELS else (slot.title, grid.fills[i])
+        boxes.append((slot.id, rect, title, _statements(analysis, slot.id), fill))
+    hub = grid.cells[0]
     arrows = tuple(
-        ArrowEdge(from_id=slot.id, to_id=central.id, points=arrow_ends[compass])
-        for slot, compass in zip(satellites, ("N", "E", "S", "W"))
-    )
-    return W, H, "Porter's Five Forces", tuple(boxes), arrows, None
+        ArrowEdge(slot.id, slots[0].id,
+                  (_facing_mid(rect, cell, hub), _facing_mid(rects[0], hub, cell)))
+        for slot, cell, rect in zip(slots[1:], grid.cells[1:], rects[1:])
+    ) if grid.hub else ()
+    return W, H, grid.title, tuple(boxes), arrows, None
+
+
+def _facing_mid(rect, cell, toward) -> tuple[float, float]:
+    """The midpoint of the edge of ``rect``, in ``cell``, facing ``toward``."""
+    dr, dc = ((t > s) - (t < s) for s, t in zip(cell, toward))
+    x, y, w, h = rect
+    return (x + w / 2 * (1 + dc), y + h / 2 * (1 + dr))
 
 
 def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int):
@@ -442,8 +433,7 @@ def _rect_circle_overlap(rect, center, radius) -> bool:
 
 
 _LAYOUTS = {
-    "swot": _grid_at,
-    "porter5": _hub_spoke_at,
+    **dict.fromkeys(_GRIDS, _cells_at),
     "virtuous_cycle": _cycle_at,
     "value_discipline": _radar_at,
 }

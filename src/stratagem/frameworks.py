@@ -48,11 +48,11 @@ class AxisScore:
 def assign_risk(assignments: list[tuple[Insight, float]]) -> str:
     """Fit-weighted mean magnitude of negative insights, banded into levels."""
     negs = [(ins, fit) for ins, fit in assignments if ins.direction == "negative"]
-    total_fit = sum(fit for _, fit in negs)
+    total_fit = math.fsum(fit for _, fit in negs)
     if total_fit == 0:
         s = 0.0
     else:
-        s = sum(ins.magnitude * fit for ins, fit in negs) / total_fit
+        s = math.fsum(ins.magnitude * fit for ins, fit in negs) / total_fit
     for level, bound in zip(RISK_LEVELS, _RISK_BANDS):
         if s < bound:
             return level
@@ -64,7 +64,7 @@ _DIR_SIGN = {"positive": 1.0, "negative": -1.0, "neutral": 0.0}
 
 def score_axis(assignments: list[tuple[Insight, float]]) -> AxisScore:
     """Logistic map of summed signed fit x magnitude onto [0, 10); empty -> 5.0."""
-    raw = sum(
+    raw = math.fsum(
         ins.magnitude * fit * _DIR_SIGN[ins.direction] for ins, fit in assignments
     )
     # exp(-raw) overflows below raw = -709.78; from -700 down, 1 + exp(raw)

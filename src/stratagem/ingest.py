@@ -165,11 +165,11 @@ class Dataset:
     """Entity-by-metric values held as one column per metric, each in
     entity order; entities[0] is the analysis subject.
 
-    ``value(entity, metric)``, ``metric(name)`` and ``column(name)`` are
-    O(1): each instance builds its entity-to-row and metric-to-column maps
-    once, when it checks that the names are unique. The maps are not
-    fields, so equality, hash and repr see only the three fields. Unknown
-    names raise ``KeyError``.
+    ``value(entity, metric)`` and ``column(name)`` are O(1): each instance
+    builds its entity-to-row and metric-to-column maps once, when it checks
+    that the names are unique. The maps are not fields, so equality, hash
+    and repr see only the three fields; a descriptor is read from
+    ``metrics``. Unknown names raise ``KeyError``.
     """
 
     entities: tuple[str, ...]
@@ -202,9 +202,6 @@ class Dataset:
     @cached_property
     def _column_index(self) -> dict[str, int]:
         return {m.name: j for j, m in enumerate(self.metrics)}
-
-    def metric(self, name: str) -> MetricDescriptor:
-        return self.metrics[self._column_index[name]]
 
     def value(self, entity: str, metric_name: str) -> float | None:
         return self.columns[self._column_index[metric_name]][self._row_index[entity]]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
 from dataclasses import dataclass, replace
 from datetime import date
 from functools import partial
@@ -145,8 +144,8 @@ def _slug(text: str) -> str:
 
 
 class NonFiniteResult(ValueError):
-    """A rule's mean, slope, ratio, spread or total overflowed: its finite
-    inputs are too large (or too small) for float arithmetic."""
+    """A rule's mean, slope, ratio, spread, deviation or total overflowed:
+    its finite inputs are too large (or too small) for float arithmetic."""
 
     def __init__(self, metric: str, quantity: str):
         self.metric = metric
@@ -157,6 +156,17 @@ def _finite(x: float, metric: str, quantity: str) -> float:
     if not math.isfinite(x):
         raise NonFiniteResult(metric, quantity)
     return x
+
+
+def _fsum(values) -> float:
+    """``math.fsum``, the same on every Python (``sum`` is compensated from
+    3.12 on); inf or NaN where ``sum`` gives one, for ``_finite`` to report."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a term or a partial sum overflowed
+        return math.inf
+    except ValueError:  # inf + -inf
+        return math.nan
 
 
 def _clamp01(x: float) -> float:
@@ -186,9 +196,9 @@ def trend_insight(
     n = len(values)
     xs = range(n)
     xbar = (n - 1) / 2
-    ybar = _finite(sum(values) / n, metric.name, "mean")
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, values))
+    ybar = _finite(_fsum(values) / n, metric.name, "mean")
+    sxx = _fsum((x - xbar) ** 2 for x in xs)
+    sxy = _fsum((x - xbar) * (y - ybar) for x, y in zip(xs, values))
     slope = _finite(sxy / sxx, metric.name, "trend slope")
     base = abs(values[0]) if values[0] != 0 else (abs(ybar) or 1.0)
     rel_slope_change = _finite(slope * (n - 1) / base, metric.name, "relative slope")
@@ -259,7 +269,7 @@ def peer_comparison_insight(
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
-    peer_mean = _finite(sum(values) / len(values), metric.name, "peer mean")
+    peer_mean = _finite(_fsum(values) / len(values), metric.name, "peer mean")
     spread = _finite(hi - lo, metric.name, "peer spread")
     magnitude = _clamp01(abs(sval - peer_mean) / spread)
     tone = {
@@ -445,10 +455,12 @@ def weekly_cycle_insight(series: TimeSeries) -> Insight | None:
     for day, close in zip(dates, closes):
         by_day.setdefault(day.weekday(), []).append(close)
     means = {
-        d: _finite(sum(v) / len(v), "close", f"{_WEEKDAYS[d]} mean")
+        d: _finite(_fsum(v) / len(v), "close", f"{_WEEKDAYS[d]} mean")
         for d, v in by_day.items()
     }
-    sd = statistics.pstdev(closes)
+    mu = _fsum(closes) / len(closes)
+    sd = _finite(math.sqrt(_fsum((c - mu) ** 2 for c in closes) / len(closes)),
+                 "close", "standard deviation")
     if sd == 0:
         return None
     low_day = min(means, key=lambda d: (means[d], d))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
@@ -906,7 +907,26 @@ class TestStageFiles:
         assert len(text.split("\n")) == len(found) + 6  # 5 framing lines and the final ""
 
 
+# SHA-256 of the analysis file that ``pipeline`` writes for the bundled
+# Foobar table and price series in each framework; the same on every
+# supported Python. CI checks the installed script against these too.
+FOOBAR_ANALYSIS_SHA256 = {
+    "swot": "61e82eb6285be36707fd74f5cda91ac623b32b42e061c748ba4dff2f219ee449",
+    "porter5": "1d9636162b0f9fc7c9eeaac1a87e6b5223b76bdf730930674b8bef0e1c03f7a0",
+    "virtuous_cycle": "aef31c51f0e69aaaeea8d245d0b593dd7065eb9db16e46f03e236bd03f2982b4",
+    "value_discipline": "2cc7c228d77a6ca8f7bd5d13a2114756c4c11a1ebd0cd21be26a85e04dac4394",
+}
+
+
 class TestPipeline:
+    @pytest.mark.parametrize("framework,kind", cli._FRAMEWORK_NAMES.items())
+    def test_foobar_analysis_files_are_pinned(self, tmp_path, framework, kind):
+        svg = tmp_path / "out.svg"
+        assert run("pipeline", "--table", str(FOOBAR), "--timeseries", str(PRICES),
+                   "--framework", framework, "-o", str(svg)) == 0
+        text = (tmp_path / "out.analysis.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == FOOBAR_ANALYSIS_SHA256[kind]
+
     def test_matches_staged_subcommands(self, tmp_path):
         pipe_svg = tmp_path / "pipe" / "out.svg"
         pipe_svg.parent.mkdir()

@@ -243,6 +243,38 @@ class TestLayoutHubSpoke:
 
 
 # ---------------------------------------------------------------------------
+# the grid records that both grid kinds are drawn from
+
+@pytest.mark.parametrize("gap", (0, 18, 200))
+@pytest.mark.parametrize("scale", (1, 2, 4))
+@pytest.mark.parametrize("kind", ("swot", "porter5"))
+def test_grid_record_places_one_cell_per_slot(kind, scale, gap):
+    """Each slot has its own cell inside the grid, and each arrow runs
+    exactly between the midpoints of the two boxes' facing edges, which
+    ``validate_spec`` checks only to within half a pixel."""
+    grid = diagram._GRIDS[kind]
+    slots = schema_for(kind).slots
+    assert len(grid.cells) == len(slots) == len(set(grid.cells))
+    assert all(0 <= r < grid.rows and 0 <= c < grid.cols for r, c in grid.cells)
+    _, _, _, boxes, arrows, _ = diagram._cells_at(
+        organize([], schema_for(kind)), Style(gap=gap), scale)
+    assert [box[0] for box in boxes] == [slot.id for slot in slots]
+    assert len(arrows) == (len(slots) - 1 if grid.hub else 0)
+    rects = {box[0]: box[1] for box in boxes}
+    for arrow in arrows:
+        assert arrow.to_id == slots[0].id
+        (ax, ay, aw, ah), (bx, by, bw, bh) = rects[arrow.from_id], rects[arrow.to_id]
+        if ax == bx:  # one above the other: bottom edge to top edge
+            start = (ax + aw / 2, ay + ah if ay < by else ay)
+            end = (bx + bw / 2, by if ay < by else by + bh)
+        else:  # side by side: right edge to left edge
+            assert ay == by
+            start = (ax + aw if ax < bx else ax, ay + ah / 2)
+            end = (bx if ax < bx else bx + bw, by + bh / 2)
+        assert arrow.points == (start, end)
+
+
+# ---------------------------------------------------------------------------
 # cycle
 
 class TestLayoutCycle:

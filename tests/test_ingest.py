@@ -213,7 +213,6 @@ class TestDatasetLookups:
         for lookup in (
             lambda: foobar_dataset.value("Nobody Inc", "Number of stores"),
             lambda: foobar_dataset.value("Acme LLP", "No such metric"),
-            lambda: foobar_dataset.metric("No such metric"),
             lambda: foobar_dataset.column("No such metric"),
         ):
             with pytest.raises(KeyError):
@@ -527,7 +526,7 @@ class TestSerialization:
         assert "!lower" in text
         assert "NA" in text
         again = parse_table(text)
-        assert again.metric("Revenue ($m)").polarity == "lower-is-better"
+        assert again.metrics[0] == MetricDescriptor("Revenue ($m)", "lower-is-better")
         assert again.value("A", "xyzzy") is None
         assert again.columns == d.columns
 

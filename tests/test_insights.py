@@ -9,15 +9,19 @@ import math
 import random
 import re
 import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratagem.frameworks import analysis_to_dict, organize, schema_for
 from stratagem.ingest import (
     Dataset,
     MetricDescriptor,
     TimeSeries,
     infer_metric_semantics,
+    parse_table,
+    parse_timeseries,
 )
 from stratagem.insights import (
     Evidence,
@@ -26,6 +30,7 @@ from stratagem.insights import (
     _clamp01,
     _finite,
     _flip,
+    _fsum,
     _iso_week_count,
     _slug,
     _themes,
@@ -40,6 +45,7 @@ from stratagem.insights import (
     weekly_cycle_insight,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 HIGHER = MetricDescriptor("Revenue ($m)", "higher-is-better")
 
 
@@ -53,6 +59,10 @@ def small_dataset(**metric_values) -> Dataset:
     )
     columns = tuple(tuple(metric_values[n]) for n in names)
     return Dataset(entities=entities, metrics=metrics, columns=columns)
+
+
+def _metric(dataset: Dataset, name: str) -> MetricDescriptor:
+    return next(m for m in dataset.metrics if m.name == name)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +131,17 @@ class TestTrend:
     def test_too_short_window(self):
         assert trend_insight([1.0, 2.0], HIGHER) is None
 
+    def test_sums_are_correctly_rounded(self):
+        """The same on every Python: ``sum`` rounds each partial sum before
+        3.12 and compensates from 3.12 on."""
+        assert _fsum([0.1] * 10) == 1.0
+        assert _fsum(iter([1e308, 1e308])) == math.inf
+
     @pytest.mark.parametrize("values,quantity", [
         ([1.7e308, 1e300] * 10, "mean"),
         ([5e-324, 1e10, 1e20], "relative slope"),
-    ], ids=["overflowing-mean", "vanishing-base"])
+        ([1.7e308, -1.7e308, -1.7e308, 1.7e308], "trend slope"),
+    ], ids=["overflowing-mean", "vanishing-base", "opposite-infinite-products"])
     def test_overflow_is_typed_error(self, values, quantity):
         with pytest.raises(NonFiniteResult) as exc:
             trend_insight(values, HIGHER)
@@ -171,7 +188,7 @@ class TestTrend:
 
 class TestPeerComparison:
     def test_foobar_media_spend_is_a_strength(self, foobar_dataset):
-        m = foobar_dataset.metric("Media spend ($m)")
+        m = _metric(foobar_dataset, "Media spend ($m)")
         ins = peer_comparison_insight(foobar_dataset, "Foobar Corp", m)
         assert ins is not None
         assert ins.direction == "positive"
@@ -180,7 +197,7 @@ class TestPeerComparison:
         assert ins.magnitude == pytest.approx(abs(120 - 72.5) / 60)
 
     def test_lowest_on_lower_is_better_metric_is_positive(self, foobar_dataset):
-        m = foobar_dataset.metric("In-bound shipment delays")
+        m = _metric(foobar_dataset, "In-bound shipment delays")
         ins = peer_comparison_insight(foobar_dataset, "Foobar Corp", m)
         assert ins is not None
         assert ins.direction == "positive"
@@ -188,7 +205,7 @@ class TestPeerComparison:
         assert ins.themes == frozenset(["supply-chain"])
 
     def test_middle_rank_is_silent(self, foobar_dataset):
-        m = foobar_dataset.metric("Number of countries doing business")
+        m = _metric(foobar_dataset, "Number of countries doing business")
         assert peer_comparison_insight(foobar_dataset, "Foobar Corp", m) is None
 
     def test_all_equal_is_silent(self):
@@ -221,7 +238,7 @@ class TestPeerComparison:
         """Positions 0, 1 and -1 of the full ranking when the subject is
         highest, 0, -2 and -1 when it is lowest; ties go by entity name."""
         d = self._RANKED
-        ins = peer_comparison_insight(d, "Acme", d.metric(metric))
+        ins = peer_comparison_insight(d, "Acme", _metric(d, metric))
         assert [(e.refs[1], e.value) for e in ins.evidence] == expected
         for e in ins.evidence:
             assert e.kind == "rank"
@@ -542,6 +559,13 @@ class TestWeeklyCycle:
         assert exc.value.metric == "close"
         assert "mean is not finite" in str(exc.value)
 
+    def test_overflowing_deviation_is_typed_error(self):
+        """The weekday means are finite, but a squared deviation is not."""
+        s = weekday_series(30, lambda d, i: 1e200 if i == 0 else 1.0)
+        with pytest.raises(NonFiniteResult) as exc:
+            weekly_cycle_insight(s)
+        assert str(exc.value) == "close: standard deviation is not finite; the values overflow"
+
     def test_white_noise_false_positive_rate(self):
         rng = random.Random(20240401)
         fired = 0
@@ -623,13 +647,33 @@ class TestRunAllRules:
 
     def test_foobar_insights_are_pinned(self, foobar_dataset, prices_series):
         """The twelve Foobar table and price-series insights, ratio,
-        sentiment and contrast included, byte for byte."""
+        sentiment and contrast included, byte for byte on every Python."""
         found = run_all_rules(foobar_dataset, prices_series)
         text = json.dumps([insight_to_dict(i) for i in found],
                           sort_keys=True, ensure_ascii=False, allow_nan=False)
         assert len(found) == 12
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "5cd693b34a058edac13f7b3f37653f61bca22592ecd1df702f74a7815dc08ea7")
+            "00838c9a6c1241396741102fea85f86f1621e012dbe227ae58adfc65ccfdc2e2")
+
+    def test_report_batch_pool_is_pinned(self, monkeypatch, tmp_path):
+        """The insights of the first 24 seed-1 report-batch documents and
+        their analyses in the four frameworks, byte for byte: CI runs this
+        on every supported Python, so any drift between them fails."""
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+
+        digest = hashlib.sha256()
+        for doc in workloads.ReportBatch().build(1, tmp_path)[:24]:
+            dataset = parse_table(doc.table, dialect=doc.dialect)
+            found = run_all_rules(dataset, parse_timeseries(doc.series, dialect=doc.dialect))
+            docs = [[insight_to_dict(i) for i in found]] + [
+                analysis_to_dict(organize(found, schema_for(kind), subject=dataset.subject))
+                for kind in workloads.KINDS]
+            for obj in docs:
+                digest.update(json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                                         allow_nan=False).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "9a468ae71bdef48e07ee048c0c838d576ef6a89b469e048e1fded47c20952163")
 
     def test_all_statements_within_word_bounds(self, foobar_dataset, prices_series):
         for ins in run_all_rules(foobar_dataset, prices_series):
@@ -643,12 +687,6 @@ class TestRunAllRules:
 class _LinearDataset(Dataset):
     """Oracle: every lookup scans the entity and metric names, as the
     unindexed Dataset did, and a column is one ``value`` call per entity."""
-
-    def metric(self, name):
-        for m in self.metrics:
-            if m.name == name:
-                return m
-        raise KeyError(name)
 
     def value(self, entity, metric_name):
         i = self.entities.index(entity)
@@ -702,14 +740,14 @@ def _full_ranking_peer(dataset, subject, metric):
         extremity, raw_dir = "lowest", "negative"
     else:
         return None
-    for quantity, x in (("peer mean", sum(peer_values) / len(peer_values)),
-                        ("peer spread", hi - lo)):
+    peer_mean = _fsum(peer_values) / len(peer_values)
+    for quantity, x in (("peer mean", peer_mean), ("peer spread", hi - lo)):
         if not math.isfinite(x):
             raise NonFiniteResult(metric.name, quantity)
     direction = {"neutral": "neutral", "higher-is-better": raw_dir,
                  "lower-is-better": {"positive": "negative", "negative": "positive"}[raw_dir],
                  }[metric.polarity]
-    magnitude = max(0.0, min(1.0, abs(sval - sum(peer_values) / len(peer_values)) / (hi - lo)))
+    magnitude = max(0.0, min(1.0, abs(sval - peer_mean) / (hi - lo)))
     tone = {"positive": "a clear strength", "negative": "a clear weakness",
             "neutral": "an outlier position"}[direction]
     statement = (f"{subject} has the {extremity} {metric.name} among "
@@ -739,7 +777,7 @@ def _ranking_peer(dataset, subject, metric):
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
-    peer_mean = _finite(sum(v for _, _, v in peers) / len(peers), metric.name, "peer mean")
+    peer_mean = _finite(_fsum(v for _, _, v in peers) / len(peers), metric.name, "peer mean")
     spread = _finite(hi - lo, metric.name, "peer spread")
     tone = {"positive": "a clear strength", "negative": "a clear weakness",
             "neutral": "an outlier position"}[direction]
