@@ -399,10 +399,14 @@ def parse_framework_assignment(
     model_label: str = "llm",
 ) -> tuple[OrganizedAnalysis, list[ParseDiagnostic]]:
     """Match slot headings, read each slot's section with the insight-list
-    item grammar, and collect the items into a validated analysis."""
+    item grammar, and collect the items into a validated analysis. A
+    heading-shaped line before the first slot heading that has more words
+    than any slot heading is preamble ("Here is a SWOT analysis of
+    Walmart:"), not an unmatched heading."""
     synonyms = {heading: slot.id for slot in schema.slots
                 for heading in (slot.title.lower(), slot.id.replace("_", " "),
                                 *_SLOT_SYNONYMS.get(slot.id, ()))}
+    longest = max(len(heading.split()) for heading in synonyms)
     sections: dict[str, list[str]] = {slot.id: [] for slot in schema.slots}
     diagnostics: list[ParseDiagnostic] = []
     current: str | None = None
@@ -414,7 +418,7 @@ def parse_framework_assignment(
             current = synonyms.get(head.lower())
             if current:
                 saw_heading = True
-            else:
+            elif saw_heading or len(head.split()) <= longest:
                 diagnostics.append(ParseDiagnostic("unmatched-heading", head))
         elif current:
             sections[current].append(raw)

@@ -18,7 +18,10 @@ sum of its characters within ``cap - hyphen_em`` of its start. The greedy
 line from word ``i`` then ends at the last word ``j`` whose prefix sum
 ``P`` of ``word_em + space_em`` is at most ``P[i] + cap + space_em``,
 found by ``bisect_right`` on the sums: the line the word-by-word fill
-gives.
+gives. None of the words, their ``_em`` or the sums depends on the size,
+so ``fit_text`` builds them once (``_measured``) and passes them to the
+``wrap`` at every size it tries; ``wrap`` builds them again only from
+the pieces, when it has split an overlong word.
 
 The search wraps only at sizes that a line-count floor leaves open. At a
 size, every line and every piece sums to at most ``cap``. Pieces keep
@@ -152,11 +155,26 @@ def _cap(width: float, size: float, limit: int) -> int:
     return c
 
 
-def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
+def _measured(words: list[str]) -> tuple[list[str], list[int], list[int]]:
+    """The size-independent part of a wrap: the words, each word's ``_em``
+    and the prefix sums of ``word_em + space_em``."""
+    ems = list(map(_em, words))
+    space_em = _em(" ")
+    return words, ems, [0, *accumulate(em + space_em for em in ems)]
+
+
+def wrap(
+    text: str,
+    width: float,
+    size: float,
+    prepared: tuple[list[str], list[int], list[int]] | None = None,
+) -> tuple[str, ...]:
     """Greedy wrap of whitespace-separated words into lines of at most
     ``width`` px at font ``size``. Overlong words are hyphen-split; a
     width that fits no character (zero, negative or NaN) raises
-    UnbreakableToken for any word.
+    UnbreakableToken for any word. ``prepared`` is ``_measured`` of the
+    text's words, which ``fit_text`` builds once for every size it wraps;
+    wrap builds it itself when it is not given.
 
     Lines are summed in integer thousandths of an em and each fit test is
     ``measure_text``'s own expression, so the lines are the ones that
@@ -168,15 +186,13 @@ def wrap(text: str, width: float, size: float) -> tuple[str, ...]:
     ``cap + space_em`` of the line's start: the greedy fill's line."""
     if size <= 0:
         raise ValueError("font size must be positive")
-    words = text.split()
-    ems = list(map(_em, words))
+    words, ems, sums = _measured(text.split()) if prepared is None else prepared
     space_em = _em(" ")
-    cap = _cap(width, size, sum(ems) + space_em * len(words))
+    cap = _cap(width, size, sums[-1])
     if max(ems, default=0) > cap:
-        words = [piece for word, word_em in zip(words, ems)
-                 for piece in ((word,) if word_em <= cap else _split_token(word, width, size))]
-        ems = list(map(_em, words))
-    sums = [0, *accumulate(em + space_em for em in ems)]
+        words, ems, sums = _measured(
+            [piece for word, word_em in zip(words, ems)
+             for piece in ((word,) if word_em <= cap else _split_token(word, width, size))])
     lines = []
     start = 0
     while start < len(words):
@@ -209,10 +225,11 @@ def fit_text(
     they are every size above the largest open one, found by bisection."""
     if not (width > 0 and height > 0):
         raise ValueError("box interior must have positive dimensions")
-    words = text.split()
+    prepared = _measured(text.split())
+    words, ems, _ = prepared
     if not words:
         return TextBlock(lines=(), font_size=float(max_font))
-    total_em = sum(map(_em, words))
+    total_em = sum(ems)
     low, high = max(min_font, 1), max_font
     probe = high
     while low <= high:
@@ -223,7 +240,7 @@ def fit_text(
         probe = (low + high) // 2
     for size in range(high, min_font - 1, -1):
         try:
-            lines = wrap(text, width, size)
+            lines = wrap(text, width, size, prepared)
         except UnbreakableToken:
             continue
         if len(lines) * LINE_HEIGHT * size <= height:

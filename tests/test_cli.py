@@ -24,6 +24,10 @@ from stratagem import cli, diagram, llm
 FOOBAR = Path(__file__).parent / "fixtures" / "foobar.tsv"
 PRICES = Path(__file__).parent / "fixtures" / "prices.tsv"
 WALMART = Path(__file__).parent / "fixtures" / "walmart.jsonl"
+# Arrays nested past the JSON decoder's depth limit on every supported
+# Python: the recursion limit (1,000) up to 3.12, and on 3.13 the C stack
+# limit (about 10,000), under which 5,000 levels parse.
+DEEP_JSON = "[" * 20_000 + "]" * 20_000
 
 
 def run(*argv) -> int:
@@ -331,7 +335,7 @@ class TestInsightsCommand:
         (b'{"request_hash": 7, "response": "x"}\n', "line 1: not a record"),
         (b'{"request_hash": "abc", "response": "x"}\n' * 2,
          "line 2: duplicate request hash"),
-        (b"\n" + b"[" * 5000 + b"]" * 5000 + b"\n", "line 2: JSON nested too deeply"),
+        (b"\n" + DEEP_JSON.encode() + b"\n", "line 2: JSON nested too deeply"),
     ], ids=["missing", "not-utf8", "not-json", "bad-record", "duplicate-hash",
             "deep-nesting"])
     def test_bad_transcript_is_llm_error(self, tmp_path, no_network, capsys,
@@ -782,7 +786,7 @@ class TestFileErrors:
         analysis, path, out = tmp_path / "a.json", tmp_path / "deep.json", tmp_path / "out"
         assert run("organize", str(insights_file), "--framework", "swot",
                    "-o", str(analysis)) == 0
-        path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+        path.write_text(DEEP_JSON, encoding="utf-8")
         capsys.readouterr()
         argv = [a.format(path=path, analysis=analysis) for a in argv]
         assert run(*argv, "-o", str(out)) == 2

@@ -23,16 +23,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratagem import cli
+from test_cli import DEEP_JSON
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FRAMEWORKS = ("swot", "porter5", "cycle", "value-discipline")
 EXIT_CODES = (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_LLM, cli.EXIT_LAYOUT)
 # A cell or JSON value replaced by raw text: a NaN, an overflowing number,
 # an empty string, a negative zero, a byte that is not UTF-8, a cell over
-# the csv module's 131,072-character field limit, or arrays nested deeper
-# than the interpreter's recursion limit.
+# the csv module's 131,072-character field limit, or arrays nested past
+# the JSON decoder's depth limit on every supported Python.
 TOKENS = (b"NaN", b"1e999", b"", b"-0", b"\xff", b"1" * 200_000)
-JSON_TOKENS = (b"NaN", b"1e999", b'""', b"-0", b'"\xff"', b"[" * 5000 + b"]" * 5000)
+JSON_TOKENS = (b"NaN", b"1e999", b'""', b"-0", b'"\xff"', DEEP_JSON.encode())
 # One value of each JSON type; a type change picks one of another type.
 TYPED_VALUES = (0, 1.5, "x", [], {}, None, True)
 

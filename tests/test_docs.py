@@ -1,21 +1,27 @@
 """The README's library snippet and the bundled scripts work as documented,
-every public name in the package has a caller, and the package needs
-nothing beyond the standard library."""
+every public name in the package has a caller and every public function
+runs in the benchmark workloads, and the package needs nothing beyond the
+standard library."""
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import runpy
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import CodeType
 
 import pytest
 
+import stratagem
 from stratagem import cli
 from test_diagram import FOOBAR_SVG_SHA256
 
@@ -120,6 +126,63 @@ def test_every_public_name_has_a_caller():
                 if name not in used and name not in _words(rest):
                     uncalled.append(f"{module}.{name}")
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+# The public functions that a few documents of each benchmark workload do
+# not run: the framework-answer parser, which no CLI path calls yet, and
+# the series' observation pairs, which only the benchmark's tracer reads.
+UNRUN = ["llm.parse_framework_assignment", "ingest.TimeSeries.observations"]
+
+
+def _public_functions() -> dict[str, CodeType]:
+    """The code object of every public function and public method,
+    property and cached property of a class, module by module."""
+    found = {}
+    for info in pkgutil.iter_modules(stratagem.__path__):
+        module = importlib.import_module(f"stratagem.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for member, fn in members:
+                if member.startswith("_"):
+                    continue
+                # property, cached_property, then staticmethod or classmethod
+                fn = getattr(fn, "fget", None) or getattr(fn, "func", None) or fn
+                fn = getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn):
+                    found[".".join(filter(None, (info.name, name, member)))] = fn.__code__
+    return found
+
+
+def test_every_public_function_runs_in_the_workloads(monkeypatch, tmp_path):
+    """A few seed-1 documents of each benchmark workload, run under a
+    profile hook, call every public function of the package but those on
+    ``UNRUN``. The static check above passes a function whose name some
+    other code happens to use; this one sees the calls."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    counts = {"report-batch": 8, "wide-table": 2, "cli-replay": 8}
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    for name, workload in workloads.WORKLOADS.items():
+        runner = workload()
+        (tmp_path / name).mkdir()
+        docs = runner.build(1, tmp_path / name)[:counts[name]]
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            for doc in docs:
+                runner.run(doc)
+        finally:
+            sys.setprofile(previous)
+    unrun = [name for name, code in _public_functions().items() if code not in called]
+    assert sorted(unrun) == sorted(UNRUN)
 
 
 def test_package_imports_only_the_standard_library():

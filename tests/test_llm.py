@@ -355,7 +355,8 @@ class TestParseFramework:
         assert {slot: len(items) for slot, items in analysis.overflow.items()} == {
             "strengths": 1}  # the fifth strength
         assert "global presence" in analysis.assignments["strengths"][0][0].statement
-        assert any(d.kind == "overflow" for d in diagnostics)
+        # the preamble, "Here is a SWOT analysis of Walmart:", is no heading
+        assert diagnostics == [llm.ParseDiagnostic("overflow", "strengths: 5 items, keeping 4")]
         assert all(fit == llm.LLM_FIT for items in analysis.assignments.values()
                    for _, fit in items)
 
@@ -421,6 +422,26 @@ class TestParseFramework:
         _, diagnostics = parse_framework_assignment(response, schema_for("swot"))
         assert any(d.kind == "unmatched-heading" and d.detail == "Summary"
                    for d in diagnostics)
+
+    @pytest.mark.parametrize("first,reported", [
+        ("Strenghts:", True),  # a misspelt slot heading
+        ("Overview:", True),  # as long as SWOT's headings
+        ("Here is a SWOT analysis of Walmart:", False),  # preamble
+        ("Below is the analysis:", False),
+    ])
+    def test_preamble_is_not_an_unmatched_heading(self, first, reported):
+        """Before the first slot heading, a heading-shaped line with more
+        words than any of the schema's headings is preamble; one no longer
+        than them is still reported, and so is any line after it."""
+        response = (
+            f"{first}\n- Large store network across the country.\n"
+            "Weaknesses:\n- Thin margins across the retail segment.\n"
+            "Here is a long closing remark about it:\n"
+        )
+        _, diagnostics = parse_framework_assignment(response, schema_for("swot"))
+        unmatched = [d.detail for d in diagnostics if d.kind == "unmatched-heading"]
+        assert unmatched == [first.rstrip(":")] * reported + [
+            "Here is a long closing remark about it"]
 
     def test_sections_use_the_insight_list_grammar(self):
         strengths = (

@@ -9,6 +9,7 @@ wrapping at every size, which ``fit_text`` must match exactly.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import random
@@ -257,6 +258,49 @@ class TestWrap:
                 assert wrap(text, width, size) == expected
         assert bool(splits) == below
 
+    @given(
+        words=st.lists(
+            st.text(alphabet="abcdefghijklmnopqrstuvwxyzMWIl0-.,éè中—", min_size=1, max_size=40),
+            min_size=1, max_size=30,
+        ),
+        width_mode=st.sampled_from(["free", "below-word", "no-glyph", "nan"]),
+        width=st.floats(0.5, 400),
+        at=st.integers(0, 40),
+        size=st.one_of(st.integers(MIN_FONT, MAX_FONT), st.floats(0.5, 40)),
+    )
+    @settings(max_examples=300)
+    def test_prepared_words_wrap_alike(self, words, width_mode, width, at, size):
+        """``wrap`` given the words, advances and prefix sums that
+        ``fit_text`` prepares returns the lines, or raises the
+        UnbreakableToken, that ``wrap(text, width, size)`` gives, and leaves
+        them as they were. Widths are drawn one float below a word's measure
+        (so that word is hyphen-split), one float below the narrowest glyph
+        (so no glyph fits) and NaN."""
+        text = " ".join(words)
+        if width_mode == "below-word":
+            width = math.nextafter(_oracle_width(words[at % len(words)], size), 0.0)
+        elif width_mode == "no-glyph":
+            width = math.nextafter(min(_oracle_width(c, size) for c in text), 0.0)
+        elif width_mode == "nan":
+            width = math.nan
+        passed = []
+        real = textfit.wrap
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(textfit, "wrap", lambda text, width, size, prepared=None:
+                          passed.append(prepared) or real(text, width, size, prepared))
+            fit_text(text, 1e9, 1e9)  # one wrap, at max_font
+        prepared = passed[0]
+        before = copy.deepcopy(prepared)
+
+        def wrapped(*args):
+            try:
+                return wrap(*args)
+            except UnbreakableToken as exc:
+                return UnbreakableToken, exc.token
+
+        assert wrapped(text, width, size, prepared) == wrapped(text, width, size)
+        assert prepared == before
+
 
 class TestSplitToken:
     @given(
@@ -479,7 +523,8 @@ class TestFitText:
         real = textfit.wrap
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(textfit, "wrap",
-                          lambda text, width, size: sizes.append(size) or real(text, width, size))
+                          lambda text, width, size, prepared=None:
+                          sizes.append(size) or real(text, width, size, prepared))
             outcome = _outcome(fit_text, text, width, height, min_font, max_font)
         last = int(outcome.font_size) if isinstance(outcome, TextBlock) else min_font
         total_em = sum(map(_em, words))
@@ -493,9 +538,9 @@ class TestFitText:
         calls = []
         real = textfit.wrap
 
-        def counting(text, width, size):
+        def counting(text, width, size, prepared=None):
             calls.append(size)
-            return real(text, width, size)
+            return real(text, width, size, prepared)
 
         text = " ".join(["strategy"] * 60)
         expected = _exhaustive_fit(text, 300, 120)
