@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 import re
-import string
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import cached_property
 
 from .fonts import FONT_FAMILY
 from .frameworks import RISK_LEVELS, OrganizedAnalysis, validate_analysis
+from .record import Record, setfield
 from .textfit import (
     DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text,
 )
@@ -48,17 +46,31 @@ class InvariantViolation(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Style:
-    canvas_w: float = 900.0
-    canvas_h: float = 640.0
-    padding: float = 8.0
-    gap: float = 18.0
-    min_font: int = MIN_FONT
-    max_font: int = MAX_FONT
-    font_family: str = FONT_FAMILY
-    background: str = "#FFFFFF"
-    palette: tuple[tuple[str, str], ...] = tuple(sorted(RISK_PALETTE.items()))
+class Style(Record):
+    __slots__ = ("canvas_w", "canvas_h", "padding", "gap", "min_font", "max_font",
+                 "font_family", "background", "palette")
+
+    def __init__(
+        self,
+        canvas_w: float = 900.0,
+        canvas_h: float = 640.0,
+        padding: float = 8.0,
+        gap: float = 18.0,
+        min_font: int = MIN_FONT,
+        max_font: int = MAX_FONT,
+        font_family: str = FONT_FAMILY,
+        background: str = "#FFFFFF",
+        palette: tuple[tuple[str, str], ...] = tuple(sorted(RISK_PALETTE.items())),
+    ):
+        setfield(self, "canvas_w", canvas_w)
+        setfield(self, "canvas_h", canvas_h)
+        setfield(self, "padding", padding)
+        setfield(self, "gap", gap)
+        setfield(self, "min_font", min_font)
+        setfield(self, "max_font", max_font)
+        setfield(self, "font_family", font_family)
+        setfield(self, "background", background)
+        setfield(self, "palette", palette)
 
     def risk_fill(self, level: str) -> str:
         """Fixed risk-to-fill mapping, identical across every diagram in a run."""
@@ -77,13 +89,17 @@ _NAMED_COLORS = frozenset((
     "aqua", "black", "blue", "fuchsia", "gray", "green", "lime", "maroon", "navy",
     "olive", "orange", "purple", "red", "silver", "teal", "white", "yellow",
 ))
-_FONT_FAMILY_CHARS = frozenset(string.ascii_letters + string.digits + " ,'-")
+# ``string.ascii_letters + string.digits + " ,'-"`` and ``string.hexdigits``,
+# written out so that importing the package does not load ``string``.
+_FONT_FAMILY_CHARS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ,'-")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def _is_color(value) -> bool:
     return isinstance(value, str) and (
         value in _NAMED_COLORS
-        or (len(value) in (4, 7) and value[0] == "#" and set(value[1:]) <= set(string.hexdigits))
+        or (len(value) in (4, 7) and value[0] == "#" and set(value[1:]) <= _HEX_DIGITS)
     )
 
 
@@ -141,16 +157,19 @@ def load_style(raw) -> Style:
     return style
 
 
-@dataclass(frozen=True)
-class BoxNode:
-    id: str
-    x: float
-    y: float
-    w: float
-    h: float
-    title: TextBlock | None
-    body: tuple[TextBlock, ...]
-    fill: str
+class BoxNode(Record):
+    __slots__ = ("id", "x", "y", "w", "h", "title", "body", "fill")
+
+    def __init__(self, id: str, x: float, y: float, w: float, h: float,
+                 title: TextBlock | None, body: tuple[TextBlock, ...], fill: str):
+        setfield(self, "id", id)
+        setfield(self, "x", x)
+        setfield(self, "y", y)
+        setfield(self, "w", w)
+        setfield(self, "h", h)
+        setfield(self, "title", title)
+        setfield(self, "body", body)
+        setfield(self, "fill", fill)
 
     @property
     def rect(self) -> tuple[float, float, float, float]:
@@ -164,49 +183,69 @@ class BoxNode:
         )
 
 
-@dataclass(frozen=True)
-class ArrowEdge:
-    from_id: str
-    to_id: str
-    points: tuple[tuple[float, float], ...]
+class ArrowEdge(Record):
+    __slots__ = ("from_id", "to_id", "points")
+
+    def __init__(self, from_id: str, to_id: str, points: tuple[tuple[float, float], ...]):
+        setfield(self, "from_id", from_id)
+        setfield(self, "to_id", to_id)
+        setfield(self, "points", points)
 
 
-@dataclass(frozen=True)
-class RadarAxis:
-    slot_id: str
-    angle_deg: float
-    score: float
-    label: TextBlock
+class RadarAxis(Record):
+    __slots__ = ("slot_id", "angle_deg", "score", "label")
+
+    def __init__(self, slot_id: str, angle_deg: float, score: float, label: TextBlock):
+        setfield(self, "slot_id", slot_id)
+        setfield(self, "angle_deg", angle_deg)
+        setfield(self, "score", score)
+        setfield(self, "label", label)
 
 
-@dataclass(frozen=True)
-class RadarShape:
-    center: tuple[float, float]
-    radius: float
-    axes: tuple[RadarAxis, ...]
+class RadarShape(Record):
+    """A radar plot; ``vertices`` holds the polygon's corners, each axis's
+    score along its spoke, built with the shape and not a field."""
 
-    @cached_property
-    def vertices(self) -> tuple[tuple[float, float], ...]:
-        """The polygon's corners: each axis's score along its spoke."""
-        cx, cy = self.center
-        rads = [math.radians(axis.angle_deg) for axis in self.axes]
-        return tuple(
-            (cx + self.radius * axis.score / 10.0 * math.cos(rad),
-             cy + self.radius * axis.score / 10.0 * math.sin(rad))
-            for axis, rad in zip(self.axes, rads)
-        )
+    __slots__ = ("center", "radius", "axes", "vertices")
+    _fields = ("center", "radius", "axes")
+
+    def __init__(self, center: tuple[float, float], radius: float,
+                 axes: tuple[RadarAxis, ...]):
+        setfield(self, "center", center)
+        setfield(self, "radius", radius)
+        setfield(self, "axes", axes)
+        cx, cy = center
+        rads = [math.radians(axis.angle_deg) for axis in axes]
+        setfield(self, "vertices", tuple(
+            (cx + radius * axis.score / 10.0 * math.cos(rad),
+             cy + radius * axis.score / 10.0 * math.sin(rad))
+            for axis, rad in zip(axes, rads)
+        ))
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
-    width: float
-    height: float
-    boxes: tuple[BoxNode, ...]
-    arrows: tuple[ArrowEdge, ...] = ()
-    radar: RadarShape | None = None
-    title: TextBlock | None = None
-    font_family: str = FONT_FAMILY
-    background: str = "#FFFFFF"
+class DiagramSpec(Record):
+    __slots__ = ("width", "height", "boxes", "arrows", "radar", "title", "font_family",
+                 "background")
+
+    def __init__(
+        self,
+        width: float,
+        height: float,
+        boxes: tuple[BoxNode, ...],
+        arrows: tuple[ArrowEdge, ...] = (),
+        radar: RadarShape | None = None,
+        title: TextBlock | None = None,
+        font_family: str = FONT_FAMILY,
+        background: str = "#FFFFFF",
+    ):
+        setfield(self, "width", width)
+        setfield(self, "height", height)
+        setfield(self, "boxes", boxes)
+        setfield(self, "arrows", arrows)
+        setfield(self, "radar", radar)
+        setfield(self, "title", title)
+        setfield(self, "font_family", font_family)
+        setfield(self, "background", background)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .insights import (
     DIRECTIONS,
@@ -22,6 +21,7 @@ from .insights import (
     objects,
     typed,
 )
+from .record import Record, setfield
 
 FIT_FLOOR = 0.3
 DEFAULT_MAX_PER_SLOT = 4
@@ -35,14 +35,14 @@ class UnknownKind(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AxisScore:
-    value: float
-    contributing: int
+class AxisScore(Record):
+    __slots__ = ("value", "contributing")
 
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 10.0:
-            raise ValueError(f"axis score {self.value} outside [0, 10]")
+    def __init__(self, value: float, contributing: int):
+        if not 0.0 <= value <= 10.0:
+            raise ValueError(f"axis score {value} outside [0, 10]")
+        setfield(self, "value", value)
+        setfield(self, "contributing", contributing)
 
 
 def assign_risk(assignments: list[tuple[Insight, float]]) -> str:
@@ -73,23 +73,23 @@ def score_axis(assignments: list[tuple[Insight, float]]) -> AxisScore:
     return AxisScore(value=value, contributing=len(assignments))
 
 
-@dataclass(frozen=True)
-class SlotDescriptor:
-    id: str
-    title: str
+class SlotDescriptor(Record):
     # Affinity key: (theme, direction); direction "*" matches any.
-    affinity: dict[tuple[str, str], float]
+    __slots__ = ("id", "title", "affinity")
 
-    def __post_init__(self):
-        if not any(w > 0 for w in self.affinity.values()):
-            raise ValueError(f"slot {self.id} has no nonzero affinity")
-        for (theme, direction), w in self.affinity.items():
+    def __init__(self, id: str, title: str, affinity: dict[tuple[str, str], float]):
+        if not any(w > 0 for w in affinity.values()):
+            raise ValueError(f"slot {id} has no nonzero affinity")
+        for (theme, direction), w in affinity.items():
             if theme not in THEME_TAGS:
-                raise ValueError(f"unknown theme {theme!r} in slot {self.id}")
+                raise ValueError(f"unknown theme {theme!r} in slot {id}")
             if direction not in DIRECTIONS + ("*",):
-                raise ValueError(f"unknown direction {direction!r} in slot {self.id}")
+                raise ValueError(f"unknown direction {direction!r} in slot {id}")
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"affinity weight {w} outside [0, 1]")
+        setfield(self, "id", id)
+        setfield(self, "title", title)
+        setfield(self, "affinity", affinity)
 
     def fit(self, insight: Insight) -> float:
         table = self.affinity
@@ -195,19 +195,19 @@ _SLOT_ATTRIBUTE = {"porter5": assign_risk, "value_discipline": score_axis}
 FRAMEWORK_KINDS = tuple(_SLOTS)
 
 
-@dataclass(frozen=True)
-class FrameworkSchema:
+class FrameworkSchema(Record):
     """One of the four framework kinds, showing at most ``max_per_slot``
     factors per slot."""
 
-    kind: str
-    max_per_slot: int = DEFAULT_MAX_PER_SLOT
+    __slots__ = ("kind", "max_per_slot")
 
-    def __post_init__(self):
-        if self.kind not in _SLOTS:
-            raise UnknownKind(f"unknown framework kind {self.kind!r}")
-        if self.max_per_slot < 1:
+    def __init__(self, kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT):
+        if kind not in _SLOTS:
+            raise UnknownKind(f"unknown framework kind {kind!r}")
+        if max_per_slot < 1:
             raise ValueError("max_per_slot must be positive")
+        setfield(self, "kind", kind)
+        setfield(self, "max_per_slot", max_per_slot)
 
     @property
     def slots(self) -> tuple[SlotDescriptor, ...]:
@@ -218,20 +218,38 @@ def schema_for(kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> Framework
     return FrameworkSchema(kind, max_per_slot)
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    slot_id: str | None
-    message: str
+class Violation(Record):
+    __slots__ = ("code", "slot_id", "message")
+
+    def __init__(self, code: str, slot_id: str | None, message: str):
+        setfield(self, "code", code)
+        setfield(self, "slot_id", slot_id)
+        setfield(self, "message", message)
 
 
-@dataclass
-class OrganizedAnalysis:
-    schema: FrameworkSchema
-    subject: str
-    assignments: dict[str, list[tuple[Insight, float]]]
-    overflow: dict[str, list[tuple[Insight, float]]] = field(default_factory=dict)
-    unplaced: list[Insight] = field(default_factory=list)
+class OrganizedAnalysis(Record):
+    """The one mutable record: its fields can be reassigned, so it is not
+    hashable. ``overflow`` and ``unplaced`` default to a new empty dict
+    and list."""
+
+    __slots__ = ("schema", "subject", "assignments", "overflow", "unplaced")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        schema: FrameworkSchema,
+        subject: str,
+        assignments: dict[str, list[tuple[Insight, float]]],
+        overflow: dict[str, list[tuple[Insight, float]]] | None = None,
+        unplaced: list[Insight] | None = None,
+    ):
+        self.schema = schema
+        self.subject = subject
+        self.assignments = assignments
+        self.overflow = {} if overflow is None else overflow
+        self.unplaced = [] if unplaced is None else unplaced
 
     @property
     def slot_attributes(self) -> dict[str, str | AxisScore | None]:

@@ -29,9 +29,9 @@ import io
 import math
 import operator
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
+
+from .record import Record, setfield
 
 
 class IngestError(Exception):
@@ -116,16 +116,16 @@ _HIGHER_KEYWORDS = (
 )
 
 
-@dataclass(frozen=True)
-class MetricDescriptor:
-    name: str
-    polarity: str = "neutral"
+class MetricDescriptor(Record):
+    __slots__ = ("name", "polarity")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, polarity: str = "neutral"):
+        if not name:
             raise ValueError("metric name must be non-empty")
-        if self.polarity not in POLARITIES:
-            raise ValueError(f"unknown polarity {self.polarity!r}")
+        if polarity not in POLARITIES:
+            raise ValueError(f"unknown polarity {polarity!r}")
+        setfield(self, "name", name)
+        setfield(self, "polarity", polarity)
 
 
 def _split_annotation(label: str) -> tuple[str, str | None]:
@@ -160,8 +160,7 @@ def infer_metric_semantics(name: str) -> MetricDescriptor:
     return MetricDescriptor(name=name, polarity=polarity)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Entity-by-metric values held as one column per metric, each in
     entity order; entities[0] is the analysis subject.
 
@@ -172,36 +171,39 @@ class Dataset:
     ``metrics``. Unknown names raise ``KeyError``.
     """
 
-    entities: tuple[str, ...]
-    metrics: tuple[MetricDescriptor, ...]
-    columns: tuple[tuple[float | None, ...], ...]  # columns[metric][entity]
+    __slots__ = ("entities", "metrics", "columns", "_row_index", "_column_index")
+    _fields = ("entities", "metrics", "columns")
 
-    def __post_init__(self):
-        if not self.entities:
+    def __init__(
+        self,
+        entities: tuple[str, ...],
+        metrics: tuple[MetricDescriptor, ...],
+        columns: tuple[tuple[float | None, ...], ...],  # columns[metric][entity]
+    ):
+        if not entities:
             raise ValueError("dataset needs at least one entity")
-        if any(not e for e in self.entities):
+        if any(not e for e in entities):
             raise ValueError("entity names must be non-empty")
-        if len(self._row_index) != len(self.entities):
+        row_index = {e: i for i, e in enumerate(entities)}
+        if len(row_index) != len(entities):
             raise ValueError("entity names must be unique")
-        if len(self._column_index) != len(self.metrics):
+        column_index = {m.name: j for j, m in enumerate(metrics)}
+        if len(column_index) != len(metrics):
             raise ValueError("metric names must be unique")
-        if len(self.columns) != len(self.metrics):
+        if len(columns) != len(metrics):
             raise ValueError("value matrix column count != metric count")
-        for column in self.columns:
-            if len(column) != len(self.entities):
+        for column in columns:
+            if len(column) != len(entities):
                 raise ValueError("value matrix row count != entity count")
+        setfield(self, "entities", entities)
+        setfield(self, "metrics", metrics)
+        setfield(self, "columns", columns)
+        setfield(self, "_row_index", row_index)
+        setfield(self, "_column_index", column_index)
 
     @property
     def subject(self) -> str:
         return self.entities[0]
-
-    @cached_property
-    def _row_index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.entities)}
-
-    @cached_property
-    def _column_index(self) -> dict[str, int]:
-        return {m.name: j for j, m in enumerate(self.metrics)}
 
     def value(self, entity: str, metric_name: str) -> float | None:
         return self.columns[self._column_index[metric_name]][self._row_index[entity]]
@@ -210,21 +212,21 @@ class Dataset:
         return self.columns[self._column_index[name]]
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(Record):
     """Closing prices as two columns of one length: ``dates`` strictly
     ascending, so no date repeats, and every close positive."""
 
-    dates: tuple[dt.date, ...]
-    closes: tuple[float, ...]
+    __slots__ = ("dates", "closes")
 
-    def __post_init__(self):
-        if len(self.dates) != len(self.closes):
+    def __init__(self, dates: tuple[dt.date, ...], closes: tuple[float, ...]):
+        if len(dates) != len(closes):
             raise ValueError("dates and closes differ in length")
-        if not all(map(operator.lt, self.dates, self.dates[1:])):
+        if not all(map(operator.lt, dates, dates[1:])):
             raise ValueError("dates must be strictly ascending")
-        if not all(c > 0 for c in self.closes):
+        if not all(c > 0 for c in closes):
             raise ValueError("prices must be strictly positive")
+        setfield(self, "dates", dates)
+        setfield(self, "closes", closes)
 
     @property
     def observations(self) -> tuple[tuple[dt.date, float], ...]:

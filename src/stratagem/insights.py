@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from datetime import date
 from functools import partial
 from itertools import count
 from operator import is_not
 
 from .ingest import Dataset, MetricDescriptor, TimeSeries
+from .record import Record, setfield
 
 THEME_TAGS = (
     "market-presence",
@@ -39,8 +39,7 @@ MIN_WORDS = 5
 MAX_WORDS = 40
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Record):
     """Central constants table for all insight rules.
 
     trend_window_change: minimum |relative least-squares change| over the
@@ -59,14 +58,29 @@ class Thresholds:
         catching weekday effects of about two standard deviations.
     """
 
-    trend_window_change: float = 0.02
-    steady_delta_share: float = 0.80
-    online_share_low: float = 0.15
-    online_share_high: float = 0.50
-    sentiment_strong: float = 0.85
-    sentiment_weak: float = 0.50
-    sentiment_gap: float = 0.10
-    cycle_spread_sigma: float = 1.5
+    __slots__ = ("trend_window_change", "steady_delta_share", "online_share_low",
+                 "online_share_high", "sentiment_strong", "sentiment_weak", "sentiment_gap",
+                 "cycle_spread_sigma")
+
+    def __init__(
+        self,
+        trend_window_change: float = 0.02,
+        steady_delta_share: float = 0.80,
+        online_share_low: float = 0.15,
+        online_share_high: float = 0.50,
+        sentiment_strong: float = 0.85,
+        sentiment_weak: float = 0.50,
+        sentiment_gap: float = 0.10,
+        cycle_spread_sigma: float = 1.5,
+    ):
+        setfield(self, "trend_window_change", trend_window_change)
+        setfield(self, "steady_delta_share", steady_delta_share)
+        setfield(self, "online_share_low", online_share_low)
+        setfield(self, "online_share_high", online_share_high)
+        setfield(self, "sentiment_strong", sentiment_strong)
+        setfield(self, "sentiment_weak", sentiment_weak)
+        setfield(self, "sentiment_gap", sentiment_gap)
+        setfield(self, "cycle_spread_sigma", cycle_spread_sigma)
 
 
 THRESHOLDS = Thresholds()
@@ -74,42 +88,52 @@ THRESHOLDS = Thresholds()
 EVIDENCE_KINDS = ("metric-value", "computed-ratio", "trend-slope", "rank", "cycle-stat")
 
 
-@dataclass(frozen=True)
-class Evidence:
-    kind: str
-    refs: tuple[str, ...]
-    value: float
+class Evidence(Record):
+    __slots__ = ("kind", "refs", "value")
 
-    def __post_init__(self):
-        if self.kind not in EVIDENCE_KINDS:
-            raise ValueError(f"unknown evidence kind {self.kind!r}")
-        if isinstance(self.value, float) and not math.isfinite(self.value):
-            raise ValueError(f"evidence value {self.value} is not finite")
+    def __init__(self, kind: str, refs: tuple[str, ...], value: float):
+        if kind not in EVIDENCE_KINDS:
+            raise ValueError(f"unknown evidence kind {kind!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"evidence value {value} is not finite")
+        setfield(self, "kind", kind)
+        setfield(self, "refs", refs)
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Insight:
-    id: str
-    statement: str
-    direction: str
-    magnitude: float
-    themes: frozenset[str]
-    evidence: tuple[Evidence, ...]
-    provenance: str  # "rule:<rule id>" or "llm:<model label>"
+class Insight(Record):
+    __slots__ = ("id", "statement", "direction", "magnitude", "themes", "evidence",
+                 "provenance")
 
-    def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if not 0.0 <= self.magnitude <= 1.0:
-            raise ValueError(f"magnitude {self.magnitude} outside [0, 1]")
-        words = len(self.statement.split())
+    def __init__(
+        self,
+        id: str,
+        statement: str,
+        direction: str,
+        magnitude: float,
+        themes: frozenset[str],
+        evidence: tuple[Evidence, ...],
+        provenance: str,  # "rule:<rule id>" or "llm:<model label>"
+    ):
+        if direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {direction!r}")
+        if not 0.0 <= magnitude <= 1.0:
+            raise ValueError(f"magnitude {magnitude} outside [0, 1]")
+        words = len(statement.split())
         if not MIN_WORDS <= words <= MAX_WORDS:
             raise ValueError(f"statement has {words} words, need {MIN_WORDS}-{MAX_WORDS}")
-        bad = self.themes - set(THEME_TAGS)
+        bad = themes - set(THEME_TAGS)
         if bad:
             raise ValueError(f"unknown themes {sorted(bad)}")
-        if self.provenance.startswith("rule:") and not self.evidence:
+        if provenance.startswith("rule:") and not evidence:
             raise ValueError("rule-sourced insight needs at least one evidence entry")
+        setfield(self, "id", id)
+        setfield(self, "statement", statement)
+        setfield(self, "direction", direction)
+        setfield(self, "magnitude", magnitude)
+        setfield(self, "themes", themes)
+        setfield(self, "evidence", evidence)
+        setfield(self, "provenance", provenance)
 
 
 _THEME_KEYWORDS = (
@@ -551,7 +575,7 @@ def _distinct_ids(found: list[Insight]) -> list[Insight]:
         if ins.id == prev.id:
             new_id = next(f"{ins.id}-{n}" for n in count(2) if f"{ins.id}-{n}" not in taken)
             taken.add(new_id)
-            ins = replace(ins, id=new_id)
+            ins = ins._replace(id=new_id)
         out.append(ins)
     return out
 

@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
 from itertools import count
 
 from .frameworks import (
@@ -27,6 +26,7 @@ from .frameworks import (
     validate_analysis,
 )
 from .insights import MAX_WORDS, MIN_WORDS, Insight
+from .record import Record, setfield
 
 DEFAULT_API_KEY_ENV = "STRATAGEM_LLM_API_KEY"
 LLM_FIT = 0.7  # fixed fit for LLM-proposed slot assignments
@@ -109,18 +109,24 @@ def request_hash(template_id: str, bindings: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
-    model: str
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    mode: str = "live"  # live | record | replay
-    transcript_path: str | None = None
+class ProviderConfig(Record):
+    __slots__ = ("model", "endpoint", "mode", "transcript_path")
 
-    def __post_init__(self):
-        if self.mode not in ("live", "record", "replay"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode in ("record", "replay") and not self.transcript_path:
-            raise ValueError(f"{self.mode} mode requires a transcript path")
+    def __init__(
+        self,
+        model: str,
+        endpoint: str = "https://api.openai.com/v1/chat/completions",
+        mode: str = "live",  # live | record | replay
+        transcript_path: str | None = None,
+    ):
+        if mode not in ("live", "record", "replay"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode in ("record", "replay") and not transcript_path:
+            raise ValueError(f"{mode} mode requires a transcript path")
+        setfield(self, "model", model)
+        setfield(self, "endpoint", endpoint)
+        setfield(self, "mode", mode)
+        setfield(self, "transcript_path", transcript_path)
 
 
 def load_transcript(path: str) -> dict[str, str]:
@@ -387,10 +393,12 @@ _REFUSAL_MARKERS = (
 _HEADING_RE = re.compile(r"^\s*(?:#+\s*)?\*{0,2}(?P<head>[A-Za-z][A-Za-z' ]{2,50}?)\*{0,2}:?\s*$")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    kind: str  # unmatched-heading | overflow | empty-slot
-    detail: str
+class ParseDiagnostic(Record):
+    __slots__ = ("kind", "detail")  # kind: unmatched-heading | overflow | empty-slot
+
+    def __init__(self, kind: str, detail: str):
+        setfield(self, "kind", kind)
+        setfield(self, "detail", detail)
 
 
 def parse_framework_assignment(

@@ -47,11 +47,11 @@ size at which about half of a report's texts are open.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 
 from .fonts import ADVANCE_WIDTHS, FALLBACK_ADVANCE, measure_text
+from .record import Record, setfield
 
 MIN_FONT = 10
 MAX_FONT = 28
@@ -70,11 +70,14 @@ class UnbreakableToken(Exception):
         super().__init__(f"cannot fit even one character of {token!r}")
 
 
-@dataclass(frozen=True)
-class TextBlock:
-    lines: tuple[str, ...]
-    font_size: float
-    origin: tuple[float, float] = (0.0, 0.0)
+class TextBlock(Record):
+    __slots__ = ("lines", "font_size", "origin")
+
+    def __init__(self, lines: tuple[str, ...], font_size: float,
+                 origin: tuple[float, float] = (0.0, 0.0)):
+        setfield(self, "lines", lines)
+        setfield(self, "font_size", font_size)
+        setfield(self, "origin", origin)
 
     @property
     def line_height(self) -> float:
@@ -94,7 +97,7 @@ class TextBlock:
         return measure_text(max(self.lines, key=_em.__wrapped__), self.font_size)
 
     def at(self, x: float, y: float) -> "TextBlock":
-        return TextBlock(lines=self.lines, font_size=self.font_size, origin=(x, y))
+        return TextBlock(self.lines, self.font_size, (x, y))
 
 
 def _split_token(token: str, width: float, size: float) -> list[str]:
@@ -228,7 +231,7 @@ def fit_text(
     prepared = _measured(text.split())
     words, ems, _ = prepared
     if not words:
-        return TextBlock(lines=(), font_size=float(max_font))
+        return TextBlock((), float(max_font))
     total_em = sum(ems)
     low, high = max(min_font, 1), max_font
     probe = high
@@ -244,5 +247,5 @@ def fit_text(
         except UnbreakableToken:
             continue
         if len(lines) * LINE_HEIGHT * size <= height:
-            return TextBlock(lines=lines, font_size=float(size))
+            return TextBlock(lines, float(size))
     raise DoesNotFitAtMinFont(text)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import hashlib
 import json
@@ -320,8 +319,8 @@ class TestInsightsCommand:
         llm_stub.reply = reply
         monkeypatch.setattr(llm, "_TIMEOUT_S", 0.2)
         parse = cli._parse_llm_flag
-        monkeypatch.setattr(cli, "_parse_llm_flag", lambda value: dataclasses.replace(
-            parse(value), endpoint=llm_stub.endpoint))
+        monkeypatch.setattr(cli, "_parse_llm_flag", lambda value: parse(value)._replace(
+            endpoint=llm_stub.endpoint))
         out = tmp_path / "x.json"
         assert run("insights", "--table", str(FOOBAR), "--llm", "live:m", "-o", str(out)) == 3
         assert capsys.readouterr().err == f"LLM error: {llm_stub.endpoint}: {cause}\n"

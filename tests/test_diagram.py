@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import random
+import string
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
 
@@ -161,6 +161,11 @@ class TestStyle:
         assert (s.background, s.risk_fill("low"), s.risk_fill("high")) == (
             "white", "#abc", "#A0B1C2")
         assert s.font_family == "'Open Sans', DejaVu-Sans, sans-serif"
+
+    def test_spelt_out_character_sets_match_the_string_module(self):
+        assert diagram._FONT_FAMILY_CHARS == frozenset(
+            string.ascii_letters + string.digits + " ,'-")
+        assert diagram._HEX_DIGITS == frozenset(string.hexdigits)
 
     @pytest.mark.parametrize("content,key", [
         ('{"background": "url(#x)"}', "background"),
@@ -472,22 +477,22 @@ def _moved(box, dx, dy):
     def shift(block):
         return block.at(block.origin[0] + dx, block.origin[1] + dy)
 
-    return dataclasses.replace(box, x=box.x + dx, y=box.y + dy,
-                               title=shift(box.title), body=tuple(map(shift, box.body)))
+    return box._replace(x=box.x + dx, y=box.y + dy,
+                        title=shift(box.title), body=tuple(map(shift, box.body)))
 
 
 def _with_box(spec, i, box):
-    return dataclasses.replace(spec, boxes=spec.boxes[:i] + (box,) + spec.boxes[i + 1:])
+    return spec._replace(boxes=spec.boxes[:i] + (box,) + spec.boxes[i + 1:])
 
 
 def _with_title(spec, i, **changes):
     box = spec.boxes[i]
-    return _with_box(spec, i, dataclasses.replace(box, title=dataclasses.replace(box.title, **changes)))
+    return _with_box(spec, i, box._replace(title=box.title._replace(**changes)))
 
 
 def _with_arrow_points(spec, points):
-    arrow = dataclasses.replace(spec.arrows[0], points=points(spec.arrows[0]))
-    return dataclasses.replace(spec, arrows=(arrow,) + spec.arrows[1:])
+    arrow = spec.arrows[0]._replace(points=points(spec.arrows[0]))
+    return spec._replace(arrows=(arrow,) + spec.arrows[1:])
 
 
 def _center(box):
@@ -511,8 +516,8 @@ _SPEC_PROBLEMS = [
      f"font size {MIN_FONT - 1} outside bounds in strengths"),
     ("swot", lambda s: _with_box(s, 1, _moved(s.boxes[1], -30, 0)),
      "boxes strengths and weaknesses overlap"),
-    ("porter5", lambda s: dataclasses.replace(s, arrows=(
-        dataclasses.replace(s.arrows[0], from_id="nowhere"),) + s.arrows[1:]),
+    ("porter5", lambda s: s._replace(arrows=(
+        s.arrows[0]._replace(from_id="nowhere"),) + s.arrows[1:]),
      "arrow references unknown box nowhere->rivalry"),
     ("porter5", lambda s: _with_arrow_points(s, lambda a: (_center(s.boxes[1]),) + a.points[1:]),
      "arrow start not on boundary of supplier_power"),
@@ -521,9 +526,8 @@ _SPEC_PROBLEMS = [
     ("porter5", lambda s: _with_arrow_points(
         s, lambda a: (a.points[0], _center(s.boxes[1]), a.points[-1])),
      "arrow supplier_power->rivalry enters box supplier_power"),
-    ("value_discipline", lambda s: dataclasses.replace(s, radar=dataclasses.replace(
-        s.radar, axes=(dataclasses.replace(
-            s.radar.axes[0], label=s.radar.axes[0].label.at(*s.radar.center)),)
+    ("value_discipline", lambda s: s._replace(radar=s.radar._replace(
+        axes=(s.radar.axes[0]._replace(label=s.radar.axes[0].label.at(*s.radar.center)),)
         + s.radar.axes[1:])),
      "radar label overlaps ring for operational_excellence"),
 ]

@@ -208,12 +208,27 @@ def test_pyproject_declares_no_runtime_dependency():
     assert not re.search(r"^dependencies\s*=", project, re.M)
 
 
+def _loaded_after_importing_the_cli(*modules: str) -> list[str]:
+    """Those of ``modules`` that a fresh interpreter has loaded once it
+    has imported ``stratagem.cli`` from this checkout's ``src``. It runs
+    with ``-S``, so that no ``.pth`` file of the installation imports a
+    module before the package does."""
+    code = (f"import sys, stratagem.cli\n"
+            f"print(sorted(m for m in sys.modules if m in {modules!r}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *sys.path]))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout)
+
+
 def test_importing_the_cli_leaves_the_http_client_unloaded():
     """``llm`` imports ``urllib.request`` only for a live call, so starting
     the CLI does not pay for it."""
-    code = ("import sys, stratagem.cli\n"
-            "print(sorted(m for m in sys.modules if m in ('urllib.request', 'http.client')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _loaded_after_importing_the_cli("urllib.request", "http.client") == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_string():
+    """The records build no code at import (``stratagem.record``), which
+    ``dataclasses`` does and for which it loads ``inspect``; ``diagram``
+    spells out the characters it took from ``string``."""
+    assert _loaded_after_importing_the_cli("dataclasses", "inspect", "string") == []

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime as dt
 import io
 import random
@@ -159,12 +158,13 @@ class TestDatasetLookups:
         built, fresh = parse_table(foobar_text), parse_table(foobar_text)
         assert built.value("Acme LLP", "Number of stores") == 450
         assert built.column("Number of stores")[1] == 450
-        assert [f.name for f in dataclasses.fields(Dataset)] == ["entities", "metrics", "columns"]
+        assert list(Dataset._fields) == ["entities", "metrics", "columns"]
         run_all_rules(fresh, prices_series)
-        maps = set(vars(fresh)) - {f.name for f in dataclasses.fields(fresh)}
+        assert not hasattr(fresh, "__dict__")
+        maps = {name for name in Dataset.__slots__ if hasattr(fresh, name)} - set(fresh._fields)
         assert maps == {"_row_index", "_column_index"}
         for name in maps:  # drop one side's maps: they must not be compared
-            del vars(fresh)[name]
+            object.__delattr__(fresh, name)
         assert built == fresh
         assert hash(built) == hash(fresh)
         assert repr(built) == repr(fresh)
