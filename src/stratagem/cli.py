@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from . import diagram, frameworks, ingest, insights as insights_mod, llm
 
@@ -37,7 +36,8 @@ _FRAMEWORK_NAMES = {
 def _read_text(path: str) -> str:
     """The UTF-8 text of an input file; an unreadable file is an input error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise _Failed(EXIT_INPUT, f"error: cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -47,7 +47,8 @@ def _read_text(path: str) -> str:
 
 def _write_text(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise _Failed(EXIT_INPUT, f"error: cannot write {path}: {exc.strerror}") from None
 
@@ -271,7 +272,9 @@ def cmd_render(args) -> int:
 def cmd_pipeline(args) -> int:
     """The three stages in memory; writes the same three files as the
     subcommands chained on their outputs."""
-    out = Path(args.output)
+    import pathlib  # not at module level: only this command needs it
+
+    out = pathlib.Path(args.output)
     stem = str(out.with_suffix(""))
     subject, found = _insights(args, stem + ".insights.json")
     analysis = _organize(args, subject, found, stem + ".analysis.json")

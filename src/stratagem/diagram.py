@@ -525,8 +525,9 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
 
 def _radar_label(text: str, angle_deg: float, center, radius: float, width: float,
                  style: Style) -> TextBlock:
-    """Fit an axis label, place it just beyond its spoke's end, then push it
-    out along the spoke until it clears the outer ring."""
+    """Fit an axis label and place it just beyond its spoke's end. On each
+    of the ``_RADAR_ANGLES`` spokes, the label's nearest point is then
+    ``radius + 12`` from the centre, so it clears the outer ring."""
     block = fit_text(text, width, 40, min_font=style.min_font, max_font=_cap(14, style))
     cx, cy = center
     rad = math.radians(angle_deg)
@@ -539,9 +540,6 @@ def _radar_label(text: str, angle_deg: float, center, radius: float, width: floa
     ly = ly_anchor - block.height if dy < -0.2 else (
         ly_anchor if dy > 0.2 else ly_anchor - block.height / 2
     )
-    while _rect_circle_overlap((lx, ly, block.width, block.height), center, radius):
-        lx += dx * 4
-        ly += dy * 4
     return block.at(lx, ly)
 
 

@@ -147,8 +147,6 @@ def infer_metric_semantics(name: str) -> MetricDescriptor:
     when no keyword matches.
     """
     name, forced = _split_annotation(name)
-    if not name:
-        raise ValueError("metric name must be non-empty")
     low = name.lower()
     polarity = "neutral"
     if any(kw in low for kw in _LOWER_KEYWORDS):

@@ -1,9 +1,10 @@
 """Deterministic rule engine turning datasets and timeseries into ranked insights.
 
-Every firing threshold lives in the one fixed ``THRESHOLDS`` table below so
-the qualitative rules ("very low", "significant difference") are explicit
-and test-pinned. Statements come from fixed templates per rule; magnitudes
-are clamped into [0, 1] so downstream ranking has a uniform scale.
+Every firing threshold is one of the fixed module constants below,
+``TREND_WINDOW_CHANGE`` ... ``CYCLE_SPREAD_SIGMA``, so the qualitative rules
+("very low", "significant difference") are explicit and test-pinned.
+Statements come from fixed templates per rule; magnitudes are clamped into
+[0, 1] so downstream ranking has a uniform scale.
 """
 
 from __future__ import annotations
@@ -39,51 +40,26 @@ MIN_WORDS = 5
 MAX_WORDS = 40
 
 
-class Thresholds(Record):
-    """Central constants table for all insight rules.
-
-    trend_window_change: minimum |relative least-squares change| over the
-        window for a trend to fire.
-    steady_delta_share: share of successive deltas that must agree with the
-        slope sign for the "steady" label.
-    online_share_low / online_share_high: online revenue share below/above
-        which the channel-mix rule fires negative/positive.
-    sentiment_strong / sentiment_weak: positive-share bounds for the
-        per-channel sentiment rules.
-    sentiment_gap: minimum cross-channel positive-share gap for the
-        contrast rule.
-    cycle_spread_sigma: weekday-mean spread, in units of the close-price
-        standard deviation, at which the weekly-cycle rule fires. 1.5
-        keeps the white-noise false-positive rate under 10% while still
-        catching weekday effects of about two standard deviations.
-    """
-
-    __slots__ = ("trend_window_change", "steady_delta_share", "online_share_low",
-                 "online_share_high", "sentiment_strong", "sentiment_weak", "sentiment_gap",
-                 "cycle_spread_sigma")
-
-    def __init__(
-        self,
-        trend_window_change: float = 0.02,
-        steady_delta_share: float = 0.80,
-        online_share_low: float = 0.15,
-        online_share_high: float = 0.50,
-        sentiment_strong: float = 0.85,
-        sentiment_weak: float = 0.50,
-        sentiment_gap: float = 0.10,
-        cycle_spread_sigma: float = 1.5,
-    ):
-        setfield(self, "trend_window_change", trend_window_change)
-        setfield(self, "steady_delta_share", steady_delta_share)
-        setfield(self, "online_share_low", online_share_low)
-        setfield(self, "online_share_high", online_share_high)
-        setfield(self, "sentiment_strong", sentiment_strong)
-        setfield(self, "sentiment_weak", sentiment_weak)
-        setfield(self, "sentiment_gap", sentiment_gap)
-        setfield(self, "cycle_spread_sigma", cycle_spread_sigma)
-
-
-THRESHOLDS = Thresholds()
+# The firing thresholds of the rules, fixed and test-pinned.
+# Minimum |relative least-squares change| over the window for a trend to fire.
+TREND_WINDOW_CHANGE = 0.02
+# Share of successive deltas that must agree with the slope sign for the
+# "steady" label.
+STEADY_DELTA_SHARE = 0.80
+# Online revenue share below/above which the channel-mix rule fires
+# negative/positive.
+ONLINE_SHARE_LOW = 0.15
+ONLINE_SHARE_HIGH = 0.50
+# Positive-share bounds for the per-channel sentiment rules.
+SENTIMENT_STRONG = 0.85
+SENTIMENT_WEAK = 0.50
+# Minimum cross-channel positive-share gap for the contrast rule.
+SENTIMENT_GAP = 0.10
+# Weekday-mean spread, in units of the close-price standard deviation, at
+# which the weekly-cycle rule fires. 1.5 keeps the white-noise
+# false-positive rate under 10% while still catching weekday effects of
+# about two standard deviations.
+CYCLE_SPREAD_SIGMA = 1.5
 
 EVIDENCE_KINDS = ("metric-value", "computed-ratio", "trend-slope", "rank", "cycle-stat")
 
@@ -226,7 +202,7 @@ def trend_insight(
     slope = _finite(sxy / sxx, metric.name, "trend slope")
     base = abs(values[0]) if values[0] != 0 else (abs(ybar) or 1.0)
     rel_slope_change = _finite(slope * (n - 1) / base, metric.name, "relative slope")
-    if abs(rel_slope_change) < THRESHOLDS.trend_window_change:
+    if abs(rel_slope_change) < TREND_WINDOW_CHANGE:
         return None
     rel_change = _finite(
         (values[-1] - values[0]) / base * (1 if values[0] >= 0 else -1),
@@ -234,7 +210,7 @@ def trend_insight(
     )
     deltas = [b - a for a, b in zip(values, values[1:])]
     agree = sum(1 for d in deltas if d * slope > 0)
-    steady = agree / len(deltas) >= THRESHOLDS.steady_delta_share
+    steady = agree / len(deltas) >= STEADY_DELTA_SHARE
     raw_dir = "positive" if slope > 0 else "negative"
     direction = _flip(raw_dir, metric.polarity)
     word = "growth" if slope > 0 else "decline"
@@ -293,7 +269,12 @@ def peer_comparison_insight(
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
-    peer_mean = _finite(_fsum(values) / len(values), metric.name, "peer mean")
+    # a sum that overflows part way does so in some orders of the peers
+    # only, when their mean is finite; then it sums each peer's share
+    peer_mean = _fsum(values) / len(values)
+    if math.isinf(peer_mean):
+        peer_mean = _fsum(v / len(values) for v in values)
+    peer_mean = _finite(peer_mean, metric.name, "peer mean")
     spread = _finite(hi - lo, metric.name, "peer spread")
     magnitude = _clamp01(abs(sval - peer_mean) / spread)
     tone = {
@@ -355,13 +336,13 @@ def ratio_insight(
     if found is None:
         return None
     share, evidence = found
-    if share < THRESHOLDS.online_share_low:
+    if share < ONLINE_SHARE_LOW:
         direction = "negative"
         statement = (
             f"Online revenue is only {share * 100:.1f} percent of total revenue "
             f"for {subject}, leaving the online channel underdeveloped."
         )
-    elif share > THRESHOLDS.online_share_high:
+    elif share > ONLINE_SHARE_HIGH:
         direction = "positive"
         statement = (
             f"Online revenue reaches {share * 100:.1f} percent of total revenue "
@@ -373,7 +354,7 @@ def ratio_insight(
         id=f"ratio:{_slug(numerator)}-vs-{_slug(denominator)}",
         statement=statement,
         direction=direction,
-        magnitude=_clamp01(abs(share - THRESHOLDS.online_share_low) / 0.85),
+        magnitude=_clamp01(abs(share - ONLINE_SHARE_LOW) / 0.85),
         themes=frozenset(["online-channel"]),
         evidence=evidence,
         provenance="rule:ratio",
@@ -413,10 +394,10 @@ def sentiment_balance_insight(dataset: Dataset, subject: str) -> list[Insight]:
             continue
         share, evidence = found
         ratios[label] = evidence[0]
-        if share >= THRESHOLDS.sentiment_strong:
+        if share >= SENTIMENT_STRONG:
             direction, magnitude = "positive", (share - 0.5) * 2
             only, reading = "", "indicating a strong public reputation there"
-        elif share <= THRESHOLDS.sentiment_weak:
+        elif share <= SENTIMENT_WEAK:
             direction, magnitude = "negative", (0.5 - share) * 2 + 0.2
             only, reading = "only ", "signalling a reputational risk there"
         else:
@@ -440,7 +421,7 @@ def sentiment_balance_insight(dataset: Dataset, subject: str) -> list[Insight]:
         lo_label, hi_label = ordered[0], ordered[-1]
         lo, hi = ratios[lo_label], ratios[hi_label]
         gap = hi.value - lo.value
-        if gap >= THRESHOLDS.sentiment_gap:
+        if gap >= SENTIMENT_GAP:
             out.append(
                 Insight(
                     id=f"sentiment-contrast:{_slug(lo_label)}-vs-{_slug(hi_label)}",
@@ -490,7 +471,7 @@ def weekly_cycle_insight(series: TimeSeries) -> Insight | None:
     low_day = min(means, key=lambda d: (means[d], d))
     high_day = max(means, key=lambda d: (means[d], -d))
     spread = means[high_day] - means[low_day]
-    if spread < THRESHOLDS.cycle_spread_sigma * sd:
+    if spread < CYCLE_SPREAD_SIGMA * sd:
         return None
     statement = (
         f"Closing prices show a weekly cycle, with {_WEEKDAYS[low_day]} averaging "
@@ -504,7 +485,7 @@ def weekly_cycle_insight(series: TimeSeries) -> Insight | None:
         id="cycle:close-weekday",
         statement=statement,
         direction="neutral",
-        magnitude=_clamp01(spread / (2 * THRESHOLDS.cycle_spread_sigma * sd)),
+        magnitude=_clamp01(spread / (2 * CYCLE_SPREAD_SIGMA * sd)),
         themes=frozenset(["growth"]),
         evidence=evidence,
         provenance="rule:cycle",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
-import hashlib
 import json
 import os
 import re
@@ -101,6 +100,8 @@ def render_prompt(template_id: str, bindings: dict[str, str]) -> str:
 def request_hash(template_id: str, bindings: dict[str, str]) -> str:
     """Canonical request key: template id plus sorted bindings, so cosmetic
     whitespace in transports cannot invalidate fixtures."""
+    import hashlib  # not at module level: only ``--llm`` paths hash
+
     canon = json.dumps(
         {"template": template_id, "bindings": {k: str(bindings[k]) for k in sorted(bindings)}},
         sort_keys=True,

@@ -400,6 +400,22 @@ class TestLayoutRadar:
         }
 
 
+@settings(max_examples=300, deadline=None)
+@given(angle=st.sampled_from(diagram._RADAR_ANGLES), radius=st.floats(0, 5000),
+       center=st.tuples(st.floats(0, 20000), st.floats(0, 20000)),
+       words=st.lists(st.text(string.ascii_letters + string.digits + "()./",
+                              min_size=1, max_size=8), min_size=1, max_size=3),
+       scale=st.sampled_from([1, 2, 4]))
+def test_radar_label_lies_beyond_the_ring(angle, radius, center, words, scale):
+    """A label's nearest point lies ``radius + 12`` from the centre, so no
+    label on a spoke of non-negative radius needs pushing off the ring."""
+    text = " ".join(words)
+    block = diagram._radar_label(text, angle, center, radius, 170 * scale, Style())
+    (x, y), (cx, cy) = block.origin, center
+    nearest = (min(max(cx, x), x + block.width), min(max(cy, y), y + block.height))
+    assert math.dist(nearest, center) >= radius + 12 - 1e-6
+
+
 # ---------------------------------------------------------------------------
 # SVG emission
 

@@ -230,5 +230,10 @@ def test_importing_the_cli_leaves_the_http_client_unloaded():
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_string():
     """The records build no code at import (``stratagem.record``), which
     ``dataclasses`` does and for which it loads ``inspect``; ``diagram``
-    spells out the characters it took from ``string``."""
-    assert _loaded_after_importing_the_cli("dataclasses", "inspect", "string") == []
+    spells out the characters it took from ``string``. Nor does it load
+    ``pathlib`` (on 3.11 it loads ``urllib.parse`` and ``ipaddress``) or
+    ``hashlib`` (it loads OpenSSL's ``_hashlib``): ``cli`` reads and writes
+    through ``open`` and imports ``pathlib`` only for ``pipeline``, and
+    ``llm`` imports ``hashlib`` only to hash an ``--llm`` request."""
+    assert _loaded_after_importing_the_cli(
+        "dataclasses", "inspect", "string", "pathlib", "hashlib", "_hashlib") == []

@@ -632,18 +632,36 @@ class TestRunAllRules:
 
     @pytest.mark.parametrize("columns,message", [
         ({"Revenue ($m)": (1e308, -1e308, 0.0)}, "Revenue ($m): peer spread"),
-        ({"Revenue ($m)": (1e308, -1e308, -1e308)}, "Revenue ($m): peer mean"),
+        # the peers' mean, -1e308, is finite; the spread, 2e308, is not
+        ({"Revenue ($m)": (1e308, -1e308, -1e308)}, "Revenue ($m): peer spread"),
+        ({"Revenue ($m)": (0.0, math.inf, 1.0)}, "Revenue ($m): peer mean"),
         ({"Online revenue": (1e308,), "In-store revenue": (1e308,)},
          "Online revenue + In-store revenue: total"),
         ({"Positive web sentiment": (1e308,), "Negative web sentiment": (1e308,)},
          "Positive web sentiment + Negative web sentiment: total"),
-    ], ids=["peer-spread", "peer-mean", "ratio-total", "sentiment-total"])
+    ], ids=["peer-spread", "peer-mean", "peer-mean-infinite-cell", "ratio-total",
+            "sentiment-total"])
     def test_overflowing_table_arithmetic_is_typed_error(self, columns, message):
-        """Finite cells whose sum or difference overflows would otherwise
-        give a magnitude of 0 or NaN, or a share of 0 percent."""
+        """Finite cells whose sum or difference overflows, or an infinite
+        cell, would otherwise give a magnitude of 0 or NaN, or a share of 0
+        percent."""
         with pytest.raises(NonFiniteResult) as exc:
             run_all_rules(small_dataset(**columns), None)
         assert str(exc.value) == f"{message} is not finite; the values overflow"
+
+    def test_peer_mean_does_not_depend_on_peer_order(self):
+        """9e307 + 9e307 overflows, so in two of the three orders of these
+        peers their sum overflows part way; their mean is finite in all."""
+        cells = {"S": 9.5e307, "A": 9e307, "B": 9e307, "C": -1e306}
+        found = set()
+        for peers in (("A", "B", "C"), ("A", "C", "B"), ("C", "A", "B")):
+            entities = ("S", *peers)
+            dataset = Dataset(entities=entities, metrics=(MetricDescriptor("Revenue ($m)"),),
+                              columns=(tuple(cells[e] for e in entities),))
+            ins = peer_comparison_insight(dataset, "S", dataset.metrics[0])
+            assert ins.magnitude == 0.3680555555555555
+            found.add(json.dumps(insight_to_dict(ins)))
+        assert len(found) == 1
 
     def test_foobar_insights_are_pinned(self, foobar_dataset, prices_series):
         """The twelve Foobar table and price-series insights, ratio,
@@ -741,6 +759,8 @@ def _full_ranking_peer(dataset, subject, metric):
     else:
         return None
     peer_mean = _fsum(peer_values) / len(peer_values)
+    if math.isinf(peer_mean):  # the sum overflowed, in this order at least
+        peer_mean = _fsum(v / len(peer_values) for v in peer_values)
     for quantity, x in (("peer mean", peer_mean), ("peer spread", hi - lo)):
         if not math.isfinite(x):
             raise NonFiniteResult(metric.name, quantity)
@@ -777,7 +797,10 @@ def _ranking_peer(dataset, subject, metric):
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
-    peer_mean = _finite(_fsum(v for _, _, v in peers) / len(peers), metric.name, "peer mean")
+    peer_mean = _fsum(v for _, _, v in peers) / len(peers)
+    if math.isinf(peer_mean):  # the sum overflowed, in this order at least
+        peer_mean = _fsum(v / len(peers) for _, _, v in peers)
+    peer_mean = _finite(peer_mean, metric.name, "peer mean")
     spread = _finite(hi - lo, metric.name, "peer spread")
     tone = {"positive": "a clear strength", "negative": "a clear weakness",
             "neutral": "an outlier position"}[direction]

@@ -20,7 +20,7 @@ from stratagem.frameworks import (
     AxisScore, FrameworkSchema, OrganizedAnalysis, SlotDescriptor, Violation,
 )
 from stratagem.ingest import Dataset, MetricDescriptor, TimeSeries
-from stratagem.insights import Evidence, Insight, Thresholds
+from stratagem.insights import Evidence, Insight
 from stratagem.llm import ParseDiagnostic, ProviderConfig
 from stratagem.record import Record
 from stratagem.textfit import TextBlock
@@ -52,7 +52,6 @@ RECORDS = {
               {"entities": ("Foobar", "Foobar")}),
     TimeSeries: (lambda: TimeSeries((dt.date(2024, 1, 1), dt.date(2024, 1, 2)), (3.0, 4.0)),
                  {"closes": (3.0, -4.0)}),
-    Thresholds: (lambda: Thresholds(sentiment_gap=0.2), None),
     Evidence: (lambda: Evidence("metric-value", ("Revenue", "Foobar"), 12.5), {"kind": "bogus"}),
     Insight: (lambda: Insight("trend:revenue", "Revenue rose by ten percent this year",
                               "positive", 0.4, frozenset(["growth"]),
@@ -69,7 +68,7 @@ def test_every_record_class_is_covered():
     for info in pkgutil.iter_modules(stratagem.__path__):
         importlib.import_module(f"stratagem.{info.name}")
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 19
 
 
 @pytest.fixture(params=list(RECORDS), ids=lambda cls: cls.__name__)
