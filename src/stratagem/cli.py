@@ -150,7 +150,7 @@ def _insights(args, output: str) -> tuple[str, list]:
         try:
             found = insights_mod.run_all_rules(dataset, series, subject or None)
         except insights_mod.NonFiniteResult as exc:
-            path = _overflowing_input(args, dataset, subject)
+            path = args.table if exc.input == "table" else args.timeseries
             raise _Failed(EXIT_INPUT, f"error in {path}: {exc}") from None
     if args.llm_config:
         try:
@@ -167,17 +167,6 @@ def _insights(args, output: str) -> tuple[str, list]:
     _write_json(output, out)
     print(f"wrote {len(found)} insights to {output}")
     return subject, found
-
-
-def _overflowing_input(args, dataset, subject: str) -> str:
-    """The file whose rules overflowed. The table's rules run first, so it
-    is the table when they overflow on their own, else the timeseries."""
-    if dataset is not None:
-        try:
-            insights_mod.run_all_rules(dataset, None, subject or None)
-        except insights_mod.NonFiniteResult:
-            return args.table
-    return args.timeseries
 
 
 def _load_json(path: str, kind: str, parse):

@@ -80,7 +80,8 @@ class Style(Record):
 # The keys a style file may hold; any other is a misspelling to report.
 _STYLE_KEYS = ("canvas", "padding", "gap", "min_font", "max_font", "font_family",
                "background", "palette")
-# Style lengths stop here so the layouts' whole-pixel geometry loops stay short.
+# Style lengths stop here so that at the largest fit scale (256) a float's step
+# (about 1e-9 px at 5e6 px) stays far finer than validate_spec's 1e-6 px.
 _MAX_LENGTH = 20000.0
 # Style colours and the font family are copied into SVG attributes. Escaping
 # keeps them from breaking the markup; these forms also keep them to a plain
@@ -251,29 +252,24 @@ class DiagramSpec(Record):
 # ---------------------------------------------------------------------------
 # geometry helpers
 
-def _rects_overlap(a, b, tol: float = 1e-6) -> bool:
+def _rects_overlap(a, b) -> bool:
+    """Interiors overlap by more than 1e-6 px; shared grid borders do not."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     return (
-        ax + tol < bx + bw
-        and bx + tol < ax + aw
-        and ay + tol < by + bh
-        and by + tol < ay + ah
+        ax + 1e-6 < bx + bw
+        and bx + 1e-6 < ax + aw
+        and ay + 1e-6 < by + bh
+        and by + 1e-6 < ay + ah
     )
 
 
-def _on_rect_boundary(p, rect, tol: float = 0.5) -> bool:
+def _on_rect_boundary(p, rect) -> bool:
+    """Whether ``p`` lies within 0.5 px of an edge of ``rect``."""
     x, y, w, h = rect
     px, py = p
-    inside_x = x - tol <= px <= x + w + tol
-    inside_y = y - tol <= py <= y + h + tol
-    near_edge = (
-        abs(px - x) <= tol
-        or abs(px - (x + w)) <= tol
-        or abs(py - y) <= tol
-        or abs(py - (y + h)) <= tol
-    )
-    return inside_x and inside_y and near_edge
+    return (x - 0.5 <= px <= x + w + 0.5 and y - 0.5 <= py <= y + h + 0.5 and min(
+        abs(px - x), abs(px - (x + w)), abs(py - y), abs(py - (y + h))) <= 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -341,37 +337,40 @@ def _facing_mid(rect, cell, toward) -> tuple[float, float]:
     return (x + w / 2 * (1 + dc), y + h / 2 * (1 + dr))
 
 
+def _ring_radius(bw: float, bh: float) -> float:
+    """The radius of a ring of four ``bw`` x ``bh`` boxes, the first 10-px step
+    up from 0.75 of the longer side at which they keep over 8 px apart: past
+    ``min(bw, bh) + 8``, as neighbours sit ``r`` apart on both axes, and past
+    ``(max(bw, bh) + 8) / 2``, as opposite boxes sit ``2r`` apart."""
+    r = max(bw, bh) * 0.75
+    need = max(min(bw, bh) + 8, (max(bw, bh) + 8) / 2)
+    if r <= need:
+        r += 10 * ((need - r) // 10 + 1)
+        if r <= need:  # the sum rounded down onto the bound
+            r += 10
+    return r
+
+
 def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int):
-    """Virtuous circle: N stage boxes on a circle, one directed arrow per stage.
+    """Virtuous circle: four stage boxes on a circle, one directed arrow per stage.
 
     ``canvas_w`` and ``canvas_h`` set only the box sizes: 30% and 26% of
-    them, times the scale. The canvas follows from the ring. Its radius
-    starts at 0.75 of the longer box side and grows in 10-px steps until
-    the boxes keep 8 px apart, and the canvas is the ring plus half a box
-    and the gap on every side, under the title strip. So the default
-    900x640 style gives a 711x655.4 canvas at scale 1."""
+    them, times the scale. The canvas is the ring (``_ring_radius``) plus
+    half a box and the gap on every side, under the title strip. So the
+    default 900x640 style gives a 711x655.4 canvas at scale 1."""
     slots = analysis.schema.slots
     n = len(slots)
     bw = style.canvas_w * 0.30 * scale
     bh = style.canvas_h * 0.26 * scale
     angles = [2 * math.pi * k / n - math.pi / 2 for k in range(n)]
-    # grow the circle until no boxes overlap
-    r = max(bw, bh) * 0.75
-    while True:
-        centers = [(r * math.cos(a), r * math.sin(a)) for a in angles]
-        rects = [(cx - bw / 2, cy - bh / 2, bw, bh) for cx, cy in centers]
-        if not any(
-            _rects_overlap(rects[i], rects[j], tol=-8)
-            for i in range(n) for j in range(i + 1, n)
-        ):
-            break
-        r += 10
+    r = _ring_radius(bw, bh)
     margin = style.gap
     W = 2 * (r + bw / 2 + margin)
     H = _TITLE_STRIP + 2 * (r + bh / 2 + margin)
     ox = W / 2
     oy = _TITLE_STRIP + (H - _TITLE_STRIP) / 2
-    rects = [(ox + cx - bw / 2, oy + cy - bh / 2, bw, bh) for cx, cy in centers]
+    rects = [(ox + r * math.cos(a) - bw / 2, oy + r * math.sin(a) - bh / 2, bw, bh)
+             for a in angles]
     boxes = tuple(
         (slot.id, rect, slot.title, _statements(analysis, slot.id), _BOX_FILL)
         for slot, rect in zip(slots, rects)
@@ -615,8 +614,7 @@ def validate_spec(spec: DiagramSpec) -> list[str]:
                 problems.append(f"font size {block.font_size} outside bounds in {box.id}")
     for i, a in enumerate(spec.boxes):
         for b in spec.boxes[i + 1:]:
-            # touching edges (shared grid borders) are fine; interior overlap is not
-            if _rects_overlap(a.rect, b.rect, tol=1e-6):
+            if _rects_overlap(a.rect, b.rect):
                 problems.append(f"boxes {a.id} and {b.id} overlap")
     by_id = {b.id: b for b in spec.boxes}
     for arrow in spec.arrows:
@@ -691,7 +689,8 @@ def _emit_block(block: TextBlock, family: str, out: list[str],
         )
 
 
-def _arrowhead(p_prev, p_end, size: float = 8.0) -> str:
+def _arrowhead(p_prev, p_end) -> str:
+    size = 8.0
     dx = p_end[0] - p_prev[0]
     dy = p_end[1] - p_prev[1]
     norm = math.hypot(dx, dy) or 1.0

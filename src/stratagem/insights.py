@@ -145,10 +145,13 @@ def _slug(text: str) -> str:
 
 class NonFiniteResult(ValueError):
     """A rule's mean, slope, ratio, spread, deviation or total overflowed:
-    its finite inputs are too large (or too small) for float arithmetic."""
+    its finite inputs are too large (or too small) for float arithmetic.
+    ``run_all_rules`` sets ``input`` to what it was reading: "table" or
+    "timeseries"."""
 
     def __init__(self, metric: str, quantity: str):
         self.metric = metric
+        self.input = None
         super().__init__(f"{metric}: {quantity} is not finite; the values overflow")
 
 
@@ -270,10 +273,12 @@ def peer_comparison_insight(
         return None
     direction = _flip(raw_dir, metric.polarity)
     # a sum that overflows part way does so in some orders of the peers
-    # only, when their mean is finite; then it sums each peer's share
+    # only, when their mean is finite; then it sums the peers scaled down
+    # by a power of two past their count, which is exact to undo
     peer_mean = _fsum(values) / len(values)
     if math.isinf(peer_mean):
-        peer_mean = _fsum(v / len(values) for v in values)
+        scale = 2.0 ** len(values).bit_length()
+        peer_mean = _fsum(v / scale for v in values) / len(values) * scale
     peer_mean = _finite(peer_mean, metric.name, "peer mean")
     spread = _finite(hi - lo, metric.name, "peer spread")
     magnitude = _clamp01(abs(sval - peer_mean) / spread)
@@ -517,29 +522,35 @@ def run_all_rules(
     if dataset is None and series is None:
         raise ValueError("need a dataset or a timeseries")
     found: list[Insight] = []
-    if dataset is not None:
-        subj = subject or dataset.subject
-        if subj not in dataset.entities:
-            raise ValueError(f"unknown subject {subj!r}")
-        for m in dataset.metrics:
-            ins = peer_comparison_insight(dataset, subj, m)
+    reading = "table"
+    try:
+        if dataset is not None:
+            subj = subject or dataset.subject
+            if subj not in dataset.entities:
+                raise ValueError(f"unknown subject {subj!r}")
+            for m in dataset.metrics:
+                ins = peer_comparison_insight(dataset, subj, m)
+                if ins:
+                    found.append(ins)
+            pair = _find_revenue_pair(dataset)
+            if pair:
+                ins = ratio_insight(dataset, subj, pair[0], pair[1])
+                if ins:
+                    found.append(ins)
+            found.extend(sentiment_balance_insight(dataset, subj))
+        reading = "timeseries"
+        if series is not None:
+            close_metric = MetricDescriptor(name="Closing price", polarity="higher-is-better")
+            window = list(map(date.isoformat, series.dates[:1] + series.dates[-1:]))
+            ins = trend_insight(list(series.closes), close_metric, window)
             if ins:
                 found.append(ins)
-        pair = _find_revenue_pair(dataset)
-        if pair:
-            ins = ratio_insight(dataset, subj, pair[0], pair[1])
+            ins = weekly_cycle_insight(series)
             if ins:
                 found.append(ins)
-        found.extend(sentiment_balance_insight(dataset, subj))
-    if series is not None:
-        close_metric = MetricDescriptor(name="Closing price", polarity="higher-is-better")
-        window = list(map(date.isoformat, series.dates[:1] + series.dates[-1:]))
-        ins = trend_insight(list(series.closes), close_metric, window)
-        if ins:
-            found.append(ins)
-        ins = weekly_cycle_insight(series)
-        if ins:
-            found.append(ins)
+    except NonFiniteResult as exc:
+        exc.input = reading
+        raise
     found = _distinct_ids(found)
     found.sort(key=lambda i: (-i.magnitude, i.id))
     return found

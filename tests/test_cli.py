@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratagem import cli, diagram, llm
+from stratagem import cli, diagram, insights as insights_mod, llm
 
 FOOBAR = Path(__file__).parent / "fixtures" / "foobar.tsv"
 PRICES = Path(__file__).parent / "fixtures" / "prices.tsv"
@@ -171,6 +171,25 @@ class TestInsightsCommand:
         read = table if big else series
         assert capsys.readouterr().err == (
             f"error in {read}: {message} is not finite; the values overflow\n")
+
+    @pytest.mark.parametrize("overflowing", ["table", "timeseries"])
+    def test_overflow_runs_the_rules_once(self, tmp_path, monkeypatch, overflowing):
+        """The error says which input the rules were reading; naming the
+        file takes no second run of them."""
+        big = overflowing == "table"
+        table, series = tmp_path / "t.tsv", tmp_path / "s.tsv"
+        table.write_text("Metric\tA\tB\tC\nRevenue ($m)\t"
+                         + ("1e308\t-1e308\t0\n" if big else "5\t1\t0\n"), encoding="utf-8")
+        close = 100 if big else 1.5e308
+        series.write_text("date\tclose\tvolume\n" + "".join(
+            f"2024-04-0{day}\t{close}\t1\n" for day in (1, 2, 3)), encoding="utf-8")
+        calls = []
+        run_all_rules = insights_mod.run_all_rules
+        monkeypatch.setattr(insights_mod, "run_all_rules",
+                            lambda *args: calls.append(args) or run_all_rules(*args))
+        assert run("insights", "--table", str(table), "--timeseries", str(series),
+                   "-o", str(tmp_path / "i.json")) == 2
+        assert len(calls) == 1
 
     def test_overflowing_series_stops_the_pipeline(self, tmp_path, capsys):
         series = tmp_path / "s.tsv"

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import random
 import string
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_analysis, random_insights
 from stratagem import diagram, textfit
@@ -328,6 +330,41 @@ _CANVASES = st.one_of(
 )
 
 
+def _searched_radius(bw, bh):
+    """Oracle: the ring radius as ``_cycle_at`` once searched for it,
+    growing it from 0.75 of the longer box side in 10-px steps until no two
+    of the four boxes come within 8 px (``_rects_overlap``, ``tol=-8``)."""
+    units = [(math.cos(a), math.sin(a))
+             for a in (2 * math.pi * k / 4 - math.pi / 2 for k in range(4))]
+    r = max(bw, bh) * 0.75
+    while True:
+        rects = [(r * cos - bw / 2, r * sin - bh / 2) for cos, sin in units]
+        if not any(ax - 8 < bx + bw and bx - 8 < ax + bw and ay - 8 < by + bh
+                   and by - 8 < ay + bh
+                   for i, (ax, ay) in enumerate(rects) for bx, by in rects[i + 1:]):
+            return r
+        r += 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(canvas=_CANVASES, scale=st.integers(1, 256))
+@example(canvas=(1200.0, 1200.0), scale=1)  # 330: a gap of exactly 8 px is too little
+@example(canvas=(46.7, 7.7), scale=1)  # a 14 x 2 px box: opposite boxes bind
+@example(canvas=(284.0, 215.0), scale=1)  # a tie: searched 73.9, computed 63.9
+@example(canvas=(842.0, 1080.0), scale=1)  # a tie: searched 260.6, computed 270.6
+def test_ring_radius_is_the_searched_radius(canvas, scale):
+    """The computed radius is the searched one bit for bit, but where a
+    10-px step lands within two float steps of the bound. There the
+    search decided by the rounding of its box corners (``cos(pi / 2)`` is
+    6e-17, not 0), and the two radii are consecutive steps."""
+    bw, bh = canvas[0] * 0.30 * scale, canvas[1] * 0.26 * scale
+    radius, searched = diagram._ring_radius(bw, bh), _searched_radius(bw, bh)
+    if radius != searched:
+        need = max(min(bw, bh) + 8, (max(bw, bh) + 8) / 2)
+        low, high = sorted((radius, searched))
+        assert high == low + 10 and abs(low - need) <= 2 * math.ulp(need)
+
+
 @settings(max_examples=200, deadline=None)
 @given(canvas=_CANVASES, gap=st.floats(0, 200), scale=st.sampled_from([1, 2, 4]))
 def test_cycle_arrows_leave_and_enter_boxes_where_a_bisection_finds(canvas, gap, scale):
@@ -350,8 +387,9 @@ def test_cycle_arrows_leave_and_enter_boxes_where_a_bisection_finds(canvas, gap,
             found = math.atan2(p[1] - center[1], p[0] - center[0])
             expected = _bisect_exit(rect, center, r, theta, mid)
             assert abs(math.remainder(found - expected, 2 * math.pi)) <= 1e-9
-            assert diagram._on_rect_boundary(p, rect, tol=1e-9)
-            assert p[0] in (rect[0], rect[0] + rect[2]) or p[1] in (rect[1], rect[1] + rect[3])
+            x, y, w, h = rect
+            assert x - 1e-9 <= p[0] <= x + w + 1e-9 and y - 1e-9 <= p[1] <= y + h + 1e-9
+            assert p[0] in (x, x + w) or p[1] in (y, y + h)
         for px, py in inner:
             for x, y, w, h in (rect_a, rect_b):
                 assert not (x < px < x + w and y < py < y + h)
@@ -583,6 +621,11 @@ FOOBAR_SVG_SHA256 = {
     "virtuous_cycle": "7b2434c22913c5f2ab1bc3bfd3e8870b5d55463277acafa94833007e10832ad2",
     "value_discipline": "09a12e3ee4b3a7b84a3e38bc9da75655a064dfb5a11c4291adbb0c4f9627b7e0",
 }
+
+
+def test_benchmark_pins_the_same_foobar_digests(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    assert importlib.import_module("checks").PINNED_SVG_SHA256 == FOOBAR_SVG_SHA256
 
 
 @pytest.mark.parametrize("kind", FRAMEWORK_KINDS)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import itertools
 import json
 import math
 import random
 import re
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -648,6 +650,28 @@ class TestRunAllRules:
         with pytest.raises(NonFiniteResult) as exc:
             run_all_rules(small_dataset(**columns), None)
         assert str(exc.value) == f"{message} is not finite; the values overflow"
+        assert exc.value.input == "table"
+
+    def test_overflowing_series_error_names_the_timeseries(self, foobar_dataset):
+        series = weekday_series(30, lambda d, i: 1.7e308 if i % 2 else 1e300)
+        with pytest.raises(NonFiniteResult) as exc:
+            run_all_rules(foobar_dataset, series)
+        assert str(exc.value) == "Closing price: mean is not finite; the values overflow"
+        assert exc.value.input == "timeseries"
+
+    def test_peer_mean_of_the_largest_floats_is_finite(self):
+        """Three peers at the largest float: their sum overflows in every
+        order, and so did their rounded thirds; their mean is that float."""
+        found = set()
+        for peers in itertools.permutations(("A", "B", "C")):
+            entities = ("S", *peers)
+            column = tuple(-1.0 if e == "S" else sys.float_info.max for e in entities)
+            dataset = Dataset(entities=entities, metrics=(MetricDescriptor("Revenue ($m)"),),
+                              columns=(column,))
+            ins = peer_comparison_insight(dataset, "S", dataset.metrics[0])
+            assert ins.magnitude == 1.0
+            found.add(json.dumps(insight_to_dict(ins)))
+        assert len(found) == 1
 
     def test_peer_mean_does_not_depend_on_peer_order(self):
         """9e307 + 9e307 overflows, so in two of the three orders of these
@@ -760,7 +784,8 @@ def _full_ranking_peer(dataset, subject, metric):
         return None
     peer_mean = _fsum(peer_values) / len(peer_values)
     if math.isinf(peer_mean):  # the sum overflowed, in this order at least
-        peer_mean = _fsum(v / len(peer_values) for v in peer_values)
+        scale = 2.0 ** len(peer_values).bit_length()
+        peer_mean = _fsum(v / scale for v in peer_values) / len(peer_values) * scale
     for quantity, x in (("peer mean", peer_mean), ("peer spread", hi - lo)):
         if not math.isfinite(x):
             raise NonFiniteResult(metric.name, quantity)
@@ -799,7 +824,8 @@ def _ranking_peer(dataset, subject, metric):
     direction = _flip(raw_dir, metric.polarity)
     peer_mean = _fsum(v for _, _, v in peers) / len(peers)
     if math.isinf(peer_mean):  # the sum overflowed, in this order at least
-        peer_mean = _fsum(v / len(peers) for _, _, v in peers)
+        scale = 2.0 ** len(peers).bit_length()
+        peer_mean = _fsum(v / scale for _, _, v in peers) / len(peers) * scale
     peer_mean = _finite(peer_mean, metric.name, "peer mean")
     spread = _finite(hi - lo, metric.name, "peer spread")
     tone = {"positive": "a clear strength", "negative": "a clear weakness",
