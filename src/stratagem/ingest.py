@@ -6,6 +6,11 @@ zeros; in a timeseries they raise ``BadCell``. A table is held once, as a
 ``Dataset`` of one column per metric: ``parse_table`` keeps a metric-rows
 grid as it reads it and transposes an entity-rows grid.
 
+``parse_table`` names a ragged row only when one count of the row lengths
+fails, fills each grid row with one ``itemgetter``, and splits each metric
+label's ``!lower``/``!higher`` annotation once, for both the label check
+and ``_descriptor``, which ``infer_metric_semantics`` also calls.
+
 ``_parse_number`` is the one definition of a number cell.
 ``_number_column`` parses many cells in one bulk pass: one regex marks the
 cells that are not plain decimals, ``float`` reads the rest, and every
@@ -29,7 +34,7 @@ import io
 import math
 import operator
 import re
-from itertools import chain, compress
+from itertools import chain, compress, starmap
 
 from .record import Record, setfield
 
@@ -132,11 +137,28 @@ def _split_annotation(label: str) -> tuple[str, str | None]:
     """The stored metric name and the polarity forced by a trailing
     ``!lower``/``!higher`` annotation, if any."""
     name = label.strip()
+    if "!" not in name:  # the common case, without a regex search
+        return name, None
     m = re.search(r"\s*!(lower|higher)\s*$", name)
     if not m:
         return name, None
     forced = "lower-is-better" if m.group(1) == "lower" else "higher-is-better"
     return name[: m.start()].strip(), forced
+
+
+def _descriptor(name: str, forced: str | None) -> MetricDescriptor:
+    """The descriptor of a stored name: the ``forced`` polarity if any,
+    else the first keyword table that matches, else neutral."""
+    polarity = forced
+    if polarity is None:
+        low = name.lower()
+        if any(map(low.__contains__, _LOWER_KEYWORDS)):
+            polarity = "lower-is-better"
+        elif any(map(low.__contains__, _HIGHER_KEYWORDS)):
+            polarity = "higher-is-better"
+        else:
+            polarity = "neutral"
+    return MetricDescriptor(name=name, polarity=polarity)
 
 
 def infer_metric_semantics(name: str) -> MetricDescriptor:
@@ -146,16 +168,7 @@ def infer_metric_semantics(name: str) -> MetricDescriptor:
     name (they are stripped from the stored name). Falls back to neutral
     when no keyword matches.
     """
-    name, forced = _split_annotation(name)
-    low = name.lower()
-    polarity = "neutral"
-    if any(kw in low for kw in _LOWER_KEYWORDS):
-        polarity = "lower-is-better"
-    elif any(kw in low for kw in _HIGHER_KEYWORDS):
-        polarity = "higher-is-better"
-    if forced:
-        polarity = forced
-    return MetricDescriptor(name=name, polarity=polarity)
+    return _descriptor(*_split_annotation(name))
 
 
 class Dataset(Record):
@@ -257,8 +270,8 @@ _OTHER_LINE = re.compile(r"\n(?!\$?-?[0-9][0-9,]*(?:\.[0-9]+)?%?$)[^\n]*", re.M)
 
 
 def _numbers(cells: set[str]) -> dict[str, float | None]:
-    """``_parse_number`` of each cell, keyed by cell, in one bulk pass."""
-    cells = list(cells)
+    """``_parse_number`` of each cell, keyed by cell, in one bulk pass; a
+    set unchanged between two passes yields its cells in the same order."""
     return dict(zip(cells, _number_column(cells)))
 
 
@@ -287,17 +300,21 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
         raise EmptyInput("no rows in input")
     header_line, header = rows[0][0], [c.strip() for c in rows[0][1]]
     width = len(header)
-    for i, (line, row) in enumerate(rows[1:], start=1):
-        if len(row) != width:
-            raise RaggedRows(line, i, width, len(row))
     body = [row for _, row in rows[1:]]
+    if list(map(len, body)).count(width) != len(body):
+        for i, (line, row) in enumerate(rows[1:], start=1):
+            if len(row) != width:
+                raise RaggedRows(line, i, width, len(row))
     if not body or width < 2:
         raise NoNumericData("table has no data cells")
     labels = [row[0].strip() for row in body]
     # Cells repeat (``NA``, ``12.5%``, small integers), so each distinct
     # string is parsed once and its repeats share one value.
     number = _numbers(set(chain.from_iterable(row[1:] for row in body)))
-    grid = [tuple(map(number.__getitem__, row[1:])) for row in body]
+    if width == 2:  # itemgetter of one key gives the value, not a 1-tuple
+        grid = [(number[row[1]],) for row in body]
+    else:
+        grid = [operator.itemgetter(*row[1:])(number) for row in body]
 
     corner = header[0].lower()
     if "metric" in corner:
@@ -317,12 +334,13 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
         metric_labels, metric_lines = header[1:], header_lines
         columns = tuple(zip(*grid))  # grid[entity][metric] -> one tuple per metric
     _check_labels(entity_names, entity_names, entity_lines, "entity")
-    _check_labels(metric_labels, [_split_annotation(n)[0] for n in metric_labels],
-                  metric_lines, "metric")
+    # each label's annotation is split once, for the check and the descriptor
+    split = list(map(_split_annotation, metric_labels))
+    _check_labels(metric_labels, [name for name, _ in split], metric_lines, "metric")
 
     if not any(v is not None for v in number.values()):
         raise NoNumericData("no numeric cells in table body")
-    metrics = tuple(infer_metric_semantics(n) for n in metric_labels)
+    metrics = tuple(starmap(_descriptor, split))
     return Dataset(entities=tuple(entity_names), metrics=metrics, columns=columns)
 
 
@@ -389,7 +407,7 @@ def _date_column(cells: list[str]) -> list[dt.date] | None:
     return None if None in dates else dates
 
 
-def _number_column(cells: list[str]) -> list[float | None]:
+def _number_column(cells: list[str] | set[str]) -> list[float | None]:
     """``_parse_number`` of every cell, in one bulk pass. One ``sub`` over
     the cells, each after a line break, turns every line that is not a
     plain cell into ``inf``; with ``$``, ``,`` and ``%`` dropped, ``float``
@@ -403,6 +421,7 @@ def _number_column(cells: list[str]) -> list[float | None]:
     text = text[1:].replace(",", "").replace("$", "").replace("%", "")
     values = list(map(float, text.split("\n")))
     if not math.isfinite(sum(values)):  # an inf in values, or a sum past the range
+        cells = list(cells)
         for i in compress(range(len(values)), map(math.isinf, values)):
             values[i] = _parse_number(cells[i])
     return values

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import re
 from datetime import date
-from functools import partial
-from itertools import count
-from operator import is_not
+from itertools import compress, count, repeat
+from operator import eq
 
 from .ingest import Dataset, MetricDescriptor, TimeSeries
 from .record import Record, setfield
@@ -248,27 +247,23 @@ def peer_comparison_insight(
 
     Its ``rank`` evidence is the subject, its runner-up and the peer at the
     opposite extreme, in the order of the ranking by ``(-value, entity)``;
-    with one peer, the runner-up is the opposite extreme, so two entries."""
+    with one peer, the runner-up is the opposite extreme, so two entries.
+    The ends are the peers holding ``max`` and ``min`` of the peers'
+    values, found by ``_holder``; nothing ranks the peers."""
     column = dataset.column(metric.name)
     at = dataset._row_index[subject]
     sval = column[at]
     if sval is None:
         return None
-    # the peers' values in entity order, for a fixed peer-mean sum; most
-    # subjects lie within them, so the ranking is built only past this test
-    values = list(filter(partial(is_not, None), column[:at] + column[at + 1:]))
-    if not values or min(values) <= sval <= max(values):
+    # the peers' values in entity order, for a fixed peer-mean sum
+    values = [v for v in column[:at] + column[at + 1:] if v is not None]
+    if not values:
         return None
-    # (ranking key, entity, value); entities are distinct, so the key orders
-    # them totally and the highest peer ``first`` is the lowest ``last``
-    # only for a single peer
-    peers = [(-v, e, v) for e, v in zip(dataset.entities, column)
-             if v is not None and e != subject]
-    first, last = min(peers), max(peers)
-    if sval > first[2]:
-        extremity, raw_dir, lo, hi = "highest", "positive", last[2], sval
-    elif sval < last[2]:
-        extremity, raw_dir, lo, hi = "lowest", "negative", sval, first[2]
+    top, bottom = max(values), min(values)
+    if sval > top:
+        extremity, raw_dir, lo, hi = "highest", "positive", bottom, sval
+    elif sval < bottom:
+        extremity, raw_dir, lo, hi = "lowest", "negative", sval, top
     else:
         return None
     direction = _flip(raw_dir, metric.polarity)
@@ -291,12 +286,15 @@ def peer_comparison_insight(
         f"{subject} has the {extremity} {metric.name} among "
         f"{len(values) + 1} companies, {tone} versus its peers."
     )
-    ends = [first, last] if first != last else [first]
-    own = (-sval, subject, sval)
+    # the subject lies outside the peers' range, so only peers hold the ends
+    ends = [_holder(dataset, column, top, min)]
+    if len(values) > 1:
+        ends.append(_holder(dataset, column, bottom, max))
+    own = (subject, sval)
     ranking = [own, *ends] if extremity == "highest" else [*ends, own]
     evidence = tuple(
         Evidence(kind="rank", refs=(metric.name, entity), value=value)
-        for _, entity, value in ranking
+        for entity, value in ranking
     )
     return Insight(
         id=f"peer:{_slug(metric.name)}",
@@ -307,6 +305,19 @@ def peer_comparison_insight(
         evidence=evidence,
         provenance="rule:peer",
     )
+
+
+def _holder(dataset: Dataset, column: tuple, value: float, pick) -> tuple[str, float]:
+    """The entity whose cell in ``column`` equals ``value``, and that cell:
+    its own, since 0.0 equals -0.0. Of several, ``pick`` (``min`` or
+    ``max``) chooses by name, as the ranking by ``(-value, entity)`` puts
+    the first name at the top of a tie and the last at the bottom."""
+    if column.count(value) == 1:
+        i = column.index(value)
+    else:
+        tied = compress(dataset.entities, map(eq, column, repeat(value)))
+        i = dataset._row_index[pick(tied)]
+    return dataset.entities[i], column[i]
 
 
 def _pair_share(

@@ -1,7 +1,7 @@
 """The README's library snippet and the bundled scripts work as documented,
 every public name in the package has a caller and every public function
-runs in the benchmark workloads, and the package needs nothing beyond the
-standard library."""
+runs in the benchmark workloads, every module-level import is used, and
+the package needs nothing beyond the standard library."""
 
 from __future__ import annotations
 
@@ -200,6 +200,26 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in (*sys.stdlib_module_names, "stratagem")
             ]
     assert outside == []
+
+
+def test_every_module_level_import_is_used():
+    """Each name a module of the package imports at module level is read
+    somewhere in that module, so no import outlives the code that used it.
+    No linter is a dependency, so the check walks the syntax tree."""
+    unused = []
+    for path in sorted((ROOT / "src" / "stratagem").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                names = [alias.asname or alias.name for alias in stmt.names]
+            else:
+                continue
+            unused += [f"{path.name}:{stmt.lineno}: {name}" for name in names
+                       if name not in read]
+    assert unused == []
 
 
 def test_pyproject_declares_no_runtime_dependency():

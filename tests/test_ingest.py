@@ -84,6 +84,38 @@ class TestParseTable:
             parse_table("Metric\tA\tB\nRevenue\t1\t2\nStores\t3\n")
         assert exc.value.row_index == 2
 
+    @given(
+        width=st.integers(2, 5),
+        dialect=st.sampled_from(["tab", "comma"]),
+        data=st.data(),
+    )
+    @settings(max_examples=150)
+    def test_ragged_rows_name_the_first_bad_row(self, width, dialect, data):
+        """Blank lines before any row, and several rows too short or too
+        long: ``RaggedRows`` names the first bad row's file line and its
+        1-based index among the non-blank data rows."""
+        delim = "\t" if dialect == "tab" else ","
+        blank = st.lists(st.sampled_from(["", "  ", delim * 2, f" {delim} "]), max_size=2)
+        lengths = data.draw(st.lists(st.one_of(
+            st.just(width), st.integers(1, width - 1), st.integers(width + 1, width + 3),
+        ), min_size=1, max_size=8))
+        lines = [*data.draw(blank), delim.join(["Metric"] + [f"C{j}" for j in range(width - 1)])]
+        bad = None
+        for i, n in enumerate(lengths, start=1):
+            lines += data.draw(blank)
+            lines.append(delim.join([f"R{i}"] + ["1"] * (n - 1)))
+            if n != width and bad is None:
+                bad = (len(lines), i, n)
+        text = "\n".join(lines) + "\n"
+        if bad is None:
+            assert len(parse_table(text, dialect).columns) == len(lengths)
+            return
+        line, row_index, got = bad
+        with pytest.raises(RaggedRows) as exc:
+            parse_table(text, dialect)
+        assert (exc.value.line, exc.value.row_index) == (line, row_index)
+        assert str(exc.value) == f"line {line}: row {row_index} has {got} cells, expected {width}"
+
     def test_no_numeric_data(self):
         with pytest.raises(NoNumericData):
             parse_table("Metric\tA\nRevenue\tabc\n")
@@ -258,6 +290,36 @@ class TestInferMetricSemantics:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             infer_metric_semantics("   ")
+
+    @given(
+        words=st.lists(
+            st.sampled_from(["Shipment delays", "Net margin", "COST per unit", "Brand awareness",
+                             "customer CHURN", "Online Revenue", "xyzzy", "Stores opened"]),
+            min_size=1, max_size=6),
+        metrics_as_rows=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=150)
+    def test_table_descriptors_are_inferred_from_labels(self, words, metrics_as_rows, data):
+        """Each parsed descriptor is ``infer_metric_semantics`` of its
+        label, in either orientation: keyword names in mixed case, with an
+        annotation or none, and spaces around the annotation."""
+        labels = []
+        for i, word in enumerate(words):
+            name = "".join(c.upper() if data.draw(st.booleans()) else c.lower()
+                           for c in f"{word} {i}")
+            note = data.draw(st.sampled_from(["", "!lower", "!higher"]))
+            if note:
+                name += " " * data.draw(st.integers(0, 2)) + note
+            labels.append(" " * data.draw(st.integers(0, 2)) + name
+                          + " " * data.draw(st.integers(0, 2)))
+        entities = ["Foobar Corp", "Acme LLP"]
+        if metrics_as_rows:
+            rows = [["Metric", *entities]] + [[label, "1", "2"] for label in labels]
+        else:
+            rows = [["Company", *labels]] + [[e] + ["1"] * len(labels) for e in entities]
+        text = "".join("\t".join(row) + "\n" for row in rows)
+        assert parse_table(text).metrics == tuple(map(infer_metric_semantics, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,42 @@ class TestPeerComparison:
             assert e.refs == (metric, e.refs[1])
             assert e.value == d.value(e.refs[1], metric)
 
+    def test_top_tie_of_signed_zeros_picks_the_earlier_name_with_its_own_cell(self):
+        """Bay holds -0.0 and Zed 0.0, which compare equal; ``max`` of the
+        peers' values returns Zed's 0.0, as Zed comes first in the column,
+        but the runner-up is Bay, the earlier name, with its own -0.0."""
+        d = Dataset(entities=("Acme", "Zed", "Bay", "Cove"),
+                    metrics=(MetricDescriptor("Revenue ($m)", "higher-is-better"),),
+                    columns=((1.0, 0.0, -0.0, -5.0),))
+        ins = peer_comparison_insight(d, "Acme", d.metrics[0])
+        assert [(e.refs[1], repr(e.value)) for e in ins.evidence] == [
+            ("Acme", "1.0"), ("Bay", "-0.0"), ("Cove", "-5.0")]
+
+    def test_bottom_tie_picks_the_last_name(self):
+        """Bay and Zed share the lowest value; the ranking puts the last
+        name, Zed, at the bottom, although Bay comes first in the column."""
+        d = Dataset(entities=("Acme", "Bay", "Cove", "Zed"),
+                    metrics=(MetricDescriptor("Revenue ($m)", "higher-is-better"),),
+                    columns=((-1.0, 2.0, 5.0, 2.0),))
+        ins = peer_comparison_insight(d, "Acme", d.metrics[0])
+        assert ins.direction == "negative"
+        assert [(e.refs[1], e.value) for e in ins.evidence] == [
+            ("Cove", 5.0), ("Zed", 2.0), ("Acme", -1.0)]
+
+    @pytest.mark.parametrize("subject_value,expected", [
+        (3.0, [("Acme", 3.0), ("Bay", 1.0)]),
+        (0.5, [("Bay", 1.0), ("Acme", 0.5)]),
+    ], ids=["highest", "lowest"])
+    def test_single_peer_is_both_ends(self, subject_value, expected):
+        """With one peer among absent cells, that peer is the runner-up and
+        the opposite extreme, named once."""
+        d = Dataset(entities=("Acme", "Zed", "Bay"),
+                    metrics=(MetricDescriptor("Revenue ($m)", "higher-is-better"),),
+                    columns=((subject_value, None, 1.0),))
+        ins = peer_comparison_insight(d, "Acme", d.metrics[0])
+        assert "among 2 companies" in ins.statement
+        assert [(e.refs[1], e.value) for e in ins.evidence] == expected
+
     @given(
         peers=st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=6),
         bump=st.floats(0.1, 50, allow_nan=False),
