@@ -679,14 +679,12 @@ def _attr(value) -> str:
 def _emit_block(block: TextBlock, family: str, out: list[str],
                 bold: bool = False, color: str = "#1A1A1A") -> None:
     x, y = block.origin
+    size, step = block.font_size, block.line_height
     weight = ' font-weight="bold"' if bold else ""
-    for i, line in enumerate(block.lines):
-        baseline = y + i * block.line_height + block.font_size
-        out.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(baseline)}" '
-            f'font-family="{family}" font-size="{_fmt(block.font_size)}" '
-            f'fill="{color}"{weight}>{_esc(line)}</text>'
-        )
+    head = f'<text x="{_fmt(x)}" y="'
+    tail = f'" font-family="{family}" font-size="{_fmt(size)}" fill="{color}"{weight}>'
+    out.extend(f"{head}{y + i * step + size:.2f}{tail}{_esc(line)}</text>"
+               for i, line in enumerate(block.lines))
 
 
 def _arrowhead(p_prev, p_end) -> str:

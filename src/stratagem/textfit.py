@@ -21,7 +21,9 @@ found by ``bisect_right`` on the sums: the line the word-by-word fill
 gives. None of the words, their ``_em`` or the sums depends on the size,
 so ``fit_text`` builds them once (``_measured``) and passes them to the
 ``wrap`` at every size it tries; ``wrap`` builds them again only from
-the pieces, when it has split an overlong word.
+the pieces, when it has split an overlong word. ``wrap`` returns each
+line's em sum, a difference of two prefix sums, and the fitted block
+carries them, so only a block built by hand is measured for its width.
 
 The search wraps only at sizes that a line-count floor leaves open. At a
 size, every line and every piece sums to at most ``cap``. Pieces keep
@@ -71,13 +73,18 @@ class UnbreakableToken(Exception):
 
 
 class TextBlock(Record):
-    __slots__ = ("lines", "font_size", "origin")
+    # ``_ems``, each line's em sum when ``fit_text`` made the block, is not
+    # a field: equality, hash, repr, ``_replace`` and pickling ignore it.
+    __slots__ = ("lines", "font_size", "origin", "_ems")
+    _fields = ("lines", "font_size", "origin")
 
     def __init__(self, lines: tuple[str, ...], font_size: float,
-                 origin: tuple[float, float] = (0.0, 0.0)):
+                 origin: tuple[float, float] = (0.0, 0.0),
+                 _ems: tuple[int, ...] | None = None):
         setfield(self, "lines", lines)
         setfield(self, "font_size", font_size)
         setfield(self, "origin", origin)
+        setfield(self, "_ems", _ems)
 
     @property
     def line_height(self) -> float:
@@ -89,15 +96,19 @@ class TextBlock(Record):
 
     @property
     def width(self) -> float:
-        """Width of the widest line. Width is linear in the em sum, so this
-        measures one line: the one with the largest em sum, summed without
-        ``_em``'s cache so that finished lines do not fill it."""
+        """Width of the widest line. Width is linear in the em sum, so a
+        fitted block computes ``measure_text``'s expression from the largest
+        of the em sums ``wrap`` carried. Only a hand-built block is measured:
+        the line with the largest em sum, summed without ``_em``'s cache so
+        that finished lines do not fill it."""
         if not self.lines:
             return 0.0
+        if self._ems is not None:
+            return self.font_size * max(self._ems) / 1000.0
         return measure_text(max(self.lines, key=_em.__wrapped__), self.font_size)
 
     def at(self, x: float, y: float) -> "TextBlock":
-        return TextBlock(self.lines, self.font_size, (x, y))
+        return TextBlock(self.lines, self.font_size, (x, y), self._ems)
 
 
 def _split_token(token: str, width: float, size: float) -> list[str]:
@@ -171,13 +182,13 @@ def wrap(
     width: float,
     size: float,
     prepared: tuple[list[str], list[int], list[int]] | None = None,
-) -> tuple[str, ...]:
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Greedy wrap of whitespace-separated words into lines of at most
-    ``width`` px at font ``size``. Overlong words are hyphen-split; a
-    width that fits no character (zero, negative or NaN) raises
-    UnbreakableToken for any word. ``prepared`` is ``_measured`` of the
-    text's words, which ``fit_text`` builds once for every size it wraps;
-    wrap builds it itself when it is not given.
+    ``width`` px at font ``size``, returned with each line's em sum.
+    Overlong words are hyphen-split; a width that fits no character (zero,
+    negative or NaN) raises UnbreakableToken for any word. ``prepared`` is
+    ``_measured`` of the text's words, which ``fit_text`` builds once for
+    every size it wraps; wrap builds it itself when it is not given.
 
     Lines are summed in integer thousandths of an em and each fit test is
     ``measure_text``'s own expression, so the lines are the ones that
@@ -186,7 +197,9 @@ def wrap(
     ``cap``, below ``_cap``'s limit, so ``<= cap`` is then the fit test for
     lines of pieces, hyphens included. Each line takes the next word and
     ends at the last prefix sum of ``word_em + space_em`` within
-    ``cap + space_em`` of the line's start: the greedy fill's line."""
+    ``cap + space_em`` of the line's start: the greedy fill's line. Its em
+    sum is the difference of those prefix sums less the last space, the
+    ``_em`` of the joined line, which ``fit_text`` keeps on the block."""
     if size <= 0:
         raise ValueError("font size must be positive")
     words, ems, sums = _measured(text.split()) if prepared is None else prepared
@@ -197,12 +210,14 @@ def wrap(
             [piece for word, word_em in zip(words, ems)
              for piece in ((word,) if word_em <= cap else _split_token(word, width, size))])
     lines = []
+    line_ems = []
     start = 0
     while start < len(words):
         end = bisect_right(sums, sums[start] + cap + space_em, start + 2) - 1
         lines.append(" ".join(words[start:end]))
+        line_ems.append(sums[end] - sums[start] - space_em)
         start = end
-    return tuple(lines)
+    return tuple(lines), tuple(line_ems)
 
 
 def _ruled_out(total_em: int, width: float, height: float, size: int) -> bool:
@@ -243,9 +258,9 @@ def fit_text(
         probe = (low + high) // 2
     for size in range(high, min_font - 1, -1):
         try:
-            lines = wrap(text, width, size, prepared)
+            lines, line_ems = wrap(text, width, size, prepared)
         except UnbreakableToken:
             continue
         if len(lines) * LINE_HEIGHT * size <= height:
-            return TextBlock(lines, float(size))
+            return TextBlock(lines, float(size), _ems=line_ems)
     raise DoesNotFitAtMinFont(text)

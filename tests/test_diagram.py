@@ -690,8 +690,11 @@ def test_cycle_corpus_bytes_are_pinned(kind):
 
 @pytest.mark.parametrize("kind", FRAMEWORK_KINDS)
 def test_foobar_render_measures_few_lines(kind, foobar_dataset, prices_series, monkeypatch):
-    """Wrapping sums cached word widths: a whole render measures at most 100
-    strings, where re-measuring each growing line took thousands."""
+    """Wrapping sums cached word widths, and each fitted block carries its
+    lines' em sums, so a whole render measures no string, where
+    re-measuring each growing line took thousands. A hand-built block's
+    width is measured through the patched name: one call, so a patch that
+    missed fails here."""
     calls = 0
     measure = textfit.measure_text
 
@@ -703,7 +706,9 @@ def test_foobar_render_measures_few_lines(kind, foobar_dataset, prices_series, m
     monkeypatch.setattr(textfit, "measure_text", counting)
     found = run_all_rules(foobar_dataset, prices_series)
     render_analysis(organize(found, schema_for(kind), subject=foobar_dataset.subject))
-    assert 0 < calls <= 100
+    assert calls == 0
+    assert textfit.TextBlock(("Foobar",), 12.0).width == measure("Foobar", 12.0)
+    assert calls == 1
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,15 @@ def test_every_public_name_has_a_caller():
 
 
 # The public functions that a few documents of each benchmark workload do
-# not run: the framework-answer parser, which no CLI path calls yet, and
-# the series' observation pairs, which only the benchmark's tracer reads.
-UNRUN = ["llm.parse_framework_assignment", "ingest.TimeSeries.observations"]
+# not run: the framework-answer parser, which no CLI path calls yet; the
+# series' observation pairs, which only the benchmark's tracer reads; and
+# the text measure, since fitted blocks carry their line widths.
+UNRUN = [
+    "llm.parse_framework_assignment",
+    "ingest.TimeSeries.observations",
+    # only a hand-built block's width measures; the benchmark's tracer wraps the name
+    "fonts.measure_text",
+]
 
 
 def _public_functions() -> dict[str, CodeType]:

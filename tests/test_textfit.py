@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -34,6 +35,10 @@ from stratagem.textfit import (
     fit_text,
     wrap,
 )
+
+
+# Latin, Polish and CJK characters, in the advance table and outside it
+MIXED_ALPHABET = "abcdefghijklmnopqrstuvwxyzMWIl0-.,ąćęłńóśźżĄĆĘŁŃÓŚŹŻ中文字—"
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +113,7 @@ def _exhaustive_fit(text: str, width: float, height: float,
         return TextBlock(lines=(), font_size=float(max_font))
     for size in range(max_font, min_font - 1, -1):
         try:
-            lines = wrap(text, width, size)
+            lines, _ = wrap(text, width, size)
         except UnbreakableToken:
             continue
         if len(lines) * LINE_HEIGHT * size <= height:
@@ -165,22 +170,77 @@ class TestBlockWidth:
     def test_empty_block_is_zero_wide(self):
         assert TextBlock(lines=(), font_size=12.0).width == 0.0
 
+    @given(
+        words=st.lists(st.text(alphabet=MIXED_ALPHABET, min_size=1, max_size=30),
+                       min_size=1, max_size=30),
+        width_mode=st.sampled_from(["free", "below-word"]),
+        width=st.floats(5, 400),
+        at=st.integers(0, 40),
+        size=st.integers(MIN_FONT, MAX_FONT),
+        height=st.floats(10, 600),
+    )
+    @settings(max_examples=300)
+    def test_carried_width_is_the_measured_width(self, words, width_mode, width, at,
+                                                 size, height):
+        """A fitted block's width, read from the em sums ``wrap`` carried,
+        equals bit for bit the width measured for the same lines built by
+        hand, also once placed, replaced and pickled; and the block equals,
+        hashes and reprs as the hand-built one. One float below a word's
+        measure that word is hyphen-split."""
+        text = " ".join(words)
+        if width_mode == "below-word":
+            width = math.nextafter(measure_text(words[at % len(words)], size), 0.0)
+        try:
+            block = fit_text(text, width, height)
+        except DoesNotFitAtMinFont:
+            return
+        hand = TextBlock(block.lines, block.font_size)
+        expected = hand.width.hex()
+        placed = block.at(3.5, 7.25)
+        assert placed._ems is block._ems is not None
+        for copy_ in (block, placed, placed._replace(origin=(1.0, 2.0)),
+                      pickle.loads(pickle.dumps(placed))):
+            assert copy_.width.hex() == expected
+        assert block == hand and hash(block) == hash(hand) and repr(block) == repr(hand)
+
+    @given(
+        words=st.lists(st.text(alphabet=MIXED_ALPHABET, min_size=1, max_size=30),
+                       min_size=0, max_size=30),
+        width_mode=st.sampled_from(["free", "below-word"]),
+        width=st.floats(1, 400),
+        at=st.integers(0, 40),
+        size=st.one_of(st.integers(MIN_FONT, MAX_FONT), st.floats(0.5, 40)),
+    )
+    @settings(max_examples=300)
+    def test_wrap_line_ems_are_the_lines_em_sums(self, words, width_mode, width, at, size):
+        """Each em sum ``wrap`` returns is its line's advance sum, for lines
+        of whole words and of hyphen-split pieces alike."""
+        text = " ".join(words)
+        if width_mode == "below-word" and words:
+            width = math.nextafter(measure_text(words[at % len(words)], size), 0.0)
+        try:
+            lines, line_ems = wrap(text, width, size)
+        except UnbreakableToken:
+            return
+        assert line_ems == tuple(map(_em.__wrapped__, lines))
+
 
 # ---------------------------------------------------------------------------
 # wrapping
 
 class TestWrap:
     def test_single_short_word(self):
-        assert wrap("hello", 200, 12) == ("hello",)
+        lines, _ = wrap("hello", 200, 12)
+        assert lines == ("hello",)
 
     def test_no_line_exceeds_width(self):
-        lines = wrap("the quick brown fox jumps over the lazy dog", 80, 12)
+        lines, _ = wrap("the quick brown fox jumps over the lazy dog", 80, 12)
         assert len(lines) > 1
         assert all(measure_text(ln, 12) <= 80 for ln in lines)
         assert " ".join(lines) == "the quick brown fox jumps over the lazy dog"
 
     def test_overlong_token_is_hyphen_split(self):
-        lines = wrap("antidisestablishmentarianism", 60, 12)
+        lines, _ = wrap("antidisestablishmentarianism", 60, 12)
         assert len(lines) > 1
         assert all(measure_text(ln, 12) <= 60 for ln in lines)
         assert all(ln.endswith("-") for ln in lines[:-1])
@@ -226,7 +286,8 @@ class TestWrap:
             with pytest.raises(UnbreakableToken):
                 wrap(text, width, size)
         else:
-            assert wrap(text, width, size) == expected
+            lines, _ = wrap(text, width, size)
+            assert lines == expected
 
     @given(
         words=st.lists(
@@ -255,7 +316,8 @@ class TestWrap:
                 with pytest.raises(UnbreakableToken):
                     wrap(text, width, size)
             else:
-                assert wrap(text, width, size) == expected
+                lines, _ = wrap(text, width, size)
+                assert lines == expected
         assert bool(splits) == below
 
     @given(
@@ -558,7 +620,7 @@ class TestFitText:
         rng = random.Random(seed)
         words = ["".join(rng.choices("abcdefgh", k=rng.randint(1, 10))) for _ in range(20)]
         text = " ".join(words)
-        lines = wrap(text, width, 12)
+        lines, _ = wrap(text, width, 12)
         rejoined = "".join(ln.rstrip("-") if ln.endswith("-") else ln + " " for ln in lines)
         assert rejoined.split() == text.replace("-", "").split() or all(
             measure_text(ln, 12) <= width for ln in lines

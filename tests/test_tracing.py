@@ -5,7 +5,8 @@ module-level names in ``stratagem``; a renamed or moved name fails there
 with AttributeError, and a hook that reads a renamed attribute of a
 result fails only when the wrapped function runs. So this test
 instruments the current modules, then parses a table and a price series,
-renders one diagram and runs one CLI pipeline through the wrapped names.
+renders one diagram, reads a hand-built text block's width and runs one
+CLI pipeline through the wrapped names.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import contextlib
 import io
 from pathlib import Path
 
-from stratagem import cli, diagram, frameworks, ingest, insights
+from stratagem import cli, diagram, frameworks, ingest, insights, textfit
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -33,6 +34,8 @@ def test_tracer_hooks_resolve_and_count(monkeypatch, foobar_text, prices_text, t
         analysis = frameworks.organize(found, frameworks.schema_for("porter5"),
                                        subject=dataset.subject)
         diagram.render_analysis(analysis)
+        # a fitted block carries its width; only a hand-built one is measured
+        assert textfit.TextBlock(("Foobar",), 12.0).width > 0
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["pipeline", "--table", str(FIXTURES / "foobar.tsv"),
                              "--framework", "value-discipline",
@@ -44,6 +47,7 @@ def test_tracer_hooks_resolve_and_count(monkeypatch, foobar_text, prices_text, t
     assert tracer.counts["ingest.cells"] == 2 * cells + 3 * len(series.closes)
     assert tracer.counts["textfit.fit_text.calls"] > 0
     assert tracer.counts["fonts.measure_text.calls"] > 0
+    assert tracer.counts["textfit.wrap.calls"] > 0
     assert tracer.counts["diagram.svgs"] == 1
     names = [span[0] for span in tracer.spans]
     assert names.count("diagram.emit_svg") == 2
