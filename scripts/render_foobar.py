@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from stratagem import cli
+from stratagem import cli, frameworks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -24,9 +24,9 @@ def main() -> None:
     insights = str(out_dir / "foobar.insights.json")
     runs = [["insights", "--table", str(FIXTURES / "foobar.tsv"),
              "--timeseries", str(FIXTURES / "prices.tsv"), "-o", insights]]
-    for name, kind in cli._FRAMEWORK_NAMES.items():
+    for kind, framework in frameworks.FRAMEWORKS.items():
         analysis = str(out_dir / f"foobar_{kind}.analysis.json")
-        runs.append(["organize", insights, "--framework", name, "-o", analysis])
+        runs.append(["organize", insights, "--framework", framework.cli_name, "-o", analysis])
         runs.append(["render", analysis, "-o", str(out_dir / f"foobar_{kind}.svg")])
     for argv in runs:
         if cli.main(argv) != cli.EXIT_OK:

@@ -25,13 +25,6 @@ EXIT_INPUT = 2
 EXIT_LLM = 3
 EXIT_LAYOUT = 4
 
-_FRAMEWORK_NAMES = {
-    "swot": "swot",
-    "porter5": "porter5",
-    "cycle": "virtuous_cycle",
-    "value-discipline": "value_discipline",
-}
-
 
 def _read_text(path: str) -> str:
     """The UTF-8 text of an input file; an unreadable file is an input error."""
@@ -211,7 +204,9 @@ def _insights_from_json(raw) -> tuple[str, list]:
 
 def _organize(args, subject: str, found: list, output: str) -> frameworks.OrganizedAnalysis:
     """Stage two: the insights organized into ``args.framework``, written to ``output``."""
-    schema = frameworks.schema_for(_FRAMEWORK_NAMES[args.framework], args.max_per_slot)
+    kind = next(kind for kind, framework in frameworks.FRAMEWORKS.items()
+                if framework.cli_name == args.framework)
+    schema = frameworks.schema_for(kind, args.max_per_slot)
     analysis = frameworks.organize(found, schema, subject=subject)
     _write_json(output, frameworks.analysis_to_dict(analysis))
     print(f"{'slot':<24} {'factors':>7}  attribute")
@@ -280,6 +275,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Business data to strategy-management diagrams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    names = sorted(framework.cli_name for framework in frameworks.FRAMEWORKS.values())
 
     def add_inputs(p):
         p.add_argument("--table", help="tab- or comma-delimited entity-metric table")
@@ -296,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("organize", help="organize an insights file into a framework")
     p.add_argument("insights", help="insights JSON file")
-    p.add_argument("--framework", choices=sorted(_FRAMEWORK_NAMES), required=True)
+    p.add_argument("--framework", choices=names, required=True)
     p.add_argument("--max-per-slot", type=int, default=frameworks.DEFAULT_MAX_PER_SLOT)
     p.add_argument("-o", "--output", default="analysis.json")
 
@@ -307,7 +303,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="insights + organize + render in one go")
     add_inputs(p)
-    p.add_argument("--framework", choices=sorted(_FRAMEWORK_NAMES), required=True)
+    p.add_argument("--framework", choices=names, required=True)
     p.add_argument("--max-per-slot", type=int, default=frameworks.DEFAULT_MAX_PER_SLOT)
     p.add_argument("--style", default=None, help="style JSON file")
     p.add_argument("-o", "--output", default="diagram.svg")

@@ -1,22 +1,22 @@
-"""Layouts and SVG rendering for the four framework diagrams.
+"""Layouts and SVG rendering for the framework diagrams.
 
 ``layout`` is the one entry point: it validates an OrganizedAnalysis, then
 tries canvas scale 1, 2, 4, ... (up to 8 doublings). At each scale a
-text-free geometry function places the boxes, arrows and radar (both grid
-kinds share one), and one fill step fits every text with the embedded font
-metrics and builds the DiagramSpec; the first scale at which every text
-fits at or above the minimum font size wins. ``emit_svg`` then re-validates
-every invariant and produces byte-deterministic SVG 1.1.
+text-free geometry function, one per shape of ``frameworks.Framework``
+(grid, ring, radar), places the boxes, arrows and radar from the kind's
+record, and one fill step fits every text with the embedded font metrics
+and builds the DiagramSpec; the first scale at which every text fits at or
+above the minimum font size wins. ``emit_svg`` then re-validates every
+invariant and produces byte-deterministic SVG 1.1.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 
 from .fonts import FONT_FAMILY
-from .frameworks import RISK_LEVELS, OrganizedAnalysis, validate_analysis
+from .frameworks import RISK_LEVELS, Grid, OrganizedAnalysis, validate_analysis
 from .record import Record, setfield
 from .textfit import (
     DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text,
@@ -159,18 +159,9 @@ def load_style(raw) -> Style:
 
 
 class BoxNode(Record):
-    __slots__ = ("id", "x", "y", "w", "h", "title", "body", "fill")
+    """A box: ``title`` is a TextBlock or None, ``body`` a tuple of them."""
 
-    def __init__(self, id: str, x: float, y: float, w: float, h: float,
-                 title: TextBlock | None, body: tuple[TextBlock, ...], fill: str):
-        setfield(self, "id", id)
-        setfield(self, "x", x)
-        setfield(self, "y", y)
-        setfield(self, "w", w)
-        setfield(self, "h", h)
-        setfield(self, "title", title)
-        setfield(self, "body", body)
-        setfield(self, "fill", fill)
+    __slots__ = ("id", "x", "y", "w", "h", "title", "body", "fill")
 
     @property
     def rect(self) -> tuple[float, float, float, float]:
@@ -187,20 +178,9 @@ class BoxNode(Record):
 class ArrowEdge(Record):
     __slots__ = ("from_id", "to_id", "points")
 
-    def __init__(self, from_id: str, to_id: str, points: tuple[tuple[float, float], ...]):
-        setfield(self, "from_id", from_id)
-        setfield(self, "to_id", to_id)
-        setfield(self, "points", points)
-
 
 class RadarAxis(Record):
     __slots__ = ("slot_id", "angle_deg", "score", "label")
-
-    def __init__(self, slot_id: str, angle_deg: float, score: float, label: TextBlock):
-        setfield(self, "slot_id", slot_id)
-        setfield(self, "angle_deg", angle_deg)
-        setfield(self, "score", score)
-        setfield(self, "label", label)
 
 
 class RadarShape(Record):
@@ -273,7 +253,7 @@ def _on_rect_boundary(p, rect) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# geometry: one function per drawing, text-free; the grid kinds share one
+# geometry: one function per shape, text-free
 #
 # Each takes (analysis, style, scale) and returns the diagram's geometry at
 # that canvas scale as (width, height, label, boxes, arrows, radar):
@@ -290,24 +270,10 @@ def _statements(analysis: OrganizedAnalysis, slot_id: str) -> list[str]:
     return [ins.statement for ins, _ in analysis.assignments.get(slot_id, [])]
 
 
-# One record per grid framework: title, rows x columns, whether the boxes
-# keep ``style.gap``, each slot's (row, column) cell, the fixed fills (a slot
-# with a risk level shows it in its title and fill instead), and whether the
-# other boxes point arrows at the first (the hub).
-_Grid = namedtuple("_Grid", "title rows cols gapped cells fills hub")
-_GRIDS = {
-    "swot": _Grid("SWOT Analysis", rows=2, cols=2, gapped=False,
-                  cells=((0, 0), (0, 1), (1, 0), (1, 1)),  # S W / O T
-                  fills=("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8"), hub=False),
-    "porter5": _Grid("Porter's Five Forces", rows=3, cols=3, gapped=True,
-                     cells=((1, 1), (0, 1), (1, 2), (2, 1), (1, 0)),  # C N E S W
-                     fills=(), hub=True),
-}
-
-
 def _cells_at(analysis: OrganizedAnalysis, style: Style, scale: int):
-    """A grid framework drawn from its ``_GRIDS`` record."""
-    grid, slots = _GRIDS[analysis.schema.kind], analysis.schema.slots
+    """A framework drawn from its ``Grid`` shape."""
+    framework = analysis.schema.framework
+    grid, slots = framework.shape, framework.slots
     W, H = style.canvas_w * scale, style.canvas_h * scale
     g = style.gap if grid.gapped else 0.0
     bw = (W - (grid.cols + 1) * g) / grid.cols
@@ -327,7 +293,7 @@ def _cells_at(analysis: OrganizedAnalysis, style: Style, scale: int):
                   (_facing_mid(rect, cell, hub), _facing_mid(rects[0], hub, cell)))
         for slot, cell, rect in zip(slots[1:], grid.cells[1:], rects[1:])
     ) if grid.hub else ()
-    return W, H, grid.title, tuple(boxes), arrows, None
+    return W, H, framework.title, tuple(boxes), arrows, None
 
 
 def _facing_mid(rect, cell, toward) -> tuple[float, float]:
@@ -352,7 +318,7 @@ def _ring_radius(bw: float, bh: float) -> float:
 
 
 def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int):
-    """Virtuous circle: four stage boxes on a circle, one directed arrow per stage.
+    """A ring: one box per slot on a circle, one directed arrow to the next.
 
     ``canvas_w`` and ``canvas_h`` set only the box sizes: 30% and 26% of
     them, times the scale. The canvas is the ring (``_ring_radius``) plus
@@ -380,7 +346,7 @@ def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int):
         j = (k + 1) % n
         points = _cycle_arc(rects[k], rects[j], (ox, oy), r, angles[k], angles[j])
         arrows.append(ArrowEdge(from_id=slots[k].id, to_id=slots[j].id, points=points))
-    return W, H, "Virtuous Circle", boxes, tuple(arrows), None
+    return W, H, analysis.schema.framework.title, boxes, tuple(arrows), None
 
 
 def _cycle_arc(rect_a, rect_b, center, r, theta_a, theta_b) -> tuple[tuple[float, float], ...]:
@@ -429,14 +395,17 @@ def _ring_crossing(rect, center, r, theta, sign):
     return theta + sign * step, tuple(point)
 
 
-_RADAR_ANGLES = (-90.0, 30.0, 150.0)
+def _spokes(n: int) -> list[float]:
+    """The angles in degrees of ``n`` evenly spaced spokes, the first up."""
+    return [-90.0 + 360.0 * k / n for k in range(n)]
 
 
 def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int):
-    """Value Discipline radar: three spokes at 120 degrees, grid rings at
-    2/4/6/8/10, polygon vertices proportional to axis scores, plus a
-    legend of top factor statements beside the plot."""
-    slots = analysis.schema.slots
+    """A radar: one spoke per slot, grid rings at 2/4/6/8/10, polygon
+    vertices proportional to axis scores, plus a legend of top factor
+    statements per slot beside the plot."""
+    framework = analysis.schema.framework
+    slots, n = framework.slots, len(framework.slots)
     W = style.canvas_w * scale
     H = style.canvas_h * scale
     top = _TITLE_STRIP
@@ -447,10 +416,10 @@ def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int):
     # legend column on the right: top factors per axis
     legend_x = plot_w + style.gap
     legend_w = W - legend_x - style.gap
-    legend_h = (H - top - 4 * style.gap) / 3
+    legend_h = (H - top - (n + 1) * style.gap) / n
     scores = analysis.slot_attributes
     axes, boxes = [], []
-    for i, (slot, angle) in enumerate(zip(slots, _RADAR_ANGLES)):
+    for i, (slot, angle) in enumerate(zip(slots, _spokes(n))):
         score = scores[slot.id].value
         axes.append((slot.id, angle, score, f"{slot.title} ({score:.1f})"))
         boxes.append((
@@ -459,7 +428,7 @@ def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int):
             f"{slot.title}: {score:.1f} / 10", _statements(analysis, slot.id)[:2], _BOX_FILL,
         ))
     radar = ((cx, cy), radius, tuple(axes))
-    return W, H, "Value Discipline", tuple(boxes), (), radar
+    return W, H, framework.title, tuple(boxes), (), radar
 
 
 def _rect_circle_overlap(rect, center, radius) -> bool:
@@ -470,11 +439,9 @@ def _rect_circle_overlap(rect, center, radius) -> bool:
     return (nx - cx) ** 2 + (ny - cy) ** 2 < radius ** 2
 
 
-_LAYOUTS = {
-    **dict.fromkeys(_GRIDS, _cells_at),
-    "virtuous_cycle": _cycle_at,
-    "value_discipline": _radar_at,
-}
+def _geometry(shape):
+    """The geometry function that draws ``shape``."""
+    return _cells_at if isinstance(shape, Grid) else {"ring": _cycle_at, "radar": _radar_at}[shape]
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +491,9 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
 
 def _radar_label(text: str, angle_deg: float, center, radius: float, width: float,
                  style: Style) -> TextBlock:
-    """Fit an axis label and place it just beyond its spoke's end. On each
-    of the ``_RADAR_ANGLES`` spokes, the label's nearest point is then
+    """Fit an axis label and place it just beyond its spoke's end. On a
+    spoke along an axis, or with both direction components beyond 0.2 as
+    each of ``_spokes(3)`` has, the label's nearest point is then
     ``radius + 12`` from the centre, so it clears the outer ring."""
     block = fit_text(text, width, 40, min_font=style.min_font, max_font=_cap(14, style))
     cx, cy = center
@@ -581,7 +549,7 @@ def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     violations = validate_analysis(analysis)
     if violations:
         raise InvariantViolation("; ".join(v.message for v in violations))
-    geometry = _LAYOUTS[analysis.schema.kind]
+    geometry = _geometry(analysis.schema.framework.shape)
     for attempt in range(_MAX_DOUBLINGS + 1):
         scale = 2 ** attempt
         try:

@@ -1,10 +1,14 @@
-"""Strategy-framework schemas, insight assignment, and slot attributes.
+"""Framework kinds, insight assignment, and slot attributes.
 
-Assignment is deterministic: each slot carries an affinity table over
-(theme, direction) pairs, an insight goes to its argmax-fit slot when the
-fit clears the floor, and per-slot ranking is fit x magnitude. A Porter
-slot's ordinal risk level and a Value Discipline slot's logistic axis
-score in [0, 10) are derived from its displayed factors, never stored.
+``FRAMEWORKS`` holds one ``Framework`` record per kind, the only place a
+kind is declared: its CLI name, diagram title, slots with their reply
+headings, slot attribute and diagram shape; the CLI, the reply parser and
+the diagram read it. Assignment is deterministic: each slot carries an
+affinity table over (theme, direction) pairs, an insight goes to its
+argmax-fit slot when the fit clears the floor, and per-slot ranking is fit
+x magnitude. A slot's ordinal risk level (``assign_risk``) or logistic
+axis score in [0, 10) (``score_axis``) is derived from its displayed
+factors, never stored.
 """
 
 from __future__ import annotations
@@ -74,10 +78,15 @@ def score_axis(assignments: list[tuple[Insight, float]]) -> AxisScore:
 
 
 class SlotDescriptor(Record):
-    # Affinity key: (theme, direction); direction "*" matches any.
-    __slots__ = ("id", "title", "affinity")
+    """A slot; affinity key: (theme, direction), direction "*" matches any.
+    ``headings`` name the slot in a model's reply: the title, the id with
+    spaces and the ``synonyms``, in lower case."""
 
-    def __init__(self, id: str, title: str, affinity: dict[tuple[str, str], float]):
+    __slots__ = ("id", "title", "affinity", "synonyms", "headings")
+    _fields = ("id", "title", "affinity", "synonyms")
+
+    def __init__(self, id: str, title: str, affinity: dict[tuple[str, str], float],
+                 synonyms: tuple[str, ...] = ()):
         if not any(w > 0 for w in affinity.values()):
             raise ValueError(f"slot {id} has no nonzero affinity")
         for (theme, direction), w in affinity.items():
@@ -90,6 +99,8 @@ class SlotDescriptor(Record):
         setfield(self, "id", id)
         setfield(self, "title", title)
         setfield(self, "affinity", affinity)
+        setfield(self, "synonyms", synonyms)
+        setfield(self, "headings", (title.lower(), id.replace("_", " "), *map(str.lower, synonyms)))
 
     def fit(self, insight: Insight) -> float:
         table = self.affinity
@@ -100,10 +111,38 @@ class SlotDescriptor(Record):
         return best
 
 
-# The slots of each framework kind, built and checked once. The first
-# porter5 slot is the diagram's hub.
-_SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
-    "swot": (
+class Grid(Record):
+    """A grid of ``rows`` x ``cols`` boxes: whether they keep the style's
+    gap, each slot's (row, column) cell, the fixed fills (a slot with a risk
+    level shows it in its title and fill instead), and whether the other
+    boxes point arrows at the first (the hub)."""
+
+    __slots__ = ("rows", "cols", "gapped", "cells", "fills", "hub")
+
+
+class Framework(Record):
+    """Everything a framework kind is: its ``--framework`` name, diagram
+    title and slots, the attribute derived for each slot from its displayed
+    factors (``assign_risk``, ``score_axis`` or None), and the diagram's
+    shape: a ``Grid``, "ring" (one box per slot on a circle) or "radar"
+    (one spoke per slot)."""
+
+    __slots__ = ("cli_name", "title", "slots", "shape", "attribute")
+
+    def __init__(self, cli_name: str, title: str, slots: tuple[SlotDescriptor, ...],
+                 shape: Grid | str, attribute=None):
+        if not (isinstance(shape, Grid) or shape in ("ring", "radar")):
+            raise ValueError(f"shape {shape!r} is not a Grid, 'ring' or 'radar'")
+        setfield(self, "cli_name", cli_name)
+        setfield(self, "title", title)
+        setfield(self, "slots", slots)
+        setfield(self, "shape", shape)
+        setfield(self, "attribute", attribute)
+
+
+# Every framework kind, built and checked once; the one place a kind is named.
+FRAMEWORKS: dict[str, Framework] = {
+    "swot": Framework("swot", "SWOT Analysis", (
         SlotDescriptor("strengths", "Strengths", {
             ("market-presence", "positive"): 1.0,
             ("brand-marketing", "positive"): 1.0,
@@ -114,7 +153,7 @@ _SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
             ("public-sentiment", "positive"): 0.8,
             ("cost", "positive"): 0.8,
             ("growth", "positive"): 0.7,
-        }),
+        }, ("strength",)),
         SlotDescriptor("weaknesses", "Weaknesses", {
             ("online-channel", "negative"): 1.0,
             ("supply-chain", "negative"): 0.9,
@@ -125,38 +164,44 @@ _SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
             ("cost", "negative"): 0.8,
             ("public-sentiment", "negative"): 0.6,
             ("growth", "negative"): 0.6,
-        }),
+        }, ("weakness",)),
         SlotDescriptor("opportunities", "Opportunities", {
             ("growth", "positive"): 0.9,
             ("growth", "neutral"): 0.4,
             ("online-channel", "negative"): 0.5,
             ("market-presence", "positive"): 0.6,
             ("product-diversity", "positive"): 0.5,
-        }),
+        }, ("opportunity",)),
         SlotDescriptor("threats", "Threats", {
             ("competition", "negative"): 1.0,
             ("competition", "*"): 0.8,
             ("public-sentiment", "negative"): 0.8,
             ("cost", "negative"): 0.5,
             ("growth", "negative"): 0.7,
-        }),
-    ),
-    "porter5": (
+        }, ("threat",)),
+    ), Grid(rows=2, cols=2, gapped=False,
+            cells=((0, 0), (0, 1), (1, 0), (1, 1)),  # S W / O T
+            fills=("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8"), hub=False)),
+    "porter5": Framework("porter5", "Porter's Five Forces", (
         SlotDescriptor("rivalry", "Competitive Rivalry", {
             ("competition", "*"): 1.0,
             ("market-presence", "*"): 0.6,
             ("brand-marketing", "*"): 0.5,
-        }),
+        }, ("industry rivalry",)),
         SlotDescriptor("supplier_power", "Supplier Power",
-                       {("supply-chain", "*"): 1.0, ("cost", "*"): 0.7}),
+                       {("supply-chain", "*"): 1.0, ("cost", "*"): 0.7},
+                       ("bargaining power of suppliers",)),
         SlotDescriptor("buyer_power", "Buyer Power",
-                       {("public-sentiment", "*"): 0.9, ("online-channel", "*"): 0.6}),
+                       {("public-sentiment", "*"): 0.9, ("online-channel", "*"): 0.6},
+                       ("bargaining power of buyers",)),
         SlotDescriptor("new_entrants", "Threat of New Entrants",
                        {("growth", "*"): 0.8, ("online-channel", "*"): 0.5}),
         SlotDescriptor("substitutes", "Threat of Substitutes",
                        {("product-diversity", "*"): 0.9, ("profitability", "*"): 0.4}),
-    ),
-    "virtuous_cycle": (
+    ), Grid(rows=3, cols=3, gapped=True,
+            cells=((1, 1), (0, 1), (1, 2), (2, 1), (1, 0)),  # C N E S W
+            fills=(), hub=True), assign_risk),
+    "virtuous_cycle": Framework("cycle", "Virtuous Circle", (
         SlotDescriptor("invest", "Invest",
                        {("brand-marketing", "*"): 0.9, ("cost", "*"): 0.7}),
         SlotDescriptor("improve_offering", "Improve Offering", {
@@ -168,50 +213,51 @@ _SLOTS: dict[str, tuple[SlotDescriptor, ...]] = {
                        {("public-sentiment", "*"): 0.9, ("market-presence", "*"): 0.8}),
         SlotDescriptor("grow_revenue", "Grow Revenue",
                        {("growth", "*"): 1.0, ("profitability", "*"): 0.95}),
-    ),
-    "value_discipline": (
+    ), "ring"),
+    "value_discipline": Framework("value-discipline", "Value Discipline", (
         SlotDescriptor("operational_excellence", "Operational Excellence", {
             ("supply-chain", "*"): 1.0,
             ("cost", "*"): 0.9,
             ("profitability", "*"): 0.8,
-        }),
+        }, ("operational efficiency",)),
         SlotDescriptor("product_leadership", "Product Leadership", {
             ("product-diversity", "*"): 1.0,
             ("brand-marketing", "*"): 0.8,
             ("growth", "*"): 0.7,
-        }),
+        }, ("product innovation",)),
         SlotDescriptor("customer_intimacy", "Customer Intimacy", {
             ("public-sentiment", "*"): 1.0,
             ("online-channel", "*"): 0.7,
             ("market-presence", "*"): 0.6,
-        }),
-    ),
+        }, ("customer relationships",)),
+    ), "radar", score_axis),
 }
 
-# The attribute each kind derives for a slot from its displayed factors;
-# the other kinds' slots carry none.
-_SLOT_ATTRIBUTE = {"porter5": assign_risk, "value_discipline": score_axis}
-
-FRAMEWORK_KINDS = tuple(_SLOTS)
+FRAMEWORK_KINDS = tuple(FRAMEWORKS)
 
 
 class FrameworkSchema(Record):
-    """One of the four framework kinds, showing at most ``max_per_slot``
-    factors per slot."""
+    """A framework kind, a key of ``FRAMEWORKS``, showing at most
+    ``max_per_slot`` factors per slot."""
 
     __slots__ = ("kind", "max_per_slot")
 
     def __init__(self, kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT):
-        if kind not in _SLOTS:
-            raise UnknownKind(f"unknown framework kind {kind!r}")
+        if kind not in FRAMEWORKS:
+            raise UnknownKind(f"unknown framework kind {kind!r}: "
+                              f"must be one of {', '.join(FRAMEWORKS)}")
         if max_per_slot < 1:
             raise ValueError("max_per_slot must be positive")
         setfield(self, "kind", kind)
         setfield(self, "max_per_slot", max_per_slot)
 
     @property
+    def framework(self) -> Framework:
+        return FRAMEWORKS[self.kind]
+
+    @property
     def slots(self) -> tuple[SlotDescriptor, ...]:
-        return _SLOTS[self.kind]
+        return FRAMEWORKS[self.kind].slots
 
 
 def schema_for(kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> FrameworkSchema:
@@ -220,11 +266,6 @@ def schema_for(kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> Framework
 
 class Violation(Record):
     __slots__ = ("code", "slot_id", "message")
-
-    def __init__(self, code: str, slot_id: str | None, message: str):
-        setfield(self, "code", code)
-        setfield(self, "slot_id", slot_id)
-        setfield(self, "message", message)
 
 
 class OrganizedAnalysis(Record):
@@ -255,7 +296,7 @@ class OrganizedAnalysis(Record):
     def slot_attributes(self) -> dict[str, str | AxisScore | None]:
         """Each schema slot's risk level, axis score or None, derived from
         its displayed factors on every read."""
-        derive = _SLOT_ATTRIBUTE.get(self.schema.kind)
+        derive = self.schema.framework.attribute
         return {
             slot.id: derive(self.assignments.get(slot.id, [])) if derive else None
             for slot in self.schema.slots

@@ -367,21 +367,6 @@ def parse_insight_list(response: str, model_label: str = "llm") -> list[Insight]
     return [_llm_insight(i, label, text, model_label) for i, (label, text) in enumerate(items)]
 
 
-# Headings that name a slot other than by its title or its id with spaces,
-# which ``parse_framework_assignment`` matches for every slot.
-_SLOT_SYNONYMS = {
-    "strengths": ("strength",),
-    "weaknesses": ("weakness",),
-    "opportunities": ("opportunity",),
-    "threats": ("threat",),
-    "rivalry": ("industry rivalry",),
-    "supplier_power": ("bargaining power of suppliers",),
-    "buyer_power": ("bargaining power of buyers",),
-    "operational_excellence": ("operational efficiency",),
-    "product_leadership": ("product innovation",),
-    "customer_intimacy": ("customer relationships",),
-}
-
 _REFUSAL_MARKERS = (
     "lacks specific data",
     "cannot determine",
@@ -397,25 +382,20 @@ _HEADING_RE = re.compile(r"^\s*(?:#+\s*)?\*{0,2}(?P<head>[A-Za-z][A-Za-z' ]{2,50
 class ParseDiagnostic(Record):
     __slots__ = ("kind", "detail")  # kind: unmatched-heading | overflow | empty-slot
 
-    def __init__(self, kind: str, detail: str):
-        setfield(self, "kind", kind)
-        setfield(self, "detail", detail)
-
 
 def parse_framework_assignment(
     response: str,
     schema: FrameworkSchema,
     model_label: str = "llm",
 ) -> tuple[OrganizedAnalysis, list[ParseDiagnostic]]:
-    """Match slot headings, read each slot's section with the insight-list
-    item grammar, and collect the items into a validated analysis. A
-    heading-shaped line before the first slot heading that has more words
-    than any slot heading is preamble ("Here is a SWOT analysis of
-    Walmart:"), not an unmatched heading."""
-    synonyms = {heading: slot.id for slot in schema.slots
-                for heading in (slot.title.lower(), slot.id.replace("_", " "),
-                                *_SLOT_SYNONYMS.get(slot.id, ()))}
-    longest = max(len(heading.split()) for heading in synonyms)
+    """Match slot headings (each slot's ``headings``, in any case), read
+    each slot's section with the insight-list item grammar, and collect the
+    items into a validated analysis. A heading-shaped line before the first
+    slot heading that has more words than any slot heading is preamble
+    ("Here is the analysis of Walmart you asked for:"), not an unmatched
+    heading."""
+    slot_of = {heading: slot.id for slot in schema.slots for heading in slot.headings}
+    longest = max(len(heading.split()) for heading in slot_of)
     sections: dict[str, list[str]] = {slot.id: [] for slot in schema.slots}
     diagnostics: list[ParseDiagnostic] = []
     current: str | None = None
@@ -424,7 +404,7 @@ def parse_framework_assignment(
         m = _HEADING_RE.match(raw.strip())
         if m:
             head = m.group("head").strip()
-            current = synonyms.get(head.lower())
+            current = slot_of.get(head.lower())
             if current:
                 saw_heading = True
             elif saw_heading or len(head.split()) <= longest:

@@ -10,7 +10,9 @@ for every class at import:
 - the repr ``Name(field=value, ...)``;
 - assignment and deletion that raise ``AttributeError``;
 - ``_replace(**changes)``, a copy built, and so checked, by ``__init__``;
-- copying and pickling through ``__init__`` as well.
+- copying and pickling through ``__init__`` as well;
+- an ``__init__`` that stores each field, by position or by name,
+  unchecked, for a record that checks nothing and has no defaults.
 
 ``_fields`` names the fields in constructor order. It is the class's
 ``__slots__`` unless the class sets it, leaving out slots that hold
@@ -30,6 +32,13 @@ class Record:
     def __init_subclass__(cls):
         if "_fields" not in vars(cls):
             cls._fields = cls.__slots__
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(self._fields)}")
+        for name in self._fields:
+            setfield(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratagem import cli, diagram, insights as insights_mod, llm
+from stratagem import cli, diagram, frameworks, insights as insights_mod, llm
 
 FOOBAR = Path(__file__).parent / "fixtures" / "foobar.tsv"
 PRICES = Path(__file__).parent / "fixtures" / "prices.tsv"
@@ -485,7 +485,11 @@ class TestRenderCommand:
 
     @pytest.mark.parametrize("edit,expected", [
         (lambda d: d.update(schema_kind="bcg_matrix"),
-         "error: invalid analysis file {path}: unknown framework kind 'bcg_matrix'\n"),
+         "error: invalid analysis file {path}: unknown framework kind 'bcg_matrix': "
+         "must be one of swot, porter5, virtuous_cycle, value_discipline\n"),
+        (lambda d: d.update(schema_kind="cycle"),
+         "error: invalid analysis file {path}: unknown framework kind 'cycle': "
+         "must be one of swot, porter5, virtuous_cycle, value_discipline\n"),
         (lambda d: d.update(slots=5), "error: invalid analysis file {path}: "),
         (lambda d: d["slots"][0].update(factors=d["slots"][0]["factors"][:1] * 12),
          "error: invalid analysis file {path}: "
@@ -501,8 +505,8 @@ class TestRenderCommand:
         (lambda d: d["slots"][0].update(title="Forces"),
          """error: invalid analysis file {path}: slot 'strengths': title "Forces" is not """
          """"Strengths", the one its schema gives\n"""),
-    ], ids=["unknown-kind", "slots-not-a-list", "repeated-factors", "repeated-slot",
-            "missing-slot", "nan-evidence", "edited-title"])
+    ], ids=["unknown-kind", "cli-name-as-kind", "slots-not-a-list", "repeated-factors",
+            "repeated-slot", "missing-slot", "nan-evidence", "edited-title"])
     def test_malformed_analysis_file_is_input_error(
         self, insights_file, tmp_path, capsys, edit, expected
     ):
@@ -941,7 +945,8 @@ FOOBAR_ANALYSIS_SHA256 = {
 
 
 class TestPipeline:
-    @pytest.mark.parametrize("framework,kind", cli._FRAMEWORK_NAMES.items())
+    @pytest.mark.parametrize("framework,kind", [
+        (framework.cli_name, kind) for kind, framework in frameworks.FRAMEWORKS.items()])
     def test_foobar_analysis_files_are_pinned(self, tmp_path, framework, kind):
         svg = tmp_path / "out.svg"
         assert run("pipeline", "--table", str(FOOBAR), "--timeseries", str(PRICES),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_analysis, random_insights
-from stratagem import diagram, textfit
+from stratagem import diagram, llm, textfit
 from stratagem.diagram import (
     RISK_PALETTE,
     DiagramSpec,
@@ -30,9 +30,16 @@ from stratagem.diagram import (
 )
 from stratagem.frameworks import (
     FRAMEWORK_KINDS,
+    FRAMEWORKS,
     RISK_LEVELS,
+    AxisScore,
+    Framework,
+    Grid,
+    SlotDescriptor,
+    assign_risk,
     organize,
     schema_for,
+    score_axis,
 )
 from stratagem.ingest import parse_table
 from stratagem.insights import Evidence, Insight, run_all_rules
@@ -250,19 +257,78 @@ class TestLayoutHubSpoke:
 
 
 # ---------------------------------------------------------------------------
-# the grid records that both grid kinds are drawn from
+# the framework records every kind is drawn from
+
+@pytest.mark.parametrize("kind", FRAMEWORKS)
+def test_framework_record_agrees_with_itself(kind):
+    """A kind's CLI name is its own, each heading names one of its slots,
+    a grid has one distinct in-grid cell per slot and a fill for each slot
+    without a risk level, and a radar's slots derive the axis scores its
+    spokes are drawn to."""
+    framework = FRAMEWORKS[kind]
+    names = [other.cli_name for other in FRAMEWORKS.values()]
+    assert names.count(framework.cli_name) == 1
+    slot_of = {}
+    for slot in framework.slots:
+        for heading in slot.headings:
+            assert slot_of.setdefault(heading, slot.id) == slot.id, heading
+    shape = framework.shape
+    if isinstance(shape, Grid):
+        assert len(shape.cells) == len(framework.slots) == len(set(shape.cells))
+        assert all(0 <= r < shape.rows and 0 <= c < shape.cols for r, c in shape.cells)
+        assert framework.attribute is assign_risk or len(shape.fills) == len(framework.slots)
+    if shape == "radar":
+        attributes = organize([], schema_for(kind)).slot_attributes
+        assert all(isinstance(a, AxisScore) for a in attributes.values())
+
+
+@pytest.mark.parametrize("shape,attribute", [
+    (Grid(rows=2, cols=2, gapped=True, cells=((0, 0), (0, 1), (1, 0), (1, 1)),
+          fills=("#DEEBD8", "#D7E3F1", "#F6E3B8", "#F4CFCC"), hub=False), None),
+    ("ring", None),
+    ("radar", score_axis),
+], ids=["grid", "ring", "radar"])
+def test_a_fifth_kind_is_one_record(monkeypatch, shape, attribute):
+    """A kind added to the table alone is organized, drawn to a valid SVG
+    (a four-spoke radar too, with its own spokes and legend rows), and
+    named by its headings in a model's reply."""
+    slots = tuple(SlotDescriptor(id, title, {(theme, "*"): 1.0}, synonyms)
+                  for id, title, theme, synonyms in (
+                      ("stars", "Stars", "growth", ("star",)),
+                      ("question_marks", "Question Marks", "online-channel", ()),
+                      ("cash_cows", "Cash Cows", "profitability", ("cash cow",)),
+                      ("dogs", "Dogs", "competition", ("dog",))))
+    monkeypatch.setitem(FRAMEWORKS, "growth_share", Framework(
+        "growth-share", "Growth-Share Matrix", slots, shape, attribute))
+    analysis = organize(random_insights(random.Random(5), 12), schema_for("growth_share"),
+                        subject="Foobar Corp")
+    assert sum(map(len, analysis.assignments.values())) > 0
+    spec = layout(analysis)
+    assert validate_spec(spec) == []
+    xml.parsers.expat.ParserCreate().Parse(emit_svg(spec), True)
+    assert "Growth-Share Matrix: Foobar Corp" in " ".join(spec.title.lines)
+    assert len(spec.boxes) == len(slots)
+    if spec.radar:
+        assert [axis.angle_deg for axis in spec.radar.axes] == [-90.0, 0.0, 90.0, 180.0]
+    reply = ("Here is the matrix:\nStars:\n- Revenue grew faster than every peer.\n"
+             "Question marks:\n- The online store is new and small.\n"
+             "CASH COW:\n- Margins are the widest of the group.\n"
+             "Dog:\n- Rivals are taking share in the oldest line.\n")
+    parsed, diagnostics = llm.parse_framework_assignment(reply, schema_for("growth_share"))
+    assert diagnostics == []
+    assert {slot: len(items) for slot, items in parsed.assignments.items()} == dict.fromkeys(
+        [slot.id for slot in slots], 1)
+
 
 @pytest.mark.parametrize("gap", (0, 18, 200))
 @pytest.mark.parametrize("scale", (1, 2, 4))
-@pytest.mark.parametrize("kind", ("swot", "porter5"))
+@pytest.mark.parametrize("kind", [k for k, f in FRAMEWORKS.items() if isinstance(f.shape, Grid)])
 def test_grid_record_places_one_cell_per_slot(kind, scale, gap):
-    """Each slot has its own cell inside the grid, and each arrow runs
-    exactly between the midpoints of the two boxes' facing edges, which
-    ``validate_spec`` checks only to within half a pixel."""
-    grid = diagram._GRIDS[kind]
+    """Each slot's box lies in its own cell, in slot order, and each arrow
+    runs exactly between the midpoints of the two boxes' facing edges,
+    which ``validate_spec`` checks only to within half a pixel."""
+    grid = FRAMEWORKS[kind].shape
     slots = schema_for(kind).slots
-    assert len(grid.cells) == len(slots) == len(set(grid.cells))
-    assert all(0 <= r < grid.rows and 0 <= c < grid.cols for r, c in grid.cells)
     _, _, _, boxes, arrows, _ = diagram._cells_at(
         organize([], schema_for(kind)), Style(gap=gap), scale)
     assert [box[0] for box in boxes] == [slot.id for slot in slots]
@@ -439,7 +505,9 @@ class TestLayoutRadar:
 
 
 @settings(max_examples=300, deadline=None)
-@given(angle=st.sampled_from(diagram._RADAR_ANGLES), radius=st.floats(0, 5000),
+@given(angle=st.sampled_from([angle for f in FRAMEWORKS.values() if f.shape == "radar"
+                              for angle in diagram._spokes(len(f.slots))]),
+       radius=st.floats(0, 5000),
        center=st.tuples(st.floats(0, 20000), st.floats(0, 20000)),
        words=st.lists(st.text(string.ascii_letters + string.digits + "()./",
                               min_size=1, max_size=8), min_size=1, max_size=3),
@@ -452,6 +520,12 @@ def test_radar_label_lies_beyond_the_ring(angle, radius, center, words, scale):
     (x, y), (cx, cy) = block.origin, center
     nearest = (min(max(cx, x), x + block.width), min(max(cy, y), y + block.height))
     assert math.dist(nearest, center) >= radius + 12 - 1e-6
+
+
+def test_three_spokes_keep_the_pinned_angles():
+    """The value_discipline digests were pinned with spokes at exactly
+    -90, 30 and 150 degrees."""
+    assert diagram._spokes(3) == [-90.0, 30.0, 150.0]
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +836,12 @@ def test_geometry_fits_no_text(builder, scale, monkeypatch):
 
     analysis = builder()
     monkeypatch.setattr(diagram, "fit_text", refuse)
-    geometry = diagram._LAYOUTS[analysis.schema.kind](analysis, Style(), scale)
+    geometry = diagram._geometry(analysis.schema.framework.shape)(analysis, Style(), scale)
     width, height, label, boxes, arrows, radar = geometry
     assert label and len(boxes) == len(analysis.schema.slots)
     for _, (x, y, w, h), *_ in boxes:
         assert 0 <= x and x + w <= width and 0 <= y and y + h <= height
-    assert (radar is not None) == (analysis.schema.kind == "value_discipline")
+    assert (radar is not None) == (analysis.schema.framework.shape == "radar")
 
 
 def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):

@@ -17,7 +17,8 @@ from stratagem.diagram import (
     ArrowEdge, BoxNode, DiagramSpec, RadarAxis, RadarShape, Style,
 )
 from stratagem.frameworks import (
-    AxisScore, FrameworkSchema, OrganizedAnalysis, SlotDescriptor, Violation,
+    AxisScore, Framework, FrameworkSchema, Grid, OrganizedAnalysis, SlotDescriptor, Violation,
+    score_axis,
 )
 from stratagem.ingest import Dataset, MetricDescriptor, TimeSeries
 from stratagem.insights import Evidence, Insight
@@ -43,6 +44,10 @@ RECORDS = {
     AxisScore: (lambda: AxisScore(6.5, 2), {"value": 10.5}),
     SlotDescriptor: (lambda: SlotDescriptor("threats", "Threats", {("cost", "*"): 0.5}),
                      {"affinity": {("cost", "*"): 0.0}}),
+    Grid: (lambda: Grid(1, 2, True, ((0, 0), (0, 1)), ("#DEEBD8", "#F4CFCC"), False), None),
+    Framework: (lambda: Framework("pulse", "Pulse", (SlotDescriptor(
+        "tempo", "Tempo", {("growth", "*"): 1.0}, ("pace",)),), "radar", score_axis),
+                {"shape": "pie"}),
     FrameworkSchema: (lambda: FrameworkSchema("porter5", 2), {"max_per_slot": 0}),
     Violation: (lambda: Violation("BadFit", "threats", "fit 2 outside [0, 1]"), None),
     OrganizedAnalysis: (lambda: OrganizedAnalysis(_SCHEMA, "Foobar", {"threats": []}), None),
@@ -68,7 +73,7 @@ def test_every_record_class_is_covered():
     for info in pkgutil.iter_modules(stratagem.__path__):
         importlib.import_module(f"stratagem.{info.name}")
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 21
 
 
 @pytest.fixture(params=list(RECORDS), ids=lambda cls: cls.__name__)
@@ -89,7 +94,7 @@ def test_equal_records_hash_alike(record_class):
     make, _ = RECORDS[record_class]
     if record_class is OrganizedAnalysis:  # mutable, so not hashable
         assert OrganizedAnalysis.__hash__ is None
-    elif record_class is SlotDescriptor:  # its affinity field is a dict
+    elif record_class in (SlotDescriptor, Framework):  # a slot's affinity is a dict
         with pytest.raises(TypeError):
             hash(make())
     else:
@@ -128,6 +133,18 @@ def test_replace_goes_through_the_constructor(record_class):
             record._replace(**bad)
 
 
+def test_an_unchecked_record_takes_each_field_once():
+    """A record without its own ``__init__`` stores its fields by position
+    or by name, and takes neither a missing, an unknown nor a repeated one."""
+    edge = ArrowEdge("a", "b", ((0.0, 0.0), (5.0, 5.0)))
+    assert ArrowEdge(to_id="b", points=((0.0, 0.0), (5.0, 5.0)), from_id="a") == edge
+    assert ArrowEdge("a", "b", points=((0.0, 0.0), (5.0, 5.0))) == edge
+    for args, kwargs in (((), {}), (("a", "b"), {}), (("a", "b", (), ()), {}),
+                         (("a", "b", ()), {"to_id": "c"}), (("a", "b", ()), {"via": "c"})):
+        with pytest.raises(TypeError, match="ArrowEdge takes the fields from_id, to_id, points"):
+            ArrowEdge(*args, **kwargs)
+
+
 def test_copy_and_pickle_rebuild_an_equal_record(record_class):
     record = RECORDS[record_class][0]()
     for clone in (copy.copy(record), copy.deepcopy(record),
@@ -140,6 +157,9 @@ def test_derived_slots_are_built_and_ignored():
     assert shape._fields == ("center", "radius", "axes")
     assert shape.vertices[0] == pytest.approx((100.0, 137.5))
     assert shape._replace(radius=100.0).vertices[0] == pytest.approx((100.0, 175.0))
+    slot = RECORDS[SlotDescriptor][0]()._replace(id="new_entrants", synonyms=("entry",))
+    assert slot.headings == ("threats", "new entrants", "entry")
+    assert "headings" not in repr(slot)
     dataset = RECORDS[Dataset][0]()
     assert dataset.value("Acme", "Revenue") is None
     assert "_row_index" not in repr(dataset)
