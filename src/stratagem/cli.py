@@ -230,9 +230,12 @@ def _render(args, analysis: frameworks.OrganizedAnalysis, output: str) -> None:
         args.style, "style", diagram.load_style)
     try:
         spec = diagram.layout(analysis, style)
+        svg = diagram.emit_svg(spec)
     except diagram.LayoutOverflow as exc:
         raise _Failed(EXIT_LAYOUT, f"layout overflow: {exc.text!r}") from None
-    _write_text(output, diagram.emit_svg(spec))
+    except diagram.InvariantViolation as exc:
+        raise _Failed(EXIT_LAYOUT, f"error: invalid diagram: {exc}") from None
+    _write_text(output, svg)
     print(f"wrote {output} ({spec.width:.2f} x {spec.height:.2f} px)")
 
 

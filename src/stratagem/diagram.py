@@ -8,6 +8,16 @@ record, and one fill step fits every text with the embedded font metrics
 and builds the DiagramSpec; the first scale at which every text fits at or
 above the minimum font size wins. ``emit_svg`` then re-validates every
 invariant and produces byte-deterministic SVG 1.1.
+
+The texts are the same at every scale, so ``layout`` measures each once
+(``textfit.measure``, kept in a dict local to the call) and hands the
+measure to every ``fit_text`` of it. Before filling a scale other than
+the last, it asks ``_cannot_fill`` whether the fill must fail: whether
+the title or a box has no interior, or some text ``never_fits`` at the
+style's ``min_font`` in a box at least as large as the fill would give
+it. Such a scale is skipped without fitting a text. A skipped scale is
+one whose fill would have raised, so the same scale wins, and the last
+scale is always filled, so ``LayoutOverflow`` names the same text.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from .fonts import FONT_FAMILY
 from .frameworks import RISK_LEVELS, Grid, OrganizedAnalysis, validate_analysis
 from .record import Record, setfield
 from .textfit import (
-    DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text,
+    DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text, measure,
+    never_fits,
 )
 
 # Single source of truth for risk coloring: one fixed palette per process,
@@ -453,8 +464,28 @@ def _cap(size: int, style: Style) -> int:
     return max(style.min_font, min(size, style.max_font))
 
 
+def _title_band(style: Style) -> float:
+    """The diagram title's height: one line at the style's smallest font."""
+    return max(36, LINE_HEIGHT * style.min_font)
+
+
+# A radar label's box: this wide at canvas scale 1, and this high.
+_LABEL_WIDTH = 170
+_LABEL_HEIGHT = 40
+
+
+class _Measures(dict):
+    """Each text's ``textfit.measure`` of its words, taken when it is first
+    looked up. ``layout`` makes one per call, so it measures each text once
+    across its scales and keeps nothing between calls."""
+
+    def __missing__(self, text: str):
+        measured = self[text] = measure(text.split())
+        return measured
+
+
 def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
-              fill: str, style: Style) -> BoxNode:
+              fill: str, style: Style, measures: _Measures) -> BoxNode:
     """Fit a title line plus one text block per factor inside the box.
 
     Raises DoesNotFitAtMinFont naming the text that does not fit; callers
@@ -471,7 +502,8 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
     if title_text:
         title_block = fit_text(
             title_text, iw, ih, min_font=style.min_font, max_font=_cap(18, style),
-        ).at(x + pad, cursor)
+            measured=measures[title_text], origin=(x + pad, cursor),
+        )
         cursor += title_block.height + 4
     body: list[TextBlock] = []
     if factor_texts:
@@ -481,8 +513,9 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
             raise DoesNotFitAtMinFont(factor_texts[0])
         for i, text in enumerate(factor_texts):
             body.append(fit_text(
-                text, iw, band, min_font=style.min_font, max_font=style.max_font
-            ).at(x + pad, cursor + i * band))
+                text, iw, band, min_font=style.min_font, max_font=style.max_font,
+                measured=measures[text], origin=(x + pad, cursor + i * band),
+            ))
     return BoxNode(
         id=box_id, x=x, y=y, w=w, h=h,
         title=title_block, body=tuple(body), fill=fill,
@@ -490,12 +523,13 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
 
 
 def _radar_label(text: str, angle_deg: float, center, radius: float, width: float,
-                 style: Style) -> TextBlock:
+                 style: Style, measured=None) -> TextBlock:
     """Fit an axis label and place it just beyond its spoke's end. On a
     spoke along an axis, or with both direction components beyond 0.2 as
     each of ``_spokes(3)`` has, the label's nearest point is then
     ``radius + 12`` from the centre, so it clears the outer ring."""
-    block = fit_text(text, width, 40, min_font=style.min_font, max_font=_cap(14, style))
+    block = fit_text(text, width, _LABEL_HEIGHT, min_font=style.min_font,
+                     max_font=_cap(14, style), measured=measured)
     cx, cy = center
     rad = math.radians(angle_deg)
     dx, dy = math.cos(rad), math.sin(rad)
@@ -510,39 +544,88 @@ def _radar_label(text: str, angle_deg: float, center, radius: float, width: floa
     return block.at(lx, ly)
 
 
-def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry) -> DiagramSpec:
+def _diagram_title(label: str, analysis: OrganizedAnalysis) -> str:
+    """The geometry's label, followed by the analysis's subject if any."""
+    return f"{label}: {analysis.subject}" if analysis.subject else label
+
+
+def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry,
+          measures: _Measures) -> DiagramSpec:
     """Fit every text of one geometry and build its DiagramSpec: the
     diagram title, then the radar labels, then the boxes in slot order.
 
     Raises DoesNotFitAtMinFont naming the first text that does not fit.
     """
     width, height, label, boxes, arrows, radar = geometry
-    title = f"{label}: {analysis.subject}" if analysis.subject else label
+    title = _diagram_title(label, analysis)
     if width - 2 * style.gap <= 0:
         raise DoesNotFitAtMinFont(title)
-    # the band holds one line at the style's smallest font
     title_block = fit_text(
-        title, width - 2 * style.gap, max(36, LINE_HEIGHT * style.min_font),
+        title, width - 2 * style.gap, _title_band(style),
         min_font=style.min_font, max_font=_cap(22, style),
-    ).at(style.gap, 8)
+        measured=measures[title], origin=(style.gap, 8),
+    )
     if radar:
         center, radius, axes = radar
         fitted = tuple(
             RadarAxis(slot_id, angle, score,
-                      _radar_label(text, angle, center, radius, 170 * scale, style))
+                      _radar_label(text, angle, center, radius, _LABEL_WIDTH * scale,
+                                   style, measures[text]))
             for slot_id, angle, score, text in axes
         )
         radar = RadarShape(center=center, radius=radius, axes=fitted)
     return DiagramSpec(
-        width=width, height=height, boxes=tuple(_fill_box(*box, style) for box in boxes),
+        width=width, height=height,
+        boxes=tuple(_fill_box(*box, style, measures) for box in boxes),
         arrows=arrows, radar=radar, title=title_block,
         font_family=style.font_family, background=style.background,
     )
 
 
+def _cannot_fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry,
+                 measures: _Measures) -> bool:
+    """Whether ``_fill`` of one geometry must raise DoesNotFitAtMinFont,
+    decided without fitting a text: the title or a box has no interior, or
+    a text ``never_fits`` at the style's ``min_font`` in a box at least as
+    large as ``_fill`` would give it. A body text's band is taken under a
+    one-line title at ``min_font`` (no line for a title without words), the
+    shortest title block there is, computed in ``_fill_box``'s operation
+    order so that float rounding keeps it at least the real band."""
+    width, _, label, boxes, _, radar = geometry
+    low = style.min_font
+    title = _diagram_title(label, analysis)
+    if width - 2 * style.gap <= 0 or never_fits(
+            measures[title], width - 2 * style.gap, _title_band(style), low):
+        return True
+    if radar and any(never_fits(measures[text], _LABEL_WIDTH * scale, _LABEL_HEIGHT, low)
+                     for *_, text in radar[2]):
+        return True
+    pad = style.padding
+    for _, (x, y, w, h), title_text, factor_texts, _ in boxes:
+        iw = w - 2 * pad
+        ih = h - 2 * pad
+        if iw <= 0 or ih <= 0:
+            return True
+        cursor = y + pad
+        if title_text:
+            measured = measures[title_text]
+            if never_fits(measured, iw, ih, low):
+                return True
+            lines = 1 if measured[0] else 0
+            cursor += lines * (LINE_HEIGHT * low) + 4
+        if factor_texts:
+            band = ((y + h - pad) - cursor) / len(factor_texts)
+            if band <= 0 or any(never_fits(measures[text], iw, band, low)
+                                for text in factor_texts):
+                return True
+    return False
+
+
 def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     """Validate ``analysis``, then return its framework's diagram at the
-    first canvas scale 1, 2, 4, ... at which every text fits.
+    first canvas scale 1, 2, 4, ... at which every text fits. A scale
+    below the largest that ``_cannot_fill`` rules out is skipped without
+    fitting a text; the largest is always filled.
 
     Raises LayoutOverflow naming the text that failed at the largest scale.
     """
@@ -550,10 +633,14 @@ def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     if violations:
         raise InvariantViolation("; ".join(v.message for v in violations))
     geometry = _geometry(analysis.schema.framework.shape)
+    measures = _Measures()
     for attempt in range(_MAX_DOUBLINGS + 1):
         scale = 2 ** attempt
+        drawn = geometry(analysis, style, scale)
+        if attempt < _MAX_DOUBLINGS and _cannot_fill(analysis, style, scale, drawn, measures):
+            continue
         try:
-            return _fill(analysis, style, scale, geometry(analysis, style, scale))
+            return _fill(analysis, style, scale, drawn, measures)
         except DoesNotFitAtMinFont as exc:
             failed = exc.text
     raise LayoutOverflow(failed)

@@ -19,31 +19,42 @@ line from word ``i`` then ends at the last word ``j`` whose prefix sum
 ``P`` of ``word_em + space_em`` is at most ``P[i] + cap + space_em``,
 found by ``bisect_right`` on the sums: the line the word-by-word fill
 gives. None of the words, their ``_em`` or the sums depends on the size,
-so ``fit_text`` builds them once (``_measured``) and passes them to the
-``wrap`` at every size it tries; ``wrap`` builds them again only from
+so ``measure`` builds them once, with their total, and ``fit_text`` passes
+them to the ``wrap`` at every size it tries; a caller that fits one text
+in several boxes, as ``diagram.layout`` does, measures it once and hands
+the measure to each ``fit_text``. ``wrap`` builds them again only from
 the pieces, when it has split an overlong word. ``wrap`` returns each
 line's em sum, a difference of two prefix sums, and the fitted block
 carries them, so only a block built by hand is measured for its width.
 
 The search wraps only at sizes that a line-count floor leaves open. At a
 size, every line and every piece sums to at most ``cap``. Pieces keep
-every character of their word and add hyphens, and joins add spaces, so
-the lines together sum to at least ``total_em``, the words' sum. There
-are therefore at least ``ceil(total_em / cap)`` lines, and when that
-many fail the height test (the same expression as the final check,
+every character of their word and add hyphens, so the ``W'`` pieces sum
+to ``T' >= total_em`` and ``W' >= W``, the word count. ``L`` lines of
+them hold ``W' - L`` joining spaces, so ``L * cap >= T' + (W' - L) *
+space_em >= total_em + (W - L) * space_em``, that is
+
+    L >= ceil((total_em + W * space_em) / (cap + space_em)),
+
+where the numerator is the last prefix sum. ``wrap`` gives ``_cap`` that
+sum as its limit, and so does the floor: a cap held at the limit gives a
+floor of one line, which every text with words needs. When that many
+lines fail the height test (the same expression as the final check,
 which grows with the line count) no wrap at that size fits. When
-``cap`` is 0 no character fits and wrap would raise ``UnbreakableToken``.
-Skipping those sizes returns the block, or raises the error, that
-wrapping at every size gives.
+``cap`` is 0 no character fits and wrap would raise
+``UnbreakableToken``. Skipping those sizes returns the block, or raises
+the error, that wrapping at every size gives.
 
 The floor only grows with size: ``size * c`` rises with ``size``, so
-``cap`` falls, the line count ``ceil(total_em / cap)`` rises, and so
-does ``lines * LINE_HEIGHT * size``, each float step rounding
-monotonically. The sizes it leaves open are therefore every size up to
-one largest, which ``fit_text`` finds by bisection; from there down it
-wraps the sizes that testing each size from ``max_font`` down would
-wrap, and returns the same block. The first probe is ``max_font``, the
-size at which about half of a report's texts are open.
+``cap`` falls, the numerator stays and the denominator ``cap + space_em``
+falls, so the line count rises, and so does ``lines * LINE_HEIGHT *
+size``, each float step rounding monotonically. The sizes it leaves open
+are therefore every size up to one largest, which ``fit_text`` finds by
+bisection; from there down it wraps the sizes that testing each size
+from ``max_font`` down would wrap, and returns the same block. The first
+probe is ``max_font``, the size at which about half of a report's texts
+are open. A text the floor rules out at ``min_font`` therefore fits at
+no size from ``min_font`` up: ``never_fits`` says so without wrapping.
 """
 
 from __future__ import annotations
@@ -151,6 +162,9 @@ def _em(s: str) -> int:
     return sum(map(ADVANCE_WIDTHS.get, s, repeat(FALLBACK_ADVANCE)))
 
 
+_SPACE_EM = _em(" ")
+
+
 def _cap(width: float, size: float, limit: int) -> int:
     """The largest integer em sum ``c`` in [0, limit] with
     ``size * c / 1000.0 <= width``, wrap's fit test, or -1 when no ``c``
@@ -169,26 +183,30 @@ def _cap(width: float, size: float, limit: int) -> int:
     return c
 
 
-def _measured(words: list[str]) -> tuple[list[str], list[int], list[int]]:
-    """The size-independent part of a wrap: the words, each word's ``_em``
-    and the prefix sums of ``word_em + space_em``."""
+Measure = tuple[list[str], list[int], list[int], int]
+
+
+def measure(words: list[str]) -> Measure:
+    """The size-independent part of a wrap, which ``fit_text`` and ``wrap``
+    take at any size: the words, each word's ``_em``, the prefix sums of
+    ``word_em + space_em`` (each added and summed in C) and the words' em
+    total."""
     ems = list(map(_em, words))
-    space_em = _em(" ")
-    return words, ems, [0, *accumulate(em + space_em for em in ems)]
+    return words, ems, [0, *accumulate(map(_SPACE_EM.__add__, ems))], sum(ems)
 
 
 def wrap(
     text: str,
     width: float,
     size: float,
-    prepared: tuple[list[str], list[int], list[int]] | None = None,
+    prepared: Measure | None = None,
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Greedy wrap of whitespace-separated words into lines of at most
     ``width`` px at font ``size``, returned with each line's em sum.
     Overlong words are hyphen-split; a width that fits no character (zero,
     negative or NaN) raises UnbreakableToken for any word. ``prepared`` is
-    ``_measured`` of the text's words, which ``fit_text`` builds once for
-    every size it wraps; wrap builds it itself when it is not given.
+    ``measure(text.split())``, which ``fit_text`` passes to every size it
+    wraps; wrap builds it itself when it is not given.
 
     Lines are summed in integer thousandths of an em and each fit test is
     ``measure_text``'s own expression, so the lines are the ones that
@@ -202,32 +220,42 @@ def wrap(
     ``_em`` of the joined line, which ``fit_text`` keeps on the block."""
     if size <= 0:
         raise ValueError("font size must be positive")
-    words, ems, sums = _measured(text.split()) if prepared is None else prepared
-    space_em = _em(" ")
+    words, ems, sums, _ = measure(text.split()) if prepared is None else prepared
     cap = _cap(width, size, sums[-1])
     if max(ems, default=0) > cap:
-        words, ems, sums = _measured(
+        words, ems, sums, _ = measure(
             [piece for word, word_em in zip(words, ems)
              for piece in ((word,) if word_em <= cap else _split_token(word, width, size))])
     lines = []
     line_ems = []
     start = 0
     while start < len(words):
-        end = bisect_right(sums, sums[start] + cap + space_em, start + 2) - 1
+        end = bisect_right(sums, sums[start] + cap + _SPACE_EM, start + 2) - 1
         lines.append(" ".join(words[start:end]))
-        line_ems.append(sums[end] - sums[start] - space_em)
+        line_ems.append(sums[end] - sums[start] - _SPACE_EM)
         start = end
     return tuple(lines), tuple(line_ems)
 
 
-def _ruled_out(total_em: int, width: float, height: float, size: int) -> bool:
-    """True when words summing to ``total_em`` cannot wrap into
+def _ruled_out(total_em: int, count: int, width: float, height: float, size: int) -> bool:
+    """True when ``count`` words summing to ``total_em`` cannot wrap into
     ``width`` x ``height`` at ``size``: the line-count floor of the module
     docstring."""
-    cap = _cap(width, size, total_em)
+    span = total_em + count * _SPACE_EM
+    cap = _cap(width, size, span)
     if cap <= 0:
         return True
-    return -(-total_em // cap) * LINE_HEIGHT * size > height
+    return -(-span // (cap + _SPACE_EM)) * LINE_HEIGHT * size > height
+
+
+def never_fits(measured: Measure, width: float, height: float, min_font: int) -> bool:
+    """True when ``fit_text`` of the measured text in a ``width`` x
+    ``height`` box, both positive, raises DoesNotFitAtMinFont whatever its
+    ``max_font``: the text has words and the floor rules out ``min_font``,
+    so every size above it too. Decided without wrapping."""
+    words, _, _, total_em = measured
+    return bool(words) and min_font >= 1 and _ruled_out(
+        total_em, len(words), width, height, min_font)
 
 
 def fit_text(
@@ -236,31 +264,36 @@ def fit_text(
     height: float,
     min_font: int = MIN_FONT,
     max_font: int = MAX_FONT,
+    measured: Measure | None = None,
+    origin: tuple[float, float] = (0.0, 0.0),
 ) -> TextBlock:
-    """Largest integer font size whose wrapped text fits width x height;
-    DoesNotFitAtMinFont(text) when none in [min_font, max_font] does.
-    Sizes the line-count floor rules out are skipped without wrapping:
-    they are every size above the largest open one, found by bisection."""
+    """Largest integer font size whose wrapped text fits width x height,
+    as a block at ``origin``; DoesNotFitAtMinFont(text) when none in
+    [min_font, max_font] does. ``measured`` is ``measure(text.split())``,
+    taken here when not given. Sizes the line-count floor rules out are skipped
+    without wrapping: they are every size above the largest open one,
+    found by bisection."""
     if not (width > 0 and height > 0):
         raise ValueError("box interior must have positive dimensions")
-    prepared = _measured(text.split())
-    words, ems, _ = prepared
+    if measured is None:
+        measured = measure(text.split())
+    words, _, _, total_em = measured
     if not words:
-        return TextBlock((), float(max_font))
-    total_em = sum(ems)
+        return TextBlock((), float(max_font), origin)
+    count = len(words)
     low, high = max(min_font, 1), max_font
     probe = high
     while low <= high:
-        if _ruled_out(total_em, width, height, probe):
+        if _ruled_out(total_em, count, width, height, probe):
             high = probe - 1
         else:
             low = probe + 1
         probe = (low + high) // 2
     for size in range(high, min_font - 1, -1):
         try:
-            lines, line_ems = wrap(text, width, size, prepared)
+            lines, line_ems = wrap(text, width, size, measured)
         except UnbreakableToken:
             continue
         if len(lines) * LINE_HEIGHT * size <= height:
-            return TextBlock(lines, float(size), _ems=line_ems)
+            return TextBlock(lines, float(size), origin, line_ems)
     raise DoesNotFitAtMinFont(text)

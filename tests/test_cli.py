@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -679,6 +680,26 @@ class TestRenderCommand:
         monkeypatch.setattr(diagram, "layout", boom)
         assert run("render", str(analysis), "-o", str(tmp_path / "d.svg")) == 4
         assert "layout overflow" in capsys.readouterr().err
+
+    def test_invalid_diagram_exit_code(self, tmp_path, monkeypatch, capsys):
+        """A ring of five slots, added to the table, is drawn with boxes
+        that overlap, which ``emit_svg`` refuses: the CLI exits 4 with one
+        ``error:`` line and writes no SVG, not a traceback."""
+        slots = tuple(frameworks.SlotDescriptor(id, id.title(), {(theme, "*"): 1.0})
+                      for id, theme in (("invest", "growth"), ("reach", "online-channel"),
+                                        ("earn", "profitability"), ("defend", "competition"),
+                                        ("improve", "market-presence")))
+        monkeypatch.setitem(frameworks.FRAMEWORKS, "five_ring", frameworks.Framework(
+            "five-ring", "Five Ring", slots, "ring"))
+        # the parser takes its --framework choices from the table once
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        svg = tmp_path / "d.svg"
+        assert run("pipeline", "--table", str(FOOBAR), "--framework", "five-ring",
+                   "-o", str(svg)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid diagram: ") and err.count("\n") == 1, err
+        assert "overlap" in err
+        assert not svg.exists()
 
     def test_style_override(self, insights_file, tmp_path):
         analysis = tmp_path / "a.json"

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_analysis, random_insights
+from conftest import random_analysis, random_insights, random_statement
 from stratagem import diagram, llm, textfit
 from stratagem.diagram import (
     RISK_PALETTE,
@@ -43,7 +43,7 @@ from stratagem.frameworks import (
 )
 from stratagem.ingest import parse_table
 from stratagem.insights import Evidence, Insight, run_all_rules
-from stratagem.textfit import MAX_FONT, MIN_FONT
+from stratagem.textfit import LINE_HEIGHT, MAX_FONT, MIN_FONT
 
 
 def make_insight(i, direction, magnitude, themes, statement=None):
@@ -786,6 +786,112 @@ def test_foobar_render_measures_few_lines(kind, foobar_dataset, prices_series, m
 
 
 # ---------------------------------------------------------------------------
+# the scale skip
+
+def _every_scale_layout(analysis, style):
+    """``layout`` with no scale skipped: ``_fill`` at 1, 2, 4, ... until
+    every text fits, giving the spec or the LayoutOverflow text."""
+    geometry = diagram._geometry(analysis.schema.framework.shape)
+    for attempt in range(diagram._MAX_DOUBLINGS + 1):
+        scale = 2 ** attempt
+        try:
+            return diagram._fill(analysis, style, scale, geometry(analysis, style, scale),
+                                 diagram._Measures())
+        except textfit.DoesNotFitAtMinFont as exc:
+            failed = exc.text
+    return diagram.LayoutOverflow, failed
+
+
+# The corpus styles, and three small canvases: on two, most diagrams double
+# several times (one with wide padding and a raised minimum font); on the
+# third, with every text at 28 px, most overflow even at the largest scale.
+SKIP_STYLES = tuple(load_style(raw) for raw in (
+    *CYCLE_CORPUS_STYLES,
+    {"canvas": [150, 110]},
+    {"canvas": [220, 160], "padding": 20, "min_font": 16, "max_font": 20},
+    {"canvas": [3, 3], "min_font": 28},
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(FRAMEWORK_KINDS),
+       style=st.sampled_from(SKIP_STYLES), long_subject=st.booleans())
+def test_skipping_scales_changes_no_layout(seed, kind, style, long_subject):
+    """``layout``, which skips the scales ``_cannot_fill`` rules out,
+    returns the spec that filling at every scale returns, or names the
+    same text in its LayoutOverflow. A long subject makes the diagram
+    title need a wider canvas than the boxes do."""
+    analysis = random_analysis(random.Random(seed), kind)
+    if long_subject:
+        analysis.subject = "Foobar Corporation International Holdings of the Americas"
+    try:
+        got = layout(analysis, style)
+    except diagram.LayoutOverflow as exc:
+        got = diagram.LayoutOverflow, exc.text
+    assert got == _every_scale_layout(analysis, style)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(MIN_FONT, MAX_FONT),
+       factors=st.integers(1, 3), width=st.floats(120, 600), y=st.floats(0, 5000))
+def test_a_box_filled_exactly_is_not_ruled_out(seed, size, factors, width, y):
+    """With every font bound at one size, a box with a one-line title whose
+    body bands are exactly as tall as their texts' lines (one float lower
+    and the box fails) is filled, so ``_cannot_fill`` leaves it open: its
+    band under a one-line title at ``min_font`` is then the real one."""
+    rng = random.Random(seed)
+    style = Style(min_font=size, max_font=size)
+    texts = [random_statement(rng) for _ in range(factors)]
+    pad = style.padding
+    iw = width - 2 * pad
+    need = max(len(textfit.wrap(text, iw, size)[0]) for text in texts) * LINE_HEIGHT * size
+    cursor = y + pad + (LINE_HEIGHT * size + 4)
+
+    def band(h):
+        return ((y + h - pad) - cursor) / factors
+
+    h = need * factors + (cursor - y) + pad
+    while band(h) < need:
+        h = math.nextafter(h, math.inf)
+    while band(math.nextafter(h, 0.0)) >= need:
+        h = math.nextafter(h, 0.0)
+    analysis = organize([], schema_for("swot"))
+
+    def geometry(h):
+        box = ("tight", (0.0, y, width, h), "Risk", texts, "#FFFFFF")
+        return width, y + h, "Tight", (box,), (), None
+
+    measures = diagram._Measures()
+    spec = diagram._fill(analysis, style, 1, geometry(h), measures)
+    assert len(spec.boxes[0].title.lines) == 1
+    assert not diagram._cannot_fill(analysis, style, 1, geometry(h), measures)
+    with pytest.raises(textfit.DoesNotFitAtMinFont):
+        diagram._fill(analysis, style, 1, geometry(math.nextafter(h, 0.0)), measures)
+
+
+@pytest.mark.parametrize("kind", FRAMEWORK_KINDS)
+def test_foobar_layout_fits_each_block_once(kind, foobar_dataset, prices_series, monkeypatch):
+    """The Foobar porter5 and cycle diagrams fit only at scale 2, and
+    ``layout`` skips scale 1 without fitting a text there: each kind calls
+    ``fit_text`` once per block it draws."""
+    calls = 0
+    fit = diagram.fit_text
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(diagram, "fit_text", counting)
+    found = run_all_rules(foobar_dataset, prices_series)
+    spec = layout(organize(found, schema_for(kind), subject=foobar_dataset.subject))
+    blocks = [spec.title, *(axis.label for axis in spec.radar.axes)] if spec.radar \
+        else [spec.title]
+    blocks += [b for box in spec.boxes for b in (box.title, *box.body) if b is not None]
+    assert calls == len(blocks)
+
+
+# ---------------------------------------------------------------------------
 # randomized smoke across layouts (the full 100-per-layout suite is in the
 # acceptance module)
 
@@ -847,7 +953,9 @@ def test_geometry_fits_no_text(builder, scale, monkeypatch):
 def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):
     """The fill step fits the diagram title, then the radar labels, then the
     boxes. With no box interior at any scale and every axis label refused,
-    the overflow names the first label, and no box text is ever fitted."""
+    the overflow names the first label, and no box text is ever fitted.
+    Every scale but the last has no box interior, so ``layout`` skips it
+    without fitting a text; the last is filled."""
     analysis = radar_analysis()
     labels = {
         f"{slot.title} ({analysis.slot_attributes[slot.id].value:.1f})"
@@ -868,7 +976,7 @@ def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):
     first_label = fitted[1]
     assert first_label.startswith("Operational Excellence (")
     assert exc.value.text == first_label
-    assert fitted == ["Value Discipline: Foobar Corp", first_label] * (diagram._MAX_DOUBLINGS + 1)
+    assert fitted == ["Value Discipline: Foobar Corp", first_label]
 
 
 @pytest.mark.parametrize("min_font", range(MIN_FONT, MAX_FONT + 1))

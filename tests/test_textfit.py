@@ -527,6 +527,7 @@ class TestFitText:
 
     @given(
         total_em=st.integers(1, 10**6),
+        count=st.integers(1, 500),
         lines=st.integers(1, 2000),
         width_size=st.integers(1, 40),
         width_mode=st.sampled_from(["exact", "below", "free"]),
@@ -535,22 +536,62 @@ class TestFitText:
         height=st.one_of(st.none(), st.floats(0.01, 10**6)),
     )
     @settings(max_examples=500)
-    def test_floor_only_grows_with_size(self, total_em, lines, width_size, width_mode,
+    def test_floor_only_grows_with_size(self, total_em, count, lines, width_size, width_mode,
                                         width, height_size, height):
         """Once the line-count floor rules a size out, it rules out every
         larger size too, which is what lets the search bisect for the first
         open size. The exact width is that at which ``width_size`` holds
-        ``lines`` lines of the words, where the cap steps; without a free
-        height, the height is exactly ``lines`` lines at ``height_size``."""
-        cap = -(-total_em // lines)
+        ``lines`` lines of ``count`` words and their spaces, where the cap
+        steps; without a free height, the height is exactly ``lines`` lines
+        at ``height_size``."""
+        space_em = _em(" ")
+        cap = max(1, -(-(total_em + count * space_em) // lines) - space_em)
         if width_mode != "free":
             width = width_size * cap / 1000
         if width_mode == "below":
             width = math.nextafter(width, 0.0)
         if height is None:
             height = lines * LINE_HEIGHT * height_size
-        ruled = [_ruled_out(total_em, width, height, size) for size in range(1, 41)]
+        ruled = [_ruled_out(total_em, count, width, height, size) for size in range(1, 41)]
         assert ruled == sorted(ruled)
+
+    @given(
+        words=st.lists(st.text(alphabet=MIXED_ALPHABET, min_size=1, max_size=20),
+                       min_size=1, max_size=30),
+        width_mode=st.sampled_from(["free", "one-glyph", "words", "below-word"]),
+        width=st.floats(0.5, 400),
+        at=st.integers(0, 40),
+        height_mode=st.sampled_from(["exact", "below", "free"]),
+        height=st.floats(1, 400),
+        size=st.integers(1, 40),
+    )
+    @settings(max_examples=500)
+    def test_floor_rules_out_only_sizes_that_do_not_fit(self, words, width_mode, width, at,
+                                                        height_mode, height, size):
+        """Whenever the floor rules a size out, ``wrap`` at that size raises
+        UnbreakableToken or returns lines too tall for the height. Heights
+        are drawn exactly as tall as the lines ``wrap`` returns (which the
+        floor must leave open) and one float below; widths hold one glyph,
+        the first words, or one float less than a word, so that word is
+        hyphen-split."""
+        text = " ".join(words)
+        chars = "".join(words)
+        if width_mode == "one-glyph":
+            width = measure_text(chars[at % len(chars)], size)
+        elif width_mode == "words":
+            width = measure_text(" ".join(words[:1 + at % len(words)]), size)
+        elif width_mode == "below-word":
+            width = math.nextafter(measure_text(words[at % len(words)], size), 0.0)
+        try:
+            lines, _ = wrap(text, width, size)
+        except UnbreakableToken:
+            lines = None
+        if lines is not None and height_mode != "free":
+            height = len(lines) * LINE_HEIGHT * size
+            if height_mode == "below":
+                height = math.nextafter(height, 0.0)
+        if _ruled_out(sum(map(_em, words)), len(words), width, height, size):
+            assert lines is None or len(lines) * LINE_HEIGHT * size > height
 
     @given(
         words=st.lists(
@@ -591,7 +632,7 @@ class TestFitText:
         last = int(outcome.font_size) if isinstance(outcome, TextBlock) else min_font
         total_em = sum(map(_em, words))
         assert sizes == [s for s in range(max_font, last - 1, -1)
-                         if not (s > 0 and _ruled_out(total_em, width, height, s))]
+                         if not (s > 0 and _ruled_out(total_em, len(words), width, height, s))]
 
     def test_floor_skips_sizes_without_wrapping(self, monkeypatch):
         """A long text in a short box: the floor rules out the sizes from 28
