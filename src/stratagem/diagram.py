@@ -11,13 +11,7 @@ invariant and produces byte-deterministic SVG 1.1.
 
 The texts are the same at every scale, so ``layout`` measures each once
 (``textfit.measure``, kept in a dict local to the call) and hands the
-measure to every ``fit_text`` of it. Before filling a scale other than
-the last, it asks ``_cannot_fill`` whether the fill must fail: whether
-the title or a box has no interior, or some text ``never_fits`` at the
-style's ``min_font`` in a box at least as large as the fill would give
-it. Such a scale is skipped without fitting a text. A skipped scale is
-one whose fill would have raised, so the same scale wins, and the last
-scale is always filled, so ``LayoutOverflow`` names the same text.
+measure to every ``fit_text`` of it.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from .frameworks import RISK_LEVELS, Grid, OrganizedAnalysis, validate_analysis
 from .record import Record, setfield
 from .textfit import (
     DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text, measure,
-    never_fits,
 )
 
 # Single source of truth for risk coloring: one fixed palette per process,
@@ -267,7 +260,7 @@ def _on_rect_boundary(p, rect) -> bool:
 # geometry: one function per shape, text-free
 #
 # Each takes (analysis, style, scale) and returns the diagram's geometry at
-# that canvas scale as (width, height, label, boxes, arrows, radar):
+# that canvas scale as (width, height, boxes, arrows, radar):
 # ``boxes`` holds (id, (x, y, w, h), title text, factor texts, fill) in slot
 # order, ``arrows`` holds ArrowEdges, and ``radar`` is None or (center,
 # radius, axes) with one (slot id, angle in degrees, score, label
@@ -304,7 +297,7 @@ def _cells_at(analysis: OrganizedAnalysis, style: Style, scale: int):
                   (_facing_mid(rect, cell, hub), _facing_mid(rects[0], hub, cell)))
         for slot, cell, rect in zip(slots[1:], grid.cells[1:], rects[1:])
     ) if grid.hub else ()
-    return W, H, framework.title, tuple(boxes), arrows, None
+    return W, H, tuple(boxes), arrows, None
 
 
 def _facing_mid(rect, cell, toward) -> tuple[float, float]:
@@ -357,7 +350,7 @@ def _cycle_at(analysis: OrganizedAnalysis, style: Style, scale: int):
         j = (k + 1) % n
         points = _cycle_arc(rects[k], rects[j], (ox, oy), r, angles[k], angles[j])
         arrows.append(ArrowEdge(from_id=slots[k].id, to_id=slots[j].id, points=points))
-    return W, H, analysis.schema.framework.title, boxes, tuple(arrows), None
+    return W, H, boxes, tuple(arrows), None
 
 
 def _cycle_arc(rect_a, rect_b, center, r, theta_a, theta_b) -> tuple[tuple[float, float], ...]:
@@ -439,7 +432,7 @@ def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int):
             f"{slot.title}: {score:.1f} / 10", _statements(analysis, slot.id)[:2], _BOX_FILL,
         ))
     radar = ((cx, cy), radius, tuple(axes))
-    return W, H, framework.title, tuple(boxes), (), radar
+    return W, H, tuple(boxes), (), radar
 
 
 def _rect_circle_overlap(rect, center, radius) -> bool:
@@ -462,11 +455,6 @@ def _cap(size: int, style: Style) -> int:
     """A heading's largest font size, kept within the style's font bounds,
     so a style ``min_font`` above ``size`` raises the cap."""
     return max(style.min_font, min(size, style.max_font))
-
-
-def _title_band(style: Style) -> float:
-    """The diagram title's height: one line at the style's smallest font."""
-    return max(36, LINE_HEIGHT * style.min_font)
 
 
 # A radar label's box: this wide at canvas scale 1, and this high.
@@ -544,24 +532,22 @@ def _radar_label(text: str, angle_deg: float, center, radius: float, width: floa
     return block.at(lx, ly)
 
 
-def _diagram_title(label: str, analysis: OrganizedAnalysis) -> str:
-    """The geometry's label, followed by the analysis's subject if any."""
-    return f"{label}: {analysis.subject}" if analysis.subject else label
-
-
 def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry,
           measures: _Measures) -> DiagramSpec:
     """Fit every text of one geometry and build its DiagramSpec: the
-    diagram title, then the radar labels, then the boxes in slot order.
+    diagram title (the framework's, then the subject if any) in a band one
+    line high at the style's smallest font, then the radar labels, then the
+    boxes in slot order.
 
     Raises DoesNotFitAtMinFont naming the first text that does not fit.
     """
-    width, height, label, boxes, arrows, radar = geometry
-    title = _diagram_title(label, analysis)
+    width, height, boxes, arrows, radar = geometry
+    label = analysis.schema.framework.title
+    title = f"{label}: {analysis.subject}" if analysis.subject else label
     if width - 2 * style.gap <= 0:
         raise DoesNotFitAtMinFont(title)
     title_block = fit_text(
-        title, width - 2 * style.gap, _title_band(style),
+        title, width - 2 * style.gap, max(36, LINE_HEIGHT * style.min_font),
         min_font=style.min_font, max_font=_cap(22, style),
         measured=measures[title], origin=(style.gap, 8),
     )
@@ -582,50 +568,9 @@ def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry,
     )
 
 
-def _cannot_fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry,
-                 measures: _Measures) -> bool:
-    """Whether ``_fill`` of one geometry must raise DoesNotFitAtMinFont,
-    decided without fitting a text: the title or a box has no interior, or
-    a text ``never_fits`` at the style's ``min_font`` in a box at least as
-    large as ``_fill`` would give it. A body text's band is taken under a
-    one-line title at ``min_font`` (no line for a title without words), the
-    shortest title block there is, computed in ``_fill_box``'s operation
-    order so that float rounding keeps it at least the real band."""
-    width, _, label, boxes, _, radar = geometry
-    low = style.min_font
-    title = _diagram_title(label, analysis)
-    if width - 2 * style.gap <= 0 or never_fits(
-            measures[title], width - 2 * style.gap, _title_band(style), low):
-        return True
-    if radar and any(never_fits(measures[text], _LABEL_WIDTH * scale, _LABEL_HEIGHT, low)
-                     for *_, text in radar[2]):
-        return True
-    pad = style.padding
-    for _, (x, y, w, h), title_text, factor_texts, _ in boxes:
-        iw = w - 2 * pad
-        ih = h - 2 * pad
-        if iw <= 0 or ih <= 0:
-            return True
-        cursor = y + pad
-        if title_text:
-            measured = measures[title_text]
-            if never_fits(measured, iw, ih, low):
-                return True
-            lines = 1 if measured[0] else 0
-            cursor += lines * (LINE_HEIGHT * low) + 4
-        if factor_texts:
-            band = ((y + h - pad) - cursor) / len(factor_texts)
-            if band <= 0 or any(never_fits(measures[text], iw, band, low)
-                                for text in factor_texts):
-                return True
-    return False
-
-
 def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     """Validate ``analysis``, then return its framework's diagram at the
-    first canvas scale 1, 2, 4, ... at which every text fits. A scale
-    below the largest that ``_cannot_fill`` rules out is skipped without
-    fitting a text; the largest is always filled.
+    first canvas scale 1, 2, 4, ... at which every text fits.
 
     Raises LayoutOverflow naming the text that failed at the largest scale.
     """
@@ -636,11 +581,8 @@ def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     measures = _Measures()
     for attempt in range(_MAX_DOUBLINGS + 1):
         scale = 2 ** attempt
-        drawn = geometry(analysis, style, scale)
-        if attempt < _MAX_DOUBLINGS and _cannot_fill(analysis, style, scale, drawn, measures):
-            continue
         try:
-            return _fill(analysis, style, scale, drawn, measures)
+            return _fill(analysis, style, scale, geometry(analysis, style, scale), measures)
         except DoesNotFitAtMinFont as exc:
             failed = exc.text
     raise LayoutOverflow(failed)

@@ -174,8 +174,11 @@ def _append_record(path: str, request_hash_: str, request: str, response: str) -
         "response": response,
         "timestamp": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    except OSError as exc:
+        raise LlmError(f"cannot write transcript {path}: {exc.strerror}") from None
 
 
 def _http_complete(config: ProviderConfig, prompt: str) -> str:

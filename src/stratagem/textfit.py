@@ -53,8 +53,7 @@ are therefore every size up to one largest, which ``fit_text`` finds by
 bisection; from there down it wraps the sizes that testing each size
 from ``max_font`` down would wrap, and returns the same block. The first
 probe is ``max_font``, the size at which about half of a report's texts
-are open. A text the floor rules out at ``min_font`` therefore fits at
-no size from ``min_font`` up: ``never_fits`` says so without wrapping.
+are open.
 """
 
 from __future__ import annotations
@@ -246,16 +245,6 @@ def _ruled_out(total_em: int, count: int, width: float, height: float, size: int
     if cap <= 0:
         return True
     return -(-span // (cap + _SPACE_EM)) * LINE_HEIGHT * size > height
-
-
-def never_fits(measured: Measure, width: float, height: float, min_font: int) -> bool:
-    """True when ``fit_text`` of the measured text in a ``width`` x
-    ``height`` box, both positive, raises DoesNotFitAtMinFont whatever its
-    ``max_font``: the text has words and the floor rules out ``min_font``,
-    so every size above it too. Decided without wrapping."""
-    words, _, _, total_em = measured
-    return bool(words) and min_font >= 1 and _ruled_out(
-        total_em, len(words), width, height, min_font)
 
 
 def fit_text(

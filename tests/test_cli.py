@@ -309,6 +309,16 @@ class TestInsightsCommand:
         assert models and set(models) == {"gpt-4o"}
         assert transcript.exists()
 
+    def test_record_to_a_directory_is_llm_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(llm, "_http_complete",
+                            lambda config, prompt: "- Revenue grew faster than every peer")
+        code = run("insights", "--table", str(FOOBAR), "--llm", f"record:m:{tmp_path}",
+                   "-o", str(tmp_path / "x.json"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"LLM error: cannot write transcript {tmp_path}: " in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_replay_merge_is_offline(self, tmp_path, no_network):
         out = tmp_path / "merged.json"
         code = run(

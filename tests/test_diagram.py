@@ -329,7 +329,7 @@ def test_grid_record_places_one_cell_per_slot(kind, scale, gap):
     which ``validate_spec`` checks only to within half a pixel."""
     grid = FRAMEWORKS[kind].shape
     slots = schema_for(kind).slots
-    _, _, _, boxes, arrows, _ = diagram._cells_at(
+    _, _, boxes, arrows, _ = diagram._cells_at(
         organize([], schema_for(kind)), Style(gap=gap), scale)
     assert [box[0] for box in boxes] == [slot.id for slot in slots]
     assert len(arrows) == (len(slots) - 1 if grid.hub else 0)
@@ -438,7 +438,7 @@ def test_cycle_arrows_leave_and_enter_boxes_where_a_bisection_finds(canvas, gap,
     it enters the next, at the angles a bisection finds, and each end takes
     an edge's coordinate exactly; no point between lies inside either box."""
     style = Style(canvas_w=canvas[0], canvas_h=canvas[1], gap=gap)
-    width, height, _, boxes, arrows, _ = diagram._cycle_at(cycle_analysis(), style, scale)
+    width, height, boxes, arrows, _ = diagram._cycle_at(cycle_analysis(), style, scale)
     center = (width / 2, diagram._TITLE_STRIP + (height - diagram._TITLE_STRIP) / 2)
     rects = [rect for _, rect, *_ in boxes]
     n = len(rects)
@@ -786,59 +786,15 @@ def test_foobar_render_measures_few_lines(kind, foobar_dataset, prices_series, m
 
 
 # ---------------------------------------------------------------------------
-# the scale skip
-
-def _every_scale_layout(analysis, style):
-    """``layout`` with no scale skipped: ``_fill`` at 1, 2, 4, ... until
-    every text fits, giving the spec or the LayoutOverflow text."""
-    geometry = diagram._geometry(analysis.schema.framework.shape)
-    for attempt in range(diagram._MAX_DOUBLINGS + 1):
-        scale = 2 ** attempt
-        try:
-            return diagram._fill(analysis, style, scale, geometry(analysis, style, scale),
-                                 diagram._Measures())
-        except textfit.DoesNotFitAtMinFont as exc:
-            failed = exc.text
-    return diagram.LayoutOverflow, failed
-
-
-# The corpus styles, and three small canvases: on two, most diagrams double
-# several times (one with wide padding and a raised minimum font); on the
-# third, with every text at 28 px, most overflow even at the largest scale.
-SKIP_STYLES = tuple(load_style(raw) for raw in (
-    *CYCLE_CORPUS_STYLES,
-    {"canvas": [150, 110]},
-    {"canvas": [220, 160], "padding": 20, "min_font": 16, "max_font": 20},
-    {"canvas": [3, 3], "min_font": 28},
-))
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(FRAMEWORK_KINDS),
-       style=st.sampled_from(SKIP_STYLES), long_subject=st.booleans())
-def test_skipping_scales_changes_no_layout(seed, kind, style, long_subject):
-    """``layout``, which skips the scales ``_cannot_fill`` rules out,
-    returns the spec that filling at every scale returns, or names the
-    same text in its LayoutOverflow. A long subject makes the diagram
-    title need a wider canvas than the boxes do."""
-    analysis = random_analysis(random.Random(seed), kind)
-    if long_subject:
-        analysis.subject = "Foobar Corporation International Holdings of the Americas"
-    try:
-        got = layout(analysis, style)
-    except diagram.LayoutOverflow as exc:
-        got = diagram.LayoutOverflow, exc.text
-    assert got == _every_scale_layout(analysis, style)
-
+# the fill order
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(MIN_FONT, MAX_FONT),
        factors=st.integers(1, 3), width=st.floats(120, 600), y=st.floats(0, 5000))
-def test_a_box_filled_exactly_is_not_ruled_out(seed, size, factors, width, y):
+def test_a_box_filled_exactly_fits(seed, size, factors, width, y):
     """With every font bound at one size, a box with a one-line title whose
-    body bands are exactly as tall as their texts' lines (one float lower
-    and the box fails) is filled, so ``_cannot_fill`` leaves it open: its
-    band under a one-line title at ``min_font`` is then the real one."""
+    body bands are exactly as tall as their texts' lines is filled, and one
+    float lower it fails."""
     rng = random.Random(seed)
     style = Style(min_font=size, max_font=size)
     texts = [random_statement(rng) for _ in range(factors)]
@@ -858,22 +814,32 @@ def test_a_box_filled_exactly_is_not_ruled_out(seed, size, factors, width, y):
     analysis = organize([], schema_for("swot"))
 
     def geometry(h):
+        # a canvas wide enough for the diagram title on one line at any size
         box = ("tight", (0.0, y, width, h), "Risk", texts, "#FFFFFF")
-        return width, y + h, "Tight", (box,), (), None
+        return 1000.0, y + h, (box,), (), None
 
     measures = diagram._Measures()
     spec = diagram._fill(analysis, style, 1, geometry(h), measures)
     assert len(spec.boxes[0].title.lines) == 1
-    assert not diagram._cannot_fill(analysis, style, 1, geometry(h), measures)
     with pytest.raises(textfit.DoesNotFitAtMinFont):
         diagram._fill(analysis, style, 1, geometry(math.nextafter(h, 0.0)), measures)
 
 
+# Per kind, the ``fit_text`` calls of the Foobar layout and the blocks drawn.
+FOOBAR_FIT_CALLS = {
+    "swot": (12, 12),
+    "porter5": (30, 18),
+    "virtuous_cycle": (31, 17),
+    "value_discipline": (13, 13),
+}
+
+
 @pytest.mark.parametrize("kind", FRAMEWORK_KINDS)
 def test_foobar_layout_fits_each_block_once(kind, foobar_dataset, prices_series, monkeypatch):
-    """The Foobar porter5 and cycle diagrams fit only at scale 2, and
-    ``layout`` skips scale 1 without fitting a text there: each kind calls
-    ``fit_text`` once per block it draws."""
+    """The Foobar SWOT and radar diagrams fit at scale 1, calling
+    ``fit_text`` once per block they draw. The porter5 and cycle diagrams
+    fit only at scale 2, after scale 1 fitted its texts up to the first
+    that failed: 12 of porter5's and 14 of the cycle's."""
     calls = 0
     fit = diagram.fit_text
 
@@ -888,25 +854,42 @@ def test_foobar_layout_fits_each_block_once(kind, foobar_dataset, prices_series,
     blocks = [spec.title, *(axis.label for axis in spec.radar.axes)] if spec.radar \
         else [spec.title]
     blocks += [b for box in spec.boxes for b in (box.title, *box.body) if b is not None]
-    assert calls == len(blocks)
+    assert (calls, len(blocks)) == FOOBAR_FIT_CALLS[kind]
 
 
 # ---------------------------------------------------------------------------
 # randomized smoke across layouts (the full 100-per-layout suite is in the
 # acceptance module)
 
+# Three small canvases: on two, most diagrams double several times (one with
+# wide padding and a raised minimum font); on the third, with every text at
+# 28 px, most overflow even at the largest scale.
+SMALL_CANVASES = tuple(load_style(raw) for raw in (
+    {"canvas": [150, 110]},
+    {"canvas": [220, 160], "padding": 20, "min_font": 16, "max_font": 20},
+    {"canvas": [3, 3], "min_font": 28},
+))
+
+
 @pytest.mark.parametrize("kind", ["swot", "porter5", "virtuous_cycle", "value_discipline"])
 def test_randomized_layouts_hold_invariants(kind):
+    """Every layout in the default style is valid; on a small canvas a
+    layout is valid or raises LayoutOverflow."""
     # a stable seed: str hashes are salted per process, so a failure replays
     rng = random.Random(FRAMEWORK_KINDS.index(kind))
     for _ in range(25):
         analysis = random_analysis(rng, kind)
-        spec = layout(analysis)
-        assert validate_spec(spec) == []
-        for box in spec.boxes:
-            for block in ([box.title] if box.title else []) + list(box.body):
-                if block.lines:
-                    assert MIN_FONT <= block.font_size <= MAX_FONT
+        for style in (Style(), *SMALL_CANVASES):
+            try:
+                spec = layout(analysis, style)
+            except diagram.LayoutOverflow:
+                assert style in SMALL_CANVASES
+                continue
+            assert validate_spec(spec) == []
+            for box in spec.boxes:
+                for block in ([box.title] if box.title else []) + list(box.body):
+                    if block.lines:
+                        assert MIN_FONT <= block.font_size <= MAX_FONT
 
 
 def test_layout_overflow_is_typed():
@@ -943,8 +926,8 @@ def test_geometry_fits_no_text(builder, scale, monkeypatch):
     analysis = builder()
     monkeypatch.setattr(diagram, "fit_text", refuse)
     geometry = diagram._geometry(analysis.schema.framework.shape)(analysis, Style(), scale)
-    width, height, label, boxes, arrows, radar = geometry
-    assert label and len(boxes) == len(analysis.schema.slots)
+    width, height, boxes, arrows, radar = geometry
+    assert len(boxes) == len(analysis.schema.slots)
     for _, (x, y, w, h), *_ in boxes:
         assert 0 <= x and x + w <= width and 0 <= y and y + h <= height
     assert (radar is not None) == (analysis.schema.framework.shape == "radar")
@@ -953,9 +936,8 @@ def test_geometry_fits_no_text(builder, scale, monkeypatch):
 def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):
     """The fill step fits the diagram title, then the radar labels, then the
     boxes. With no box interior at any scale and every axis label refused,
-    the overflow names the first label, and no box text is ever fitted.
-    Every scale but the last has no box interior, so ``layout`` skips it
-    without fitting a text; the last is filled."""
+    the overflow names the first label, and no box text is ever fitted:
+    each scale fits the title and the first label, then gives up."""
     analysis = radar_analysis()
     labels = {
         f"{slot.title} ({analysis.slot_attributes[slot.id].value:.1f})"
@@ -976,7 +958,7 @@ def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):
     first_label = fitted[1]
     assert first_label.startswith("Operational Excellence (")
     assert exc.value.text == first_label
-    assert fitted == ["Value Discipline: Foobar Corp", first_label]
+    assert fitted == ["Value Discipline: Foobar Corp", first_label] * (diagram._MAX_DOUBLINGS + 1)
 
 
 @pytest.mark.parametrize("min_font", range(MIN_FONT, MAX_FONT + 1))
