@@ -8,10 +8,6 @@ record, and one fill step fits every text with the embedded font metrics
 and builds the DiagramSpec; the first scale at which every text fits at or
 above the minimum font size wins. ``emit_svg`` then re-validates every
 invariant and produces byte-deterministic SVG 1.1.
-
-The texts are the same at every scale, so ``layout`` measures each once
-(``textfit.measure``, kept in a dict local to the call) and hands the
-measure to every ``fit_text`` of it.
 """
 
 from __future__ import annotations
@@ -22,9 +18,7 @@ import re
 from .fonts import FONT_FAMILY
 from .frameworks import RISK_LEVELS, Grid, OrganizedAnalysis, validate_analysis
 from .record import Record, setfield
-from .textfit import (
-    DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text, measure,
-)
+from .textfit import DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text
 
 # Single source of truth for risk coloring: one fixed palette per process,
 # light to saturated as severity rises.
@@ -211,26 +205,6 @@ class RadarShape(Record):
 class DiagramSpec(Record):
     __slots__ = ("width", "height", "boxes", "arrows", "radar", "title", "font_family",
                  "background")
-
-    def __init__(
-        self,
-        width: float,
-        height: float,
-        boxes: tuple[BoxNode, ...],
-        arrows: tuple[ArrowEdge, ...] = (),
-        radar: RadarShape | None = None,
-        title: TextBlock | None = None,
-        font_family: str = FONT_FAMILY,
-        background: str = "#FFFFFF",
-    ):
-        setfield(self, "width", width)
-        setfield(self, "height", height)
-        setfield(self, "boxes", boxes)
-        setfield(self, "arrows", arrows)
-        setfield(self, "radar", radar)
-        setfield(self, "title", title)
-        setfield(self, "font_family", font_family)
-        setfield(self, "background", background)
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +436,8 @@ _LABEL_WIDTH = 170
 _LABEL_HEIGHT = 40
 
 
-class _Measures(dict):
-    """Each text's ``textfit.measure`` of its words, taken when it is first
-    looked up. ``layout`` makes one per call, so it measures each text once
-    across its scales and keeps nothing between calls."""
-
-    def __missing__(self, text: str):
-        measured = self[text] = measure(text.split())
-        return measured
-
-
 def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
-              fill: str, style: Style, measures: _Measures) -> BoxNode:
+              fill: str, style: Style) -> BoxNode:
     """Fit a title line plus one text block per factor inside the box.
 
     Raises DoesNotFitAtMinFont naming the text that does not fit; callers
@@ -490,8 +454,7 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
     if title_text:
         title_block = fit_text(
             title_text, iw, ih, min_font=style.min_font, max_font=_cap(18, style),
-            measured=measures[title_text], origin=(x + pad, cursor),
-        )
+        ).at(x + pad, cursor)
         cursor += title_block.height + 4
     body: list[TextBlock] = []
     if factor_texts:
@@ -502,8 +465,7 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
         for i, text in enumerate(factor_texts):
             body.append(fit_text(
                 text, iw, band, min_font=style.min_font, max_font=style.max_font,
-                measured=measures[text], origin=(x + pad, cursor + i * band),
-            ))
+            ).at(x + pad, cursor + i * band))
     return BoxNode(
         id=box_id, x=x, y=y, w=w, h=h,
         title=title_block, body=tuple(body), fill=fill,
@@ -511,13 +473,13 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
 
 
 def _radar_label(text: str, angle_deg: float, center, radius: float, width: float,
-                 style: Style, measured=None) -> TextBlock:
+                 style: Style) -> TextBlock:
     """Fit an axis label and place it just beyond its spoke's end. On a
     spoke along an axis, or with both direction components beyond 0.2 as
     each of ``_spokes(3)`` has, the label's nearest point is then
     ``radius + 12`` from the centre, so it clears the outer ring."""
     block = fit_text(text, width, _LABEL_HEIGHT, min_font=style.min_font,
-                     max_font=_cap(14, style), measured=measured)
+                     max_font=_cap(14, style))
     cx, cy = center
     rad = math.radians(angle_deg)
     dx, dy = math.cos(rad), math.sin(rad)
@@ -532,8 +494,7 @@ def _radar_label(text: str, angle_deg: float, center, radius: float, width: floa
     return block.at(lx, ly)
 
 
-def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry,
-          measures: _Measures) -> DiagramSpec:
+def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry) -> DiagramSpec:
     """Fit every text of one geometry and build its DiagramSpec: the
     diagram title (the framework's, then the subject if any) in a band one
     line high at the style's smallest font, then the radar labels, then the
@@ -549,20 +510,18 @@ def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry,
     title_block = fit_text(
         title, width - 2 * style.gap, max(36, LINE_HEIGHT * style.min_font),
         min_font=style.min_font, max_font=_cap(22, style),
-        measured=measures[title], origin=(style.gap, 8),
-    )
+    ).at(style.gap, 8)
     if radar:
         center, radius, axes = radar
         fitted = tuple(
             RadarAxis(slot_id, angle, score,
-                      _radar_label(text, angle, center, radius, _LABEL_WIDTH * scale,
-                                   style, measures[text]))
+                      _radar_label(text, angle, center, radius, _LABEL_WIDTH * scale, style))
             for slot_id, angle, score, text in axes
         )
         radar = RadarShape(center=center, radius=radius, axes=fitted)
     return DiagramSpec(
         width=width, height=height,
-        boxes=tuple(_fill_box(*box, style, measures) for box in boxes),
+        boxes=tuple(_fill_box(*box, style) for box in boxes),
         arrows=arrows, radar=radar, title=title_block,
         font_family=style.font_family, background=style.background,
     )
@@ -578,11 +537,10 @@ def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     if violations:
         raise InvariantViolation("; ".join(v.message for v in violations))
     geometry = _geometry(analysis.schema.framework.shape)
-    measures = _Measures()
     for attempt in range(_MAX_DOUBLINGS + 1):
         scale = 2 ** attempt
         try:
-            return _fill(analysis, style, scale, geometry(analysis, style, scale), measures)
+            return _fill(analysis, style, scale, geometry(analysis, style, scale))
         except DoesNotFitAtMinFont as exc:
             failed = exc.text
     raise LayoutOverflow(failed)

@@ -125,7 +125,8 @@ class Framework(Record):
     title and slots, the attribute derived for each slot from its displayed
     factors (``assign_risk``, ``score_axis`` or None), and the diagram's
     shape: a ``Grid``, "ring" (one box per slot on a circle) or "radar"
-    (one spoke per slot)."""
+    (one spoke per slot). A ring has four slots, the count whose boxes
+    ``diagram`` keeps apart."""
 
     __slots__ = ("cli_name", "title", "slots", "shape", "attribute")
 
@@ -133,6 +134,8 @@ class Framework(Record):
                  shape: Grid | str, attribute=None):
         if not (isinstance(shape, Grid) or shape in ("ring", "radar")):
             raise ValueError(f"shape {shape!r} is not a Grid, 'ring' or 'radar'")
+        if shape == "ring" and len(slots) != 4:
+            raise ValueError(f"a ring has 4 slots, not {len(slots)}")
         setfield(self, "cli_name", cli_name)
         setfield(self, "title", title)
         setfield(self, "slots", slots)

@@ -73,8 +73,9 @@ class ReplayMiss(LlmError):
 
 class BadTranscript(LlmError, ValueError):
     """A transcript file that cannot be read, or a line in it that is not a
-    record with string ``request_hash`` and ``response``, or that repeats
-    an earlier hash."""
+    record with string ``request_hash`` and ``response``, whose response
+    UTF-8 cannot encode (a lone surrogate), or that repeats an earlier
+    hash."""
 
 
 class NoItemsFound(LlmError):
@@ -161,6 +162,12 @@ def load_transcript(path: str) -> dict[str, str]:
                 raise BadTranscript(
                     f"{where}: not a record with string request_hash and response"
                 )
+            try:
+                record["response"].encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise BadTranscript(
+                    f"{where}: response holds the lone surrogate {exc.object[exc.start]!r}"
+                ) from None
             if record["request_hash"] in responses:
                 raise BadTranscript(f"{where}: duplicate request hash")
             responses[record["request_hash"]] = record["response"]

@@ -20,12 +20,11 @@ line from word ``i`` then ends at the last word ``j`` whose prefix sum
 found by ``bisect_right`` on the sums: the line the word-by-word fill
 gives. None of the words, their ``_em`` or the sums depends on the size,
 so ``measure`` builds them once, with their total, and ``fit_text`` passes
-them to the ``wrap`` at every size it tries; a caller that fits one text
-in several boxes, as ``diagram.layout`` does, measures it once and hands
-the measure to each ``fit_text``. ``wrap`` builds them again only from
-the pieces, when it has split an overlong word. ``wrap`` returns each
-line's em sum, a difference of two prefix sums, and the fitted block
-carries them, so only a block built by hand is measured for its width.
+them to the ``wrap`` at every size it tries. ``wrap`` builds them again
+only from the pieces, when it has split an overlong word. ``wrap``
+returns each line's em sum, a difference of two prefix sums, and the
+fitted block carries them, so only a block built by hand is measured for
+its width.
 
 The search wraps only at sizes that a line-count floor leaves open. At a
 size, every line and every piece sums to at most ``cap``. Pieces keep
@@ -253,22 +252,19 @@ def fit_text(
     height: float,
     min_font: int = MIN_FONT,
     max_font: int = MAX_FONT,
-    measured: Measure | None = None,
-    origin: tuple[float, float] = (0.0, 0.0),
 ) -> TextBlock:
     """Largest integer font size whose wrapped text fits width x height,
-    as a block at ``origin``; DoesNotFitAtMinFont(text) when none in
-    [min_font, max_font] does. ``measured`` is ``measure(text.split())``,
-    taken here when not given. Sizes the line-count floor rules out are skipped
-    without wrapping: they are every size above the largest open one,
-    found by bisection."""
+    as a block at (0, 0) for ``TextBlock.at`` to place;
+    DoesNotFitAtMinFont(text) when none in [min_font, max_font] does. The
+    words are measured once and that measure is handed to every ``wrap``.
+    Sizes the line-count floor rules out are skipped without wrapping:
+    they are every size above the largest open one, found by bisection."""
     if not (width > 0 and height > 0):
         raise ValueError("box interior must have positive dimensions")
-    if measured is None:
-        measured = measure(text.split())
+    measured = measure(text.split())
     words, _, _, total_em = measured
     if not words:
-        return TextBlock((), float(max_font), origin)
+        return TextBlock((), float(max_font))
     count = len(words)
     low, high = max(min_font, 1), max_font
     probe = high
@@ -284,5 +280,5 @@ def fit_text(
         except UnbreakableToken:
             continue
         if len(lines) * LINE_HEIGHT * size <= height:
-            return TextBlock(lines, float(size), origin, line_ems)
+            return TextBlock(lines, float(size), _ems=line_ems)
     raise DoesNotFitAtMinFont(text)

@@ -365,8 +365,10 @@ class TestInsightsCommand:
         (b'{"request_hash": "abc", "response": "x"}\n' * 2,
          "line 2: duplicate request hash"),
         (b"\n" + DEEP_JSON.encode() + b"\n", "line 2: JSON nested too deeply"),
+        (b'{"request_hash": "abc", "response": "a\\ud800"}\n',
+         "line 1: response holds the lone surrogate '\\ud800'"),
     ], ids=["missing", "not-utf8", "not-json", "bad-record", "duplicate-hash",
-            "deep-nesting"])
+            "deep-nesting", "lone-surrogate"])
     def test_bad_transcript_is_llm_error(self, tmp_path, no_network, capsys,
                                          content, message):
         transcript = tmp_path / "t.jsonl"
@@ -443,6 +445,39 @@ class TestOrganizeCommand:
         assert run("organize", str(bad), "--framework", "swot", "-o", str(out)) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid insights file {bad}:\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit,surrogate", [
+        (lambda d: d.update(subject="Foobar \ud800Corp"), "\ud800"),
+        (lambda d: d["insights"][0].update(id="\udfff"), "\udfff"),
+        (lambda d: d["insights"][0].update(statement="\udbff" + d["insights"][0]["statement"]),
+         "\udbff"),
+        (lambda d: d["insights"][0]["evidence"][0]["refs"].append("\udc00"), "\udc00"),
+    ], ids=["subject", "id", "statement", "evidence-ref"])
+    def test_lone_surrogate_is_input_error(self, insights_file, tmp_path, capsys, edit,
+                                           surrogate):
+        """A JSON escape of half a surrogate pair decodes to a string that no
+        UTF-8 output file can hold, so it is rejected where the file is read."""
+        data = json.loads(insights_file.read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "a.json"
+        assert run("organize", str(bad), "--framework", "swot", "-o", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: invalid insights file {bad}:\n"
+                                           f"a string holds the lone surrogate {surrogate!r}\n")
+        assert not out.exists()
+
+    def test_surrogate_pair_escape_is_organized(self, insights_file, tmp_path):
+        """An escaped surrogate pair decodes to one character, which is kept."""
+        data = json.loads(insights_file.read_text())
+        data["insights"][0]["statement"] = "\U0001F600" + data["insights"][0]["statement"]
+        escaped = tmp_path / "escaped.json"
+        escaped.write_text(json.dumps(data), encoding="utf-8")
+        assert "\\ud83d\\ude00" in escaped.read_text()
+        out = tmp_path / "a.json"
+        assert run("organize", str(escaped), "--framework", "swot", "-o", str(out)) == 0
+        assert "\U0001F600" in out.read_text(encoding="utf-8")
 
     def test_missing_key_names_the_field(self, insights_file, tmp_path, capsys):
         data = json.loads(insights_file.read_text())
@@ -692,19 +727,18 @@ class TestRenderCommand:
         assert "layout overflow" in capsys.readouterr().err
 
     def test_invalid_diagram_exit_code(self, tmp_path, monkeypatch, capsys):
-        """A ring of five slots, added to the table, is drawn with boxes
-        that overlap, which ``emit_svg`` refuses: the CLI exits 4 with one
-        ``error:`` line and writes no SVG, not a traceback."""
+        """A grid whose two slots share a cell, added to the table, is drawn
+        with boxes that overlap, which ``emit_svg`` refuses: the CLI exits 4
+        with one ``error:`` line and writes no SVG, not a traceback."""
         slots = tuple(frameworks.SlotDescriptor(id, id.title(), {(theme, "*"): 1.0})
-                      for id, theme in (("invest", "growth"), ("reach", "online-channel"),
-                                        ("earn", "profitability"), ("defend", "competition"),
-                                        ("improve", "market-presence")))
-        monkeypatch.setitem(frameworks.FRAMEWORKS, "five_ring", frameworks.Framework(
-            "five-ring", "Five Ring", slots, "ring"))
+                      for id, theme in (("invest", "growth"), ("defend", "competition")))
+        grid = frameworks.Grid(1, 2, True, ((0, 0), (0, 0)), ("#DEEBD8", "#F4CFCC"), False)
+        monkeypatch.setitem(frameworks.FRAMEWORKS, "one_cell", frameworks.Framework(
+            "one-cell", "One Cell", slots, grid))
         # the parser takes its --framework choices from the table once
         monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
         svg = tmp_path / "d.svg"
-        assert run("pipeline", "--table", str(FOOBAR), "--framework", "five-ring",
+        assert run("pipeline", "--table", str(FOOBAR), "--framework", "one-cell",
                    "-o", str(svg)) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: invalid diagram: ") and err.count("\n") == 1, err

@@ -1,12 +1,12 @@
 """Mutation fuzz of the CLI's input files.
 
 The Foobar table, ``prices.tsv``, a pipeline's insights and analysis
-files and a style file are mutated a line, a cell, a value, a key or an
-array item at a time and fed to ``cli.main`` in-process. Whatever the
-mutation, the run ends with a documented exit code and no traceback; an
-input error names the file that the failing stage read; and a run that
-succeeds writes an SVG that expat parses and JSON that holds finite
-numbers only.
+files, a style file and a replayed response are mutated a line, a cell,
+a value, a key or an array item at a time and fed to ``cli.main``
+in-process. Whatever the mutation, the run ends with a documented exit
+code and no traceback; an input error names the file that the failing
+stage read; and a run that succeeds writes an SVG that expat parses and
+JSON that holds finite numbers only.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ EXIT_CODES = (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_LLM, cli.EXIT_LAYOUT)
 # the JSON decoder's depth limit on every supported Python.
 TOKENS = (b"NaN", b"1e999", b"", b"-0", b"\xff", b"1" * 200_000)
 JSON_TOKENS = (b"NaN", b"1e999", b'""', b"-0", b'"\xff"', DEEP_JSON.encode())
+# Escapes of half a surrogate pair, which UTF-8 cannot encode, added to the
+# end of a JSON string.
+SURROGATES = (b"\\ud800", b"\\udbff", b"\\udc00", b"\\udfff")
 # One value of each JSON type; a type change picks one of another type.
 TYPED_VALUES = (0, 1.5, "x", [], {}, None, True)
 
@@ -133,9 +136,11 @@ def _places(node):
 
 
 def _mutate_json(data, text: bytes) -> bytes:
-    """Replace a value with a token or a value of another type, drop or
-    repeat a key, copy an array item, or mutate a line of the file."""
-    op = data.draw(st.sampled_from(("token", "type", "drop", "repeat", "copy", "line")))
+    """Replace a value with a token or a value of another type, end a string
+    with a lone surrogate, drop or repeat a key, copy an array item, or
+    mutate a line of the file."""
+    op = data.draw(st.sampled_from(
+        ("token", "type", "surrogate", "drop", "repeat", "copy", "line")))
     if op == "line":
         return _mutate_lines(data, text)
     root = [_load(text)]
@@ -145,6 +150,11 @@ def _mutate_json(data, text: bytes) -> bytes:
             [h[at] for h, at in places if type(h[at]) is list and h[at]]))
         items.insert(data.draw(st.integers(0, len(items))),
                      copy.deepcopy(data.draw(st.sampled_from(items))))
+    elif op == "surrogate":
+        holder, at = data.draw(st.sampled_from([(h, at) for h, at in places
+                                                if isinstance(h[at], str)]))
+        holder[at] = json.dumps(holder[at]).encode()[:-1] + data.draw(
+            st.sampled_from(SURROGATES)) + b'"'
     elif op in ("token", "type"):
         holder, at = data.draw(st.sampled_from(places))
         if op == "token":
@@ -208,6 +218,45 @@ def test_mutated_timeseries(data, framework):
     for _ in range(data.draw(st.integers(1, 2))):
         text = data.draw(st.sampled_from((_mutate_lines, _mutate_cell)))(data, text)
     _pipeline("--timeseries", "prices.tsv", text, framework)
+
+
+def _foobar_record() -> dict:
+    """The Walmart transcript's record that answers ``insights`` on the Foobar table."""
+    with open(FIXTURES / "walmart.jsonl", encoding="utf-8") as f:
+        records = [json.loads(line) for line in f]
+    return next(r for r in records if "Foobar Corp" in r["request"] and "\t" in r["request"])
+
+
+@given(data=st.data())
+@FUZZ
+def test_mutated_transcript_response(data):
+    """A replayed response with a line deleted, swapped or replaced by any
+    text, or with a lone surrogate or any character put in, ends in exit 0
+    or, as an LLM error, exit 3."""
+    record = _foobar_record()
+    lines = record["response"].split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(("delete", "swap", "replace", "insert")))
+    if op == "delete":
+        del lines[i]
+    elif op == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "replace":
+        lines[i] = data.draw(st.text(max_size=40))
+    else:
+        at = data.draw(st.integers(0, len(lines[i])))
+        char = data.draw(st.one_of(st.integers(0xD800, 0xDFFF).map(chr), st.characters()))
+        lines[i] = lines[i][:at] + char + lines[i][at:]
+    record["response"] = "\n".join(lines)
+    with tempfile.TemporaryDirectory() as d:
+        transcript, out = Path(d) / "t.jsonl", Path(d) / "i.json"
+        transcript.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, err = _main("insights", "--table", str(FIXTURES / "foobar.tsv"),
+                          "--subject", "Foobar Corp", "--llm", f"replay:{transcript}",
+                          "-o", str(out))
+        assert code in (cli.EXIT_OK, cli.EXIT_LLM), err
+        _check(code, err, [out], transcript)
 
 
 @given(data=st.data(), framework=st.sampled_from(FRAMEWORKS))

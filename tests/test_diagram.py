@@ -28,6 +28,7 @@ from stratagem.diagram import (
     render_analysis,
     validate_spec,
 )
+from stratagem.fonts import FONT_FAMILY
 from stratagem.frameworks import (
     FRAMEWORK_KINDS,
     FRAMEWORKS,
@@ -320,6 +321,17 @@ def test_a_fifth_kind_is_one_record(monkeypatch, shape, attribute):
         [slot.id for slot in slots], 1)
 
 
+@pytest.mark.parametrize("count", (3, 5))
+def test_a_ring_has_four_slots(count):
+    """``_ring_radius`` keeps four boxes apart, so a ring of any other
+    count is refused where it is declared rather than drawn with boxes
+    that overlap."""
+    slots = tuple(SlotDescriptor(f"s{i}", f"Slot {i}", {("growth", "*"): 1.0})
+                  for i in range(count))
+    with pytest.raises(ValueError, match=f"a ring has 4 slots, not {count}"):
+        Framework("ring-of-other-count", "Ring", slots, "ring")
+
+
 @pytest.mark.parametrize("gap", (0, 18, 200))
 @pytest.mark.parametrize("scale", (1, 2, 4))
 @pytest.mark.parametrize("kind", [k for k, f in FRAMEWORKS.items() if isinstance(f.shape, Grid)])
@@ -562,6 +574,8 @@ class TestEmitSvg:
         overlapping = DiagramSpec(
             width=900, height=640,
             boxes=(box, box),  # identical boxes overlap
+            arrows=(), radar=None, title=None,
+            font_family=FONT_FAMILY, background="#FFFFFF",
         )
         with pytest.raises(InvariantViolation):
             emit_svg(overlapping)
@@ -818,11 +832,10 @@ def test_a_box_filled_exactly_fits(seed, size, factors, width, y):
         box = ("tight", (0.0, y, width, h), "Risk", texts, "#FFFFFF")
         return 1000.0, y + h, (box,), (), None
 
-    measures = diagram._Measures()
-    spec = diagram._fill(analysis, style, 1, geometry(h), measures)
+    spec = diagram._fill(analysis, style, 1, geometry(h))
     assert len(spec.boxes[0].title.lines) == 1
     with pytest.raises(textfit.DoesNotFitAtMinFont):
-        diagram._fill(analysis, style, 1, geometry(math.nextafter(h, 0.0)), measures)
+        diagram._fill(analysis, style, 1, geometry(math.nextafter(h, 0.0)))
 
 
 # Per kind, the ``fit_text`` calls of the Foobar layout and the blocks drawn.

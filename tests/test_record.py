@@ -40,7 +40,8 @@ RECORDS = {
     RadarAxis: (lambda: RadarAxis("invest", 90.0, 7.5, _BLOCK), None),
     RadarShape: (lambda: RadarShape((100.0, 100.0), 50.0,
                                     (RadarAxis("invest", 90.0, 7.5, _BLOCK),)), None),
-    DiagramSpec: (lambda: DiagramSpec(900.0, 640.0, (), title=_BLOCK), None),
+    DiagramSpec: (lambda: DiagramSpec(900.0, 640.0, (), (), None, _BLOCK, "Lato", "#FFFFFF"),
+                  None),
     AxisScore: (lambda: AxisScore(6.5, 2), {"value": 10.5}),
     SlotDescriptor: (lambda: SlotDescriptor("threats", "Threats", {("cost", "*"): 0.5}),
                      {"affinity": {("cost", "*"): 0.0}}),
