@@ -220,10 +220,10 @@ def _insights_from_json(raw) -> tuple[str, list]:
 
 def _organize(args, subject: str, found: list, output: str) -> frameworks.OrganizedAnalysis:
     """Stage two: the insights organized into ``args.framework``, written to ``output``."""
-    kind = next(kind for kind, framework in frameworks.FRAMEWORKS.items()
-                if framework.cli_name == args.framework)
-    schema = frameworks.schema_for(kind, args.max_per_slot)
-    analysis = frameworks.organize(found, schema, subject=subject)
+    schema = next(framework for framework in frameworks.FRAMEWORKS.values()
+                  if framework.cli_name == args.framework)
+    analysis = frameworks.organize(found, schema, subject=subject,
+                                   max_per_slot=args.max_per_slot)
     _write_json(output, frameworks.analysis_to_dict(analysis))
     print(f"{'slot':<24} {'factors':>7}  attribute")
     attributes = analysis.slot_attributes

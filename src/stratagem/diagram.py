@@ -250,8 +250,7 @@ def _statements(analysis: OrganizedAnalysis, slot_id: str) -> list[str]:
 
 def _cells_at(analysis: OrganizedAnalysis, style: Style, scale: int):
     """A framework drawn from its ``Grid`` shape."""
-    framework = analysis.schema.framework
-    grid, slots = framework.shape, framework.slots
+    grid, slots = analysis.schema.shape, analysis.schema.slots
     W, H = style.canvas_w * scale, style.canvas_h * scale
     g = style.gap if grid.gapped else 0.0
     bw = (W - (grid.cols + 1) * g) / grid.cols
@@ -382,8 +381,8 @@ def _radar_at(analysis: OrganizedAnalysis, style: Style, scale: int):
     """A radar: one spoke per slot, grid rings at 2/4/6/8/10, polygon
     vertices proportional to axis scores, plus a legend of top factor
     statements per slot beside the plot."""
-    framework = analysis.schema.framework
-    slots, n = framework.slots, len(framework.slots)
+    slots = analysis.schema.slots
+    n = len(slots)
     W = style.canvas_w * scale
     H = style.canvas_h * scale
     top = _TITLE_STRIP
@@ -503,7 +502,7 @@ def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry) -> Di
     Raises DoesNotFitAtMinFont naming the first text that does not fit.
     """
     width, height, boxes, arrows, radar = geometry
-    label = analysis.schema.framework.title
+    label = analysis.schema.title
     title = f"{label}: {analysis.subject}" if analysis.subject else label
     if width - 2 * style.gap <= 0:
         raise DoesNotFitAtMinFont(title)
@@ -536,7 +535,7 @@ def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
     violations = validate_analysis(analysis)
     if violations:
         raise InvariantViolation("; ".join(v.message for v in violations))
-    geometry = _geometry(analysis.schema.framework.shape)
+    geometry = _geometry(analysis.schema.shape)
     for attempt in range(_MAX_DOUBLINGS + 1):
         scale = 2 ** attempt
         try:

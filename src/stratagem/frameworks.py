@@ -1,12 +1,14 @@
 """Framework kinds, insight assignment, and slot attributes.
 
-``FRAMEWORKS`` holds one ``Framework`` record per kind, the only place a
-kind is declared: its CLI name, diagram title, slots with their reply
-headings, slot attribute and diagram shape; the CLI, the reply parser and
-the diagram read it. Assignment is deterministic: each slot carries an
-affinity table over (theme, direction) pairs, an insight goes to its
-argmax-fit slot when the fit clears the floor, and per-slot ranking is fit
-x magnitude. A slot's ordinal risk level (``assign_risk``) or logistic
+``FRAMEWORKS`` holds one ``Framework`` record per kind, keyed by its
+``kind``, the only place a kind is declared: its CLI name, diagram title,
+slots with their reply headings, slot attribute and diagram shape; the CLI,
+the reply parser and the diagram read it. ``schema_for`` is the checked
+lookup, and an ``OrganizedAnalysis`` holds the record as its ``schema``
+beside its own ``max_per_slot`` cap. Assignment is deterministic: each slot
+carries an affinity table over (theme, direction) pairs, an insight goes to
+its argmax-fit slot when the fit clears the floor, and per-slot ranking is
+fit x magnitude. A slot's ordinal risk level (``assign_risk``) or logistic
 axis score in [0, 10) (``score_axis``) is derived from its displayed
 factors, never stored.
 """
@@ -121,21 +123,22 @@ class Grid(Record):
 
 
 class Framework(Record):
-    """Everything a framework kind is: its ``--framework`` name, diagram
-    title and slots, the attribute derived for each slot from its displayed
-    factors (``assign_risk``, ``score_axis`` or None), and the diagram's
-    shape: a ``Grid``, "ring" (one box per slot on a circle) or "radar"
-    (one spoke per slot). A ring has four slots, the count whose boxes
-    ``diagram`` keeps apart."""
+    """Everything a framework kind is: its key in ``FRAMEWORKS``, its
+    ``--framework`` name, diagram title and slots, the attribute derived for
+    each slot from its displayed factors (``assign_risk``, ``score_axis`` or
+    None), and the diagram's shape: a ``Grid``, "ring" (one box per slot on
+    a circle) or "radar" (one spoke per slot). A ring has four slots, the
+    count whose boxes ``diagram`` keeps apart."""
 
-    __slots__ = ("cli_name", "title", "slots", "shape", "attribute")
+    __slots__ = ("kind", "cli_name", "title", "slots", "shape", "attribute")
 
-    def __init__(self, cli_name: str, title: str, slots: tuple[SlotDescriptor, ...],
-                 shape: Grid | str, attribute=None):
+    def __init__(self, kind: str, cli_name: str, title: str,
+                 slots: tuple[SlotDescriptor, ...], shape: Grid | str, attribute=None):
         if not (isinstance(shape, Grid) or shape in ("ring", "radar")):
             raise ValueError(f"shape {shape!r} is not a Grid, 'ring' or 'radar'")
         if shape == "ring" and len(slots) != 4:
             raise ValueError(f"a ring has 4 slots, not {len(slots)}")
+        setfield(self, "kind", kind)
         setfield(self, "cli_name", cli_name)
         setfield(self, "title", title)
         setfield(self, "slots", slots)
@@ -144,8 +147,8 @@ class Framework(Record):
 
 
 # Every framework kind, built and checked once; the one place a kind is named.
-FRAMEWORKS: dict[str, Framework] = {
-    "swot": Framework("swot", "SWOT Analysis", (
+FRAMEWORKS: dict[str, Framework] = {f.kind: f for f in (
+    Framework("swot", "swot", "SWOT Analysis", (
         SlotDescriptor("strengths", "Strengths", {
             ("market-presence", "positive"): 1.0,
             ("brand-marketing", "positive"): 1.0,
@@ -185,7 +188,7 @@ FRAMEWORKS: dict[str, Framework] = {
     ), Grid(rows=2, cols=2, gapped=False,
             cells=((0, 0), (0, 1), (1, 0), (1, 1)),  # S W / O T
             fills=("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8"), hub=False)),
-    "porter5": Framework("porter5", "Porter's Five Forces", (
+    Framework("porter5", "porter5", "Porter's Five Forces", (
         SlotDescriptor("rivalry", "Competitive Rivalry", {
             ("competition", "*"): 1.0,
             ("market-presence", "*"): 0.6,
@@ -204,7 +207,7 @@ FRAMEWORKS: dict[str, Framework] = {
     ), Grid(rows=3, cols=3, gapped=True,
             cells=((1, 1), (0, 1), (1, 2), (2, 1), (1, 0)),  # C N E S W
             fills=(), hub=True), assign_risk),
-    "virtuous_cycle": Framework("cycle", "Virtuous Circle", (
+    Framework("virtuous_cycle", "cycle", "Virtuous Circle", (
         SlotDescriptor("invest", "Invest",
                        {("brand-marketing", "*"): 0.9, ("cost", "*"): 0.7}),
         SlotDescriptor("improve_offering", "Improve Offering", {
@@ -217,7 +220,7 @@ FRAMEWORKS: dict[str, Framework] = {
         SlotDescriptor("grow_revenue", "Grow Revenue",
                        {("growth", "*"): 1.0, ("profitability", "*"): 0.95}),
     ), "ring"),
-    "value_discipline": Framework("value-discipline", "Value Discipline", (
+    Framework("value_discipline", "value-discipline", "Value Discipline", (
         SlotDescriptor("operational_excellence", "Operational Excellence", {
             ("supply-chain", "*"): 1.0,
             ("cost", "*"): 0.9,
@@ -234,37 +237,18 @@ FRAMEWORKS: dict[str, Framework] = {
             ("market-presence", "*"): 0.6,
         }, ("customer relationships",)),
     ), "radar", score_axis),
-}
+)}
 
 FRAMEWORK_KINDS = tuple(FRAMEWORKS)
 
 
-class FrameworkSchema(Record):
-    """A framework kind, a key of ``FRAMEWORKS``, showing at most
-    ``max_per_slot`` factors per slot."""
-
-    __slots__ = ("kind", "max_per_slot")
-
-    def __init__(self, kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT):
-        if kind not in FRAMEWORKS:
-            raise UnknownKind(f"unknown framework kind {kind!r}: "
-                              f"must be one of {', '.join(FRAMEWORKS)}")
-        if max_per_slot < 1:
-            raise ValueError("max_per_slot must be positive")
-        setfield(self, "kind", kind)
-        setfield(self, "max_per_slot", max_per_slot)
-
-    @property
-    def framework(self) -> Framework:
-        return FRAMEWORKS[self.kind]
-
-    @property
-    def slots(self) -> tuple[SlotDescriptor, ...]:
-        return FRAMEWORKS[self.kind].slots
-
-
-def schema_for(kind: str, max_per_slot: int = DEFAULT_MAX_PER_SLOT) -> FrameworkSchema:
-    return FrameworkSchema(kind, max_per_slot)
+def schema_for(kind: str) -> Framework:
+    """The ``Framework`` record of ``kind``, a key of ``FRAMEWORKS``."""
+    try:
+        return FRAMEWORKS[kind]
+    except KeyError:
+        raise UnknownKind(f"unknown framework kind {kind!r}: "
+                          f"must be one of {', '.join(FRAMEWORKS)}") from None
 
 
 class Violation(Record):
@@ -272,49 +256,51 @@ class Violation(Record):
 
 
 class OrganizedAnalysis(Record):
-    """The one mutable record: its fields can be reassigned, so it is not
+    """Insights organized into the slots of ``schema``, a kind's
+    ``Framework`` record, showing at most ``max_per_slot`` factors per slot.
+    The one mutable record: its fields can be reassigned, so it is not
     hashable. ``overflow`` and ``unplaced`` default to a new empty dict
     and list."""
 
-    __slots__ = ("schema", "subject", "assignments", "overflow", "unplaced")
+    __slots__ = ("schema", "subject", "assignments", "overflow", "unplaced", "max_per_slot")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
         self,
-        schema: FrameworkSchema,
+        schema: Framework,
         subject: str,
         assignments: dict[str, list[tuple[Insight, float]]],
         overflow: dict[str, list[tuple[Insight, float]]] | None = None,
         unplaced: list[Insight] | None = None,
+        max_per_slot: int = DEFAULT_MAX_PER_SLOT,
     ):
+        if max_per_slot < 1:
+            raise ValueError("max_per_slot must be positive")
         self.schema = schema
         self.subject = subject
         self.assignments = assignments
         self.overflow = {} if overflow is None else overflow
         self.unplaced = [] if unplaced is None else unplaced
+        self.max_per_slot = max_per_slot
 
     @property
     def slot_attributes(self) -> dict[str, str | AxisScore | None]:
         """Each schema slot's risk level, axis score or None, derived from
         its displayed factors on every read."""
-        derive = self.schema.framework.attribute
+        derive = self.schema.attribute
         return {
             slot.id: derive(self.assignments.get(slot.id, [])) if derive else None
             for slot in self.schema.slots
         }
 
 
-def classify_insight(insight: Insight, schema: FrameworkSchema) -> dict[str, float]:
-    """Fit score per slot: max affinity over the insight's themes."""
-    return {slot.id: slot.fit(insight) for slot in schema.slots}
-
-
 def organize(
     insights: list[Insight],
-    schema: FrameworkSchema,
+    schema: Framework,
     subject: str = "",
+    max_per_slot: int = DEFAULT_MAX_PER_SLOT,
 ) -> OrganizedAnalysis:
     """Argmax-assign each insight to a slot, then ``finalize``.
 
@@ -325,38 +311,34 @@ def organize(
     }
     unplaced: list[Insight] = []
     for ins in insights:
-        fits = classify_insight(ins, schema)
-        best_slot = max(schema.slots, key=lambda s: fits[s.id])  # earliest on ties
-        best_fit = fits[best_slot.id]
+        fits = [slot.fit(ins) for slot in schema.slots]
+        best_fit = max(fits)
         if best_fit >= FIT_FLOOR:
+            best_slot = schema.slots[fits.index(best_fit)]  # earliest on ties
             assignments[best_slot.id].append((ins, best_fit))
         else:
             unplaced.append(ins)
-    return finalize(assignments, schema, subject, unplaced)
+    return finalize(assignments, schema, subject, unplaced, max_per_slot=max_per_slot)
 
 
 def finalize(
     assignments: dict[str, list[tuple[Insight, float]]],
-    schema: FrameworkSchema,
+    schema: Framework,
     subject: str = "",
     unplaced: list[Insight] | None = None,
+    max_per_slot: int = DEFAULT_MAX_PER_SLOT,
 ) -> OrganizedAnalysis:
     """Rank each slot by fit x magnitude and truncate to ``max_per_slot``
     into overflow. ``assignments`` holds a list for every schema slot and
-    is sorted and truncated in place."""
-    overflow: dict[str, list[tuple[Insight, float]]] = {}
+    is sorted and truncated in place, after the cap is checked."""
+    analysis = OrganizedAnalysis(schema=schema, subject=subject, assignments=assignments,
+                                 unplaced=unplaced, max_per_slot=max_per_slot)
     for slot_id, items in assignments.items():
         items.sort(key=lambda p: (-(p[1] * p[0].magnitude), p[0].id))
-        if len(items) > schema.max_per_slot:
-            overflow[slot_id] = items[schema.max_per_slot:]
-            assignments[slot_id] = items[: schema.max_per_slot]
-    return OrganizedAnalysis(
-        schema=schema,
-        subject=subject,
-        assignments=assignments,
-        overflow=overflow,
-        unplaced=unplaced or [],
-    )
+        if len(items) > max_per_slot:
+            analysis.overflow[slot_id] = items[max_per_slot:]
+            assignments[slot_id] = items[:max_per_slot]
+    return analysis
 
 
 def _fit_problem(fit: float) -> str | None:
@@ -387,12 +369,12 @@ def validate_analysis(analysis: OrganizedAnalysis) -> list[Violation]:
         if slot_id not in slot_ids:
             out.append(Violation("UnknownSlot", slot_id, f"slot {slot_id} not in schema"))
             continue
-        if len(items) > schema.max_per_slot:
+        if len(items) > analysis.max_per_slot:
             out.append(
                 Violation(
                     "SlotOverflow",
                     slot_id,
-                    f"{len(items)} factors in {slot_id}, max {schema.max_per_slot}",
+                    f"{len(items)} factors in {slot_id}, max {analysis.max_per_slot}",
                 )
             )
         for ins, fit in items:
@@ -444,7 +426,7 @@ def analysis_to_dict(analysis: OrganizedAnalysis) -> dict:
     return {
         "schema_kind": schema.kind,
         "subject": analysis.subject,
-        "max_per_slot": schema.max_per_slot,
+        "max_per_slot": analysis.max_per_slot,
         "slots": slots,
         "unplaced": [ins.statement for ins in analysis.unplaced],
         "overflow": {
@@ -471,7 +453,7 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     if not isinstance(d, dict):
         raise TypeError(f"top level must be an object, not {type(d).__name__}")
     max_per_slot = typed(d, "max_per_slot", int) if "max_per_slot" in d else DEFAULT_MAX_PER_SLOT
-    schema = schema_for(typed(d, "schema_kind", str), max_per_slot)
+    schema = schema_for(typed(d, "schema_kind", str))
     assignments: dict[str, list[tuple[Insight, float]]] = {s.id: [] for s in schema.slots}
     given: dict[str, dict] = {}
     for slot_json in objects(d, "slots"):
@@ -498,6 +480,7 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
         schema=schema,
         subject=typed(d, "subject", str),
         assignments=assignments,
+        max_per_slot=max_per_slot,
     )
     violations = validate_analysis(analysis)
     if violations:

@@ -4,9 +4,10 @@ and framework analyses.
 
 Live and record calls POST through the standard library (HTTPS checked
 against the system trust store, a fixed 60 s timeout); a call that yields
-no completion is a ``TransportError``. Replay touches no network. LLM
-output is untrusted input: everything is parsed, validated against the
-same schema invariants as the rule path, and truncated.
+no completion, or one holding a lone surrogate, is a ``TransportError``.
+Replay touches no network. LLM output is untrusted input: everything is
+parsed, validated against the same schema invariants as the rule path,
+and truncated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import re
 from itertools import count
 
 from .frameworks import (
-    FrameworkSchema,
+    DEFAULT_MAX_PER_SLOT,
+    Framework,
     OrganizedAnalysis,
     finalize,
     validate_analysis,
@@ -60,7 +62,8 @@ class AuthMissing(LlmError):
 
 
 class TransportError(LlmError):
-    """No completion from the endpoint; the message names it and the cause."""
+    """No completion from the endpoint, or one that UTF-8 cannot encode; the
+    message names the endpoint and the cause."""
 
 
 class ReplayMiss(LlmError):
@@ -215,6 +218,11 @@ def _http_complete(config: ProviderConfig, prompt: str) -> str:
         content = None
     if not isinstance(content, str):
         raise TransportError(f"{config.endpoint}: response has no string completion")
+    try:
+        content.encode("utf-8")  # no output or transcript file could hold it
+    except UnicodeEncodeError as exc:
+        raise TransportError(f"{config.endpoint}: completion holds the lone surrogate "
+                             f"{exc.object[exc.start]!r}") from None
     return content
 
 
@@ -395,8 +403,9 @@ class ParseDiagnostic(Record):
 
 def parse_framework_assignment(
     response: str,
-    schema: FrameworkSchema,
+    schema: Framework,
     model_label: str = "llm",
+    max_per_slot: int = DEFAULT_MAX_PER_SLOT,
 ) -> tuple[OrganizedAnalysis, list[ParseDiagnostic]]:
     """Match slot headings (each slot's ``headings``, in any case), read
     each slot's section with the insight-list item grammar, and collect the
@@ -436,15 +445,15 @@ def parse_framework_assignment(
         items = _extract_items("\n".join(sections[slot.id]))
         if not items:
             diagnostics.append(ParseDiagnostic("empty-slot", slot.id))
-        if len(items) > schema.max_per_slot:
+        if len(items) > max_per_slot:
             diagnostics.append(ParseDiagnostic(
-                "overflow", f"{slot.id}: {len(items)} items, keeping {schema.max_per_slot}"
+                "overflow", f"{slot.id}: {len(items)} items, keeping {max_per_slot}"
             ))
         assignments[slot.id] = [
             (_llm_insight(next(ids), label, text, model_label), LLM_FIT)
             for label, text in items
         ]
-    analysis = finalize(assignments, schema)
+    analysis = finalize(assignments, schema, max_per_slot=max_per_slot)
     violations = validate_analysis(analysis)
     if violations:
         # validation firewall: model output can never inject an

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import hashlib
@@ -12,6 +13,8 @@ import random
 import subprocess
 import sys
 import tempfile
+import types
+import urllib.request
 import xml.etree.ElementTree as ET
 import xml.parsers.expat
 from pathlib import Path
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import completion_body
 from stratagem import cli, diagram, frameworks, insights as insights_mod, llm
 
 FOOBAR = Path(__file__).parent / "fixtures" / "foobar.tsv"
@@ -357,6 +361,23 @@ class TestInsightsCommand:
         assert not out.exists()
         assert json.loads(llm_stub.requests[0][2])["model"] == "m"
 
+    @pytest.mark.parametrize("mode", ["live:m", "record:m:t.jsonl"])
+    def test_lone_surrogate_completion_is_llm_error(self, tmp_path, capsys, monkeypatch,
+                                                    mode):
+        """A completion that UTF-8 cannot encode is refused before any file
+        is written: no insights file, and in record mode no transcript line."""
+        reply = types.SimpleNamespace(status=200, read=lambda: completion_body("a\ud800"))
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout: contextlib.nullcontext(reply))
+        monkeypatch.setenv(llm.DEFAULT_API_KEY_ENV, "test-key")
+        monkeypatch.chdir(tmp_path)
+        assert run("insights", "--table", str(FOOBAR), "--llm", mode, "-o", "x.json") == 3
+        assert capsys.readouterr().err == (
+            f"LLM error: {llm.ProviderConfig('m').endpoint}: "
+            "completion holds the lone surrogate '\\ud800'\n")
+        assert not (tmp_path / "x.json").exists()
+        assert not (tmp_path / "t.jsonl").exists()
+
     @pytest.mark.parametrize("content,message", [
         (None, "cannot read transcript"),
         (b'{"request_hash": "abc", "response": "\xff"}\n', "line 1: not UTF-8 text"),
@@ -551,8 +572,13 @@ class TestRenderCommand:
         (lambda d: d["slots"][0].update(title="Forces"),
          """error: invalid analysis file {path}: slot 'strengths': title "Forces" is not """
          """"Strengths", the one its schema gives\n"""),
+        (lambda d: d.update(max_per_slot=0),
+         "error: invalid analysis file {path}: max_per_slot must be positive\n"),
+        (lambda d: d.update(max_per_slot=-1),
+         "error: invalid analysis file {path}: max_per_slot must be positive\n"),
     ], ids=["unknown-kind", "cli-name-as-kind", "slots-not-a-list", "repeated-factors",
-            "repeated-slot", "missing-slot", "nan-evidence", "edited-title"])
+            "repeated-slot", "missing-slot", "nan-evidence", "edited-title", "zero-cap",
+            "negative-cap"])
     def test_malformed_analysis_file_is_input_error(
         self, insights_file, tmp_path, capsys, edit, expected
     ):
@@ -734,7 +760,7 @@ class TestRenderCommand:
                       for id, theme in (("invest", "growth"), ("defend", "competition")))
         grid = frameworks.Grid(1, 2, True, ((0, 0), (0, 0)), ("#DEEBD8", "#F4CFCC"), False)
         monkeypatch.setitem(frameworks.FRAMEWORKS, "one_cell", frameworks.Framework(
-            "one-cell", "One Cell", slots, grid))
+            "one_cell", "one-cell", "One Cell", slots, grid))
         # the parser takes its --framework choices from the table once
         monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
         svg = tmp_path / "d.svg"

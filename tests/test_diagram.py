@@ -300,7 +300,7 @@ def test_a_fifth_kind_is_one_record(monkeypatch, shape, attribute):
                       ("cash_cows", "Cash Cows", "profitability", ("cash cow",)),
                       ("dogs", "Dogs", "competition", ("dog",))))
     monkeypatch.setitem(FRAMEWORKS, "growth_share", Framework(
-        "growth-share", "Growth-Share Matrix", slots, shape, attribute))
+        "growth_share", "growth-share", "Growth-Share Matrix", slots, shape, attribute))
     analysis = organize(random_insights(random.Random(5), 12), schema_for("growth_share"),
                         subject="Foobar Corp")
     assert sum(map(len, analysis.assignments.values())) > 0
@@ -329,7 +329,7 @@ def test_a_ring_has_four_slots(count):
     slots = tuple(SlotDescriptor(f"s{i}", f"Slot {i}", {("growth", "*"): 1.0})
                   for i in range(count))
     with pytest.raises(ValueError, match=f"a ring has 4 slots, not {count}"):
-        Framework("ring-of-other-count", "Ring", slots, "ring")
+        Framework("ring_of_other_count", "ring-of-other-count", "Ring", slots, "ring")
 
 
 @pytest.mark.parametrize("gap", (0, 18, 200))
@@ -938,12 +938,12 @@ def test_geometry_fits_no_text(builder, scale, monkeypatch):
 
     analysis = builder()
     monkeypatch.setattr(diagram, "fit_text", refuse)
-    geometry = diagram._geometry(analysis.schema.framework.shape)(analysis, Style(), scale)
+    geometry = diagram._geometry(analysis.schema.shape)(analysis, Style(), scale)
     width, height, boxes, arrows, radar = geometry
     assert len(boxes) == len(analysis.schema.slots)
     for _, (x, y, w, h), *_ in boxes:
         assert 0 <= x and x + w <= width and 0 <= y and y + h <= height
-    assert (radar is not None) == (analysis.schema.framework.shape == "radar")
+    assert (radar is not None) == (analysis.schema.shape == "radar")
 
 
 def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):

@@ -15,12 +15,10 @@ from stratagem.diagram import render_analysis
 from stratagem.frameworks import (
     FIT_FLOOR,
     RISK_LEVELS,
-    FrameworkSchema,
     UnknownKind,
     analysis_from_dict,
     analysis_to_dict,
     assign_risk,
-    classify_insight,
     organize,
     schema_for,
     score_axis,
@@ -59,34 +57,43 @@ class TestSchemas:
             schema_for("bcg_matrix")
 
     def test_unknown_kind_rejected_at_construction(self):
-        with pytest.raises(UnknownKind):
-            FrameworkSchema("bcg")
+        # an analysis file naming no kind builds no analysis
+        with pytest.raises(UnknownKind, match="'bcg': must be one of swot, porter5, "
+                                              "virtuous_cycle, value_discipline$"):
+            analysis_from_dict({"schema_kind": "bcg", "subject": "", "slots": []})
 
     @pytest.mark.parametrize("kind", frameworks.FRAMEWORK_KINDS)
     def test_slots_are_built_once(self, kind):
-        assert schema_for(kind).slots is schema_for(kind, max_per_slot=2).slots
+        capped = organize([], schema_for(kind), max_per_slot=2)
+        assert capped.schema is schema_for(kind) is frameworks.FRAMEWORKS[kind]
+
+    def test_each_key_is_its_records_kind(self):
+        assert all(key == framework.kind for key, framework in frameworks.FRAMEWORKS.items())
 
 
 # ---------------------------------------------------------------------------
 # classification
 
+def slot_fits(insight, kind):
+    return {slot.id: slot.fit(insight) for slot in schema_for(kind).slots}
+
+
 class TestClassify:
     def test_positive_presence_fits_strengths(self):
         ins = make_insight(0, "positive", 0.8, ["market-presence"])
-        fits = classify_insight(ins, schema_for("swot"))
+        fits = slot_fits(ins, "swot")
         assert fits["strengths"] == 1.0
         assert fits["weaknesses"] == 0.0
 
     def test_negative_online_fits_weaknesses_best(self):
         ins = make_insight(1, "negative", 0.9, ["online-channel"])
-        fits = classify_insight(ins, schema_for("swot"))
+        fits = slot_fits(ins, "swot")
         assert max(fits, key=fits.get) == "weaknesses"
 
     def test_wildcard_direction_matches_all(self):
-        schema = schema_for("porter5")
         for direction in ("positive", "negative", "neutral"):
             ins = make_insight(2, direction, 0.5, ["competition"])
-            assert classify_insight(ins, schema)["rivalry"] == 1.0
+            assert slot_fits(ins, "porter5")["rivalry"] == 1.0
 
     def test_exact_direction_beats_wildcard(self):
         schema = schema_for("swot")
@@ -138,11 +145,10 @@ class TestOrganize:
         assert analysis.unplaced == [ins]
 
     def test_tie_breaks_to_earlier_slot(self):
-        schema = schema_for("swot")
         ins = make_insight(0, "positive", 0.5, ["product-diversity", "growth"])
-        fits = classify_insight(ins, schema)
+        fits = slot_fits(ins, "swot")
         assert fits["strengths"] == fits["opportunities"] == 0.9
-        analysis = organize([ins], schema)
+        analysis = organize([ins], schema_for("swot"))
         assert [i.id for i, _ in analysis.assignments["strengths"]] == ["t:00"]
         assert analysis.assignments["opportunities"] == []
 
@@ -360,8 +366,9 @@ class TestInterchange:
         # the attribute check compares floats read back from JSON text
         rng = random.Random(seed)
         analysis = organize(random_insights(rng, rng.randint(0, 20)),
-                            schema_for(kind, max_per_slot), subject="Acme LLP")
+                            schema_for(kind), subject="Acme LLP", max_per_slot=max_per_slot)
         again = analysis_from_dict(json.loads(json.dumps(analysis_to_dict(analysis))))
+        assert again.max_per_slot == max_per_slot
         assert again.assignments == analysis.assignments
         assert again.slot_attributes == analysis.slot_attributes
         assert render_analysis(again) == render_analysis(analysis)

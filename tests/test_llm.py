@@ -172,11 +172,12 @@ class TestLiveTransport:
         (200, b'{"choices": []}', "response has no string completion"),
         (200, b'[1, 2]', "response has no string completion"),
         (200, completion_body(None), "response has no string completion"),
+        (200, completion_body("a\ud800"), "completion holds the lone surrogate '\\ud800'"),
         (None, b"SSH-2.0-OpenSSH_9.6\r\n", "BadStatusLine('SSH-2.0-OpenSSH_9.6\\r\\n')"),
         (None, b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{}",
          "IncompleteRead(2 bytes read, 98 more expected)"),
     ], ids=["500", "204", "not-json", "not-utf8", "no-choices", "array", "null-content",
-            "not-http", "cut-short"])
+            "lone-surrogate", "not-http", "cut-short"])
     def test_bad_reply_is_transport_error(self, llm_stub, status, body, cause):
         llm_stub.reply = (status, body, 0.0)
         with pytest.raises(TransportError) as exc:

@@ -17,7 +17,7 @@ from stratagem.diagram import (
     ArrowEdge, BoxNode, DiagramSpec, RadarAxis, RadarShape, Style,
 )
 from stratagem.frameworks import (
-    AxisScore, Framework, FrameworkSchema, Grid, OrganizedAnalysis, SlotDescriptor, Violation,
+    AxisScore, Framework, Grid, OrganizedAnalysis, SlotDescriptor, Violation, schema_for,
     score_axis,
 )
 from stratagem.ingest import Dataset, MetricDescriptor, TimeSeries
@@ -27,7 +27,7 @@ from stratagem.record import Record
 from stratagem.textfit import TextBlock
 
 _BLOCK = TextBlock(("Strengths",), 18.0, (10.0, 20.0))
-_SCHEMA = FrameworkSchema("swot", 3)
+_SCHEMA = schema_for("swot")
 
 # Each record class, a builder of one instance (a new one on every call),
 # and a field change that the constructor rejects (None where it checks
@@ -46,12 +46,12 @@ RECORDS = {
     SlotDescriptor: (lambda: SlotDescriptor("threats", "Threats", {("cost", "*"): 0.5}),
                      {"affinity": {("cost", "*"): 0.0}}),
     Grid: (lambda: Grid(1, 2, True, ((0, 0), (0, 1)), ("#DEEBD8", "#F4CFCC"), False), None),
-    Framework: (lambda: Framework("pulse", "Pulse", (SlotDescriptor(
+    Framework: (lambda: Framework("pulse", "pulse", "Pulse", (SlotDescriptor(
         "tempo", "Tempo", {("growth", "*"): 1.0}, ("pace",)),), "radar", score_axis),
                 {"shape": "pie"}),
-    FrameworkSchema: (lambda: FrameworkSchema("porter5", 2), {"max_per_slot": 0}),
     Violation: (lambda: Violation("BadFit", "threats", "fit 2 outside [0, 1]"), None),
-    OrganizedAnalysis: (lambda: OrganizedAnalysis(_SCHEMA, "Foobar", {"threats": []}), None),
+    OrganizedAnalysis: (lambda: OrganizedAnalysis(_SCHEMA, "Foobar", {"threats": []},
+                                                  max_per_slot=3), {"max_per_slot": 0}),
     MetricDescriptor: (lambda: MetricDescriptor("Revenue", "higher-is-better"),
                        {"polarity": "bogus"}),
     Dataset: (lambda: Dataset(("Foobar", "Acme"), (MetricDescriptor("Revenue"),), ((1.0, None),)),
@@ -74,7 +74,7 @@ def test_every_record_class_is_covered():
     for info in pkgutil.iter_modules(stratagem.__path__):
         importlib.import_module(f"stratagem.{info.name}")
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 20
 
 
 @pytest.fixture(params=list(RECORDS), ids=lambda cls: cls.__name__)

@@ -51,4 +51,6 @@ def test_tracer_hooks_resolve_and_count(monkeypatch, foobar_text, prices_text, t
     assert tracer.counts["diagram.svgs"] == 1
     names = [span[0] for span in tracer.spans]
     assert names.count("diagram.emit_svg") == 2
+    # the benchmark names each render's span after its analysis's kind
+    assert names.count("diagram.layout.porter5") == 1
     assert {"ingest.parse_timeseries", "cli.main", "cli.pipeline"} <= set(names)
