@@ -17,7 +17,7 @@ import re
 
 from .fonts import FONT_FAMILY
 from .frameworks import RISK_LEVELS, Grid, OrganizedAnalysis, validate_analysis
-from .record import Record, setfield
+from .record import Record
 from .textfit import DoesNotFitAtMinFont, LINE_HEIGHT, MAX_FONT, MIN_FONT, TextBlock, fit_text
 
 # Single source of truth for risk coloring: one fixed palette per process,
@@ -60,15 +60,8 @@ class Style(Record):
         background: str = "#FFFFFF",
         palette: tuple[tuple[str, str], ...] = tuple(sorted(RISK_PALETTE.items())),
     ):
-        setfield(self, "canvas_w", canvas_w)
-        setfield(self, "canvas_h", canvas_h)
-        setfield(self, "padding", padding)
-        setfield(self, "gap", gap)
-        setfield(self, "min_font", min_font)
-        setfield(self, "max_font", max_font)
-        setfield(self, "font_family", font_family)
-        setfield(self, "background", background)
-        setfield(self, "palette", palette)
+        Record.__init__(self, canvas_w, canvas_h, padding, gap, min_font, max_font,
+                        font_family, background, palette)
 
     def risk_fill(self, level: str) -> str:
         """Fixed risk-to-fill mapping, identical across every diagram in a run."""
@@ -182,24 +175,21 @@ class RadarAxis(Record):
 
 
 class RadarShape(Record):
-    """A radar plot; ``vertices`` holds the polygon's corners, each axis's
-    score along its spoke, built with the shape and not a field."""
+    """A radar plot of ``axes`` around ``center``, ``radius`` long."""
 
-    __slots__ = ("center", "radius", "axes", "vertices")
-    _fields = ("center", "radius", "axes")
+    __slots__ = ("center", "radius", "axes")
 
-    def __init__(self, center: tuple[float, float], radius: float,
-                 axes: tuple[RadarAxis, ...]):
-        setfield(self, "center", center)
-        setfield(self, "radius", radius)
-        setfield(self, "axes", axes)
-        cx, cy = center
-        rads = [math.radians(axis.angle_deg) for axis in axes]
-        setfield(self, "vertices", tuple(
-            (cx + radius * axis.score / 10.0 * math.cos(rad),
-             cy + radius * axis.score / 10.0 * math.sin(rad))
-            for axis, rad in zip(axes, rads)
-        ))
+    @property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        """The polygon's corners, each axis's score along its spoke, derived
+        on every read."""
+        cx, cy = self.center
+        rads = [math.radians(axis.angle_deg) for axis in self.axes]
+        return tuple(
+            (cx + self.radius * axis.score / 10.0 * math.cos(rad),
+             cy + self.radius * axis.score / 10.0 * math.sin(rad))
+            for axis, rad in zip(self.axes, rads)
+        )
 
 
 class DiagramSpec(Record):
@@ -690,12 +680,13 @@ def emit_svg(spec: DiagramSpec) -> str:
                 f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}" x2="{_fmt(ex)}" '
                 f'y2="{_fmt(ey)}" stroke="#8C8C8C" stroke-width="1.00"/>'
             )
-        pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in radar.vertices)
+        vertices = radar.vertices
+        pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in vertices)
         out.append(
             f'<polygon points="{pts}" fill="#4A86C8" fill-opacity="0.35" '
             f'stroke="#2C5F94" stroke-width="2.00"/>'
         )
-        for px, py in radar.vertices:
+        for px, py in vertices:
             out.append(
                 f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3.00" fill="#2C5F94"/>'
             )

@@ -258,14 +258,12 @@ class Violation(Record):
 class OrganizedAnalysis(Record):
     """Insights organized into the slots of ``schema``, a kind's
     ``Framework`` record, showing at most ``max_per_slot`` factors per slot.
-    The one mutable record: its fields can be reassigned, so it is not
-    hashable. ``overflow`` and ``unplaced`` default to a new empty dict
-    and list."""
+    ``overflow`` and ``unplaced`` default to a new empty dict and list.
+    Its fields are set once; ``finalize`` then changes only the contents of
+    the ``assignments`` and ``overflow`` dicts. A dict field makes ``hash``
+    raise ``TypeError``."""
 
     __slots__ = ("schema", "subject", "assignments", "overflow", "unplaced", "max_per_slot")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -278,12 +276,12 @@ class OrganizedAnalysis(Record):
     ):
         if max_per_slot < 1:
             raise ValueError("max_per_slot must be positive")
-        self.schema = schema
-        self.subject = subject
-        self.assignments = assignments
-        self.overflow = {} if overflow is None else overflow
-        self.unplaced = [] if unplaced is None else unplaced
-        self.max_per_slot = max_per_slot
+        setfield(self, "schema", schema)
+        setfield(self, "subject", subject)
+        setfield(self, "assignments", assignments)
+        setfield(self, "overflow", {} if overflow is None else overflow)
+        setfield(self, "unplaced", [] if unplaced is None else unplaced)
+        setfield(self, "max_per_slot", max_per_slot)
 
     @property
     def slot_attributes(self) -> dict[str, str | AxisScore | None]:

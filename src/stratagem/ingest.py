@@ -443,20 +443,20 @@ def parse_timeseries(text: str, dialect: str = "tab") -> TimeSeries:
 
 
 def _parse_columns(rows: list[list[str]]) -> TimeSeries | None:
-    """The series ``_parse_rows`` returns, or None where it would raise."""
+    """The series ``_parse_rows`` returns, or None where it would raise;
+    ``TimeSeries`` rejects a repeated date and a price not above 0."""
     if not rows or min(map(len, rows)) < 3:
         return None
     dates = _date_column([row[0] for row in rows])
-    if dates is None or len(set(dates)) != len(dates):
-        return None
     closes = _number_column([row[1] for row in rows])
-    if None in closes or None in _number_column([row[2] for row in rows]):
-        return None
-    if min(closes) <= 0:
+    if dates is None or None in closes or None in _number_column([row[2] for row in rows]):
         return None
     order = sorted(range(len(dates)), key=dates.__getitem__)
-    return TimeSeries(dates=tuple(map(dates.__getitem__, order)),
-                      closes=tuple(map(closes.__getitem__, order)))
+    try:
+        return TimeSeries(dates=tuple(map(dates.__getitem__, order)),
+                          closes=tuple(map(closes.__getitem__, order)))
+    except ValueError:
+        return None
 
 
 def _parse_rows(rows: list[tuple[int, list[str]]]) -> TimeSeries:

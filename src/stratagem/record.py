@@ -12,7 +12,8 @@ for every class at import:
 - ``_replace(**changes)``, a copy built, and so checked, by ``__init__``;
 - copying and pickling through ``__init__`` as well;
 - an ``__init__`` that stores each field, by position or by name,
-  unchecked, for a record that checks nothing and has no defaults.
+  unchecked, for a record that checks nothing; one with defaults calls
+  it from its own ``__init__``.
 
 ``_fields`` names the fields in constructor order. It is the class's
 ``__slots__`` unless the class sets it, leaving out slots that hold

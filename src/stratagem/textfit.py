@@ -19,8 +19,8 @@ line from word ``i`` then ends at the last word ``j`` whose prefix sum
 ``P`` of ``word_em + space_em`` is at most ``P[i] + cap + space_em``,
 found by ``bisect_right`` on the sums: the line the word-by-word fill
 gives. None of the words, their ``_em`` or the sums depends on the size,
-so ``measure`` builds them once, with their total, and ``fit_text`` passes
-them to the ``wrap`` at every size it tries. ``wrap`` builds them again
+so ``measure`` builds them once and ``fit_text`` passes them to the
+``wrap`` at every size it tries. ``wrap`` builds them again
 only from the pieces, when it has split an overlong word. ``wrap``
 returns each line's em sum, a difference of two prefix sums, and the
 fitted block carries them, so only a block built by hand is measured for
@@ -29,11 +29,11 @@ its width.
 The search wraps only at sizes that a line-count floor leaves open. At a
 size, every line and every piece sums to at most ``cap``. Pieces keep
 every character of their word and add hyphens, so the ``W'`` pieces sum
-to ``T' >= total_em`` and ``W' >= W``, the word count. ``L`` lines of
-them hold ``W' - L`` joining spaces, so ``L * cap >= T' + (W' - L) *
-space_em >= total_em + (W - L) * space_em``, that is
+to ``T' >= T``, the words' em total, and ``W' >= W``, the word count.
+``L`` lines of them hold ``W' - L`` joining spaces, so ``L * cap >= T' +
+(W' - L) * space_em >= T + (W - L) * space_em``, that is
 
-    L >= ceil((total_em + W * space_em) / (cap + space_em)),
+    L >= ceil((T + W * space_em) / (cap + space_em)),
 
 where the numerator is the last prefix sum. ``wrap`` gives ``_cap`` that
 sum as its limit, and so does the floor: a cap held at the limit gives a
@@ -181,16 +181,15 @@ def _cap(width: float, size: float, limit: int) -> int:
     return c
 
 
-Measure = tuple[list[str], list[int], list[int], int]
+Measure = tuple[list[str], list[int], list[int]]
 
 
 def measure(words: list[str]) -> Measure:
     """The size-independent part of a wrap, which ``fit_text`` and ``wrap``
-    take at any size: the words, each word's ``_em``, the prefix sums of
-    ``word_em + space_em`` (each added and summed in C) and the words' em
-    total."""
+    take at any size: the words, each word's ``_em`` and the prefix sums of
+    ``word_em + space_em`` (each added and summed in C)."""
     ems = list(map(_em, words))
-    return words, ems, [0, *accumulate(map(_SPACE_EM.__add__, ems))], sum(ems)
+    return words, ems, [0, *accumulate(map(_SPACE_EM.__add__, ems))]
 
 
 def wrap(
@@ -218,10 +217,10 @@ def wrap(
     ``_em`` of the joined line, which ``fit_text`` keeps on the block."""
     if size <= 0:
         raise ValueError("font size must be positive")
-    words, ems, sums, _ = measure(text.split()) if prepared is None else prepared
+    words, ems, sums = measure(text.split()) if prepared is None else prepared
     cap = _cap(width, size, sums[-1])
     if max(ems, default=0) > cap:
-        words, ems, sums, _ = measure(
+        words, ems, sums = measure(
             [piece for word, word_em in zip(words, ems)
              for piece in ((word,) if word_em <= cap else _split_token(word, width, size))])
     lines = []
@@ -235,11 +234,10 @@ def wrap(
     return tuple(lines), tuple(line_ems)
 
 
-def _ruled_out(total_em: int, count: int, width: float, height: float, size: int) -> bool:
-    """True when ``count`` words summing to ``total_em`` cannot wrap into
+def _ruled_out(span: int, width: float, height: float, size: int) -> bool:
+    """True when words whose last prefix sum is ``span`` cannot wrap into
     ``width`` x ``height`` at ``size``: the line-count floor of the module
     docstring."""
-    span = total_em + count * _SPACE_EM
     cap = _cap(width, size, span)
     if cap <= 0:
         return True
@@ -262,14 +260,13 @@ def fit_text(
     if not (width > 0 and height > 0):
         raise ValueError("box interior must have positive dimensions")
     measured = measure(text.split())
-    words, _, _, total_em = measured
+    words, _, sums = measured
     if not words:
         return TextBlock((), float(max_font))
-    count = len(words)
     low, high = max(min_font, 1), max_font
     probe = high
     while low <= high:
-        if _ruled_out(total_em, count, width, height, probe):
+        if _ruled_out(sums[-1], width, height, probe):
             high = probe - 1
         else:
             low = probe + 1

@@ -558,6 +558,25 @@ class TestColumnParse:
         csv.writer(out, delimiter="\t", lineterminator="\n").writerows([header] + rows)
         assert _parsed(out.getvalue()) == _row_by_row(out.getvalue())
 
+    def test_a_valid_file_never_parses_row_by_row(self, prices_text, monkeypatch):
+        """The column parse takes every valid file, so the slower row-by-row
+        parse runs only to name a bad row: here the newest-first fixture,
+        and its rows with US dates and quoted ``$`` and thousands cells,
+        comma-separated."""
+        expected = parse_timeseries(prices_text)
+        header, *rows = list(csv.reader(io.StringIO(prices_text), delimiter="\t"))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header] + [
+            [f"{r[0][5:7]}/{r[0][8:]}/{r[0][:4]}", f"${float(r[1]):,.2f}", f"{int(r[2]):,}"]
+            for r in rows])
+
+        def row_by_row(rows):
+            raise AssertionError("a valid file was parsed row by row")
+
+        monkeypatch.setattr(ingest, "_parse_rows", row_by_row)
+        assert parse_timeseries(prices_text) == expected
+        assert parse_timeseries(out.getvalue(), dialect="comma") == expected
+
 
 # ---------------------------------------------------------------------------
 # serialization round-trips

@@ -545,14 +545,15 @@ class TestFitText:
         steps; without a free height, the height is exactly ``lines`` lines
         at ``height_size``."""
         space_em = _em(" ")
-        cap = max(1, -(-(total_em + count * space_em) // lines) - space_em)
+        span = total_em + count * space_em
+        cap = max(1, -(-span // lines) - space_em)
         if width_mode != "free":
             width = width_size * cap / 1000
         if width_mode == "below":
             width = math.nextafter(width, 0.0)
         if height is None:
             height = lines * LINE_HEIGHT * height_size
-        ruled = [_ruled_out(total_em, count, width, height, size) for size in range(1, 41)]
+        ruled = [_ruled_out(span, width, height, size) for size in range(1, 41)]
         assert ruled == sorted(ruled)
 
     @given(
@@ -590,7 +591,7 @@ class TestFitText:
             height = len(lines) * LINE_HEIGHT * size
             if height_mode == "below":
                 height = math.nextafter(height, 0.0)
-        if _ruled_out(sum(map(_em, words)), len(words), width, height, size):
+        if _ruled_out(sum(map(_em, words)) + len(words) * _em(" "), width, height, size):
             assert lines is None or len(lines) * LINE_HEIGHT * size > height
 
     @given(
@@ -630,9 +631,9 @@ class TestFitText:
                           sizes.append(size) or real(text, width, size, prepared))
             outcome = _outcome(fit_text, text, width, height, min_font, max_font)
         last = int(outcome.font_size) if isinstance(outcome, TextBlock) else min_font
-        total_em = sum(map(_em, words))
+        span = sum(map(_em, words)) + len(words) * _em(" ")
         assert sizes == [s for s in range(max_font, last - 1, -1)
-                         if not (s > 0 and _ruled_out(total_em, len(words), width, height, s))]
+                         if not (s > 0 and _ruled_out(span, width, height, s))]
 
     def test_floor_skips_sizes_without_wrapping(self, monkeypatch):
         """A long text in a short box: the floor rules out the sizes from 28
