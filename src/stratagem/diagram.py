@@ -429,15 +429,13 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
               fill: str, style: Style) -> BoxNode:
     """Fit a title line plus one text block per factor inside the box.
 
-    Raises DoesNotFitAtMinFont naming the text that does not fit; callers
-    react by growing the canvas.
+    ``fit_text`` raises DoesNotFitAtMinFont naming the first text that does
+    not fit, in a box with no room too; callers react by growing the canvas.
     """
     x, y, w, h = rect
     pad = style.padding
     iw = w - 2 * pad
     ih = h - 2 * pad
-    if iw <= 0 or ih <= 0:
-        raise DoesNotFitAtMinFont(title_text)
     cursor = y + pad
     title_block = None
     if title_text:
@@ -449,8 +447,6 @@ def _fill_box(box_id: str, rect, title_text: str, factor_texts: list[str],
     if factor_texts:
         remaining = (y + h - pad) - cursor
         band = remaining / len(factor_texts)
-        if band <= 0:
-            raise DoesNotFitAtMinFont(factor_texts[0])
         for i, text in enumerate(factor_texts):
             body.append(fit_text(
                 text, iw, band, min_font=style.min_font, max_font=style.max_font,
@@ -494,8 +490,6 @@ def _fill(analysis: OrganizedAnalysis, style: Style, scale: int, geometry) -> Di
     width, height, boxes, arrows, radar = geometry
     label = analysis.schema.title
     title = f"{label}: {analysis.subject}" if analysis.subject else label
-    if width - 2 * style.gap <= 0:
-        raise DoesNotFitAtMinFont(title)
     title_block = fit_text(
         title, width - 2 * style.gap, max(36, LINE_HEIGHT * style.min_font),
         min_font=style.min_font, max_font=_cap(22, style),

@@ -128,7 +128,10 @@ class Framework(Record):
     each slot from its displayed factors (``assign_risk``, ``score_axis`` or
     None), and the diagram's shape: a ``Grid``, "ring" (one box per slot on
     a circle) or "radar" (one spoke per slot). A ring has four slots, the
-    count whose boxes ``diagram`` keeps apart."""
+    count whose boxes ``diagram`` keeps apart; a grid has one distinct
+    in-grid cell per slot and, unless its attribute is ``assign_risk``, a
+    fill per slot; a radar's attribute is ``score_axis``, the score its
+    spokes are drawn to. A record that breaks a rule raises ValueError."""
 
     __slots__ = ("kind", "cli_name", "title", "slots", "shape", "attribute")
 
@@ -138,6 +141,15 @@ class Framework(Record):
             raise ValueError(f"shape {shape!r} is not a Grid, 'ring' or 'radar'")
         if shape == "ring" and len(slots) != 4:
             raise ValueError(f"a ring has 4 slots, not {len(slots)}")
+        if isinstance(shape, Grid):
+            grid = {(r, c) for r in range(shape.rows) for c in range(shape.cols)}
+            if not len(shape.cells) == len(grid.intersection(shape.cells)) == len(slots):
+                raise ValueError(f"a {shape.rows}x{shape.cols} grid has one distinct cell "
+                                 f"per slot, not {shape.cells}")
+            if attribute is not assign_risk and len(shape.fills) != len(slots):
+                raise ValueError(f"a grid has a fill per slot, not {len(shape.fills)}")
+        if shape == "radar" and attribute is not score_axis:
+            raise ValueError("a radar's attribute is score_axis")
         setfield(self, "kind", kind)
         setfield(self, "cli_name", cli_name)
         setfield(self, "title", title)

@@ -39,10 +39,11 @@ where the numerator is the last prefix sum. ``wrap`` gives ``_cap`` that
 sum as its limit, and so does the floor: a cap held at the limit gives a
 floor of one line, which every text with words needs. When that many
 lines fail the height test (the same expression as the final check,
-which grows with the line count) no wrap at that size fits. When
-``cap`` is 0 no character fits and wrap would raise
-``UnbreakableToken``. Skipping those sizes returns the block, or raises
-the error, that wrapping at every size gives.
+which grows with the line count, and which a NaN height fails) no wrap
+at that size fits. When ``cap`` is 0 or less (a width of 0 or less, or
+NaN) no character fits and wrap would raise ``UnbreakableToken``. So a
+box with no room rules out every size. Skipping those sizes returns the
+block, or raises the error, that wrapping at every size gives.
 
 The floor only grows with size: ``size * c`` rises with ``size``, so
 ``cap`` falls, the numerator stays and the denominator ``cap + space_em``
@@ -241,7 +242,7 @@ def _ruled_out(span: int, width: float, height: float, size: int) -> bool:
     cap = _cap(width, size, span)
     if cap <= 0:
         return True
-    return -(-span // (cap + _SPACE_EM)) * LINE_HEIGHT * size > height
+    return not -(-span // (cap + _SPACE_EM)) * LINE_HEIGHT * size <= height
 
 
 def fit_text(
@@ -252,13 +253,10 @@ def fit_text(
     max_font: int = MAX_FONT,
 ) -> TextBlock:
     """Largest integer font size whose wrapped text fits width x height,
-    as a block at (0, 0) for ``TextBlock.at`` to place;
-    DoesNotFitAtMinFont(text) when none in [min_font, max_font] does. The
-    words are measured once and that measure is handed to every ``wrap``.
-    Sizes the line-count floor rules out are skipped without wrapping:
-    they are every size above the largest open one, found by bisection."""
-    if not (width > 0 and height > 0):
-        raise ValueError("box interior must have positive dimensions")
+    as a block at (0, 0) for ``TextBlock.at`` to place, or
+    DoesNotFitAtMinFont(text) when none in [min_font, max_font] does, as in
+    any box with no room. Each ``wrap`` gets the words measured once; sizes
+    above the largest one the floor leaves open (bisected) are not wrapped."""
     measured = measure(text.split())
     words, _, sums = measured
     if not words:

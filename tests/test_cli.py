@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import completion_body
 from stratagem import cli, diagram, frameworks, insights as insights_mod, llm
+from stratagem.record import Record
 
 FOOBAR = Path(__file__).parent / "fixtures" / "foobar.tsv"
 PRICES = Path(__file__).parent / "fixtures" / "prices.tsv"
@@ -753,14 +754,16 @@ class TestRenderCommand:
         assert "layout overflow" in capsys.readouterr().err
 
     def test_invalid_diagram_exit_code(self, tmp_path, monkeypatch, capsys):
-        """A grid whose two slots share a cell, added to the table, is drawn
-        with boxes that overlap, which ``emit_svg`` refuses: the CLI exits 4
-        with one ``error:`` line and writes no SVG, not a traceback."""
+        """A grid whose two slots share a cell, stored past the ``Framework``
+        check that refuses it and added to the table, is drawn with boxes
+        that overlap, which ``emit_svg`` refuses: the CLI exits 4 with one
+        ``error:`` line and writes no SVG, not a traceback."""
         slots = tuple(frameworks.SlotDescriptor(id, id.title(), {(theme, "*"): 1.0})
                       for id, theme in (("invest", "growth"), ("defend", "competition")))
         grid = frameworks.Grid(1, 2, True, ((0, 0), (0, 0)), ("#DEEBD8", "#F4CFCC"), False)
-        monkeypatch.setitem(frameworks.FRAMEWORKS, "one_cell", frameworks.Framework(
-            "one_cell", "one-cell", "One Cell", slots, grid))
+        one_cell = object.__new__(frameworks.Framework)
+        Record.__init__(one_cell, "one_cell", "one-cell", "One Cell", slots, grid, None)
+        monkeypatch.setitem(frameworks.FRAMEWORKS, "one_cell", one_cell)
         # the parser takes its --framework choices from the table once
         monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
         svg = tmp_path / "d.svg"

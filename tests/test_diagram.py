@@ -43,7 +43,7 @@ from stratagem.frameworks import (
     score_axis,
 )
 from stratagem.ingest import parse_table
-from stratagem.insights import Evidence, Insight, run_all_rules
+from stratagem.insights import THEME_TAGS, Evidence, Insight, run_all_rules
 from stratagem.textfit import LINE_HEIGHT, MAX_FONT, MIN_FONT
 
 
@@ -330,6 +330,72 @@ def test_a_ring_has_four_slots(count):
                   for i in range(count))
     with pytest.raises(ValueError, match=f"a ring has 4 slots, not {count}"):
         Framework("ring_of_other_count", "ring-of-other-count", "Ring", slots, "ring")
+
+
+_FILLS = ("#DEEBD8", "#F4CFCC", "#D7E3F1", "#F6E3B8")
+
+
+@pytest.mark.parametrize("count,shape,attribute,message", [
+    (4, Grid(2, 2, False, ((0, 0), (0, 1), (1, 0), (1, 1)), (), False), None,
+     "a grid has a fill per slot, not 0"),
+    (4, Grid(2, 2, False, ((0, 0), (0, 1), (1, 0)), _FILLS, False), None,
+     "a 2x2 grid has one distinct cell per slot"),
+    (4, Grid(2, 2, False, ((0, 0), (0, 1), (1, 0), (0, 0)), _FILLS, False), None,
+     "a 2x2 grid has one distinct cell per slot"),
+    (2, Grid(1, 2, False, ((0, 0), (3, 3)), _FILLS[:2], False), None,
+     "a 1x2 grid has one distinct cell per slot"),
+    (4, "radar", None, "a radar's attribute is score_axis"),
+], ids=["no-fills", "cell-missing", "cell-repeated", "cell-outside", "radar-unscored"])
+def test_framework_refuses_a_shape_it_cannot_draw(count, shape, attribute, message):
+    """The rules ``test_framework_record_agrees_with_itself`` checks of the
+    built-in kinds hold for every record: a grid short of fills, with a
+    slot left without a cell, two slots in one cell or a cell outside the
+    grid, and a radar without axis scores, are refused where they are
+    declared rather than failing, or dropping a slot, in ``layout``."""
+    slots = tuple(SlotDescriptor(f"s{i}", f"Slot {i}", {("growth", "*"): 1.0})
+                  for i in range(count))
+    with pytest.raises(ValueError, match=message):
+        Framework("broken", "broken", "Broken", slots, shape, attribute)
+
+
+@st.composite
+def drawable_frameworks(draw):
+    """A ``Framework`` record that the constructor accepts: a grid up to
+    3x3, a four-slot ring or a radar of 1-12 spokes."""
+    shape = draw(st.sampled_from(["grid", "ring", "radar"]))
+    if shape == "grid":
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        cells = draw(st.permutations([(r, c) for r in range(rows) for c in range(cols)]))
+        cells = tuple(cells[:draw(st.integers(1, rows * cols))])
+        attribute = draw(st.sampled_from([None, assign_risk]))
+        fills = () if attribute else tuple(_FILLS[i % 4] for i in range(len(cells)))
+        shape = Grid(rows, cols, draw(st.booleans()), cells, fills, draw(st.booleans()))
+        count = len(cells)
+    elif shape == "ring":
+        count, attribute = 4, draw(st.sampled_from([None, assign_risk]))
+    else:
+        count, attribute = draw(st.integers(1, 12)), score_axis
+    themes = draw(st.lists(st.sampled_from(THEME_TAGS), min_size=count, max_size=count))
+    slots = tuple(SlotDescriptor(f"slot_{i}", f"Slot {i}", {(theme, "*"): 1.0})
+                  for i, theme in enumerate(themes))
+    return Framework("drawn", "drawn", "Drawn Framework", slots, shape, attribute)
+
+
+@given(framework=drawable_frameworks(), seed=st.integers(0, 2**16), count=st.integers(0, 14))
+@settings(max_examples=100, deadline=None)
+def test_an_accepted_record_is_drawn(framework, seed, count):
+    """Every record the constructor accepts is drawn: in the default style
+    and each small canvas, ``layout`` gives a valid spec with one box per
+    slot, or raises LayoutOverflow."""
+    analysis = organize(random_insights(random.Random(seed), count), framework,
+                        subject="Foobar Corp")
+    for style in (Style(), *SMALL_CANVASES):
+        try:
+            spec = layout(analysis, style)
+        except diagram.LayoutOverflow:
+            continue
+        assert len(spec.boxes) == len(framework.slots)
+        assert validate_spec(spec) == []
 
 
 @pytest.mark.parametrize("gap", (0, 18, 200))
@@ -923,6 +989,20 @@ def test_layout_overflow_names_the_text_that_failed():
     with pytest.raises(diagram.LayoutOverflow) as exc:
         layout(analysis, wide_padding)
     assert exc.value.text == "Strengths"
+
+
+@pytest.mark.parametrize("change", [
+    {"canvas_w": math.nan}, {"gap": math.nan}, {"padding": math.nan}, {"canvas_h": math.inf},
+], ids=["nan-canvas-w", "nan-gap", "nan-padding", "inf-canvas-h"])
+@pytest.mark.parametrize("kind", ["swot", "porter5", "value_discipline"])
+def test_a_style_length_with_no_room_overflows(kind, change):
+    """A library ``Style`` (``load_style`` refuses these lengths) whose NaN
+    or infinite length leaves a text no room at any scale ends the layout
+    in LayoutOverflow, as any text that fits no box does."""
+    analysis = organize(random_insights(random.Random(0), 8), schema_for(kind),
+                        subject="Foobar Corp")
+    with pytest.raises(diagram.LayoutOverflow):
+        layout(analysis, Style(**change))
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,6 @@ def _exhaustive_fit(text: str, width: float, height: float,
                     min_font: int = MIN_FONT, max_font: int = MAX_FONT) -> TextBlock:
     """The font-size search with no floor: wrap at every size from
     ``max_font`` down and keep the first that fits."""
-    if width <= 0 or height <= 0:
-        raise ValueError("box interior must have positive dimensions")
     if not text.split():
         return TextBlock(lines=(), font_size=float(max_font))
     for size in range(max_font, min_font - 1, -1):
@@ -429,16 +427,44 @@ class TestFitText:
         assert exc.value.text == "m"
 
     def test_rejects_empty_box(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DoesNotFitAtMinFont) as exc:
             fit_text("hello there", 0, 50)
+        assert exc.value.text == "hello there"
 
     def test_rejects_nan_width(self):
-        with pytest.raises(ValueError, match="^box interior must have positive dimensions$"):
+        with pytest.raises(DoesNotFitAtMinFont) as exc:
             fit_text("hello world", float("nan"), 200)
+        assert exc.value.text == "hello world"
 
     def test_rejects_nan_height(self):
-        with pytest.raises(ValueError, match="^box interior must have positive dimensions$"):
+        with pytest.raises(DoesNotFitAtMinFont) as exc:
             fit_text("hello world", 200, float("nan"))
+        assert exc.value.text == "hello world"
+
+    @given(
+        words=st.lists(st.text(alphabet=MIXED_ALPHABET, min_size=1, max_size=20),
+                       min_size=0, max_size=12),
+        width=st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                        st.floats(-1000, 0), st.floats(0, 1000)),
+        height=st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                         st.floats(-1000, 0), st.floats(0, 1000)),
+    )
+    @settings(max_examples=300)
+    def test_any_box_fits_or_does_not(self, words, width, height):
+        """For any box, a box with no room, NaN and the infinities included,
+        ``fit_text`` returns a block that fits or raises DoesNotFitAtMinFont
+        naming the text; a text with no words is the empty block."""
+        text = " ".join(words)
+        try:
+            block = fit_text(text, width, height)
+        except DoesNotFitAtMinFont as exc:
+            assert exc.text == text and words
+            return
+        if not words:
+            assert block.lines == ()
+            return
+        assert MIN_FONT <= block.font_size <= MAX_FONT
+        assert block.width <= width and block.height <= height
 
     def test_block_positioning(self):
         block = fit_text("Hello", 200, 100).at(30, 40)
