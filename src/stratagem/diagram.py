@@ -346,12 +346,15 @@ def _ring_crossing(rect, center, r, theta, sign):
     x, y, w, h = rect
     ox, oy = center
     crossings = []
+    # ``not ... > r`` keeps an edge whose distance or ``r`` is NaN, as a style
+    # with a non-finite length gives: its crossing is NaN, not missing, so
+    # ``fit_text`` or ``validate_spec`` refuses the NaN geometry.
     for edge in (x, x + w):
-        if abs(edge - ox) <= r:
+        if not abs(edge - ox) > r:
             t = math.acos((edge - ox) / r)
             crossings += ((t, 0, edge), (-t, 0, edge))
     for edge in (y, y + h):
-        if abs(edge - oy) <= r:
+        if not abs(edge - oy) > r:
             t = math.asin((edge - oy) / r)
             crossings += ((t, 1, edge), (math.pi - t, 1, edge))
     step, t, axis, edge = min(
@@ -535,18 +538,26 @@ def layout(analysis: OrganizedAnalysis, style: Style = Style()) -> DiagramSpec:
 def validate_spec(spec: DiagramSpec) -> list[str]:
     """All DiagramSpec invariants; empty list means valid."""
     problems: list[str] = []
+    # Each comparison is written so that NaN fails it.
+    if not (math.isfinite(spec.width) and math.isfinite(spec.height)):
+        problems.append("canvas size is not finite")
+    if spec.title and not all(map(math.isfinite, spec.title.origin)):
+        problems.append("diagram title position is not finite")
     for box in spec.boxes:
-        if box.x < -1e-6 or box.y < -1e-6 or box.x + box.w > spec.width + 1e-6 \
-                or box.y + box.h > spec.height + 1e-6:
+        if not all(map(math.isfinite, box.rect)):
+            problems.append(f"box {box.id} is not finite")
+            continue
+        if not (box.x >= -1e-6 and box.y >= -1e-6 and box.x + box.w <= spec.width + 1e-6
+                and box.y + box.h <= spec.height + 1e-6):
             problems.append(f"box {box.id} outside canvas")
         blocks = ([box.title] if box.title else []) + list(box.body)
         for block in blocks:
             bx, by = block.origin
-            if bx < box.x + MIN_PADDING - 1e-6 or by < box.y + MIN_PADDING - 1e-6:
+            if not (bx >= box.x + MIN_PADDING - 1e-6 and by >= box.y + MIN_PADDING - 1e-6):
                 problems.append(f"text in box {box.id} violates padding")
-            if bx + block.width > box.x + box.w - MIN_PADDING + 1e-6:
+            if not bx + block.width <= box.x + box.w - MIN_PADDING + 1e-6:
                 problems.append(f"text in box {box.id} overflows width")
-            if by + block.height > box.y + box.h - MIN_PADDING + 1e-6:
+            if not by + block.height <= box.y + box.h - MIN_PADDING + 1e-6:
                 problems.append(f"text in box {box.id} overflows height")
             if block.lines and not (MIN_FONT <= block.font_size <= MAX_FONT):
                 problems.append(f"font size {block.font_size} outside bounds in {box.id}")

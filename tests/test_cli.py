@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -940,6 +941,114 @@ class TestFileErrors:
         assert capsys.readouterr().err == (
             f"error: cannot write {missing / written}: {os.strerror(errno.ENOENT)}\n"
         )
+
+
+# Each subcommand's argument list and the files it writes into ``{out}``; the
+# organize and render inputs are the ``analysis_inputs`` files.
+_WRITERS = {
+    "insights": (["insights", "--table", str(FOOBAR), "-o", "{out}/out.json"], ["out.json"]),
+    "organize": (["organize", "{insights}", "--framework", "swot", "-o", "{out}/out.json"],
+                 ["out.json"]),
+    "render": (["render", "{analysis}", "-o", "{out}/out.svg"], ["out.svg"]),
+    "pipeline": (["pipeline", "--table", str(FOOBAR), "--timeseries", str(PRICES),
+                  "--framework", "porter5", "-o", "{out}/out.svg"],
+                 ["out.svg", "out.insights.json", "out.analysis.json"]),
+}
+
+
+@pytest.fixture
+def analysis_inputs(insights_file, tmp_path) -> dict[str, Path]:
+    analysis = tmp_path / "analysis.json"
+    assert run("organize", str(insights_file), "--framework", "swot",
+               "-o", str(analysis)) == 0
+    return {"insights": insights_file, "analysis": analysis}
+
+
+class TestOutputFiles:
+    """Every output is rewritten in place: an existing file keeps its inode
+    and is cut to the new length before it is written, as ``open(path, "w")``
+    would leave it, and a file that is not regular is written, not cut."""
+
+    @staticmethod
+    def _written(command: str, inputs: dict, out: Path) -> dict[str, bytes]:
+        argv, names = _WRITERS[command]
+        out.mkdir(exist_ok=True)
+        assert run(*(a.format(out=out, **inputs) for a in argv)) == 0
+        return {name: (out / name).read_bytes() for name in names}
+
+    @pytest.mark.parametrize("command", list(_WRITERS))
+    def test_overwriting_a_longer_file_leaves_the_new_bytes(
+        self, analysis_inputs, tmp_path, command
+    ):
+        fresh = self._written(command, analysis_inputs, tmp_path / "fresh")
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        for name, data in fresh.items():
+            (stale / name).write_bytes(b"stale\n" * (len(data) // 6 + 100))
+        assert self._written(command, analysis_inputs, stale) == fresh
+
+    @pytest.mark.parametrize("command", ["insights", "organize", "render"])
+    def test_a_device_output_is_written(self, analysis_inputs, capsys, command):
+        argv = [a.format(**analysis_inputs) for a in _WRITERS[command][0][:-1]]
+        capsys.readouterr()
+        assert run(*argv, os.devnull) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", list(_WRITERS))
+    def test_a_new_output_is_not_executable(self, analysis_inputs, tmp_path, command):
+        umask = os.umask(0o022)
+        try:
+            written = self._written(command, analysis_inputs, tmp_path / "out")
+        finally:
+            os.umask(umask)
+        for name in written:
+            assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == 0o644, name
+
+    @pytest.mark.parametrize("command", list(_WRITERS))
+    def test_an_output_keeps_its_inode(self, analysis_inputs, tmp_path, command):
+        name = _WRITERS[command][1][0]
+        expected = self._written(command, analysis_inputs, tmp_path / "fresh")[name]
+        out, target = tmp_path / "out", tmp_path / "target"
+        out.mkdir()
+        path, link, through = out / name, tmp_path / "hard_link", target / name
+        path.write_bytes(b"stale\n" * 4000)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        self._written(command, analysis_inputs, out)
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == path.read_bytes() == expected
+        target.mkdir()
+        through.write_bytes(b"stale\n" * 4000)
+        path.unlink()
+        path.symlink_to(through)
+        self._written(command, analysis_inputs, out)
+        assert path.is_symlink() and through.read_bytes() == expected
+
+    def test_an_overwrite_is_never_a_truncation_to_zero(
+        self, analysis_inputs, tmp_path, monkeypatch
+    ):
+        # ext4, XFS and btrfs flush a file truncated to zero when it is
+        # closed, which made each rewritten output cost a disk write
+        opened, cut = [], []
+        real_open, real_ftruncate = os.open, os.ftruncate
+
+        def spy_open(path, flags, *rest):
+            opened.append(flags)
+            return real_open(path, flags, *rest)
+
+        def spy_ftruncate(fd, length):
+            cut.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+        written = self._written("pipeline", analysis_inputs, tmp_path / "out")
+        for name, data in written.items():
+            (tmp_path / "out" / name).write_bytes(b"stale\n" * (len(data) // 6 + 100))
+        assert self._written("pipeline", analysis_inputs, tmp_path / "out") == written
+        assert len(opened) == 2 * len(written)
+        assert not any(flags & os.O_TRUNC for flags in opened)
+        assert sorted(cut) == sorted(map(len, written.values()))
 
 
 class TestRepeatedCalls:

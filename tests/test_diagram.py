@@ -738,12 +738,18 @@ _SPEC_PROBLEMS = [
         axes=(s.radar.axes[0]._replace(label=s.radar.axes[0].label.at(*s.radar.center)),)
         + s.radar.axes[1:])),
      "radar label overlaps ring for operational_excellence"),
+    ("swot", lambda s: s._replace(width=math.inf), "canvas size is not finite"),
+    ("swot", lambda s: s._replace(title=s.title.at(math.nan, 8)),
+     "diagram title position is not finite"),
+    ("swot", lambda s: _with_box(s, 0, s.boxes[0]._replace(w=math.nan)),
+     "box strengths is not finite"),
 ]
 
 
 @pytest.mark.parametrize("kind,perturb,problem", _SPEC_PROBLEMS, ids=[
     "outside-canvas", "padding", "width", "height", "font-size", "overlap",
     "unknown-box", "arrow-start", "arrow-end", "arrow-enters-box", "radar-label",
+    "infinite-canvas", "nan-title", "nan-box",
 ])
 def test_each_spec_problem_is_reported(kind, perturb, problem, foobar_dataset, prices_series):
     found = run_all_rules(foobar_dataset, prices_series)
@@ -991,18 +997,25 @@ def test_layout_overflow_names_the_text_that_failed():
     assert exc.value.text == "Strengths"
 
 
-@pytest.mark.parametrize("change", [
-    {"canvas_w": math.nan}, {"gap": math.nan}, {"padding": math.nan}, {"canvas_h": math.inf},
-], ids=["nan-canvas-w", "nan-gap", "nan-padding", "inf-canvas-h"])
-@pytest.mark.parametrize("kind", ["swot", "porter5", "value_discipline"])
-def test_a_style_length_with_no_room_overflows(kind, change):
+@pytest.mark.parametrize("change,refusal", [
+    pytest.param({"canvas_w": math.nan}, diagram.LayoutOverflow, id="nan-canvas-w"),
+    pytest.param({"gap": math.nan}, diagram.LayoutOverflow, id="nan-gap"),
+    pytest.param({"padding": math.nan}, diagram.LayoutOverflow, id="nan-padding"),
+    pytest.param({"canvas_h": math.inf}, diagram.LayoutOverflow, id="inf-canvas-h"),
+    # a grid's boxes at infinity fit their texts; emit_svg refuses them
+    pytest.param({"canvas_w": math.inf}, (diagram.LayoutOverflow, InvariantViolation),
+                 id="inf-canvas-w"),
+])
+@pytest.mark.parametrize("kind", ["swot", "porter5", "virtuous_cycle", "value_discipline"])
+def test_a_style_length_with_no_room_overflows(kind, change, refusal):
     """A library ``Style`` (``load_style`` refuses these lengths) whose NaN
     or infinite length leaves a text no room at any scale ends the layout
-    in LayoutOverflow, as any text that fits no box does."""
+    in LayoutOverflow, as any text that fits no box does; no such style
+    gives an SVG, which would hold a length such as ``width="inf"``."""
     analysis = organize(random_insights(random.Random(0), 8), schema_for(kind),
                         subject="Foobar Corp")
-    with pytest.raises(diagram.LayoutOverflow):
-        layout(analysis, Style(**change))
+    with pytest.raises(refusal):
+        emit_svg(layout(analysis, Style(**change)))
 
 
 # ---------------------------------------------------------------------------
