@@ -44,36 +44,10 @@ class InvariantViolation(Exception):
     pass
 
 
-class Style(Record):
-    __slots__ = ("canvas_w", "canvas_h", "padding", "gap", "min_font", "max_font",
-                 "font_family", "background", "palette")
-
-    def __init__(
-        self,
-        canvas_w: float = 900.0,
-        canvas_h: float = 640.0,
-        padding: float = 8.0,
-        gap: float = 18.0,
-        min_font: int = MIN_FONT,
-        max_font: int = MAX_FONT,
-        font_family: str = FONT_FAMILY,
-        background: str = "#FFFFFF",
-        palette: tuple[tuple[str, str], ...] = tuple(sorted(RISK_PALETTE.items())),
-    ):
-        Record.__init__(self, canvas_w, canvas_h, padding, gap, min_font, max_font,
-                        font_family, background, palette)
-
-    def risk_fill(self, level: str) -> str:
-        """Fixed risk-to-fill mapping, identical across every diagram in a run."""
-        return dict(self.palette)[level]
-
-
-# The keys a style file may hold; any other is a misspelling to report.
-_STYLE_KEYS = ("canvas", "padding", "gap", "min_font", "max_font", "font_family",
-               "background", "palette")
 # Style lengths stop here so that at the largest fit scale (256) a float's step
 # (about 1e-9 px at 5e6 px) stays far finer than validate_spec's 1e-6 px.
 _MAX_LENGTH = 20000.0
+_CANVAS_RULE = f"canvas must be a list of two numbers in [1, {_MAX_LENGTH:g}]"
 # Style colours and the font family are copied into SVG attributes. Escaping
 # keeps them from breaking the markup; these forms also keep them to a plain
 # colour (#rgb, #rrggbb or a CSS 2.1 keyword) and a plain font-name list.
@@ -95,58 +69,86 @@ def _is_color(value) -> bool:
     )
 
 
+class Style(Record):
+    """A diagram's canvas, spacing, fonts and colours. The constructor raises
+    ValueError for a value the layouts cannot honour, or that is not a plain
+    colour or font-family list, naming it by its style-file key. It stores
+    the canvas lengths as floats and the palette's pairs sorted by level."""
+
+    __slots__ = ("canvas_w", "canvas_h", "padding", "gap", "min_font", "max_font",
+                 "font_family", "background", "palette")
+
+    def __init__(
+        self,
+        canvas_w: float = 900.0,
+        canvas_h: float = 640.0,
+        padding: float = 8.0,
+        gap: float = 18.0,
+        min_font: int = MIN_FONT,
+        max_font: int = MAX_FONT,
+        font_family: str = FONT_FAMILY,
+        background: str = "#FFFFFF",
+        palette: tuple[tuple[str, str], ...] = tuple(sorted(RISK_PALETTE.items())),
+    ):
+        if not all(type(v) in (int, float) and 1 <= v <= _MAX_LENGTH
+                   for v in (canvas_w, canvas_h)):
+            raise ValueError(_CANVAS_RULE)
+        pairs = type(palette) is tuple and all(type(p) is tuple and len(p) == 2 for p in palette)
+        for level, _ in palette if pairs else ():
+            if level not in RISK_LEVELS:
+                raise ValueError(f"palette {level!r} must be one of the risk levels "
+                                 f"{', '.join(RISK_LEVELS)}")
+        if not (pairs and len(dict(palette)) == len(palette) == len(RISK_LEVELS)):
+            raise ValueError(f"palette must be a tuple of one (level, colour) pair per risk "
+                             f"level {', '.join(RISK_LEVELS)}")
+        palette = tuple(sorted(palette))
+        for name, value, low in (("padding", padding, MIN_PADDING), ("gap", gap, 0)):
+            if type(value) not in (int, float) or not low <= value <= _MAX_LENGTH:
+                raise ValueError(f"{name} must be a number in [{low:g}, {_MAX_LENGTH:g}]")
+        for name, value, high in (("max_font", max_font, MAX_FONT),
+                                  ("min_font", min_font, max_font)):
+            if type(value) is not int or not MIN_FONT <= value <= high:
+                raise ValueError(f"{name} must be an integer in [{MIN_FONT}, {high}]")
+        for name, value in (("background", background),
+                            *((f"palette {level}", fill) for level, fill in palette)):
+            if not _is_color(value):
+                raise ValueError(f"{name} must be #rgb, #rrggbb or a CSS 2.1 colour name")
+        if not (isinstance(font_family, str) and font_family
+                and set(font_family) <= _FONT_FAMILY_CHARS):
+            raise ValueError("font_family must be letters, digits, spaces, commas, - and '")
+        Record.__init__(self, float(canvas_w), float(canvas_h), padding, gap, min_font,
+                        max_font, font_family, background, palette)
+
+    def risk_fill(self, level: str) -> str:
+        """Fixed risk-to-fill mapping, identical across every diagram in a run."""
+        return dict(self.palette)[level]
+
+
+# The keys a style file may hold; any other is a misspelling to report.
+_STYLE_KEYS = ("canvas", "padding", "gap", "min_font", "max_font", "font_family",
+               "background", "palette")
+
+
 def load_style(raw) -> Style:
     """Decoded style JSON: canvas size, palette overrides, font bounds; absent
     -> defaults. Raises ValueError naming the key for a key it does not
-    read, a palette level outside RISK_LEVELS, or a value the layouts
-    cannot honour or that is not a plain colour or font-family list."""
+    read, a canvas that is not a list of two, a palette that is not an
+    object, or a value ``Style`` refuses."""
     if not isinstance(raw, dict):
         raise ValueError("top level must be an object")
     for key in raw:
         if key not in _STYLE_KEYS:
             raise ValueError(f"{key!r} must be one of the style keys {', '.join(_STYLE_KEYS)}")
-    kwargs = {}
+    kwargs = {key: value for key, value in raw.items() if key not in ("canvas", "palette")}
     if "canvas" in raw:
-        canvas = raw["canvas"]
-        if not (isinstance(canvas, list) and len(canvas) == 2 and all(
-            type(v) in (int, float) and 1 <= v <= _MAX_LENGTH for v in canvas
-        )):
-            raise ValueError(f"canvas must be a list of two numbers in [1, {_MAX_LENGTH:g}]")
-        kwargs["canvas_w"], kwargs["canvas_h"] = float(canvas[0]), float(canvas[1])
-    for key in ("padding", "gap", "min_font", "max_font", "font_family", "background"):
-        if key in raw:
-            kwargs[key] = raw[key]
+        if not (isinstance(raw["canvas"], list) and len(raw["canvas"]) == 2):
+            raise ValueError(_CANVAS_RULE)
+        kwargs["canvas_w"], kwargs["canvas_h"] = raw["canvas"]
     if "palette" in raw:
         if not isinstance(raw["palette"], dict):
             raise ValueError("palette must be an object")
-        for level in raw["palette"]:
-            if level not in RISK_LEVELS:
-                raise ValueError(f"palette {level!r} must be one of the risk levels "
-                                 f"{', '.join(RISK_LEVELS)}")
-        merged = dict(RISK_PALETTE)
-        merged.update(raw["palette"])
-        kwargs["palette"] = tuple(sorted(merged.items()))
-    style = Style(**kwargs)
-    for name, value, low in (
-        ("padding", style.padding, MIN_PADDING),
-        ("gap", style.gap, 0),
-    ):
-        if type(value) not in (int, float) or not low <= value <= _MAX_LENGTH:
-            raise ValueError(f"{name} must be a number in [{low:g}, {_MAX_LENGTH:g}]")
-    for name, value, high in (
-        ("max_font", style.max_font, MAX_FONT),
-        ("min_font", style.min_font, style.max_font),
-    ):
-        if type(value) is not int or not MIN_FONT <= value <= high:
-            raise ValueError(f"{name} must be an integer in [{MIN_FONT}, {high}]")
-    for name, value in (("background", style.background),
-                        *((f"palette {level}", fill) for level, fill in style.palette)):
-        if not _is_color(value):
-            raise ValueError(f"{name} must be #rgb, #rrggbb or a CSS 2.1 colour name")
-    family = style.font_family
-    if not isinstance(family, str) or not family or not set(family) <= _FONT_FAMILY_CHARS:
-        raise ValueError("font_family must be letters, digits, spaces, commas, - and '")
-    return style
+        kwargs["palette"] = tuple({**RISK_PALETTE, **raw["palette"]}.items())
+    return Style(**kwargs)
 
 
 class BoxNode(Record):
@@ -346,15 +348,12 @@ def _ring_crossing(rect, center, r, theta, sign):
     x, y, w, h = rect
     ox, oy = center
     crossings = []
-    # ``not ... > r`` keeps an edge whose distance or ``r`` is NaN, as a style
-    # with a non-finite length gives: its crossing is NaN, not missing, so
-    # ``fit_text`` or ``validate_spec`` refuses the NaN geometry.
     for edge in (x, x + w):
-        if not abs(edge - ox) > r:
+        if abs(edge - ox) <= r:
             t = math.acos((edge - ox) / r)
             crossings += ((t, 0, edge), (-t, 0, edge))
     for edge in (y, y + h):
-        if not abs(edge - oy) > r:
+        if abs(edge - oy) <= r:
             t = math.asin((edge - oy) / r)
             crossings += ((t, 1, edge), (math.pi - t, 1, edge))
     step, t, axis, edge = min(

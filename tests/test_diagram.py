@@ -198,6 +198,37 @@ class TestStyle:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             load_style(json.loads(content))
 
+    @pytest.mark.parametrize("change,name", [
+        ({"min_font": 0.5}, "min_font"),
+        ({"min_font": True}, "min_font"),
+        ({"min_font": 20, "max_font": 12}, "min_font"),
+        ({"max_font": 200}, "max_font"),
+        ({"canvas_w": "900"}, "canvas"),
+        ({"canvas_w": math.nan}, "canvas"),
+        ({"canvas_h": math.inf}, "canvas"),
+        ({"canvas_h": 0.5}, "canvas"),
+        ({"padding": 0}, "padding"),
+        ({"padding": math.nan}, "padding"),
+        ({"gap": -40.0}, "gap"),
+        ({"gap": math.inf}, "gap"),
+        ({"font_family": 3}, "font_family"),
+        ({"background": "url(#x)"}, "background"),
+        ({"palette": (("low", "#fff"),)}, "palette"),
+        ({"palette": (("low", "#fff"),) * 4}, "palette"),
+        ({"palette": [("low", "#fff")]}, "palette"),
+        ({"palette": tuple(sorted({**RISK_PALETTE, "hgih": "#fff"}.items()))}, "palette 'hgih'"),
+        ({"palette": tuple(sorted({**RISK_PALETTE, "high": "red;"}.items()))}, "palette high"),
+    ])
+    def test_constructor_refuses_what_layout_cannot_honour(self, change, name):
+        """Each value is refused where it is given, naming its field as a
+        style file does; without the check each reached layout or an SVG."""
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Style(**change)
+
+    def test_palette_is_stored_sorted_by_level(self):
+        reordered = Style(palette=tuple(reversed(Style().palette)))
+        assert reordered == Style() and reordered.palette == Style().palette
+
 
 # ---------------------------------------------------------------------------
 # grid (SWOT)
@@ -663,8 +694,18 @@ class TestEmitSvg:
     @pytest.mark.parametrize("field", ["font_family", "background"])
     @_EACH_FRAMEWORK
     def test_style_values_cannot_inject_attributes(self, field, builder):
+        """``emit_svg`` escapes the font family and every fill it copies
+        into an attribute. ``Style`` refuses such values, so a spec built
+        by hand carries them: the font family, or the background and every
+        box's fill."""
         injected = 'a" onload="alert(1)'
-        svg = emit_svg(layout(builder(), Style(**{field: injected})))
+        spec = layout(builder())
+        if field == "font_family":
+            spec = spec._replace(font_family=injected)
+        else:
+            spec = spec._replace(background=injected, boxes=tuple(
+                box._replace(fill=injected) for box in spec.boxes))
+        svg = emit_svg(spec)
         seen = []
 
         def start(tag, attrs):
@@ -977,45 +1018,98 @@ def test_randomized_layouts_hold_invariants(kind):
                         assert MIN_FONT <= block.font_size <= MAX_FONT
 
 
+# The smallest canvas with the largest padding: no box has an interior at
+# any scale, while the diagram title fits at the largest.
+NO_ROOM = Style(canvas_w=1, canvas_h=1, padding=20000)
+
+
 def test_layout_overflow_is_typed():
-    # an analysis whose only factor cannot fit in any box: force it by
-    # shrinking the canvas so far that doublings cannot recover
-    tiny = Style(canvas_w=0.5, canvas_h=0.4, padding=1.0)
+    # an analysis whose factors cannot fit in any box: force it with a
+    # style that leaves no box an interior at any scale
     insights = random_insights(random.Random(0), 6)
     analysis = organize(insights, schema_for("swot"))
     with pytest.raises(diagram.LayoutOverflow):
-        layout(analysis, tiny)
+        layout(analysis, NO_ROOM)
 
 
 def test_layout_overflow_names_the_text_that_failed():
     # the padding leaves no interior at any scale, so the first box's title
     # is the text that fails at the largest one
-    wide_padding = Style(padding=1e6)
     analysis = organize(random_insights(random.Random(0), 6), schema_for("swot"))
     with pytest.raises(diagram.LayoutOverflow) as exc:
-        layout(analysis, wide_padding)
+        layout(analysis, NO_ROOM)
     assert exc.value.text == "Strengths"
 
 
-@pytest.mark.parametrize("change,refusal", [
-    pytest.param({"canvas_w": math.nan}, diagram.LayoutOverflow, id="nan-canvas-w"),
-    pytest.param({"gap": math.nan}, diagram.LayoutOverflow, id="nan-gap"),
-    pytest.param({"padding": math.nan}, diagram.LayoutOverflow, id="nan-padding"),
-    pytest.param({"canvas_h": math.inf}, diagram.LayoutOverflow, id="inf-canvas-h"),
-    # a grid's boxes at infinity fit their texts; emit_svg refuses them
-    pytest.param({"canvas_w": math.inf}, (diagram.LayoutOverflow, InvariantViolation),
+def _lengths(low):
+    return st.one_of(st.sampled_from([low, diagram._MAX_LENGTH]),
+                     st.floats(low, diagram._MAX_LENGTH))
+
+
+_COLOURS = st.sampled_from(["#FFFFFF", "#abc", "#A0B1C2", "white", "navy"])
+
+
+@st.composite
+def accepted_styles(draw):
+    """Any ``Style`` the constructor accepts: each length at or between its
+    bounds, and ``MIN_FONT <= min_font <= max_font <= MAX_FONT``."""
+    min_font, max_font = sorted(draw(st.lists(st.integers(MIN_FONT, MAX_FONT),
+                                              min_size=2, max_size=2)))
+    return Style(
+        canvas_w=draw(_lengths(1.0)), canvas_h=draw(_lengths(1.0)),
+        padding=draw(_lengths(diagram.MIN_PADDING)), gap=draw(_lengths(0.0)),
+        min_font=min_font, max_font=max_font,
+        font_family=draw(st.sampled_from([FONT_FAMILY, "'Open Sans', DejaVu-Sans, sans-serif"])),
+        background=draw(_COLOURS),
+        palette=tuple((level, draw(_COLOURS)) for level in RISK_LEVELS),
+    )
+
+
+@given(style=accepted_styles())
+@settings(max_examples=100, deadline=None)
+def test_an_accepted_style_is_drawn(style, foobar_dataset, prices_series):
+    """Each framework's Foobar diagram laid out in any accepted ``Style`` is
+    a valid spec or raises LayoutOverflow, and ``load_style`` reads the
+    style's JSON form back to an equal ``Style``."""
+    found = run_all_rules(foobar_dataset, prices_series)
+    for kind in FRAMEWORK_KINDS:
+        analysis = organize(found, schema_for(kind), subject=foobar_dataset.subject)
+        try:
+            spec = layout(analysis, style)
+        except diagram.LayoutOverflow:
+            continue
+        assert validate_spec(spec) == [], kind
+    raw = {"canvas": [style.canvas_w, style.canvas_h], "palette": dict(style.palette),
+           **{key: getattr(style, key) for key in ("padding", "gap", "min_font", "max_font",
+                                                   "font_family", "background")}}
+    assert load_style(json.loads(json.dumps(raw))) == style
+
+
+@pytest.mark.parametrize("change,perturb", [
+    pytest.param({"canvas_w": math.nan}, lambda s: s._replace(width=math.nan),
+                 id="nan-canvas-w"),
+    pytest.param({"gap": math.nan}, lambda s: s._replace(title=s.title.at(math.nan, 8)),
+                 id="nan-gap"),
+    pytest.param({"padding": math.nan}, lambda s: _with_box(s, 0, s.boxes[0]._replace(x=math.nan)),
+                 id="nan-padding"),
+    pytest.param({"canvas_h": math.inf}, lambda s: s._replace(height=math.inf),
+                 id="inf-canvas-h"),
+    pytest.param({"canvas_w": math.inf}, lambda s: _with_box(s, 0, s.boxes[0]._replace(w=math.inf)),
                  id="inf-canvas-w"),
 ])
 @pytest.mark.parametrize("kind", ["swot", "porter5", "virtuous_cycle", "value_discipline"])
-def test_a_style_length_with_no_room_overflows(kind, change, refusal):
-    """A library ``Style`` (``load_style`` refuses these lengths) whose NaN
-    or infinite length leaves a text no room at any scale ends the layout
-    in LayoutOverflow, as any text that fits no box does; no such style
-    gives an SVG, which would hold a length such as ``width="inf"``."""
+def test_a_style_length_with_no_room_overflows(kind, change, perturb):
+    """A NaN or infinite style length reaches no SVG, which would hold a
+    length such as ``width="inf"``. ``Style`` refuses the length, naming
+    it, and ``emit_svg`` refuses a spec built by hand with the canvas, box
+    or diagram title that such a length would have made non-finite."""
+    (field, _), = change.items()
+    with pytest.raises(ValueError, match=f"^{field.split('_')[0]} must be"):
+        Style(**change)
     analysis = organize(random_insights(random.Random(0), 8), schema_for(kind),
                         subject="Foobar Corp")
-    with pytest.raises(refusal):
-        emit_svg(layout(analysis, Style(**change)))
+    with pytest.raises(InvariantViolation, match="is not finite"):
+        emit_svg(perturb(layout(analysis)))
 
 
 # ---------------------------------------------------------------------------
@@ -1041,9 +1135,9 @@ def test_geometry_fits_no_text(builder, scale, monkeypatch):
 
 def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):
     """The fill step fits the diagram title, then the radar labels, then the
-    boxes. With no box interior at any scale and every axis label refused,
-    the overflow names the first label, and no box text is ever fitted:
-    each scale fits the title and the first label, then gives up."""
+    boxes. With every axis label refused, the overflow names the first
+    label, and no box text is ever fitted, though each box has room: each
+    scale fits the title and the first label, then gives up."""
     analysis = radar_analysis()
     labels = {
         f"{slot.title} ({analysis.slot_attributes[slot.id].value:.1f})"
@@ -1060,7 +1154,7 @@ def test_radar_label_failure_is_reported_before_box_failures(monkeypatch):
 
     monkeypatch.setattr(diagram, "fit_text", refuse_labels)
     with pytest.raises(diagram.LayoutOverflow) as exc:
-        layout(analysis, Style(padding=1e6))
+        layout(analysis)
     first_label = fitted[1]
     assert first_label.startswith("Operational Excellence (")
     assert exc.value.text == first_label

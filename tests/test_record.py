@@ -33,7 +33,7 @@ _SCHEMA = schema_for("swot")
 # and a field change that the constructor rejects (None where it checks
 # nothing).
 RECORDS = {
-    Style: (lambda: Style(canvas_w=800.0, gap=12.0), None),
+    Style: (lambda: Style(canvas_w=800.0, gap=12.0), {"gap": -40.0}),
     BoxNode: (lambda: BoxNode("strengths", 1.0, 2.0, 300.0, 200.0, _BLOCK, (_BLOCK,), "#EDF2F8"),
               None),
     ArrowEdge: (lambda: ArrowEdge("a", "b", ((0.0, 0.0), (5.0, 5.0))), None),
