@@ -15,9 +15,10 @@ and ``_descriptor``, which ``infer_metric_semantics`` also calls.
 ``_number_column`` parses many cells in one bulk pass: one regex marks the
 cells that are not plain decimals, ``float`` reads the rest, and every
 marked cell goes through ``_parse_number``, the fallback and the oracle
-the tests compare the bulk pass against. ``parse_table`` hands it each
-distinct cell string of a table once (``_numbers``), so repeated cells
-share one value, and ``parse_timeseries`` its close and volume columns.
+the tests compare the bulk pass against. ``parse_table`` hands it a
+list of the distinct cell strings of a table, each once, and keys their
+values by cell, so repeated cells share one value; ``parse_timeseries``
+hands it its close and volume columns.
 
 A timeseries is two columns, ``dates`` and ``closes``, re-sorted ascending
 by date so downstream rules see one canonical order. ``parse_timeseries``
@@ -121,6 +122,11 @@ _HIGHER_KEYWORDS = (
 )
 
 
+# Each table as one alternation, searched once per name.
+_LOWER_PATTERN = re.compile("|".join(map(re.escape, _LOWER_KEYWORDS)))
+_HIGHER_PATTERN = re.compile("|".join(map(re.escape, _HIGHER_KEYWORDS)))
+
+
 class MetricDescriptor(Record):
     __slots__ = ("name", "polarity")
 
@@ -152,9 +158,9 @@ def _descriptor(name: str, forced: str | None) -> MetricDescriptor:
     polarity = forced
     if polarity is None:
         low = name.lower()
-        if any(map(low.__contains__, _LOWER_KEYWORDS)):
+        if _LOWER_PATTERN.search(low):
             polarity = "lower-is-better"
-        elif any(map(low.__contains__, _HIGHER_KEYWORDS)):
+        elif _HIGHER_PATTERN.search(low):
             polarity = "higher-is-better"
         else:
             polarity = "neutral"
@@ -269,12 +275,6 @@ def _parse_number(cell: str) -> float | None:
 _OTHER_LINE = re.compile(r"\n(?!\$?-?[0-9][0-9,]*(?:\.[0-9]+)?%?$)[^\n]*", re.M)
 
 
-def _numbers(cells: set[str]) -> dict[str, float | None]:
-    """``_parse_number`` of each cell, keyed by cell, in one bulk pass; a
-    set unchanged between two passes yields its cells in the same order."""
-    return dict(zip(cells, _number_column(cells)))
-
-
 def _read_rows(text: str, dialect: str) -> list[tuple[int, list[str]]]:
     """The non-blank rows, each with its line number in ``text`` (blank
     lines counted; the last line of a row whose quoted cell spans lines)."""
@@ -310,7 +310,8 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
     labels = [row[0].strip() for row in body]
     # Cells repeat (``NA``, ``12.5%``, small integers), so each distinct
     # string is parsed once and its repeats share one value.
-    number = _numbers(set(chain.from_iterable(row[1:] for row in body)))
+    cells = list(set(chain.from_iterable(row[1:] for row in body)))
+    number = dict(zip(cells, _number_column(cells)))
     if width == 2:  # itemgetter of one key gives the value, not a 1-tuple
         grid = [(number[row[1]],) for row in body]
     else:
@@ -407,7 +408,7 @@ def _date_column(cells: list[str]) -> list[dt.date] | None:
     return None if None in dates else dates
 
 
-def _number_column(cells: list[str] | set[str]) -> list[float | None]:
+def _number_column(cells: list[str]) -> list[float | None]:
     """``_parse_number`` of every cell, in one bulk pass. One ``sub`` over
     the cells, each after a line break, turns every line that is not a
     plain cell into ``inf``; with ``$``, ``,`` and ``%`` dropped, ``float``
@@ -421,7 +422,6 @@ def _number_column(cells: list[str] | set[str]) -> list[float | None]:
     text = text[1:].replace(",", "").replace("$", "").replace("%", "")
     values = list(map(float, text.split("\n")))
     if not math.isfinite(sum(values)):  # an inf in values, or a sum past the range
-        cells = list(cells)
         for i in compress(range(len(values)), map(math.isinf, values)):
             values[i] = _parse_number(cells[i])
     return values
@@ -499,14 +499,20 @@ def _format_value(v: float | None) -> str:
 def serialize_dataset(dataset: Dataset) -> str:
     """Canonical on-disk form: tab-delimited, metrics as rows, NA for absent.
 
-    Metric labels carry a ``!lower``/``!higher`` sidecar annotation when
-    the stored polarity differs from what name inference would produce,
-    so parse(serialize(d)) == d.
+    A metric label carries a ``!lower``/``!higher`` sidecar annotation
+    when name inference would not give back its descriptor: when the
+    polarity differs, or when the name itself ends in an annotation, which
+    inference would strip. So parse(serialize(d)) == d, except for a
+    neutral metric whose name ends in an annotation: only a hand-built
+    descriptor has one, and no label expresses it.
     """
     lines = ["Metric\t" + "\t".join(dataset.entities)]
     for m, column in zip(dataset.metrics, dataset.columns):
         label = m.name
-        if infer_metric_semantics(m.name).polarity != m.polarity:
+        # infer_metric_semantics(m.name) != m, without its error for a name
+        # that is all annotation ("!lower", from "!lower !lower")
+        name = _split_annotation(m.name)[0]
+        if name != m.name or infer_metric_semantics(name).polarity != m.polarity:
             if m.polarity == "lower-is-better":
                 label += " !lower"
             elif m.polarity == "higher-is-better":

@@ -5,6 +5,11 @@ Every firing threshold is one of the fixed module constants below,
 ("very low", "significant difference") are explicit and test-pinned.
 Statements come from fixed templates per rule; magnitudes are clamped into
 [0, 1] so downstream ranking has a uniform scale.
+
+The peer rule is silent, without reading the rest of a column, once a
+peer among its first ``_SCREEN_ENTITIES`` entities lies at or above the
+subject and one at or below; that is exact, as the column's ``max`` and
+``min``, which decide the rule, are then NaN or beyond those peers.
 """
 
 from __future__ import annotations
@@ -125,10 +130,18 @@ _THEME_KEYWORDS = (
 )
 
 
+# one alternation per row, tried in row order: one over every row would
+# find the leftmost keyword, not the first row's
+_THEME_PATTERNS = tuple(
+    (re.compile("|".join(map(re.escape, keywords))), theme)
+    for keywords, theme in _THEME_KEYWORDS
+)
+
+
 def theme_for_metric(name: str) -> str | None:
     low = name.lower()
-    for keywords, theme in _THEME_KEYWORDS:
-        if any(kw in low for kw in keywords):
+    for pattern, theme in _THEME_PATTERNS:
+        if pattern.search(low):
             return theme
     return None
 
@@ -138,8 +151,11 @@ def _themes(name: str) -> frozenset[str]:
     return frozenset([t]) if t else frozenset()
 
 
+_NON_SLUG = re.compile(r"[^a-z0-9]+")
+
+
 def _slug(text: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
+    return _NON_SLUG.sub("-", text.lower()).strip("-")
 
 
 class NonFiniteResult(ValueError):
@@ -238,6 +254,13 @@ def trend_insight(
     )
 
 
+# The peer rule's screen reads the cells of the first 17 entities, the
+# subject's excepted: its first 16 or 17 peers in entity order. That many
+# settle most metrics that do not fire; a longer screen reads more of each
+# column it cannot settle.
+_SCREEN_ENTITIES = 17
+
+
 def peer_comparison_insight(
     dataset: Dataset,
     subject: str,
@@ -254,6 +277,14 @@ def peer_comparison_insight(
     at = dataset._row_index[subject]
     sval = column[at]
     if sval is None:
+        return None
+    # The screen is exact: ``max`` keeps its first item unless a later one
+    # compares greater, so ``top`` below is NaN or at least the screened
+    # peer at or above the subject, and the subject is not above it;
+    # likewise ``bottom``. A NaN compares false, so it settles nothing.
+    head = column[:_SCREEN_ENTITIES]
+    window = [v for v in head[:at] + head[at + 1:] if v is not None]
+    if window and min(window) <= sval <= max(window):
         return None
     # the peers' values in entity order, for a fixed peer-mean sum
     values = [v for v in column[:at] + column[at + 1:] if v is not None]

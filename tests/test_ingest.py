@@ -533,8 +533,17 @@ class TestColumnParse:
                            st.lists(st.one_of(_PLAIN_NUMBER, _ODD_NUMBER), max_size=20)))
     @settings(max_examples=400)
     def test_bulk_numbers_match_cell_by_cell(self, cells):
-        assert {c: repr(v) for c, v in ingest._numbers(set(cells)).items()} == {
-            c: repr(ingest._parse_number(c)) for c in cells}
+        """``parse_table`` parses each distinct cell once, in one bulk pass,
+        and each repeat of a cell shares its value."""
+        expected = [repr(ingest._parse_number(c)) for c in cells]
+        out = io.StringIO()
+        csv.writer(out, delimiter="\t", quoting=csv.QUOTE_ALL).writerows(
+            [["Metric", *(f"E{i}" for i in range(len(cells)))], ["x", *cells]])
+        if expected.count("None") == len(expected):
+            with pytest.raises(NoNumericData):
+                parse_table(out.getvalue())
+        else:
+            assert list(map(repr, parse_table(out.getvalue()).columns[0])) == expected
 
     @given(us_dates=st.booleans(), data=st.data(),
            mutations=st.lists(st.tuples(st.integers(0, 29), _MUTATIONS), max_size=3))
@@ -610,6 +619,26 @@ class TestSerialization:
         assert again.metrics[0] == MetricDescriptor("Revenue ($m)", "lower-is-better")
         assert again.value("A", "xyzzy") is None
         assert again.columns == d.columns
+
+    @given(labels=st.lists(
+        st.tuples(st.sampled_from(["Revenue ($m)", "Delay days", "xyzzy", "Growth (%)"]),
+                  st.lists(st.sampled_from(["!lower", "!higher"]), max_size=2),
+                  st.sampled_from(["", " "])),
+        min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_parsed_table_survives_round_trip(self, labels):
+        """A label with two annotations keeps the first in its name, so
+        that name ends in one; it is written back with an annotation."""
+        text = "Metric\tA\tB\n" + "".join(
+            f"{name} {i}{''.join(pad + ' ' + note for note in notes)}\t1\t2\n"
+            for i, (name, notes, pad) in enumerate(labels))
+        d = parse_table(text)
+        assert parse_table(serialize_dataset(d)) == d
+
+    def test_name_of_one_annotation_survives_round_trip(self):
+        d = parse_table("Metric\tA\tB\n!lower !higher\t1\t2\n")
+        assert d.metrics == (MetricDescriptor("!lower", "higher-is-better"),)
+        assert parse_table(serialize_dataset(d)) == d
 
     def test_timeseries_round_trip(self, prices_series):
         assert parse_timeseries(serialize_timeseries(prices_series)) == prices_series

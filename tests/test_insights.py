@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratagem import ingest
 from stratagem.frameworks import analysis_to_dict, organize, schema_for
 from stratagem.ingest import (
     Dataset,
@@ -26,6 +27,8 @@ from stratagem.ingest import (
     parse_timeseries,
 )
 from stratagem.insights import (
+    _SCREEN_ENTITIES,
+    _THEME_KEYWORDS,
     Evidence,
     Insight,
     NonFiniteResult,
@@ -48,6 +51,12 @@ from stratagem.insights import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+# every keyword of the polarity and theme tables, and its first and last
+# few letters, which overlap other keywords or miss by one
+_KEYWORDS = sorted({*ingest._LOWER_KEYWORDS, *ingest._HIGHER_KEYWORDS,
+                    *(kw for keywords, _ in _THEME_KEYWORDS for kw in keywords)})
+_KEYWORD_PARTS = st.sampled_from(_KEYWORDS).flatmap(
+    lambda kw: st.sampled_from((kw, kw, kw[:-1], kw[1:], kw[:3], kw[-3:])))
 HIGHER = MetricDescriptor("Revenue ($m)", "higher-is-better")
 
 
@@ -213,6 +222,19 @@ class TestPeerComparison:
     def test_all_equal_is_silent(self):
         d = small_dataset(Metric=(5.0, 5.0, 5.0))
         assert peer_comparison_insight(d, "E0", d.metrics[0]) is None
+
+    def test_a_peer_past_the_screen_settles_the_rule(self):
+        """Every peer the screen reads lies below the subject, so the rule
+        reads the whole column: one later peer at or above the subject
+        silences it."""
+        def rule(column):
+            d = small_dataset(Metric=column)
+            return peer_comparison_insight(d, "E0", d.metrics[0])
+
+        column = (100.0, *(float(i) for i in range(_SCREEN_ENTITIES + 4)))
+        assert rule(column) is not None
+        for later in (100.0, 101.0):
+            assert rule(column[:-2] + (later,) + column[-1:]) is None
 
     # Entity order differs from name order, so a tie broken by position
     # would pick a different entity than one broken by name.
@@ -890,15 +912,22 @@ _PEER_CELLS = st.one_of(st.none(), st.integers(-3, 3).map(float), st.sampled_fro
 
 
 @st.composite
-def peer_columns(draw, sizes=st.integers(2, 40)):
+def peer_columns(draw, sizes=st.one_of(st.integers(2, 40), st.integers(18, 80))):
     """A one-metric table of ``sizes`` entities with None cells and ties,
     and a subject anywhere in it; the subject's cell is often moved to just
-    past (or onto) the peers' top or bottom, so that the rule fires often."""
+    past (or onto) the peers' top or bottom, so that the rule fires often.
+    Past the screen's peers, the first ``_SCREEN_ENTITIES`` entities but
+    the subject, it is often moved just past their top or bottom, so the
+    screen does not settle the rule, and a later peer often ties it or
+    lies beyond it, so that the rule does not fire."""
     n_entities = draw(sizes)
     entities = tuple(draw(st.permutations([f"Company {i:02d}" for i in range(n_entities)])))
     at = draw(st.integers(0, n_entities - 1))
     cells = [draw(_PEER_CELLS) for _ in entities]
-    peer_values = [v for i, v in enumerate(cells) if i != at and v is not None]
+    later = [i for i in range(_SCREEN_ENTITIES, n_entities) if i != at]
+    past_screen = bool(later) and draw(st.booleans())
+    placed_against = cells[:_SCREEN_ENTITIES] if past_screen else cells
+    peer_values = [v for i, v in enumerate(placed_against) if i != at and v is not None]
     place = draw(st.sampled_from(("as drawn", "top", "top", "bottom", "bottom")))
     if peer_values and place != "as drawn":
         edge, sign = (max(peer_values), 1) if place == "top" else (min(peer_values), -1)
@@ -906,6 +935,10 @@ def peer_columns(draw, sizes=st.integers(2, 40)):
         moved = edge + sign * step * max(1.0, abs(edge))
         if math.isfinite(moved):
             cells[at] = moved
+        if past_screen and draw(st.booleans()):
+            beyond = moved + sign * draw(st.sampled_from((0.0, 1e-9, 0.5))) * max(1.0, abs(moved))
+            if math.isfinite(beyond):
+                cells[draw(st.sampled_from(later))] = beyond
     polarity = draw(st.sampled_from(("higher-is-better", "lower-is-better", "neutral")))
     dataset = Dataset(
         entities=entities,
@@ -1023,6 +1056,27 @@ class TestInterchange:
     def test_round_trip(self, foobar_dataset):
         for ins in run_all_rules(foobar_dataset, None):
             assert insight_from_dict(insight_to_dict(ins)) == ins
+
+    @given(parts=st.lists(st.one_of(_KEYWORD_PARTS, st.text(" abxyz-_(%$)", max_size=4)),
+                          min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=300)
+    def test_keyword_tables_match_substring_reference(self, parts, data):
+        """Polarity and theme are those of the first table, and of the first
+        theme row, holding a keyword of the lowercased name, whatever case,
+        filler and overlapping keywords ("store online revenue") it has."""
+        name = "".join(c.upper() if data.draw(st.booleans()) else c for c in "".join(parts))
+        if not name.strip():
+            return
+        low = name.lower()
+        polarity = next((p for keywords, p in (
+            (ingest._LOWER_KEYWORDS, "lower-is-better"),
+            (ingest._HIGHER_KEYWORDS, "higher-is-better"),
+        ) if any(kw in low for kw in keywords)), "neutral")
+        theme = next((t for keywords, t in _THEME_KEYWORDS if any(kw in low for kw in keywords)),
+                     None)
+        assert infer_metric_semantics(name).polarity == polarity
+        assert theme_for_metric(name) == theme
 
     def test_theme_for_metric_spot_checks(self):
         assert theme_for_metric("Online revenue ($m)") == "online-channel"
