@@ -141,10 +141,11 @@ class _Failed(Exception):
 
 
 def _parse_file(path: str, parser):
-    """Read a delimited input file, choosing the dialect from its suffix."""
+    """Read a delimited input file, choosing the dialect from its suffix:
+    ``.csv`` in any case is comma-delimited, any other tab-delimited."""
     text = _read_text(path)
     try:
-        return parser(text, dialect="comma" if path.endswith(".csv") else "tab")
+        return parser(text, dialect="comma" if path.lower().endswith(".csv") else "tab")
     except ingest.IngestError as exc:
         raise _Failed(EXIT_INPUT, f"error in {path}: {exc}") from None
 
@@ -298,9 +299,14 @@ def cmd_render(args) -> int:
 
 def cmd_pipeline(args) -> int:
     """The three stages in memory; writes the same three files as the
-    subcommands chained on their outputs."""
+    subcommands chained on their outputs. An output that names no file
+    (its last component empty, ``.`` or ``..``) or an existing directory
+    is refused before any stage runs, since the stage files are named
+    after it."""
     import pathlib  # not at module level: only this command needs it
 
+    if os.path.basename(args.output) in ("", ".", "..") or os.path.isdir(args.output):
+        raise _Failed(EXIT_INPUT, f"error: -o {args.output!r} names no file")
     out = pathlib.Path(args.output)
     stem = str(out.with_suffix(""))
     subject, found = _insights(args, stem + ".insights.json")

@@ -269,30 +269,23 @@ class Violation(Record):
 
 class OrganizedAnalysis(Record):
     """Insights organized into the slots of ``schema``, a kind's
-    ``Framework`` record, showing at most ``max_per_slot`` factors per slot.
-    ``overflow`` and ``unplaced`` default to a new empty dict and list.
-    Its fields are set once; ``finalize`` then changes only the contents of
-    the ``assignments`` and ``overflow`` dicts. A dict field makes ``hash``
-    raise ``TypeError``."""
+    ``Framework`` record, showing at most ``max_per_slot`` factors per slot,
+    with the ranked factors past the cap in ``overflow``. Its fields are
+    set once. A dict field makes ``hash`` raise ``TypeError``."""
 
     __slots__ = ("schema", "subject", "assignments", "overflow", "unplaced", "max_per_slot")
 
-    def __init__(
-        self,
-        schema: Framework,
-        subject: str,
-        assignments: dict[str, list[tuple[Insight, float]]],
-        overflow: dict[str, list[tuple[Insight, float]]] | None = None,
-        unplaced: list[Insight] | None = None,
-        max_per_slot: int = DEFAULT_MAX_PER_SLOT,
-    ):
+    def __init__(self, schema: Framework, subject: str,
+                 assignments: dict[str, list[tuple[Insight, float]]],
+                 overflow: dict[str, list[tuple[Insight, float]]],
+                 unplaced: list[Insight], max_per_slot: int):
         if max_per_slot < 1:
             raise ValueError("max_per_slot must be positive")
         setfield(self, "schema", schema)
         setfield(self, "subject", subject)
         setfield(self, "assignments", assignments)
-        setfield(self, "overflow", {} if overflow is None else overflow)
-        setfield(self, "unplaced", [] if unplaced is None else unplaced)
+        setfield(self, "overflow", overflow)
+        setfield(self, "unplaced", unplaced)
         setfield(self, "max_per_slot", max_per_slot)
 
     @property
@@ -338,17 +331,17 @@ def finalize(
     unplaced: list[Insight] | None = None,
     max_per_slot: int = DEFAULT_MAX_PER_SLOT,
 ) -> OrganizedAnalysis:
-    """Rank each slot by fit x magnitude and truncate to ``max_per_slot``
-    into overflow. ``assignments`` holds a list for every schema slot and
-    is sorted and truncated in place, after the cap is checked."""
-    analysis = OrganizedAnalysis(schema=schema, subject=subject, assignments=assignments,
-                                 unplaced=unplaced, max_per_slot=max_per_slot)
+    """Rank each slot by fit x magnitude into a new list, and cut it at
+    ``max_per_slot`` into overflow. ``assignments`` holds a list for every
+    schema slot and is left as it was."""
+    kept, overflow = {}, {}
     for slot_id, items in assignments.items():
-        items.sort(key=lambda p: (-(p[1] * p[0].magnitude), p[0].id))
-        if len(items) > max_per_slot:
-            analysis.overflow[slot_id] = items[max_per_slot:]
-            assignments[slot_id] = items[:max_per_slot]
-    return analysis
+        ranked = sorted(items, key=lambda p: (-(p[1] * p[0].magnitude), p[0].id))
+        kept[slot_id] = ranked[:max_per_slot]
+        if len(ranked) > max_per_slot:
+            overflow[slot_id] = ranked[max_per_slot:]
+    return OrganizedAnalysis(schema, subject, kept, overflow,
+                             [] if unplaced is None else unplaced, max_per_slot)
 
 
 def _fit_problem(fit: float) -> str | None:
@@ -486,12 +479,8 @@ def analysis_from_dict(d: dict) -> OrganizedAnalysis:
     for slot in schema.slots:
         if slot.id not in given:
             raise ValueError(f"slot {slot.id!r} is missing")
-    analysis = OrganizedAnalysis(
-        schema=schema,
-        subject=typed(d, "subject", str),
-        assignments=assignments,
-        max_per_slot=max_per_slot,
-    )
+    analysis = OrganizedAnalysis(schema, typed(d, "subject", str), assignments, {}, [],
+                                 max_per_slot)
     violations = validate_analysis(analysis)
     if violations:
         raise ValueError("\n".join(

@@ -72,8 +72,9 @@ class BadCell(IngestError):
 
 
 class BadLabel(IngestError):
-    """An entity or metric label that is empty, or that repeats an earlier
-    one once its ``!lower``/``!higher`` annotation is stripped."""
+    """An entity or metric label that is empty, that repeats an earlier one
+    once its ``!lower``/``!higher`` annotation is stripped, or whose name
+    has more words than its kind's limit."""
 
     def __init__(self, line: int, label: str, problem: str):
         self.line = line
@@ -103,6 +104,17 @@ class DuplicateDate(IngestError):
 
 
 POLARITIES = ("higher-is-better", "lower-is-better", "neutral")
+
+# Word limits of the names a table may give, which keep every rule
+# statement within the 40 words an insight may hold. Each statement holds
+# the subject's name; the peer rule's adds one metric name and 12 words of
+# its own (17 + 11 + 12), and the sentiment contrast adds the channels of
+# two sentiment metrics, each no longer than its metric's name, and 15
+# words (17 + 4 + 4 + 15). A metric whose name holds "sentiment" is held to
+# the sentiment limit; 17 words hold a long company's full legal name.
+MAX_ENTITY_WORDS = 17
+MAX_METRIC_WORDS = 11
+MAX_SENTIMENT_WORDS = 4
 
 # Keyword tables for metric-polarity inference, matched on lowercased
 # substrings.
@@ -277,11 +289,12 @@ _OTHER_LINE = re.compile(r"\n(?!\$?-?[0-9][0-9,]*(?:\.[0-9]+)?%?$)[^\n]*", re.M)
 
 def _read_rows(text: str, dialect: str) -> list[tuple[int, list[str]]]:
     """The non-blank rows, each with its line number in ``text`` (blank
-    lines counted; the last line of a row whose quoted cell spans lines)."""
+    lines counted; the last line of a row whose quoted cell spans lines).
+    One leading byte order mark, U+FEFF, is not part of the first cell."""
     delim = {"tab": "\t", "comma": ","}.get(dialect)
     if delim is None:
         raise ValueError(f"unknown dialect {dialect!r}")
-    reader = csv.reader(io.StringIO(text), delimiter=delim)
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")), delimiter=delim)
     try:
         return [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
     except csv.Error as exc:  # a cell over the csv module's field size limit
@@ -346,8 +359,8 @@ def parse_table(text: str, dialect: str = "tab") -> Dataset:
 
 
 def _check_labels(labels, names, lines, kind: str) -> None:
-    """Raise ``BadLabel`` for the first label whose stored name is empty or
-    repeats an earlier one."""
+    """Raise ``BadLabel`` for the first label whose stored name is empty,
+    repeats an earlier one or has more words than its kind's limit."""
     seen: set[str] = set()
     for label, name, line in zip(labels, names, lines):
         if not name:
@@ -355,6 +368,14 @@ def _check_labels(labels, names, lines, kind: str) -> None:
         if name in seen:
             raise BadLabel(line, label, f"repeated {kind} name")
         seen.add(name)
+        if kind == "entity":
+            noun, limit = kind, MAX_ENTITY_WORDS
+        elif "sentiment" in name.lower():
+            noun, limit = "sentiment metric", MAX_SENTIMENT_WORDS
+        else:
+            noun, limit = kind, MAX_METRIC_WORDS
+        if len(name.split()) > limit:
+            raise BadLabel(line, label, f"{noun} name over {limit} words")
 
 
 # strptime's own patterns for %Y, %m and %d, in "%Y-%m-%d" and "%m/%d/%Y"

@@ -20,8 +20,8 @@ line from word ``i`` then ends at the last word ``j`` whose prefix sum
 found by ``bisect_right`` on the sums: the line the word-by-word fill
 gives. None of the words, their ``_em`` or the sums depends on the size,
 so ``measure`` builds them once and ``fit_text`` passes them to the
-``wrap`` at every size it tries. ``wrap`` builds them again
-only from the pieces, when it has split an overlong word. ``wrap``
+``wrap`` at every size it tries; ``wrap`` takes no text. It measures again
+only the pieces, when it has split an overlong word. ``wrap``
 returns each line's em sum, a difference of two prefix sums, and the
 fitted block carries them, so only a block built by hand is measured for
 its width.
@@ -193,18 +193,13 @@ def measure(words: list[str]) -> Measure:
     return words, ems, [0, *accumulate(map(_SPACE_EM.__add__, ems))]
 
 
-def wrap(
-    text: str,
-    width: float,
-    size: float,
-    prepared: Measure | None = None,
-) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Greedy wrap of whitespace-separated words into lines of at most
-    ``width`` px at font ``size``, returned with each line's em sum.
-    Overlong words are hyphen-split; a width that fits no character (zero,
-    negative or NaN) raises UnbreakableToken for any word. ``prepared`` is
-    ``measure(text.split())``, which ``fit_text`` passes to every size it
-    wraps; wrap builds it itself when it is not given.
+def wrap(measured: Measure, width: float,
+         size: float) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Greedy wrap of the words of ``measured``, ``measure(text.split())``,
+    into lines of at most ``width`` px at font ``size``, returned with each
+    line's em sum; ``measured`` is left as it was. Overlong words are
+    hyphen-split; a width that fits no character (zero, negative or NaN)
+    raises UnbreakableToken for any word.
 
     Lines are summed in integer thousandths of an em and each fit test is
     ``measure_text``'s own expression, so the lines are the ones that
@@ -218,7 +213,7 @@ def wrap(
     ``_em`` of the joined line, which ``fit_text`` keeps on the block."""
     if size <= 0:
         raise ValueError("font size must be positive")
-    words, ems, sums = measure(text.split()) if prepared is None else prepared
+    words, ems, sums = measured
     cap = _cap(width, size, sums[-1])
     if max(ems, default=0) > cap:
         words, ems, sums = measure(
@@ -271,7 +266,7 @@ def fit_text(
         probe = (low + high) // 2
     for size in range(high, min_font - 1, -1):
         try:
-            lines, line_ems = wrap(text, width, size, measured)
+            lines, line_ems = wrap(measured, width, size)
         except UnbreakableToken:
             continue
         if len(lines) * LINE_HEIGHT * size <= height:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import errno
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -90,6 +92,20 @@ class TestInsightsCommand:
                 assert e["value"] == cell[tuple(e["refs"])]
         # one rank entry per entity would make this file about 170 KB
         assert out.stat().st_size < 20_000
+
+    def test_csv_suffix_in_any_case_is_comma_delimited(self, tmp_path):
+        """``.CSV`` and ``.Csv`` tables are read as comma-delimited, as
+        ``.csv`` is, and give the tab-delimited fixture's insights."""
+        rows = list(csv.reader(io.StringIO(FOOBAR.read_text(encoding="utf-8")), delimiter="\t"))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        expected = tmp_path / "expected.json"
+        assert run("insights", "--table", str(FOOBAR), "-o", str(expected)) == 0
+        for name in ("data.csv", "data.CSV", "data.Csv"):
+            table, result = tmp_path / name, tmp_path / f"{name}.json"
+            table.write_text(out.getvalue(), encoding="utf-8")
+            assert run("insights", "--table", str(table), "-o", str(result)) == 0, name
+            assert result.read_bytes() == expected.read_bytes(), name
 
     def test_no_inputs_is_input_error(self, capsys):
         assert run("insights") == 2
@@ -220,8 +236,16 @@ class TestInsightsCommand:
         ("Metric\tA\t\nRevenue\t1\t2\n", "line 1: empty entity name ''"),
         ("Metric\tA\tB\nRevenue\t1\t2\n\t3\t4\n", "line 3: empty metric name ''"),
         ("Company\tRevenue\tStores\nA\t1\t2\n\t3\t4\n", "line 3: empty entity name ''"),
+        ("Metric\tA\tB\nRevenue\t1\t2\n" + "x " * 36 + "stores\t3\t4\n",
+         f"line 3: metric name over 11 words '{'x ' * 36}stores'"),
+        ("Company\tRevenue\tStores\nA\t1\t2\n" + "Big " * 40 + "Corp\t3\t4\n",
+         f"line 3: entity name over 17 words '{'Big ' * 40}Corp'"),
+        ("Metric\tA\tB\nPositive review site sentiment !higher\t1\t2\n"
+         "Negative online review site sentiment\t3\t4\n",
+         "line 3: sentiment metric name over 4 words 'Negative online review site sentiment'"),
     ], ids=["repeated-entity", "repeated-metric", "annotation-alike", "empty-entity",
-            "empty-metric", "empty-entity-row"])
+            "empty-metric", "empty-entity-row", "long-metric", "long-entity",
+            "long-sentiment-metric"])
     def test_bad_label_names_line_and_label(self, tmp_path, capsys, table, message):
         bad = tmp_path / "bad.tsv"
         bad.write_text(table, encoding="utf-8")
@@ -1231,6 +1255,31 @@ class TestPipeline:
         assert run("render", str(tmp_path / "out.analysis.json"),
                    "-o", str(tmp_path / "again.svg")) == 0
         assert (tmp_path / "again.svg").read_bytes() == svg.read_bytes()
+
+    @pytest.mark.parametrize("output,message", [
+        ("", "-o '' names no file"),
+        (".", "-o '.' names no file"),
+        ("..", "-o '..' names no file"),
+        ("/", "-o '/' names no file"),
+        ("out/", "-o 'out/' names no file"),
+        ("new/", "-o 'new/' names no file"),
+        ("out/..", "-o 'out/..' names no file"),
+        ("out", "-o 'out' names no file"),
+    ], ids=["empty", "dot", "dot-dot", "root", "directory-slash", "new-directory-slash",
+            "parent-of-directory", "directory"])
+    def test_output_that_names_no_file_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                  output, message):
+        """An ``-o`` whose last component is empty, ``.`` or ``..``, or that
+        is a directory, exits 2 with one error line before any stage runs:
+        nothing is printed and no file is written, here or above."""
+        work = tmp_path / "work"
+        (work / "out").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.rglob("*"))
+        assert run("pipeline", "--table", str(FOOBAR), "--framework", "swot",
+                   "-o", output) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_propagates_input_errors(self, tmp_path):
         assert run(

@@ -927,7 +927,7 @@ def test_a_box_filled_exactly_fits(seed, size, factors, width, y):
     texts = [random_statement(rng) for _ in range(factors)]
     pad = style.padding
     iw = width - 2 * pad
-    need = max(len(textfit.wrap(text, iw, size)[0]) for text in texts) * LINE_HEIGHT * size
+    need = max(len(textfit.wrap(textfit.measure(text.split()), iw, size)[0]) for text in texts) * LINE_HEIGHT * size
     cursor = y + pad + (LINE_HEIGHT * size + 4)
 
     def band(h):

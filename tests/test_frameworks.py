@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from stratagem.frameworks import (
     analysis_from_dict,
     analysis_to_dict,
     assign_risk,
+    finalize,
     organize,
     schema_for,
     score_axis,
@@ -138,6 +140,28 @@ class TestOrganize:
         placed = {ins.id for ins, _ in kept}
         assert placed | spilled == {i.id for i in insights}
         assert not placed & spilled
+
+    def test_finalize_leaves_its_argument_as_it_was(self):
+        """``finalize`` ranks and cuts new lists: the dict it is given, an
+        over-full slot in rising order and a slot under the cap, equals a
+        deep copy taken before the call, and no list of the analysis is
+        one of the argument's."""
+        schema = schema_for("swot")
+        assignments = {slot.id: [] for slot in schema.slots}
+        assignments["strengths"] = [
+            (make_insight(i, "positive", 0.1 + 0.05 * i, ["market-presence"]), 1.0)
+            for i in range(6)
+        ]
+        assignments["threats"] = [(make_insight(9, "negative", 0.4, ["competition"]), 1.0)]
+        before = copy.deepcopy(assignments)
+        analysis = finalize(assignments, schema)
+        assert assignments == before
+        assert [ins.id for ins, _ in analysis.assignments["strengths"]] == [
+            "t:05", "t:04", "t:03", "t:02"]
+        assert [ins.id for ins, _ in analysis.overflow["strengths"]] == ["t:01", "t:00"]
+        shown = [*analysis.assignments.values(), *analysis.overflow.values()]
+        assert analysis.assignments is not assignments
+        assert not any(items is given for items in shown for given in assignments.values())
 
     def test_low_fit_goes_unplaced(self):
         ins = make_insight(0, "neutral", 0.9, ["supply-chain"])

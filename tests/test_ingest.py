@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from stratagem import ingest
 from stratagem.ingest import (
+    MAX_ENTITY_WORDS,
+    MAX_METRIC_WORDS,
+    MAX_SENTIMENT_WORDS,
     BadCell,
+    BadLabel,
     Dataset,
     DuplicateDate,
     EmptyInput,
@@ -182,6 +186,44 @@ class TestParseTable:
             assert d.columns == expected
             assert tuple(d.column(m.name) for m in d.metrics) == expected
 
+    @pytest.mark.parametrize("dialect", ["tab", "comma"])
+    def test_byte_order_mark_is_not_part_of_the_first_cell(self, foobar_text, dialect):
+        """A table that starts with U+FEFF parses equal to the same table
+        without it, its corner keyword still read."""
+        text = foobar_text if dialect == "tab" else foobar_text.replace("\t", ",")
+        assert parse_table("\ufeff" + text, dialect) == parse_table(text, dialect)
+
+    @pytest.mark.parametrize("row,label,message", [
+        (0, " ".join(["Foobar"] * (MAX_ENTITY_WORDS + 1)),
+         f"entity name over {MAX_ENTITY_WORDS} words"),
+        (1, " ".join(["Store"] * MAX_METRIC_WORDS + ["count"]),
+         f"metric name over {MAX_METRIC_WORDS} words"),
+        (1, " ".join(["Positive"] + ["web"] * (MAX_SENTIMENT_WORDS - 2) + ["sentiment", "x"]),
+         f"sentiment metric name over {MAX_SENTIMENT_WORDS} words"),
+    ], ids=["entity", "metric", "sentiment-metric"])
+    @pytest.mark.parametrize("metrics_as_rows", [True, False])
+    def test_label_past_its_word_limit_is_refused(self, row, label, message, metrics_as_rows):
+        """A name one word past its limit is a ``BadLabel`` naming its line;
+        at the limit, and with an annotation past it, it parses."""
+        def table(name):
+            names = ["Acme", "Beta"] if row else [name, "Beta"]
+            metrics = ["Revenue", name] if row else ["Revenue", "Stores"]
+            if metrics_as_rows:
+                rows = [["Metric", *names]] + [[m, "1", "2"] for m in metrics]
+            else:
+                rows = [["Company", *metrics]] + [[e, "1", "2"] for e in names]
+            return "".join("\t".join(r) + "\n" for r in rows)
+
+        with pytest.raises(BadLabel) as exc:
+            parse_table(table(label))
+        line = 3 if row and metrics_as_rows else 2 if not row and not metrics_as_rows else 1
+        assert str(exc.value) == f"line {line}: {message} {label!r}"
+        assert (exc.value.line, exc.value.label) == (line, label)
+        shorter = label.split(" ", 1)[1]
+        assert parse_table(table(shorter))
+        if row:
+            assert parse_table(table(shorter + " !lower"))
+
 
 class TestDatasetLookups:
     def test_maps_leave_equality_hash_and_repr_alone(self, foobar_text, prices_series):
@@ -342,6 +384,12 @@ class TestParseTimeseries:
     def test_headerless_input(self):
         s = parse_timeseries("2024-04-01\t100\t10\n2024-04-02\t101\t10\n")
         assert s.closes == (100.0, 101.0)
+
+    def test_headerless_input_after_a_byte_order_mark_keeps_every_row(self):
+        s = parse_timeseries("\ufeff2024-01-01\t100\t10\n2024-01-02\t101\t10\n"
+                             "2024-01-03\t102\t10\n")
+        assert s.dates == (dt.date(2024, 1, 1), dt.date(2024, 1, 2), dt.date(2024, 1, 3))
+        assert s.closes == (100.0, 101.0, 102.0)
 
     @staticmethod
     def _strptime_date(cell: str) -> dt.date | None:

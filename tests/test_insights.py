@@ -653,6 +653,51 @@ class TestWeeklyCycle:
 # ---------------------------------------------------------------------------
 # orchestration
 
+# Words for labels at their word limits: an entity's hold no whitespace,
+# quote or ``!``, and a metric's no "s" or "v", so that no drawn word spells
+# "sentiment", "positive", "negative" or "revenue"; only the built metrics
+# are sentiment channels or revenue. Channel words are letters, which
+# ``_sentiment_channels`` neither strips nor joins.
+_NAME_WORDS = st.text(st.characters(exclude_categories=("Z", "C"), exclude_characters='"!'),
+                      min_size=1, max_size=8)
+_METRIC_WORDS = st.text("abcdefghiklmnopqrtuwxyz-$%()", min_size=1, max_size=8)
+_CHANNEL_WORDS = st.text("abcdefghiklmnopqrtuwxyz", min_size=1, max_size=8)
+
+
+@st.composite
+def tables_at_the_label_limits(draw):
+    """A table whose subject name has ``MAX_ENTITY_WORDS`` words, whose
+    plain metric names have ``MAX_METRIC_WORDS`` and whose sentiment metric
+    names have ``MAX_SENTIMENT_WORDS``: "<a>-positive-sentiment<b> ...",
+    whose channel keeps every word. The subject leads every metric, the
+    first two channels' positive shares are 90 and 20 percent, and online
+    revenue is 10 percent of the total, so every table rule fires."""
+    def name(words, n):
+        return " ".join(draw(st.lists(words, min_size=n, max_size=n)))
+
+    subject = name(_NAME_WORDS, ingest.MAX_ENTITY_WORDS)
+    metrics = {name(_METRIC_WORDS, ingest.MAX_METRIC_WORDS): (9, 1)
+               for _ in range(draw(st.integers(1, 3)))}
+    metrics.update({"Online revenue": (1, 5), "In-store revenue": (9, 5)})
+    shares = [90, 20] + draw(st.lists(st.sampled_from([95, 60, 50, 5]), max_size=2))
+    channels = draw(st.lists(st.lists(_CHANNEL_WORDS, min_size=ingest.MAX_SENTIMENT_WORDS + 1,
+                                      max_size=ingest.MAX_SENTIMENT_WORDS + 1),
+                             min_size=len(shares), max_size=len(shares), unique_by=tuple))
+    for share, (head, tail, *rest) in zip(shares, channels):
+        for side, value in (("positive", share), ("negative", 100 - share)):
+            metrics[" ".join([f"{head}-{side}-sentiment{tail}", *rest])] = (value, 0)
+    entities = [subject, "Acme", "Beta"]
+    if draw(st.booleans()):
+        rows = [["Metric", *entities]] + [
+            [metric, str(value), str(peer), str(peer)]
+            for metric, (value, peer) in metrics.items()]
+    else:
+        rows = [["Company", *metrics]] + [
+            [entity, *(str(cells[0] if i == 0 else cells[1]) for cells in metrics.values())]
+            for i, entity in enumerate(entities)]
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
 class TestRunAllRules:
     def test_foobar_theme_coverage(self, foobar_dataset):
         out = run_all_rules(foobar_dataset, None)
@@ -677,6 +722,24 @@ class TestRunAllRules:
     def test_timeseries_contributes_trend(self, prices_series):
         out = run_all_rules(None, prices_series)
         assert any(i.id == "trend:closing-price" for i in out)
+
+    @given(text=tables_at_the_label_limits())
+    @settings(max_examples=100)
+    def test_labels_at_their_word_limits_fit_every_statement(self, text):
+        """Names at the word limits ``parse_table`` keeps give rule
+        statements within the 40 words an insight holds, and the peer rule
+        on a plain metric and the sentiment contrast reach those 40: a
+        limit one word longer would let a statement past the bound."""
+        dataset = parse_table(text)
+        subject = dataset.subject
+        assert len(subject.split()) == ingest.MAX_ENTITY_WORDS
+        found = run_all_rules(dataset, None)
+        words = {ins.id: len(ins.statement.split()) for ins in found}
+        assert {ins.provenance for ins in found} >= {
+            "rule:peer", "rule:ratio", "rule:sentiment", "rule:sentiment-contrast"}
+        assert max(words.values()) == 40
+        assert max(words[i.id] for i in found if i.provenance == "rule:peer") == 40
+        assert [words[i.id] for i in found if i.provenance == "rule:sentiment-contrast"] == [40]
 
     def test_single_entity_dataset_is_empty(self):
         d = small_dataset(**{"Revenue ($m)": (100.0,)})

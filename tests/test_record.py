@@ -50,8 +50,8 @@ RECORDS = {
         "tempo", "Tempo", {("growth", "*"): 1.0}, ("pace",)),), "radar", score_axis),
                 {"shape": "pie"}),
     Violation: (lambda: Violation("BadFit", "threats", "fit 2 outside [0, 1]"), None),
-    OrganizedAnalysis: (lambda: OrganizedAnalysis(_SCHEMA, "Foobar", {"threats": []},
-                                                  max_per_slot=3), {"max_per_slot": 0}),
+    OrganizedAnalysis: (lambda: OrganizedAnalysis(_SCHEMA, "Foobar", {"threats": []}, {}, [], 3),
+                        {"max_per_slot": 0}),
     MetricDescriptor: (lambda: MetricDescriptor("Revenue", "higher-is-better"),
                        {"polarity": "bogus"}),
     Dataset: (lambda: Dataset(("Foobar", "Acme"), (MetricDescriptor("Revenue"),), ((1.0, None),)),

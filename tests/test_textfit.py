@@ -33,6 +33,7 @@ from stratagem.textfit import (
     _ruled_out,
     _split_token,
     fit_text,
+    measure,
     wrap,
 )
 
@@ -111,7 +112,7 @@ def _exhaustive_fit(text: str, width: float, height: float,
         return TextBlock(lines=(), font_size=float(max_font))
     for size in range(max_font, min_font - 1, -1):
         try:
-            lines, _ = wrap(text, width, size)
+            lines, _ = wrap(measure(text.split()), width, size)
         except UnbreakableToken:
             continue
         if len(lines) * LINE_HEIGHT * size <= height:
@@ -217,7 +218,7 @@ class TestBlockWidth:
         if width_mode == "below-word" and words:
             width = math.nextafter(measure_text(words[at % len(words)], size), 0.0)
         try:
-            lines, line_ems = wrap(text, width, size)
+            lines, line_ems = wrap(measure(text.split()), width, size)
         except UnbreakableToken:
             return
         assert line_ems == tuple(map(_em.__wrapped__, lines))
@@ -228,17 +229,17 @@ class TestBlockWidth:
 
 class TestWrap:
     def test_single_short_word(self):
-        lines, _ = wrap("hello", 200, 12)
+        lines, _ = wrap(measure("hello".split()), 200, 12)
         assert lines == ("hello",)
 
     def test_no_line_exceeds_width(self):
-        lines, _ = wrap("the quick brown fox jumps over the lazy dog", 80, 12)
+        lines, _ = wrap(measure("the quick brown fox jumps over the lazy dog".split()), 80, 12)
         assert len(lines) > 1
         assert all(measure_text(ln, 12) <= 80 for ln in lines)
         assert " ".join(lines) == "the quick brown fox jumps over the lazy dog"
 
     def test_overlong_token_is_hyphen_split(self):
-        lines, _ = wrap("antidisestablishmentarianism", 60, 12)
+        lines, _ = wrap(measure("antidisestablishmentarianism".split()), 60, 12)
         assert len(lines) > 1
         assert all(measure_text(ln, 12) <= 60 for ln in lines)
         assert all(ln.endswith("-") for ln in lines[:-1])
@@ -246,20 +247,20 @@ class TestWrap:
 
     def test_unbreakable_single_glyph(self):
         with pytest.raises(UnbreakableToken):
-            wrap("m", 2, 12)  # one 'm' is wider than 2px at 12px
+            wrap(measure("m".split()), 2, 12)  # one 'm' is wider than 2px at 12px
 
     @pytest.mark.parametrize("width", [0.0, -5.0, math.nan])
     def test_width_that_fits_no_character_raises(self, width):
         """No character fits a zero, negative or NaN width, so splitting
         raises rather than putting one character on each line."""
         with pytest.raises(UnbreakableToken):
-            wrap("ab cd", width, 10)
+            wrap(measure("ab cd".split()), width, 10)
         with pytest.raises(UnbreakableToken):
             _split_token("ab", width, 10)
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
-            wrap("x", 100, 0)
+            wrap(measure("x".split()), 100, 0)
 
     @given(
         words=st.lists(
@@ -282,9 +283,9 @@ class TestWrap:
         expected = _oracle_wrap(text, width, size)
         if expected is None:
             with pytest.raises(UnbreakableToken):
-                wrap(text, width, size)
+                wrap(measure(text.split()), width, size)
         else:
-            lines, _ = wrap(text, width, size)
+            lines, _ = wrap(measure(text.split()), width, size)
             assert lines == expected
 
     @given(
@@ -312,9 +313,9 @@ class TestWrap:
             expected = _oracle_wrap(text, width, size)
             if expected is None:
                 with pytest.raises(UnbreakableToken):
-                    wrap(text, width, size)
+                    wrap(measure(text.split()), width, size)
             else:
-                lines, _ = wrap(text, width, size)
+                lines, _ = wrap(measure(text.split()), width, size)
                 assert lines == expected
         assert bool(splits) == below
 
@@ -330,12 +331,12 @@ class TestWrap:
     )
     @settings(max_examples=300)
     def test_prepared_words_wrap_alike(self, words, width_mode, width, at, size):
-        """``wrap`` given the words, advances and prefix sums that
-        ``fit_text`` prepares returns the lines, or raises the
-        UnbreakableToken, that ``wrap(text, width, size)`` gives, and leaves
-        them as they were. Widths are drawn one float below a word's measure
-        (so that word is hyphen-split), one float below the narrowest glyph
-        (so no glyph fits) and NaN."""
+        """``fit_text`` hands ``wrap`` the text's words, advances and prefix
+        sums, ``measure(text.split())``, and ``wrap`` leaves them as they
+        were, whether it returns lines or raises UnbreakableToken. Widths
+        are drawn one float below a word's measure (so that word is
+        hyphen-split), one float below the narrowest glyph (so no glyph
+        fits) and NaN."""
         text = " ".join(words)
         if width_mode == "below-word":
             width = math.nextafter(_oracle_width(words[at % len(words)], size), 0.0)
@@ -346,20 +347,17 @@ class TestWrap:
         passed = []
         real = textfit.wrap
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(textfit, "wrap", lambda text, width, size, prepared=None:
-                          passed.append(prepared) or real(text, width, size, prepared))
+            patch.setattr(textfit, "wrap", lambda measured, width, size:
+                          passed.append(measured) or real(measured, width, size))
             fit_text(text, 1e9, 1e9)  # one wrap, at max_font
-        prepared = passed[0]
-        before = copy.deepcopy(prepared)
-
-        def wrapped(*args):
-            try:
-                return wrap(*args)
-            except UnbreakableToken as exc:
-                return UnbreakableToken, exc.token
-
-        assert wrapped(text, width, size, prepared) == wrapped(text, width, size)
-        assert prepared == before
+        measured = passed[0]
+        assert measured == measure(text.split())
+        before = copy.deepcopy(measured)
+        try:
+            wrap(measured, width, size)
+        except UnbreakableToken:
+            pass
+        assert measured == before
 
 
 class TestSplitToken:
@@ -610,7 +608,7 @@ class TestFitText:
         elif width_mode == "below-word":
             width = math.nextafter(measure_text(words[at % len(words)], size), 0.0)
         try:
-            lines, _ = wrap(text, width, size)
+            lines, _ = wrap(measure(text.split()), width, size)
         except UnbreakableToken:
             lines = None
         if lines is not None and height_mode != "free":
@@ -653,8 +651,8 @@ class TestFitText:
         real = textfit.wrap
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(textfit, "wrap",
-                          lambda text, width, size, prepared=None:
-                          sizes.append(size) or real(text, width, size, prepared))
+                          lambda measured, width, size:
+                          sizes.append(size) or real(measured, width, size))
             outcome = _outcome(fit_text, text, width, height, min_font, max_font)
         last = int(outcome.font_size) if isinstance(outcome, TextBlock) else min_font
         span = sum(map(_em, words)) + len(words) * _em(" ")
@@ -668,9 +666,9 @@ class TestFitText:
         calls = []
         real = textfit.wrap
 
-        def counting(text, width, size, prepared=None):
+        def counting(measured, width, size):
             calls.append(size)
-            return real(text, width, size, prepared)
+            return real(measured, width, size)
 
         text = " ".join(["strategy"] * 60)
         expected = _exhaustive_fit(text, 300, 120)
@@ -688,7 +686,7 @@ class TestFitText:
         rng = random.Random(seed)
         words = ["".join(rng.choices("abcdefgh", k=rng.randint(1, 10))) for _ in range(20)]
         text = " ".join(words)
-        lines, _ = wrap(text, width, 12)
+        lines, _ = wrap(measure(text.split()), width, 12)
         rejoined = "".join(ln.rstrip("-") if ln.endswith("-") else ln + " " for ln in lines)
         assert rejoined.split() == text.replace("-", "").split() or all(
             measure_text(ln, 12) <= width for ln in lines
