@@ -188,30 +188,14 @@ def _insights(args, output: str) -> tuple[str, list]:
 
 
 def _load_json(path: str, kind: str, parse):
-    """``parse`` applied to the JSON in ``path``; text that is not JSON, that
-    holds a string with a lone surrogate, which no output file could hold,
-    or that ``parse`` rejects, is an input error naming the file."""
+    """``parse`` applied to the JSON in ``path``; text that ``loads`` or
+    ``parse`` rejects is an input error naming the file."""
     text = _read_text(path)
     try:
-        raw = json.loads(text)
-        # Only a JSON escape of a surrogate (\ud800-\udfff) gives a string
-        # UTF-8 cannot encode, so only text holding "\ud" needs the check.
-        if "\\ud" in text or "\\uD" in text:
-            _check_encodable(raw)
-        return parse(raw)
-    except (ValueError, TypeError, RecursionError) as exc:
+        return parse(insights_mod.loads(text))
+    except (ValueError, TypeError) as exc:
         sep = "\n" if kind == "insights" else " "  # one line per bad insight
         raise _Failed(EXIT_INPUT, f"error: invalid {kind} file {path}:{sep}{exc}") from None
-
-
-def _check_encodable(raw) -> None:
-    """Raises ``ValueError`` naming the first lone surrogate in a string of
-    the decoded JSON ``raw``."""
-    try:
-        json.dumps(raw, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValueError(
-            f"a string holds the lone surrogate {exc.object[exc.start]!r}") from None
 
 
 def _insights_from_json(raw) -> tuple[str, list]:
@@ -373,6 +357,15 @@ def main(argv: list[str] | None = None) -> int:
                 args.llm_config = _parse_llm_flag(args.llm)
             except ValueError as exc:
                 raise _Failed(EXIT_INPUT, f"error: {exc}") from None
+            # A non-UTF-8 argv byte decodes to a lone surrogate, which no output file
+            # could hold and ``loads`` finds in the name's JSON escape. A path may
+            # hold any bytes.
+            model = args.llm_config.model if args.llm_config else ""
+            for flag, name in (("--subject", args.subject), ("--llm model", model)):
+                try:
+                    insights_mod.loads(json.dumps(name))
+                except ValueError as exc:
+                    raise _Failed(EXIT_INPUT, f"error: {flag} {name!r}: {exc}") from None
         if getattr(args, "max_per_slot", 1) < 1:
             raise _Failed(EXIT_INPUT, "error: --max-per-slot must be at least 1")
         return handler(args)

@@ -14,6 +14,7 @@ subject and one at or below; that is exact, as the column's ``max`` and
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from datetime import date
@@ -627,6 +628,26 @@ def insight_to_dict(ins: Insight) -> dict:
         ],
         "provenance": ins.provenance,
     }
+
+
+def loads(text: str):
+    """The value of the JSON ``text``, the one decoder of every untrusted
+    JSON text. Each problem is a ``ValueError``: text that is not JSON is a
+    ``json.JSONDecodeError``, and nesting past the recursion limit, an
+    integer past ``int``'s digit limit and a string holding a lone
+    surrogate, which no UTF-8 output file could hold, are refused too."""
+    try:
+        value = json.loads(text)
+        # Only a JSON escape of a surrogate (\ud800-\udfff) decodes to a
+        # lone one in text read as UTF-8, so only text holding "\ud" is checked.
+        if "\\ud" in text or "\\uD" in text:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    except UnicodeEncodeError as exc:
+        raise ValueError(
+            f"a string holds the lone surrogate {exc.object[exc.start]!r}") from None
+    return value
 
 
 _JSON_TYPES = {str: "a string", list: "a list", dict: "an object", int: "an integer",

@@ -4,10 +4,10 @@ and framework analyses.
 
 Live and record calls POST through the standard library (HTTPS checked
 against the system trust store, a fixed 60 s timeout); a call that yields
-no completion, or one holding a lone surrogate, is a ``TransportError``.
-Replay touches no network. LLM output is untrusted input: everything is
-parsed, validated against the same schema invariants as the rule path,
-and truncated.
+no completion, or a reply that ``insights.loads`` refuses, is a
+``TransportError``. Replay touches no network. LLM output is untrusted
+input: everything is parsed, validated against the same schema
+invariants as the rule path, and truncated.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .frameworks import (
     finalize,
     validate_analysis,
 )
-from .insights import MAX_WORDS, MIN_WORDS, Insight
+from .insights import MAX_WORDS, MIN_WORDS, Insight, loads
 from .record import Record, setfield
 
 DEFAULT_API_KEY_ENV = "STRATAGEM_LLM_API_KEY"
@@ -62,8 +62,8 @@ class AuthMissing(LlmError):
 
 
 class TransportError(LlmError):
-    """No completion from the endpoint, or one that UTF-8 cannot encode; the
-    message names the endpoint and the cause."""
+    """No completion from the endpoint, or a reply that ``loads`` refuses;
+    the message names the endpoint and the cause."""
 
 
 class ReplayMiss(LlmError):
@@ -75,10 +75,9 @@ class ReplayMiss(LlmError):
 
 
 class BadTranscript(LlmError, ValueError):
-    """A transcript file that cannot be read, or a line in it that is not a
-    record with string ``request_hash`` and ``response``, whose response
-    UTF-8 cannot encode (a lone surrogate), or that repeats an earlier
-    hash."""
+    """A transcript file that cannot be read, or a line in it that is not
+    UTF-8, that ``loads`` refuses, that is not a record with string
+    ``request_hash`` and ``response``, or that repeats an earlier hash."""
 
 
 class NoItemsFound(LlmError):
@@ -152,11 +151,11 @@ def load_transcript(path: str) -> dict[str, str]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = loads(line)
             except json.JSONDecodeError as exc:
                 raise BadTranscript(f"{where}: not JSON ({exc.msg})") from None
-            except RecursionError:
-                raise BadTranscript(f"{where}: JSON nested too deeply") from None
+            except ValueError as exc:
+                raise BadTranscript(f"{where}: {exc}") from None
             if not (
                 isinstance(record, dict)
                 and isinstance(record.get("request_hash"), str)
@@ -165,12 +164,6 @@ def load_transcript(path: str) -> dict[str, str]:
                 raise BadTranscript(
                     f"{where}: not a record with string request_hash and response"
                 )
-            try:
-                record["response"].encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise BadTranscript(
-                    f"{where}: response holds the lone surrogate {exc.object[exc.start]!r}"
-                ) from None
             if record["request_hash"] in responses:
                 raise BadTranscript(f"{where}: duplicate request hash")
             responses[record["request_hash"]] = record["response"]
@@ -200,29 +193,28 @@ def _http_complete(config: ProviderConfig, prompt: str) -> str:
         raise AuthMissing(f"environment variable {DEFAULT_API_KEY_ENV} is not set")
     body = {"model": config.model, "messages": [{"role": "user", "content": prompt}]}
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
-    request = urllib.request.Request(config.endpoint, json.dumps(body).encode(), headers)
     try:
+        request = urllib.request.Request(config.endpoint, json.dumps(body).encode(), headers)
         with urllib.request.urlopen(request, timeout=_TIMEOUT_S) as resp:
             status, raw = resp.status, resp.read()
     except urllib.request.HTTPError as exc:  # a status outside 2xx
         status, raw = exc.code, b""
-    except (OSError, http.client.HTTPException) as exc:  # no connection, a timeout, not HTTP
+    # no connection, a timeout, not HTTP, or an endpoint that is not a URL
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise TransportError(f"{config.endpoint}: {getattr(exc, 'reason', exc)!r}") from None
     if status != 200:
         raise TransportError(f"{config.endpoint}: HTTP status {status}")
     try:
-        content = json.loads(raw)["choices"][0]["message"]["content"]
-    except ValueError:
+        # the encoding json detects in bytes, decoded strictly: a raw surrogate is not text
+        content = loads(raw.decode(json.detect_encoding(raw)))["choices"][0]["message"]["content"]
+    except (json.JSONDecodeError, UnicodeDecodeError):
         raise TransportError(f"{config.endpoint}: response body is not JSON") from None
+    except ValueError as exc:
+        raise TransportError(f"{config.endpoint}: {exc}") from None
     except (LookupError, TypeError):
         content = None
     if not isinstance(content, str):
         raise TransportError(f"{config.endpoint}: response has no string completion")
-    try:
-        content.encode("utf-8")  # no output or transcript file could hold it
-    except UnicodeEncodeError as exc:
-        raise TransportError(f"{config.endpoint}: completion holds the lone surrogate "
-                             f"{exc.object[exc.start]!r}") from None
     return content
 
 

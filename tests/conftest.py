@@ -5,11 +5,13 @@ from __future__ import annotations
 import http.server
 import json
 import random
+import re
 import socket
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from stratagem import frameworks, ingest, llm
 from stratagem.insights import Evidence, Insight, THEME_TAGS
@@ -106,6 +108,51 @@ def llm_stub(monkeypatch):
     server.shutdown()
     thread.join()
     server.server_close()
+
+
+# ---------------------------------------------------------------------------
+# hostile JSON texts
+
+# How the message of ``insights.loads`` starts for each kind of part that
+# ``hostile_json`` puts in; a "raw" surrogate is not UTF-8, and a "pair" is
+# accepted.
+HOSTILE_CAUSES = {
+    "deep": "JSON nested too deeply",
+    "digits": "Exceeds the limit",  # Python's words for int's digit limit
+    "escape": "a string holds the lone surrogate '\\ud",
+}
+_JSON_STRING = re.compile(r'("[^"\\]*")(\s*:)?')
+
+
+@st.composite
+def hostile_json(draw, base) -> tuple[str, bytes]:
+    """A kind of hostile part and the UTF-8 JSON text of ``base`` with one
+    put in at any depth. ``deep`` (arrays nested 20,000 deep) or ``digits``
+    (a 5,000-digit integer) replaces a string value; ``escape`` (a lone
+    surrogate's JSON escape, hex digits in either case), ``raw`` (a lone
+    surrogate's three bytes, as in ``ED A0 80``) or ``pair`` (an escaped
+    surrogate pair, which decodes to one character) goes into any key or
+    string value. No string of ``base`` may need an escape."""
+    text = json.dumps(base)
+    assert "\\" not in text, text
+    strings = list(_JSON_STRING.finditer(text))
+    kind = draw(st.sampled_from(("deep", "digits", "escape", "raw", "pair")))
+    if kind in ("deep", "digits"):
+        start, end = draw(st.sampled_from([m.span(1) for m in strings if not m.group(2)]))
+        part = "[" * 20_000 + "]" * 20_000 if kind == "deep" else "9" * 5_000
+    else:
+        start = end = draw(st.sampled_from(strings).flatmap(
+            lambda m: st.integers(m.start(1) + 1, m.end(1) - 1)))
+        surrogate = draw(st.integers(0xD800, 0xDFFF))
+        hex_case = draw(st.sampled_from((str.lower, str.upper)))
+        if kind == "escape":
+            part = "\\u" + hex_case(f"{surrogate:04x}")
+        elif kind == "raw":
+            part = chr(surrogate)
+        else:
+            pair = json.dumps(chr(draw(st.integers(0x10000, 0x10FFFF))))[1:-1]
+            part = re.sub(r"[0-9a-f]{4}", lambda m: hex_case(m.group()), pair)
+    return kind, (text[:start] + part + text[end:]).encode("utf-8", "surrogatepass")
 
 
 # ---------------------------------------------------------------------------

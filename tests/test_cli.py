@@ -25,7 +25,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import completion_body
+from conftest import (HOSTILE_CAUSES, completion_body, hostile_json, random_analysis,
+                      random_insights)
 from stratagem import cli, diagram, frameworks, insights as insights_mod, llm
 from stratagem.record import Record
 
@@ -36,6 +37,10 @@ WALMART = Path(__file__).parent / "fixtures" / "walmart.jsonl"
 # Python: the recursion limit (1,000) up to 3.12, and on 3.13 the C stack
 # limit (about 10,000), under which 5,000 levels parse.
 DEEP_JSON = "[" * 20_000 + "]" * 20_000
+# A reply nested past the recursion limit, ten times as deep as DEEP_JSON.
+DEEPER_REPLY = b"[" * 200_000 + b"]" * 200_000
+# A transcript line holding an integer past ``int``'s 4,300-digit limit.
+HUGE_INT_RECORD = b'{"request_hash": "abc", "response": "x", "tokens": ' + b"9" * 5_000 + b"}\n"
 
 
 def run(*argv) -> int:
@@ -400,9 +405,44 @@ class TestInsightsCommand:
         assert run("insights", "--table", str(FOOBAR), "--llm", mode, "-o", "x.json") == 3
         assert capsys.readouterr().err == (
             f"LLM error: {llm.ProviderConfig('m').endpoint}: "
-            "completion holds the lone surrogate '\\ud800'\n")
+            "a string holds the lone surrogate '\\ud800'\n")
         assert not (tmp_path / "x.json").exists()
         assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("argv,transcript,body,code,message", [
+        (["insights", "--table", str(FOOBAR), "--llm", "live:m"], None, DEEPER_REPLY,
+         3, "LLM error: {endpoint}: JSON nested too deeply"),
+        (["insights", "--table", str(FOOBAR), "--llm", "record:m:t.jsonl"], None,
+         DEEPER_REPLY, 3, "LLM error: {endpoint}: JSON nested too deeply"),
+        (["insights", "--subject", "Target", "--llm", "replay:t.jsonl"], HUGE_INT_RECORD, None,
+         3, "LLM error: transcript t.jsonl, line 1: Exceeds the limit"),
+        (["insights", "--timeseries", str(PRICES), "--subject", "\udcff"], None, None,
+         2, "error: --subject '\\udcff': a string holds the lone surrogate '\\udcff'"),
+        (["pipeline", "--table", str(FOOBAR), "--subject", "Foobar\udcff", "--framework", "swot"],
+         None, None, 2, "error: --subject 'Foobar\\udcff': a string holds the lone surrogate"),
+        (["insights", "--table", str(FOOBAR), "--llm", "live:m\udcff"], None,
+         completion_body("- stub completion text"),
+         2, "error: --llm model 'm\\udcff': a string holds the lone surrogate '\\udcff'"),
+    ], ids=["deep-live-reply", "deep-record-reply", "huge-int-transcript", "subject",
+            "pipeline-subject", "model"])
+    def test_untrusted_text_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                              argv, transcript, body, code, message):
+        """A reply nested 200,000 deep, a transcript integer past the digit
+        limit, and a --subject or model name from a non-UTF-8 argv byte (a
+        lone surrogate) each end in one error line, and no file is written."""
+        reply = types.SimpleNamespace(status=200, read=lambda: body)
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout: contextlib.nullcontext(reply))
+        monkeypatch.setenv(llm.DEFAULT_API_KEY_ENV, "test-key")
+        monkeypatch.chdir(tmp_path)
+        if transcript is not None:
+            (tmp_path / "t.jsonl").write_bytes(transcript)
+        before = sorted(os.listdir(tmp_path))
+        assert run(*argv, "-o", "x.svg") == code
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(endpoint=llm.ProviderConfig("m").endpoint))
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("content,message", [
         (None, "cannot read transcript"),
@@ -413,7 +453,7 @@ class TestInsightsCommand:
          "line 2: duplicate request hash"),
         (b"\n" + DEEP_JSON.encode() + b"\n", "line 2: JSON nested too deeply"),
         (b'{"request_hash": "abc", "response": "a\\ud800"}\n',
-         "line 1: response holds the lone surrogate '\\ud800'"),
+         "line 1: a string holds the lone surrogate '\\ud800'"),
     ], ids=["missing", "not-utf8", "not-json", "bad-record", "duplicate-hash",
             "deep-nesting", "lone-surrogate"])
     def test_bad_transcript_is_llm_error(self, tmp_path, no_network, capsys,
@@ -902,6 +942,15 @@ def test_any_entity_name_gives_well_formed_svg_or_exit_2(name, framework):
             xml.parsers.expat.ParserCreate().Parse(svg.read_bytes(), True)
 
 
+# Valid files for ``hostile_json`` to put a hostile part in.
+HOSTILE_INSIGHTS = {"subject": "Foobar Corp", "insights": [
+    insights_mod.insight_to_dict(ins) for ins in random_insights(random.Random(1), 4)]}
+HOSTILE_ANALYSIS = frameworks.analysis_to_dict(random_analysis(random.Random(2), "porter5"))
+HOSTILE_STYLE = {"canvas": [1000, 700], "padding": 10, "max_font": 24,
+                 "font_family": "Arial, sans-serif", "background": "#FAFAF7",
+                 "palette": {"high": "#F4A582", "intense": "#D6604D"}}
+
+
 class TestFileErrors:
     @pytest.mark.parametrize("argv", [
         ["insights", "--table"],
@@ -933,8 +982,48 @@ class TestFileErrors:
         assert run(*argv, "-o", str(out)) == 2
         sep = "\n" if kind == "insights" else " "
         assert capsys.readouterr().err.startswith(
-            f"error: invalid {kind} file {path}:{sep}maximum recursion depth exceeded")
+            f"error: invalid {kind} file {path}:{sep}JSON nested too deeply")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["insights", "analysis", "style"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hostile_json_file_is_input_error(self, kind, data):
+        """A hostile part anywhere in an insights, analysis or style file
+        exits 2 naming the file, and the cause; an escaped surrogate pair
+        reads as the character written raw."""
+        base = {"insights": HOSTILE_INSIGHTS, "analysis": HOSTILE_ANALYSIS,
+                "style": HOSTILE_STYLE}[kind]
+        part, text = data.draw(hostile_json(base))
+        with tempfile.TemporaryDirectory() as d:
+            path, analysis, out = Path(d, "in.json"), Path(d, "a.json"), Path(d, "out")
+            analysis.write_text(json.dumps(HOSTILE_ANALYSIS), encoding="utf-8")
+            argv = {"insights": ["organize", path, "--framework", "swot"],
+                    "analysis": ["render", path],
+                    "style": ["render", analysis, "--style", path]}[kind]
+
+            def read(content: bytes) -> tuple[int, str, bytes | None]:
+                path.write_bytes(content)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = run(*map(str, argv), "-o", str(out))
+                written = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                return code, err.getvalue(), written
+
+            code, err, written = read(text)
+            if part == "pair":
+                raw = json.dumps(json.loads(text), ensure_ascii=False).encode("utf-8")
+                assert (code, err, written) == read(raw)
+            elif part == "raw":
+                assert (code, err, written) == (2, f"error in {path}: line 1: not UTF-8 text\n",
+                                                None)
+            else:
+                sep = "\n" if kind == "insights" else " "
+                assert code == 2 and written is None
+                assert err.startswith(f"error: invalid {kind} file {path}:{sep}"
+                                      f"{HOSTILE_CAUSES[part]}"), err
+                assert err.count("\n") == sep.count("\n") + 1
 
     def test_non_utf8_style_file_is_input_error(self, insights_file, tmp_path, capsys):
         analysis, style = tmp_path / "a.json", tmp_path / "style.json"

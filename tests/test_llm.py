@@ -8,11 +8,13 @@ import os
 import socket
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import completion_body
+from conftest import HOSTILE_CAUSES, completion_body, hostile_json
 from stratagem import llm
 from stratagem.frameworks import schema_for, validate_analysis
 from stratagem.llm import (
@@ -139,6 +141,45 @@ class TestTransport:
             load_transcript(str(path))
 
 
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# A transcript record and a live reply for ``hostile_json`` to put a hostile part in.
+HOSTILE_RECORD = {"request_hash": "abc", "request": "r", "response": "- first item",
+                  "usage": {"tokens": [3, {"kind": "prompt"}]}}
+HOSTILE_REPLY = {"id": "chatcmpl-1", "choices": [{"index": 0, "message": {
+    "role": "assistant", "content": "- stub completion text"}}], "usage": {"total_tokens": 9}}
+
+
+class TestHostileTranscript:
+    @given(data=st.data(), before=st.integers(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_hostile_line_is_named(self, data, before):
+        """A hostile part anywhere in a transcript line is a ``BadTranscript``
+        naming the line and the cause; an escaped surrogate pair reads as the
+        character written raw."""
+        part, text = data.draw(hostile_json(HOSTILE_RECORD))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d, "t.jsonl")
+            lines = [json.dumps({"request_hash": "zzz", "response": "x"}).encode(), b""][:before]
+            path.write_bytes(b"\n".join([*lines, text, b""]))
+            found = outcome(load_transcript, str(path))
+            if part == "pair":
+                raw = json.dumps(json.loads(text), ensure_ascii=False).encode("utf-8")
+                path.write_bytes(b"\n".join([*lines, raw, b""]))
+                assert found == outcome(load_transcript, str(path))
+            else:
+                where = f"transcript {path}, line {len(lines) + 1}: "
+                cause = "not UTF-8 text" if part == "raw" else HOSTILE_CAUSES[part]
+                assert found[0] is llm.BadTranscript
+                assert found[1].startswith(where + cause), found
+
+
 class TestLiveTransport:
     """Live and record calls against a chat-completions stub on loopback."""
 
@@ -172,7 +213,7 @@ class TestLiveTransport:
         (200, b'{"choices": []}', "response has no string completion"),
         (200, b'[1, 2]', "response has no string completion"),
         (200, completion_body(None), "response has no string completion"),
-        (200, completion_body("a\ud800"), "completion holds the lone surrogate '\\ud800'"),
+        (200, completion_body("a\ud800"), "a string holds the lone surrogate '\\ud800'"),
         (None, b"SSH-2.0-OpenSSH_9.6\r\n", "BadStatusLine('SSH-2.0-OpenSSH_9.6\\r\\n')"),
         (None, b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{}",
          "IncompleteRead(2 bytes read, 98 more expected)"),
@@ -183,6 +224,32 @@ class TestLiveTransport:
         with pytest.raises(TransportError) as exc:
             complete(self.config(llm_stub), "prompt", "k")
         assert str(exc.value) == f"{llm_stub.endpoint}: {cause}"
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_hostile_reply_is_transport_error(self, llm_stub, data):
+        """A hostile part anywhere in the reply body is a ``TransportError``
+        naming the endpoint and the cause, raw surrogate bytes included;
+        an escaped surrogate pair reads as the character written raw."""
+        part, body = data.draw(hostile_json(HOSTILE_REPLY))
+        llm_stub.reply = (200, body, 0.0)
+        found = outcome(complete, self.config(llm_stub), "prompt", "k")
+        if part == "pair":
+            raw = json.dumps(json.loads(body), ensure_ascii=False).encode("utf-8")
+            llm_stub.reply = (200, raw, 0.0)
+            assert found == outcome(complete, self.config(llm_stub), "prompt", "k")
+        else:
+            cause = "response body is not JSON" if part == "raw" else HOSTILE_CAUSES[part]
+            assert found[0] is TransportError
+            assert found[1].startswith(f"{llm_stub.endpoint}: {cause}"), found
+
+    @pytest.mark.parametrize("endpoint", ["api.example.com/v1", "", "/v1/chat/completions"])
+    def test_endpoint_that_is_not_a_url_is_transport_error(self, endpoint, monkeypatch):
+        monkeypatch.setenv(llm.DEFAULT_API_KEY_ENV, "test-key")
+        with pytest.raises(TransportError) as exc:
+            complete(ProviderConfig(model="m", endpoint=endpoint), "prompt", "k")
+        assert str(exc.value) == f"{endpoint}: ValueError(\"unknown url type: {endpoint!r}\")"
 
     def test_slow_reply_is_transport_error(self, llm_stub, monkeypatch):
         monkeypatch.setattr(llm, "_TIMEOUT_S", 0.2)
